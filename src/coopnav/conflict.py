@@ -8,6 +8,7 @@ share uplink slots safely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,20 +69,23 @@ def build_conflict_graph(auv_positions, layout: AsvLayout, r_hf: float) -> Confl
     AUVs out of range of every ASV become isolated vertices; they still get a
     color and ping in their slot, their pings are simply unheard.
     """
-    pos = np.asarray(auv_positions, dtype=float)
-    if pos.size == 0:
-        return ConflictGraph(0, frozenset())
-    pos = pos.reshape(len(pos), -1)[:, :2]
-    n = len(pos)
-    # audible ASV index set per AUV; an edge needs a shared audible ASV
-    d = np.linalg.norm(pos[:, None, :] - layout.positions[None, :, :], axis=2)
-    audible = d <= r_hf
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.any(audible[i] & audible[j]):
-                edges.add((i, j))
-    return ConflictGraph(n, frozenset(edges))
+    asvs = layout.positions.tolist()
+    # bit j of audible[i] is set when ASV j hears AUV i; an edge needs a
+    # shared audible ASV.  sqrt(dx*dx + dy*dy) is what numpy's norm computes
+    # for a 2-vector, so the range test matches it bit for bit.
+    audible = []
+    for p in auv_positions:
+        px, py = float(p[0]), float(p[1])
+        mask = 0
+        for j, (ax, ay) in enumerate(asvs):
+            dx, dy = px - ax, py - ay
+            if math.sqrt(dx * dx + dy * dy) <= r_hf:
+                mask |= 1 << j
+        audible.append(mask)
+    n = len(audible)
+    edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
+                      if audible[i] & audible[j])
+    return ConflictGraph(n, edges)
 
 
 def greedy_color(g: ConflictGraph) -> Coloring:

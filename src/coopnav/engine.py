@@ -3,8 +3,10 @@
 Per tick, in fixed order: guidance from the fused estimates, truth advance,
 dead reckoning of both estimates, pressure-depth replacement, protocol
 events (pings, fusion, broadcasts, deliveries), fix application, metric
-accumulation.  Identical (config, seed) pairs produce byte-identical event
-logs.
+accumulation.  The protocol is stepped only from its next event tick on,
+and the noise streams are drawn in blocks; both leave every value as it
+would be tick by tick.  Identical (config, seed) pairs produce
+byte-identical event logs.
 """
 
 from __future__ import annotations
@@ -145,6 +147,55 @@ def derive_rng(seed: int, stream_label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+RNG_BLOCK = 64   # draws per buffered block of a NormalStream / UniformStream
+
+
+class NormalStream:
+    """A generator's ``normal(loc, scale)`` served from blocks of draws.
+
+    numpy's scalar ``normal(loc, scale)`` is ``loc + scale * z`` with ``z``
+    the generator's next standard normal, and a block of standard normals
+    equals as many scalar draws, so every value is bit-identical to calling
+    the generator draw by draw, whatever the mix of scales.  The first
+    block is drawn on the first call, not when the stream is built.
+    """
+
+    __slots__ = ("gen", "_it")
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self._it = iter(())
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
+        try:
+            z = next(self._it)
+        except StopIteration:
+            self._it = iter(self.gen.standard_normal(RNG_BLOCK).tolist())
+            z = next(self._it)
+        return loc + scale * z
+
+
+class UniformStream:
+    """A generator's ``uniform()`` on [0, 1) served from blocks of ``random``.
+
+    ``uniform()`` is ``0.0 + 1.0 * u`` with ``u`` the next ``random()``
+    double, so the buffered values equal scalar draws bit for bit.
+    """
+
+    __slots__ = ("gen", "_it")
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self._it = iter(())
+
+    def uniform(self) -> float:
+        try:
+            return next(self._it)
+        except StopIteration:
+            self._it = iter(self.gen.random(RNG_BLOCK).tolist())
+            return next(self._it)
+
+
 def coverage_fraction(ping_log) -> float:
     """Fraction of ping attempts heard by at least one ASV (0 when none)."""
     if len(ping_log) == 0:
@@ -168,41 +219,47 @@ def run(config: SimConfig) -> MissionReport:
     n, m = config.n_auv, config.n_asv
     f_t = config.f_t
     dt = 1.0 / f_t
-    half = config.L / 2.0
+    depth = config.depth
+    edge = config.L / 2.0 + 1e-9
+    on_truth = config.guidance_on_truth
+    usbl_enabled = config.usbl_enabled
+    trace = config.trace
 
-    plan = plan_lawnmower(config.L, n, config.track_spacing, config.depth)
-
-    def active_cte(i: int, x: float, y: float) -> float:
-        # cross-track error against the segment currently being tracked; a
-        # starved vehicle's divergence is then measured, not absorbed by
-        # whichever parallel track it happens to drift past
-        wps = plan.waypoints[i]
-        w = min(max(wp_index[i], 1), len(wps) - 1)
-        return point_segment_distance(x, y, wps[w - 1][0], wps[w - 1][1],
-                                      wps[w][0], wps[w][1])
+    plan = plan_lawnmower(config.L, n, config.track_spacing, depth)
+    waypoints = plan.waypoints
     layout = asv_positions(FormationConfig(
         n_asv=m, L=config.L, r_hf=config.r_hf, delta_b=config.delta_b,
         alpha0=config.alpha0))
     base_asv = layout.positions
 
     seed = config.seed
-    imu_rng = [derive_rng(seed, f"imu/{i}") for i in range(n)]
-    depth_rng = [derive_rng(seed, f"depth/{i}") for i in range(n)]
-    usbl_rng = [[derive_rng(seed, f"usbl/{i}/{j}") for j in range(m)] for i in range(n)]
-    loss_rng = [[derive_rng(seed, f"loss/{i}/{j}") for j in range(m)] for i in range(n)]
+    imu_rng = [NormalStream(derive_rng(seed, f"imu/{i}")) for i in range(n)]
+    depth_rng = [NormalStream(derive_rng(seed, f"depth/{i}")) for i in range(n)]
+    usbl_rng = [[NormalStream(derive_rng(seed, f"usbl/{i}/{j}")) for j in range(m)]
+                for i in range(n)]
+    loss_rng = [[UniformStream(derive_rng(seed, f"loss/{i}/{j}")) for j in range(m)]
+                for i in range(n)]
     jitter_rng = derive_rng(seed, "asv_jitter") if config.asv_jitter_std > 0 else None
 
-    truths, navs, wp_index, kin = [], [], [], []
+    truths, navs, kin, segments = [], [], [], []
     for i in range(n):
-        x0, y0 = plan.waypoints[i][0]
-        x1, y1 = plan.waypoints[i][1]
+        wps = waypoints[i]
+        x0, y0 = wps[0]
+        x1, y1 = wps[1]
         yaw0 = math.atan2(y1 - y0, x1 - x0)
-        truths.append(VehicleTruth(x0, y0, config.depth, yaw0))
-        navs.append(NavState.at(x0, y0, config.depth, bias=config.bias,
+        truths.append(VehicleTruth(x0, y0, depth, yaw0))
+        navs.append(NavState.at(x0, y0, depth, bias=config.bias,
                                 sigma=config.sigma, sigma_z=config.sigma_z,
                                 gamma=config.gamma))
-        wp_index.append(0)
-        kin.append(None)
+        kin.append(KinematicInput((0.0, 0.0), yaw0, dt, depth))
+        # cross-track error is taken against the segment currently being
+        # tracked, indexed by waypoint index; a starved vehicle's divergence
+        # is then measured, not absorbed by whichever parallel track it
+        # happens to drift past
+        last = len(wps) - 1
+        tracked = [min(max(w, 1), last) for w in range(last + 2)]
+        segments.append([wps[w - 1] + wps[w] for w in tracked])
+    wp_index = [0] * n
 
     proto = TdmaScheduler(timing, noise, LossModelCoefficients(), config.L,
                           n, m, lambda i, j: (usbl_rng[i][j], loss_rng[i][j]),
@@ -229,36 +286,48 @@ def run(config: SimConfig) -> MissionReport:
     max_innovation = 0.0
     excursions = 0
     trace_log: list[str] = []
+    jitter = None   # RNG_BLOCK ticks of ASV jitter, one (m, 2) row per tick
 
     total_ticks = round(config.duration * f_t)
     ticks_run = 0
+    finished = 0    # AUVs past their last waypoint
     for k in range(total_ticks):
+        # the protocol has nothing to do before its next event tick
+        active = usbl_enabled and k >= proto.next_tick
         if jitter_rng is not None:
-            asv_now = base_asv + jitter_rng.normal(
-                0.0, config.asv_jitter_std, size=base_asv.shape)
+            row = k % RNG_BLOCK
+            if row == 0:
+                jitter = jitter_rng.normal(0.0, config.asv_jitter_std,
+                                           size=(RNG_BLOCK,) + base_asv.shape)
+            if active:
+                asv_now = base_asv + jitter[row]
 
-        due = proto.due_auvs(k) if config.usbl_enabled else set()
+        due = proto.due_auvs(k) if active else ()
         for i in range(n):
             t = truths[i]
-            if config.guidance_on_truth:
-                est_xy = (t.x, t.y)
-            else:
-                est_xy = (navs[i].p_fused[0], navs[i].p_fused[1])
-            speed_cmd, yaw_cmd, wp_index[i] = guidance_step(
-                t, est_xy, plan.waypoints[i], wp_index[i], guid, dt)
-            advance_truth(t, speed_cmd, yaw_cmd, guid, dt, config.depth)
-            kin[i] = KinematicInput((t.speed, 0.0), t.yaw, dt, config.depth)
-            dead_reckon_step(navs[i], kin[i], imu_rng[i],
-                             advance_fused=(i not in due))
-            depth_update(navs[i], t.z, depth_rng[i])
+            nav = navs[i]
+            est_xy = (t.x, t.y) if on_truth else nav.p_fused
+            speed_cmd, yaw_cmd, w = guidance_step(
+                t, est_xy, waypoints[i], wp_index[i], guid, dt)
+            if w != wp_index[i]:
+                wp_index[i] = w
+                if w >= len(waypoints[i]):
+                    finished += 1
+            advance_truth(t, speed_cmd, yaw_cmd, guid, dt, depth)
+            ki = kin[i]
+            ki.v_body = (t.speed, 0.0)
+            ki.psi = t.yaw
+            dead_reckon_step(nav, ki, imu_rng[i], advance_fused=(i not in due))
+            depth_update(nav, t.z, depth_rng[i])
 
-        if config.usbl_enabled:
+        if active:
             pos3 = [(t.x, t.y, t.z) for t in truths]
-            delivered = proto.step(k, pos3, asv_now, recolor)
-            for i, pd in delivered:
+            for i, pd in proto.step(k, pos3, asv_now, recolor):
+                p = navs[i].p_fused
                 fx, fy = pd.fix.position[0], pd.fix.position[1]
-                innov = math.hypot(fx - navs[i].p_fused[0], fy - navs[i].p_fused[1])
-                max_innovation = max(max_innovation, innov)
+                innov = math.hypot(fx - p[0], fy - p[1])
+                if innov > max_innovation:
+                    max_innovation = innov
                 apply_fix(navs[i], pd.fix, kin[i])
                 applied[i] += 1
                 applied_ticks[i].append(k)
@@ -266,15 +335,19 @@ def run(config: SimConfig) -> MissionReport:
 
         for i in range(n):
             t = truths[i]
-            cte = active_cte(i, t.x, t.y)
+            x, y = t.x, t.y
+            ax, ay, bx, by = segments[i][wp_index[i]]
+            cte = point_segment_distance(x, y, ax, ay, bx, by)
             cte_sum[i] += cte
-            e = math.hypot(navs[i].p_fused[0] - t.x, navs[i].p_fused[1] - t.y)
+            p = navs[i].p_fused
+            e = math.hypot(p[0] - x, p[1] - y)
             err_sum[i] += e
-            max_fused_err[i] = max(max_fused_err[i], e)
+            if e > max_fused_err[i]:
+                max_fused_err[i] = e
             dist[i] += t.speed * dt
-            if abs(t.x) > half + 1e-9 or abs(t.y) > half + 1e-9:
+            if abs(x) > edge or abs(y) > edge:
                 excursions += 1
-            if config.trace:
+            if trace:
                 nv = navs[i]
                 trace_log.append(
                     f"TRACE{{tick={k}, auv={i}, "
@@ -284,7 +357,7 @@ def run(config: SimConfig) -> MissionReport:
                     f"{nv.p_fused[2]:.6f}), cte={cte:.6f}}}")
 
         ticks_run = k + 1
-        if all(wp_index[i] >= len(plan.waypoints[i]) for i in range(n)):
+        if finished == n:
             break
 
     duration_s = ticks_run / f_t

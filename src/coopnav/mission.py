@@ -116,7 +116,11 @@ def advance_truth(truth: VehicleTruth, speed_cmd: float, yaw_cmd: float,
     """Slew the yaw toward the command and move the unicycle one tick."""
     err = wrap_angle(yaw_cmd - truth.yaw)
     max_step = cfg.max_yaw_rate * dt
-    truth.yaw = wrap_angle(truth.yaw + max(-max_step, min(max_step, err)))
+    if err > max_step:
+        err = max_step
+    elif err < -max_step:
+        err = -max_step
+    truth.yaw = wrap_angle(truth.yaw + err)
     truth.speed = speed_cmd
     truth.x += speed_cmd * dt * math.cos(truth.yaw)
     truth.y += speed_cmd * dt * math.sin(truth.yaw)
@@ -131,7 +135,10 @@ def point_segment_distance(px: float, py: float, ax: float, ay: float,
     if L2 == 0.0:
         return math.hypot(px - ax, py - ay)
     t = ((px - ax) * dx + (py - ay) * dy) / L2
-    t = max(0.0, min(1.0, t))
+    if t <= 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 

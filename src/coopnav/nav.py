@@ -25,7 +25,6 @@ class NavState:
     sigma: float = 0.027                       # step noise, m/sqrt(s)
     sigma_z: float = 0.05                      # depth sensor noise, m
     gamma: float = 0.90                        # fix correction gain
-    var_scale: float = 0.0                     # scalar covariance proxy, bookkeeping only
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
@@ -77,7 +76,6 @@ def dead_reckon_step(state: NavState, inp: KinematicInput, rng,
     if advance_fused:
         state.p_fused[0] += wx
         state.p_fused[1] += wy
-    state.var_scale += state.sigma ** 2 * dt
     return state
 
 
@@ -123,5 +121,4 @@ def apply_fix(state: NavState, fix: FusedFix, inp: KinematicInput,
     py = state.p_fused[1] + s * bx + c * by
     state.p_fused[0] = px + g * (fix.position[0] - px)
     state.p_fused[1] = py + g * (fix.position[1] - py)
-    state.var_scale *= (1.0 - g)
     return state

@@ -138,6 +138,10 @@ class FixQueue:
         heapq.heappush(self._heap, (pd.deliver_tick, self._seq, pd))
         self._seq += 1
 
+    def head_tick(self) -> int | None:
+        """Delivery tick of the earliest pending fix, None when empty."""
+        return self._heap[0][0] if self._heap else None
+
     def peek_due(self, tick: int) -> bool:
         return bool(self._heap) and self._heap[0][0] <= tick
 
@@ -189,14 +193,20 @@ def plan_round(coloring: Coloring, L: float, round_start: int,
                          round_end=k)
 
 
-def _ping_group(members, tick, group_idx, auv_positions, asv_xy,
+def _anchors(asv_xy) -> list[tuple[float, float, float]]:
+    """ASV positions of an (n_asv, 2) array as plain (x, y, 0) tuples."""
+    return [(float(x), float(y), 0.0) for x, y in asv_xy.tolist()]
+
+
+def _ping_group(members, tick, group_idx, auv_positions, anchors,
                 noise: UsblNoiseConfig, coeffs: LossModelCoefficients,
                 n_contention: int, path_rngs, events,
                 graph: ConflictGraph | None = None):
     """Every AUV of one color group pings; every ASV in range attempts a fix.
 
-    Returns (fused fixes, auv ids heard by at least one ASV).  When a graph
-    is given, asserts the spatial-reuse safety of the slot against it.
+    ``anchors`` are the ASV positions as ``_anchors`` returns them.  Returns
+    (fused fixes, auv ids heard by at least one ASV).  When a graph is
+    given, asserts the spatial-reuse safety of the slot against it.
     """
     if graph is not None:
         for a_i, a in enumerate(members):
@@ -210,8 +220,7 @@ def _ping_group(members, tick, group_idx, auv_positions, asv_xy,
         pos_i = auv_positions[i]
         heard = False
         fixes = []
-        for j in range(len(asv_xy)):
-            asv_pos = (float(asv_xy[j][0]), float(asv_xy[j][1]), 0.0)
+        for j, asv_pos in enumerate(anchors):
             dx = pos_i[0] - asv_pos[0]
             dy = pos_i[1] - asv_pos[1]
             dz = pos_i[2] - asv_pos[2]
@@ -255,9 +264,10 @@ def run_round(coloring: Coloring, auv_positions, layout_xy, round_start_tick: in
         n_contention = max(len(coloring.color), 1)
     events: list[str] = []
     collected: list[tuple[FusedFix, int]] = []
+    anchors = _anchors(layout_xy)
     for g, start in enumerate(sched.group_start_ticks):
         members = groups[g] if g < len(groups) else []
-        fused, _ = _ping_group(members, start, g, auv_positions, layout_xy,
+        fused, _ = _ping_group(members, start, g, auv_positions, anchors,
                                noise, coeffs, n_contention, path_rngs, events,
                                graph=graph)
         collected.extend((ff, start) for ff in fused)
@@ -285,8 +295,13 @@ class TdmaScheduler:
 
     Owns the round schedule, the downlink fix buffer, the MF channel state
     and the per-AUV causal delivery queues.  The host simulation supplies
-    fresh positions every tick and a recoloring callback fired at each round
-    boundary.
+    fresh positions and a recoloring callback fired at each round boundary.
+
+    ``next_tick`` is the earliest tick at which ``step()`` can emit an event
+    or deliver a fix: the round end, the next group start, the MF channel
+    freeing up while fixes are buffered, or the earliest queued delivery.
+    Before it ``step()`` and ``due_auvs()`` are no-ops, so a host may skip
+    them; stepping every tick gives the same result.
     """
 
     def __init__(self, timing: TimingConfig, noise: UsblNoiseConfig,
@@ -319,6 +334,7 @@ class TdmaScheduler:
         self.dropped = {"superseded": 0, "expired": 0, "out_of_mf_range": 0}
         self.latencies: list[float] = []
         self.events: list[str] = []
+        self.next_tick = 0
 
     def start_round(self, graph: ConflictGraph, coloring: Coloring, tick: int):
         self.graph = graph
@@ -326,6 +342,7 @@ class TdmaScheduler:
         self.schedule = plan_round(coloring, self.L, tick, self.timing,
                                    self.tau_ot_max,
                                    broadcaster_asv=self.bcast_count % self.n_asv)
+        self.next_tick = min(self.next_tick, tick)
 
     def due_auvs(self, tick: int) -> set[int]:
         """AUVs with a delivery due at this tick (known before the tick runs)."""
@@ -334,20 +351,22 @@ class TdmaScheduler:
     def step(self, tick: int, auv_positions, asv_xy, recolor):
         """Run all protocol events of one tick; returns delivered fixes.
 
-        ``recolor()`` must return a fresh (graph, coloring) pair; it is
-        invoked once per round boundary.
+        ``asv_xy`` is the (n_asv, 2) array of ASV positions.  ``recolor()``
+        must return a fresh (graph, coloring) pair; it is invoked once per
+        round boundary.
         """
         if self.schedule is None:
             raise RuntimeError("start_round() must be called before step()")
         if tick == self.schedule.round_end:
             graph, coloring = recolor()
             self.start_round(graph, coloring, tick)
+        anchors = _anchors(asv_xy)
         for g, start in enumerate(self.schedule.group_start_ticks):
             if start != tick:
                 continue
             members = self.groups[g] if g < len(self.groups) else []
             n_cont = self.n_auv if self.contention == "fleet" else max(len(members), 1)
-            fused, heard = _ping_group(members, tick, g, auv_positions, asv_xy,
+            fused, heard = _ping_group(members, tick, g, auv_positions, anchors,
                                        self.noise, self.coeffs, n_cont,
                                        self.path_rngs, self.events,
                                        graph=self.graph)
@@ -360,10 +379,24 @@ class TdmaScheduler:
                     self.events.append(
                         f"DROP{{tick={tick}, auv={ff.auv_id}, reason=superseded}}")
                 self.buffer[ff.auv_id] = (ff, tick)
-        self._mf_step(tick, auv_positions, asv_xy)
-        return self._release_due(tick)
+        self._mf_step(tick, auv_positions, anchors)
+        delivered = self._release_due(tick)
+        self.next_tick = self._next_event(tick)
+        return delivered
 
-    def _mf_step(self, tick: int, auv_positions, asv_xy):
+    def _next_event(self, tick: int) -> int:
+        """Earliest tick after ``tick`` at which ``step()`` has work."""
+        nxt = next((start for start in self.schedule.group_start_ticks
+                    if start > tick), self.schedule.round_end)
+        if self.buffer:
+            nxt = min(nxt, self.mf_busy_until)
+        for q in self.queues:
+            head = q.head_tick()
+            if head is not None and head < nxt:
+                nxt = head
+        return max(nxt, tick + 1)
+
+    def _mf_step(self, tick: int, auv_positions, anchors):
         if tick < self.mf_busy_until:
             return
         for i in sorted(self.buffer):
@@ -383,8 +416,8 @@ class TdmaScheduler:
         self.events.append(f"BCAST{{tick={tick}, asv={asv_j}, bytes={nbytes}}}")
         t_dl = downlink_slot_duration(self.L, t_tx, self.timing)
         self.mf_busy_until = tick + ticks_ceil(t_dl, self.timing.f_t)
-        d = math.hypot(auv_positions[target][0] - float(asv_xy[asv_j][0]),
-                       auv_positions[target][1] - float(asv_xy[asv_j][1]))
+        d = math.hypot(auv_positions[target][0] - anchors[asv_j][0],
+                       auv_positions[target][1] - anchors[asv_j][1])
         kd = delivery_tick(tick, t_tx, d, self.timing)
         if kd is None:
             self.dropped["out_of_mf_range"] += 1

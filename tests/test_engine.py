@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from coopnav.engine import (SimConfig, coverage_fraction, derive_rng, run)
+from coopnav.acoustic import UsblNoiseConfig
+from coopnav.engine import (RNG_BLOCK, NormalStream, SimConfig, UniformStream,
+                            coverage_fraction, derive_rng, run)
 
 
 def short_cfg(**kw):
@@ -147,3 +149,27 @@ def test_mission_ends_when_plans_exhausted():
                         track_spacing=12.0))
     assert rep.ticks < 300 * 30
     assert rep.duration_s < 300.0
+
+
+def test_buffered_streams_equal_scalar_draws():
+    # the usbl streams mix three scales; the loss streams draw uniforms
+    noise = UsblNoiseConfig()
+    scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
+    gen_n, gen_u = derive_rng(5, "usbl/0/1"), derive_rng(5, "loss/0/1")
+    before = (gen_n.bit_generator.state, gen_u.bit_generator.state)
+    normal, uniform = NormalStream(gen_n), UniformStream(gen_u)
+    assert (gen_n.bit_generator.state, gen_u.bit_generator.state) == before
+    ref_n, ref_u = derive_rng(5, "usbl/0/1"), derive_rng(5, "loss/0/1")
+    draws = 3 * RNG_BLOCK + 5            # three refills and part of a fourth
+    for k in range(draws):
+        scale = scales[k % 3]
+        assert normal.normal(0.0, scale) == ref_n.normal(0.0, scale)
+        assert uniform.uniform() == ref_u.uniform()
+    assert gen_n.bit_generator.state != before[0]
+
+
+def test_asv_jitter_block_equals_per_tick_draws():
+    block = derive_rng(6, "asv_jitter").normal(0.0, 0.5, size=(RNG_BLOCK, 3, 2))
+    ref = derive_rng(6, "asv_jitter")
+    for row in block:
+        assert np.array_equal(row, ref.normal(0.0, 0.5, size=(3, 2)))

@@ -129,17 +129,6 @@ def test_gamma_validation():
         apply_fix(s, fused(0, 0), KinematicInput((0.0, 0.0), 0.0, DT), gamma=1.5)
 
 
-def test_posterior_scale_contracts_by_one_minus_gamma():
-    s = state(gamma=0.9, sigma=0.027)
-    rng = np.random.default_rng(4)
-    inp = KinematicInput((0.5, 0.0), 0.2, DT)
-    for _ in range(50):
-        dead_reckon_step(s, inp, rng)
-    before = s.var_scale
-    apply_fix(s, fused(1.0, 1.0), inp)
-    assert s.var_scale == pytest.approx(0.1 * before)
-
-
 def test_stationary_rms_matches_dynamics_envelope():
     # RMS of the uncorrected estimate under zero commanded velocity follows
     # sqrt(||b||^2 t^2 + 2 sigma^2 t): the bias integrates in full and each

@@ -192,3 +192,61 @@ def test_slot_durations_respect_minimums():
         assert uplink_slot_duration(L, 50.0 / 1500.0, CFG) >= 2.5 * tc - 1e-12
         for t_tx in (0.0, 0.192, 0.576):
             assert downlink_slot_duration(L, t_tx, CFG) >= 10.0 * tc - 1e-12
+
+
+def drive_scheduler(trace, asv, skip_idle):
+    """Step a scheduler over per-tick AUV positions; optionally skip idle ticks."""
+    from coopnav.protocol import TdmaScheduler
+    from coopnav.conflict import build_conflict_graph, greedy_color
+    from coopnav.formation import AsvLayout
+
+    def recolor(pos):
+        g = build_conflict_graph(pos, AsvLayout(asv), 50.0)
+        return g, greedy_color(g)
+
+    n_auv = len(trace[0])
+    sched = TdmaScheduler(TimingConfig(), UsblNoiseConfig(r_max=50.0),
+                          LossModelCoefficients(), 70.0, n_auv, len(asv),
+                          make_rngs(n_auv, len(asv), seed=3))
+    sched.start_round(*recolor(trace[0]), 0)
+    deliveries, steps = [], 0
+    for k, pos in enumerate(trace):
+        idle = k < sched.next_tick
+        if skip_idle and idle:
+            continue
+        n_events = len(sched.events)
+        due = sched.due_auvs(k)
+        out = sched.step(k, pos, asv, lambda: recolor(pos))
+        steps += 1
+        if idle:
+            assert not due and not out and len(sched.events) == n_events
+        assert {i for i, _ in out} == due
+        deliveries += [(k, i, pd.deliver_tick, pd.ping_tick, pd.fix) for i, pd in out]
+    return sched, deliveries, steps
+
+
+def test_scheduler_skipping_idle_ticks_matches_every_tick():
+    # two AUVs orbit each of two anchors 160 m apart, drifting in and out of
+    # HF range: the other anchor's broadcasts are beyond MF range, and four
+    # AUVs sharing one MF channel let buffered fixes expire.  At L=70 uplink
+    # slots last 4 ticks and MF slots 14, so the channel frees between slots
+    asv = np.array([[-80.0, 0.0], [80.0, 0.0]])
+    trace = []
+    for k in range(1500):
+        pos = []
+        for i in range(4):
+            r = 35.0 + 25.0 * np.sin(0.004 * k + i)
+            a = 0.01 * k + 1.7 * i
+            ax, ay = asv[i % 2]
+            pos.append((float(ax + r * np.cos(a)), float(ay + r * np.sin(a)), 10.0))
+        trace.append(pos)
+    full, full_del, full_steps = drive_scheduler(trace, asv, skip_idle=False)
+    fast, fast_del, fast_steps = drive_scheduler(trace, asv, skip_idle=True)
+    assert fast.events == full.events
+    assert fast_del == full_del
+    assert fast.latencies == full.latencies
+    assert fast.dropped == full.dropped
+    assert fast.heard_log == full.heard_log
+    assert full.dropped["expired"] > 0 and full.dropped["out_of_mf_range"] > 0
+    assert any(not h for log in full.heard_log for h in log)
+    assert full_del and fast_steps < full_steps
