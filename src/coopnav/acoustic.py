@@ -44,7 +44,7 @@ class LossModelCoefficients:
     p_cap: float = 0.999
 
 
-@dataclass
+@dataclass(slots=True)
 class UsblFix:
     auv_id: int
     asv_id: int
@@ -53,7 +53,7 @@ class UsblFix:
     measure_tick: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FusedFix:
     auv_id: int
     position: tuple[float, float, float]
@@ -77,27 +77,12 @@ def measure_fix(asv_pos, auv_true_pos, noise: UsblNoiseConfig, rng,
     perturbs each with its Gaussian noise, and reconstructs
     ``asv + r*(cos(phi)cos(theta), cos(phi)sin(theta), sin(phi))``.
     """
-    ax, ay, az = float(asv_pos[0]), float(asv_pos[1]), float(asv_pos[2])
-    dx = float(auv_true_pos[0]) - ax
-    dy = float(auv_true_pos[1]) - ay
-    dz = float(auv_true_pos[2]) - az
-    r = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if r > noise.r_max:
+    fix = _fix(asv_pos, auv_true_pos, None, noise, None, rng, None,
+               auv_id, asv_id, measure_tick)
+    if fix is None:
+        r = math.dist(asv_pos, auv_true_pos)
         raise ValueError(f"slant range {r:.3f} m exceeds r_max {noise.r_max} m")
-    theta = math.atan2(dy, dx) if r > 0 else 0.0
-    phi = math.asin(max(-1.0, min(1.0, dz / r))) if r > 0 else 0.0
-
-    r_m = r + (rng.normal(0.0, noise.sigma_r) if noise.sigma_r > 0 else 0.0)
-    t_m = theta + (rng.normal(0.0, noise.sigma_theta) if noise.sigma_theta > 0 else 0.0)
-    p_m = phi + (rng.normal(0.0, noise.sigma_phi) if noise.sigma_phi > 0 else 0.0)
-    r_m = max(r_m, 0.0)
-
-    cp = math.cos(p_m)
-    pos = (ax + r_m * cp * math.cos(t_m),
-           ay + r_m * cp * math.sin(t_m),
-           az + r_m * math.sin(p_m))
-    var = noise.sigma_r ** 2 + (r * noise.sigma_theta) ** 2
-    return UsblFix(auv_id, asv_id, pos, var, measure_tick)
+    return fix
 
 
 def loss_probability(r: float, coeffs: LossModelCoefficients = LossModelCoefficients()) -> float:
@@ -128,17 +113,49 @@ def attempt_fix(asv_pos, auv_true_pos, n_auv: int, noise: UsblNoiseConfig,
     ``loss_rng`` lets callers keep loss draws on a separate stream from the
     measurement noise; it defaults to ``rng``.
     """
-    dx = float(auv_true_pos[0]) - float(asv_pos[0])
-    dy = float(auv_true_pos[1]) - float(asv_pos[1])
-    dz = float(auv_true_pos[2]) - float(asv_pos[2])
+    if n_auv < 1:
+        raise ValueError(f"n_auv must be >= 1 (got {n_auv})")
+    return _fix(asv_pos, auv_true_pos, n_auv, noise, coeffs, rng,
+                loss_rng if loss_rng is not None else rng,
+                auv_id, asv_id, measure_tick)
+
+
+def _fix(asv_pos, auv_true_pos, n_auv, noise, coeffs, rng, loss_rng,
+         auv_id, asv_id, measure_tick) -> UsblFix | None:
+    """The geometry, loss draw and noisy reconstruction of one fix.
+
+    None when the AUV is beyond ``noise.r_max`` or, with a ``loss_rng``,
+    when the loss draw falls below ``total_loss_probability``, evaluated
+    here term for term.  Without a ``loss_rng`` nothing is lost.
+    """
+    ax, ay, az = float(asv_pos[0]), float(asv_pos[1]), float(asv_pos[2])
+    dx = float(auv_true_pos[0]) - ax
+    dy = float(auv_true_pos[1]) - ay
+    dz = float(auv_true_pos[2]) - az
     r = math.sqrt(dx * dx + dy * dy + dz * dz)
     if r > noise.r_max:
         return None
-    u = (loss_rng if loss_rng is not None else rng).uniform()
-    if u < total_loss_probability(r, n_auv, coeffs):
-        return None
-    return measure_fix(asv_pos, auv_true_pos, noise, rng,
-                       auv_id=auv_id, asv_id=asv_id, measure_tick=measure_tick)
+    if loss_rng is not None:
+        rt = min(r, coeffs.r_clip)
+        p = coeffs.a * math.exp(coeffs.b * rt) + coeffs.c0 * math.exp(coeffs.d * rt)
+        p = min(min(max(p, 0.0), 1.0) + (n_auv - 1) * coeffs.p_col, coeffs.p_cap)
+        if loss_rng.uniform() < p:
+            return None
+    theta = math.atan2(dy, dx) if r > 0 else 0.0
+    phi = math.asin(max(-1.0, min(1.0, dz / r))) if r > 0 else 0.0
+
+    sigma_r, sigma_theta, sigma_phi = noise.sigma_r, noise.sigma_theta, noise.sigma_phi
+    r_m = r + (rng.normal(0.0, sigma_r) if sigma_r > 0 else 0.0)
+    t_m = theta + (rng.normal(0.0, sigma_theta) if sigma_theta > 0 else 0.0)
+    p_m = phi + (rng.normal(0.0, sigma_phi) if sigma_phi > 0 else 0.0)
+    r_m = max(r_m, 0.0)
+
+    cp = math.cos(p_m)
+    pos = (ax + r_m * cp * math.cos(t_m),
+           ay + r_m * cp * math.sin(t_m),
+           az + r_m * math.sin(p_m))
+    var = sigma_r ** 2 + (r * sigma_theta) ** 2
+    return UsblFix(auv_id, asv_id, pos, var, measure_tick)
 
 
 def fuse_fixes(fixes: list[UsblFix]) -> FusedFix:
@@ -150,15 +167,18 @@ def fuse_fixes(fixes: list[UsblFix]) -> FusedFix:
         raise ValueError("cannot fuse an empty fix list")
     auv_id = fixes[0].auv_id
     tick = fixes[0].measure_tick
+    wsum = x = y = z = 0.0
     for f in fixes:
         if f.auv_id != auv_id:
             raise ValueError(f"mixed auv_id in fusion ({f.auv_id} != {auv_id})")
         if f.measure_tick != tick:
             raise ValueError(f"mixed measure_tick in fusion ({f.measure_tick} != {tick})")
-        if f.horiz_variance <= 0:
+        v = f.horiz_variance
+        if v <= 0:
             raise ValueError("fix variance must be > 0")
-    wsum = sum(1.0 / f.horiz_variance for f in fixes)
-    x = sum(f.position[0] / f.horiz_variance for f in fixes) / wsum
-    y = sum(f.position[1] / f.horiz_variance for f in fixes) / wsum
-    z = sum(f.position[2] / f.horiz_variance for f in fixes) / wsum
-    return FusedFix(auv_id, (x, y, z), 1.0 / wsum, len(fixes), tick)
+        px, py, pz = f.position
+        wsum += 1.0 / v
+        x += px / v
+        y += py / v
+        z += pz / v
+    return FusedFix(auv_id, (x / wsum, y / wsum, z / wsum), 1.0 / wsum, len(fixes), tick)

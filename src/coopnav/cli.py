@@ -26,7 +26,8 @@ from pathlib import Path
 
 from .engine import MissionReport, SimConfig, run
 from .formation import (FormationConfig, asv_positions, corner_distance,
-                        coverage_fraction_grid, min_formation_radius)
+                        coverage_fraction_grid, min_formation_radius,
+                        worst_point)
 
 log = logging.getLogger("coopnav")
 
@@ -395,17 +396,23 @@ def cmd_check_coverage(args) -> int:
                          delta_b=cfg.delta_b, alpha0=cfg.alpha0)
     layout = asv_positions(fc)
     corner = corner_distance(layout, cfg.L)
+    worst, (wx, wy) = worst_point(layout, cfg.L)
     mfr = min_formation_radius(cfg.L, cfg.r_hf)
     frac = coverage_fraction_grid(layout, cfg.L, cfg.r_hf)
-    full = corner <= cfg.r_hf
+    full = worst <= cfg.r_hf
     print(f"corner distance: {corner:.2f} m (HF range {cfg.r_hf:g} m)")
     if mfr is None:
         print(f"min formation radius: infeasible (r_hf < L/2)")
     else:
         print(f"min formation radius: {mfr:.2f} m")
     print(f"grid coverage fraction: {frac:.4f}")
-    print(f"full coverage: {'yes' if full else 'no'} "
-          f"(corner {corner:.2f} m {'<=' if full else '>'} {cfg.r_hf:g} m)")
+    if full:
+        print(f"full coverage: yes (worst point {worst:.2f} m <= {cfg.r_hf:g} m)")
+    else:
+        # + 0.0 prints a coordinate that rounds to zero as 0.00, not -0.00
+        print(f"full coverage: no (point ({round(wx, 2) + 0.0:.2f}, "
+              f"{round(wy, 2) + 0.0:.2f}) is {worst:.2f} m > {cfg.r_hf:g} m "
+              f"from every ASV)")
     return 0
 
 

@@ -63,28 +63,37 @@ def acoustic_conflict(p_i, p_j, layout: AsvLayout, r_hf: float) -> bool:
     return bool(np.any((di <= r_hf) & (dj <= r_hf)))
 
 
-def build_conflict_graph(auv_positions, layout: AsvLayout, r_hf: float) -> ConflictGraph:
-    """Conflict graph over the whole fleet.
+def audibility_masks(auv_positions, anchors, r_hf: float) -> list[int]:
+    """Per-AUV bitmask of the ASVs within r_hf (horizontal) of it.
 
-    AUVs out of range of every ASV become isolated vertices; they still get a
-    color and ping in their slot, their pings are simply unheard.
+    Bit j of entry i is set when ASV j hears AUV i.  ``anchors`` are ASV
+    positions whose first two coordinates are x and y.  sqrt(dx*dx + dy*dy)
+    is what numpy's norm computes for a 2-vector, so the range test matches
+    ``acoustic_conflict`` bit for bit.
     """
-    asvs = layout.positions.tolist()
-    # bit j of audible[i] is set when ASV j hears AUV i; an edge needs a
-    # shared audible ASV.  sqrt(dx*dx + dy*dy) is what numpy's norm computes
-    # for a 2-vector, so the range test matches it bit for bit.
-    audible = []
+    masks = []
     for p in auv_positions:
         px, py = float(p[0]), float(p[1])
         mask = 0
-        for j, (ax, ay) in enumerate(asvs):
-            dx, dy = px - ax, py - ay
+        for j, a in enumerate(anchors):
+            dx, dy = px - a[0], py - a[1]
             if math.sqrt(dx * dx + dy * dy) <= r_hf:
                 mask |= 1 << j
-        audible.append(mask)
-    n = len(audible)
+        masks.append(mask)
+    return masks
+
+
+def build_conflict_graph(masks: list[int]) -> ConflictGraph:
+    """Conflict graph over the whole fleet from its ``audibility_masks``.
+
+    Two AUVs conflict when their masks share an ASV.  AUVs out of range of
+    every ASV become isolated vertices; they still get a color and ping in
+    their slot, their pings are simply unheard.  The graph depends on the
+    masks alone.
+    """
+    n = len(masks)
     edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
-                      if audible[i] & audible[j])
+                      if masks[i] & masks[j])
     return ConflictGraph(n, edges)
 
 

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .acoustic import LossModelCoefficients, UsblNoiseConfig
-from .conflict import build_conflict_graph, greedy_color
-from .formation import AsvLayout, FormationConfig, asv_positions
+from .conflict import audibility_masks, build_conflict_graph, greedy_color
+from .formation import FormationConfig, asv_positions
 from .mission import (GuidanceConfig, VehicleTruth, advance_truth,
                       guidance_step, plan_lawnmower, point_segment_distance)
 from .nav import KinematicInput, NavState, apply_fix, dead_reckon_step, depth_update
-from .protocol import TdmaScheduler, TimingConfig
+from .protocol import EventLog, TdmaScheduler, TimingConfig, anchor_points
 
 
 @dataclass
@@ -137,8 +137,13 @@ class MissionReport:
     dropped: dict[str, int]
     max_innovation: float
     excursion_ticks: int
-    event_log: list[str]
+    events: EventLog = field(repr=False)
     trace_log: list[str]
+
+    @property
+    def event_log(self) -> list[str]:
+        """The protocol events as text, rendered from the records on each read."""
+        return list(self.events)
 
 
 def derive_rng(seed: int, stream_label: str) -> np.random.Generator:
@@ -194,6 +199,27 @@ class UniformStream:
         except StopIteration:
             self._it = iter(self.gen.random(RNG_BLOCK).tolist())
             return next(self._it)
+
+
+class Recolorer:
+    """The fleet's conflict graph and greedy coloring, rebuilt on change only.
+
+    Both depend on the AUVs' audibility masks alone, so a call whose masks
+    equal the previous call's returns the previous (graph, coloring) pair,
+    exactly what a fresh build would give.
+    """
+
+    def __init__(self, r_hf: float):
+        self.r_hf = r_hf
+        self.masks: list[int] | None = None
+        self.pair = None
+
+    def __call__(self, positions, anchors):
+        masks = audibility_masks(positions, anchors, self.r_hf)
+        if masks != self.masks:
+            g = build_conflict_graph(masks)
+            self.masks, self.pair = masks, (g, greedy_color(g))
+        return self.pair
 
 
 def coverage_fraction(ping_log) -> float:
@@ -265,15 +291,13 @@ def run(config: SimConfig) -> MissionReport:
                           n, m, lambda i, j: (usbl_rng[i][j], loss_rng[i][j]),
                           contention=config.contention)
     last_fix_xy = [(t.x, t.y) for t in truths]
-    asv_now = base_asv
+    anchors = anchor_points(base_asv)
+    recolorer = Recolorer(config.r_hf)
 
     def recolor():
         if config.conflict_source == "truth":
-            pos = [(t.x, t.y) for t in truths]
-        else:
-            pos = list(last_fix_xy)
-        g = build_conflict_graph(pos, AsvLayout(asv_now), config.r_hf)
-        return g, greedy_color(g)
+            return recolorer([(t.x, t.y) for t in truths], anchors)
+        return recolorer(last_fix_xy, anchors)
 
     proto.start_round(*recolor(), tick=0)
 
@@ -287,6 +311,7 @@ def run(config: SimConfig) -> MissionReport:
     excursions = 0
     trace_log: list[str] = []
     jitter = None   # RNG_BLOCK ticks of ASV jitter, one (m, 2) row per tick
+    base_xy = base_asv.tolist()
 
     total_ticks = round(config.duration * f_t)
     ticks_run = 0
@@ -298,9 +323,11 @@ def run(config: SimConfig) -> MissionReport:
             row = k % RNG_BLOCK
             if row == 0:
                 jitter = jitter_rng.normal(0.0, config.asv_jitter_std,
-                                           size=(RNG_BLOCK,) + base_asv.shape)
+                                           size=(RNG_BLOCK,) + base_asv.shape).tolist()
             if active:
-                asv_now = base_asv + jitter[row]
+                # Python float sums equal numpy's float64 sums: base_asv + jitter[row]
+                anchors = [(bx + jx, by + jy, 0.0)
+                           for (bx, by), (jx, jy) in zip(base_xy, jitter[row])]
 
         due = proto.due_auvs(k) if active else ()
         for i in range(n):
@@ -322,7 +349,7 @@ def run(config: SimConfig) -> MissionReport:
 
         if active:
             pos3 = [(t.x, t.y, t.z) for t in truths]
-            for i, pd in proto.step(k, pos3, asv_now, recolor):
+            for i, pd in proto.step(k, pos3, anchors, recolor):
                 p = navs[i].p_fused
                 fx, fy = pd.fix.position[0], pd.fix.position[1]
                 innov = math.hypot(fx - p[0], fy - p[1])
@@ -393,6 +420,6 @@ def run(config: SimConfig) -> MissionReport:
         dropped=dict(proto.dropped),
         max_innovation=max_innovation,
         excursion_ticks=excursions,
-        event_log=list(proto.events),
+        events=proto.events,
         trace_log=trace_log,
     )

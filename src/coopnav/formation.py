@@ -4,7 +4,8 @@ ASVs are station-kept at the vertices of a regular N-gon of radius
 ``R_f = r_hf + delta_b`` centred on the survey origin.  For a single ASV the
 formation degenerates to the origin.  The module also provides the
 corner-to-nearest-ASV distance, the closed-form minimum formation radius for
-corner coverage, and a brute-force grid oracle for the coverage fraction.
+corner coverage, the exact worst-point distance that decides full coverage,
+and a brute-force grid oracle for the coverage fraction.
 """
 
 from __future__ import annotations
@@ -77,6 +78,48 @@ def corner_distance(layout: AsvLayout, L: float) -> float:
     corners = np.array([[h, h], [h, -h], [-h, h], [-h, -h]])
     d = np.linalg.norm(corners[:, None, :] - layout.positions[None, :, :], axis=2)
     return float(d.min(axis=1).max())
+
+
+def worst_point(layout: AsvLayout, L: float) -> tuple[float, tuple[float, float]]:
+    """Largest nearest-ASV distance over the survey square, and where it is.
+
+    The nearest-ASV distance is convex on each Voronoi cell, so its maximum
+    over the square lies at a vertex of a cell clipped to the square: a
+    square vertex, a point where the bisector of two ASVs crosses the
+    boundary, or a circumcentre of three ASVs inside the square (the
+    largest-empty-circle result; Toussaint 1983, Preparata & Shamos 6.4).
+    Evaluating every such candidate gives the maximum exactly; the square is
+    fully covered iff it is <= r_hf.
+    """
+    if len(layout) == 0:
+        raise ValueError("layout must contain at least one ASV")
+    a = layout.positions.tolist()
+    h = L / 2.0
+    cands = [(h, h), (h, -h), (-h, h), (-h, -h)]
+    for i, (ax, ay) in enumerate(a):
+        for j in range(i + 1, len(a)):
+            # bisector of ASVs i and j: nx*x + ny*y = c
+            nx, ny = a[j][0] - ax, a[j][1] - ay
+            c = (a[j][0] ** 2 + a[j][1] ** 2 - ax * ax - ay * ay) / 2.0
+            for side in (h, -h):
+                if ny != 0:
+                    cands.append((side, (c - nx * side) / ny))
+                if nx != 0:
+                    cands.append(((c - ny * side) / nx, side))
+            for k in range(j + 1, len(a)):
+                bx, by, cx, cy = nx, ny, a[k][0] - ax, a[k][1] - ay
+                d = 2.0 * (bx * cy - by * cx)
+                if d != 0:
+                    b2, c2 = bx * bx + by * by, cx * cx + cy * cy
+                    cands.append((ax + (cy * b2 - by * c2) / d,
+                                  ay + (bx * c2 - cx * b2) / d))
+    pts = np.array(cands)
+    # a crossing or circumcentre off the square is no candidate; one on its
+    # boundary may sit a rounding error outside it, which the clip absorbs
+    pts = np.clip(pts[(np.abs(pts) <= h * (1 + 1e-12)).all(axis=1)], -h, h)
+    d = np.linalg.norm(pts[:, None, :] - layout.positions[None, :, :], axis=2).min(axis=1)
+    w = int(np.argmax(d))
+    return float(d[w]), (float(pts[w, 0]), float(pts[w, 1]))
 
 
 def min_formation_radius(L: float, r_hf: float) -> float | None:

@@ -79,21 +79,6 @@ def dead_reckon_step(state: NavState, inp: KinematicInput, rng,
     return state
 
 
-def drift_bound(t: float, bias: tuple[float, float]) -> float:
-    """Nominal bias-induced drift figure, (1/2) * ||bias|| * t."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0 (got {t})")
-    return 0.5 * math.hypot(bias[0], bias[1]) * t
-
-
-def error_envelope(t: float, bias: tuple[float, float], sigma: float) -> float:
-    """Nominal RMS error envelope, sqrt((1/4)||b||^2 t^2 + sigma^2 t)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0 (got {t})")
-    b2 = bias[0] ** 2 + bias[1] ** 2
-    return math.sqrt(0.25 * b2 * t * t + sigma * sigma * t)
-
-
 def depth_update(state: NavState, z_true: float, rng) -> float:
     """Replace the depth of both estimates with a noisy pressure reading."""
     z = z_true + (rng.normal(0.0, state.sigma_z) if state.sigma_z > 0 else 0.0)

@@ -13,8 +13,10 @@ are dropped.  Keeping payloads at one fix record bounds the MF occupancy
 per delivery and keeps end-to-end latency flat across survey scales; a
 full-round payload at the configured downlink bitrate would occupy the MF
 band for longer than one uplink round and the backlog would grow without
-bound.  ``run_round`` retains the simple one-broadcast-per-round semantics
-over a static fleet snapshot for composition tests.
+bound.
+
+Events are kept as numeric records and rendered to their text form only
+when the log is read (``EventLog``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .acoustic import (SOUND_SPEED, FusedFix, LossModelCoefficients,
                        UsblNoiseConfig, attempt_fix, fuse_fixes)
@@ -119,6 +122,55 @@ def e2e_latency(k_ping: int, k_deliver: int, f_t: float) -> float:
     return (k_deliver - k_ping) / f_t
 
 
+# Event kinds.  A record is its kind plus the ints and floats its template
+# formats, in order.
+PING, FIX, FUSE, BCAST, DELIVER, SUPERSEDED, EXPIRED, OUT_OF_MF_RANGE = range(8)
+EVENT_FORMATS = (   # (template, field count), indexed by kind
+    ("PING{tick=%d, auv=%d, group=%d}", 3),
+    ("FIX{tick=%d, auv=%d, asv=%d, pos=(%.6f, %.6f, %.6f), var=%.6f}", 7),
+    ("FUSE{tick=%d, auv=%d, k=%d}", 3),
+    ("BCAST{tick=%d, asv=%d, bytes=%d}", 3),
+    ("DELIVER{tick=%d, auv=%d, latency_s=%.6f}", 3),
+    ("DROP{tick=%d, auv=%d, reason=superseded}", 2),
+    ("DROP{tick=%d, auv=%d, reason=expired}", 2),
+    ("DROP{tick=%d, auv=%d, reason=out_of_mf_range}", 2),
+)
+
+
+class EventLog:
+    """Protocol events as numeric records, rendered to text on read.
+
+    ``add`` appends a kind code to ``kinds`` and the event's int and float
+    values to the flat ``fields`` list, and formats nothing; ``len`` is the
+    event count and iterating yields each event's text.  ``%d`` and
+    ``%.6f`` format an int and a float as the f-string ``{v}`` and
+    ``{v:.6f}`` do, so the text is byte for byte what formatting at the
+    event gave.  The values are kept as they are, not converted into an
+    ``array``: its per-value conversion costs more than formatting a PING.
+    """
+
+    __slots__ = ("kinds", "fields")
+
+    def __init__(self):
+        self.kinds = bytearray()
+        self.fields: list[int | float] = []
+
+    def add(self, kind: int, *fields):
+        self.kinds.append(kind)
+        self.fields += fields
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self):
+        fields = self.fields
+        pos = 0
+        for kind in self.kinds:
+            template, n = EVENT_FORMATS[kind]
+            yield template % tuple(fields[pos:pos + n])
+            pos += n
+
+
 @dataclass
 class PendingDelivery:
     fix: FusedFix
@@ -127,175 +179,119 @@ class PendingDelivery:
 
 
 class FixQueue:
-    """Per-AUV min-heap of pending deliveries keyed on delivery tick."""
+    """The fleet's pending deliveries, one min-heap keyed on delivery tick.
 
-    def __init__(self):
+    Fixes due by a tick are released in ascending AUV order and, for one
+    AUV, in delivery-tick then push order; an AUV's releases never go back
+    in delivery tick.
+    """
+
+    def __init__(self, n_auv: int):
         self._heap = []
         self._seq = 0
-        self._last_released = -1
+        self._last_released = [-1] * n_auv
 
-    def push(self, pd: PendingDelivery):
-        heapq.heappush(self._heap, (pd.deliver_tick, self._seq, pd))
+    def push(self, auv: int, pd: PendingDelivery):
+        heapq.heappush(self._heap, (pd.deliver_tick, auv, self._seq, pd))
         self._seq += 1
 
     def head_tick(self) -> int | None:
         """Delivery tick of the earliest pending fix, None when empty."""
         return self._heap[0][0] if self._heap else None
 
-    def peek_due(self, tick: int) -> bool:
-        return bool(self._heap) and self._heap[0][0] <= tick
+    def due(self, tick: int) -> set[int]:
+        """AUVs with a delivery due by ``tick``."""
+        heap = self._heap
+        if not heap or heap[0][0] > tick:
+            return set()
+        return {auv for kd, auv, _, _ in heap if kd <= tick}
 
-    def pop_due(self, tick: int) -> list[PendingDelivery]:
+    def pop_due(self, tick: int) -> list[tuple[int, PendingDelivery]]:
+        """Remove and return the (auv, delivery) pairs due by ``tick``."""
+        heap = self._heap
         out = []
-        while self._heap and self._heap[0][0] <= tick:
-            kd, _, pd = heapq.heappop(self._heap)
-            if kd < self._last_released:
+        while heap and heap[0][0] <= tick:
+            out.append(heapq.heappop(heap))
+        out.sort(key=itemgetter(1))    # stable: keeps each AUV's heap order
+        last = self._last_released
+        for kd, auv, _, _ in out:
+            if kd < last[auv]:
                 raise AssertionError("delivery queue released out of order")
-            self._last_released = kd
-            out.append(pd)
-        return out
+            last[auv] = kd
+        return [(auv, pd) for _, auv, _, pd in out]
 
     def __len__(self):
         return len(self._heap)
 
 
-@dataclass
-class RoundSchedule:
-    group_start_ticks: list[int]
-    group_slot_durations: list[float]
-    broadcast_tick: int          # earliest MF start: end of the last uplink slot
-    broadcaster_asv: int
-    round_start: int = 0
-    round_end: int = 0           # == next round's first slot start
-
-    def __post_init__(self):
-        for a, b in zip(self.group_start_ticks, self.group_start_ticks[1:]):
-            if b <= a:
-                raise ValueError("group start ticks must be strictly increasing")
-
-
-def plan_round(coloring: Coloring, L: float, round_start: int,
-               cfg: TimingConfig, tau_ot_max: float,
-               broadcaster_asv: int = 0) -> RoundSchedule:
-    """Lay out the uplink slots of one round starting at round_start."""
-    t_ul = uplink_slot_duration(L, tau_ot_max, cfg)
-    n_groups = max(coloring.k, 1)
-    starts = []
-    k = round_start
-    for _ in range(n_groups):
-        starts.append(k)
-        k = next_group_start(k, t_ul, cfg.f_t)
-    return RoundSchedule(group_start_ticks=starts,
-                         group_slot_durations=[t_ul] * n_groups,
-                         broadcast_tick=k,
-                         broadcaster_asv=broadcaster_asv,
-                         round_start=round_start,
-                         round_end=k)
-
-
-def _anchors(asv_xy) -> list[tuple[float, float, float]]:
+def anchor_points(asv_xy) -> list[tuple[float, float, float]]:
     """ASV positions of an (n_asv, 2) array as plain (x, y, 0) tuples."""
-    return [(float(x), float(y), 0.0) for x, y in asv_xy.tolist()]
+    return [(x, y, 0.0) for x, y in asv_xy.tolist()]
 
 
 def _ping_group(members, tick, group_idx, auv_positions, anchors,
                 noise: UsblNoiseConfig, coeffs: LossModelCoefficients,
-                n_contention: int, path_rngs, events,
+                n_contention: int, path_rngs, events: EventLog,
                 graph: ConflictGraph | None = None):
     """Every AUV of one color group pings; every ASV in range attempts a fix.
 
-    ``anchors`` are the ASV positions as ``_anchors`` returns them.  Returns
-    (fused fixes, auv ids heard by at least one ASV).  When a graph is
-    given, asserts the spatial-reuse safety of the slot against it.
+    ``anchors`` are the ASV positions as ``anchor_points`` returns them.
+    An ASV beyond ``noise.r_max`` of an AUV neither hears it nor attempts a
+    fix, which ``attempt_fix`` would lose without a draw.  Returns (fused
+    fixes, auv ids heard by at least one ASV).  When a graph is given,
+    asserts the spatial-reuse safety of the slot against it.
     """
     if graph is not None:
         for a_i, a in enumerate(members):
-            for b in members[a_i + 1:]:
-                if graph.has_edge(a, b):
-                    raise AssertionError(
-                        f"conflicting AUVs {a} and {b} share uplink slot {group_idx}")
+            clash = graph.adj[a].intersection(members[a_i + 1:])
+            if clash:
+                raise AssertionError(f"conflicting AUVs {a} and {min(clash)} "
+                                     f"share uplink slot {group_idx}")
+    # EventLog.add inlined: this loop records most of a run's events
+    kinds, fields = events.kinds, events.fields
+    r_max = noise.r_max
     fused, heard_ids = [], []
     for i in members:
-        events.append(f"PING{{tick={tick}, auv={i}, group={group_idx}}}")
+        kinds.append(PING)
+        fields += (tick, i, group_idx)
         pos_i = auv_positions[i]
-        heard = False
+        px, py, pz = pos_i[0], pos_i[1], pos_i[2]
         fixes = []
         for j, asv_pos in enumerate(anchors):
-            dx = pos_i[0] - asv_pos[0]
-            dy = pos_i[1] - asv_pos[1]
-            dz = pos_i[2] - asv_pos[2]
-            if math.sqrt(dx * dx + dy * dy + dz * dz) <= noise.r_max:
-                heard = True
+            dx = px - asv_pos[0]
+            dy = py - asv_pos[1]
+            dz = pz - asv_pos[2]
+            if math.sqrt(dx * dx + dy * dy + dz * dz) > r_max:
+                continue
+            if not heard_ids or heard_ids[-1] != i:
+                heard_ids.append(i)
             rng, loss_rng = path_rngs(i, j)
             fx = attempt_fix(asv_pos, pos_i, n_contention, noise, coeffs, rng,
                              loss_rng=loss_rng, auv_id=i, asv_id=j,
                              measure_tick=tick)
             if fx is not None:
                 x, y, z = fx.position
-                events.append(
-                    f"FIX{{tick={tick}, auv={i}, asv={j}, "
-                    f"pos=({x:.6f}, {y:.6f}, {z:.6f}), var={fx.horiz_variance:.6f}}}")
+                kinds.append(FIX)
+                fields += (tick, i, j, x, y, z, fx.horiz_variance)
                 fixes.append(fx)
-        if heard:
-            heard_ids.append(i)
         if fixes:
             ff = fuse_fixes(fixes)
-            events.append(f"FUSE{{tick={tick}, auv={i}, k={ff.contributing_asv_count}}}")
+            kinds.append(FUSE)
+            fields += (tick, i, ff.contributing_asv_count)
             fused.append(ff)
     return fused, heard_ids
-
-
-def run_round(coloring: Coloring, auv_positions, layout_xy, round_start_tick: int,
-              timing: TimingConfig, noise: UsblNoiseConfig,
-              coeffs: LossModelCoefficients, path_rngs, L: float,
-              broadcaster_asv: int = 0, n_contention: int | None = None,
-              graph: ConflictGraph | None = None):
-    """One full uplink round over a static fleet snapshot.
-
-    Sequences the color groups, runs the fix attempts and fusion for each,
-    then broadcasts the whole accumulated payload at the end of the last
-    uplink slot and computes the per-AUV delivery ticks.  Returns
-    (fused fixes, pending deliveries, next_round_start, events).
-    """
-    tau = noise.r_max / noise.c
-    sched = plan_round(coloring, L, round_start_tick, timing, tau, broadcaster_asv)
-    groups = coloring.groups()
-    if n_contention is None:
-        n_contention = max(len(coloring.color), 1)
-    events: list[str] = []
-    collected: list[tuple[FusedFix, int]] = []
-    anchors = _anchors(layout_xy)
-    for g, start in enumerate(sched.group_start_ticks):
-        members = groups[g] if g < len(groups) else []
-        fused, _ = _ping_group(members, start, g, auv_positions, anchors,
-                               noise, coeffs, n_contention, path_rngs, events,
-                               graph=graph)
-        collected.extend((ff, start) for ff in fused)
-
-    k_b = sched.broadcast_tick
-    nbytes = payload_bytes(len(collected), timing)
-    t_tx = tx_duration(nbytes, timing)
-    events.append(f"BCAST{{tick={k_b}, asv={broadcaster_asv}, bytes={nbytes}}}")
-    deliveries = []
-    for ff, ping_tick in collected:
-        bx = float(layout_xy[broadcaster_asv][0])
-        by = float(layout_xy[broadcaster_asv][1])
-        px, py = auv_positions[ff.auv_id][0], auv_positions[ff.auv_id][1]
-        d = math.hypot(px - bx, py - by)
-        kd = delivery_tick(k_b, t_tx, d, timing)
-        if kd is None:
-            events.append(f"DROP{{tick={k_b}, auv={ff.auv_id}, reason=out_of_mf_range}}")
-            continue
-        deliveries.append(PendingDelivery(ff, kd, ping_tick))
-    return [ff for ff, _ in collected], deliveries, sched.round_end, events
 
 
 class TdmaScheduler:
     """Incremental protocol engine driven one tick at a time.
 
     Owns the round schedule, the downlink fix buffer, the MF channel state
-    and the per-AUV causal delivery queues.  The host simulation supplies
+    and the fleet's causal delivery queue.  The host simulation supplies
     fresh positions and a recoloring callback fired at each round boundary.
+
+    Slot lengths, the one-fix payload and its airtime depend only on the
+    configuration, so they are computed once: group g of a round starting
+    at tick s pings at ``s + g * slot_ticks``.
 
     ``next_tick`` is the earliest tick at which ``step()`` can emit an event
     or deliver a fix: the round end, the next group start, the MF channel
@@ -314,96 +310,105 @@ class TdmaScheduler:
         self.timing = timing
         self.noise = noise
         self.coeffs = coeffs
-        self.L = L
         self.n_auv = n_auv
         self.n_asv = n_asv
         self.path_rngs = path_rngs
         self.contention = contention
-        self.tau_ot_max = noise.r_max / noise.c
         self.max_age_ticks = ticks_ceil(timing.max_fix_age_s, timing.f_t)
+        # ticks from one group's slot start to the next's
+        self.slot_ticks = next_group_start(
+            0, uplink_slot_duration(L, noise.r_max / noise.c, timing), timing.f_t)
+        if self.slot_ticks < 1:
+            raise ValueError("an uplink slot must last at least one tick")
+        self.fix_payload = payload_bytes(1, timing)
+        self.t_tx = tx_duration(self.fix_payload, timing)
+        self.mf_slot_ticks = ticks_ceil(
+            downlink_slot_duration(L, self.t_tx, timing), timing.f_t)
 
-        self.schedule: RoundSchedule | None = None
+        self.coloring: Coloring | None = None
         self.groups: list[list[int]] = []
         self.graph: ConflictGraph | None = None
+        self.round_start = 0
+        self.round_end: int | None = None    # == next round's first slot start
         self.buffer: dict[int, tuple[FusedFix, int]] = {}   # auv -> (fix, ping tick)
         self.last_served = [-1] * n_auv
         self.mf_busy_until = 0
         self.bcast_count = 0
-        self.queues = [FixQueue() for _ in range(n_auv)]
+        self.queue = FixQueue(n_auv)
         self.heard_log: list[list[bool]] = [[] for _ in range(n_auv)]
         self.dropped = {"superseded": 0, "expired": 0, "out_of_mf_range": 0}
         self.latencies: list[float] = []
-        self.events: list[str] = []
+        self.events = EventLog()
         self.next_tick = 0
 
     def start_round(self, graph: ConflictGraph, coloring: Coloring, tick: int):
+        """Lay out a round of ``coloring``'s groups from ``tick`` on.
+
+        The groups are recomputed only for a coloring other than the last.
+        """
+        if coloring is not self.coloring:
+            self.coloring = coloring
+            self.groups = coloring.groups()
         self.graph = graph
-        self.groups = coloring.groups()
-        self.schedule = plan_round(coloring, self.L, tick, self.timing,
-                                   self.tau_ot_max,
-                                   broadcaster_asv=self.bcast_count % self.n_asv)
+        self.round_start = tick
+        self.round_end = tick + max(coloring.k, 1) * self.slot_ticks
         self.next_tick = min(self.next_tick, tick)
 
     def due_auvs(self, tick: int) -> set[int]:
         """AUVs with a delivery due at this tick (known before the tick runs)."""
-        return {i for i, q in enumerate(self.queues) if q.peek_due(tick)}
+        return self.queue.due(tick)
 
-    def step(self, tick: int, auv_positions, asv_xy, recolor):
+    def step(self, tick: int, auv_positions, anchors, recolor):
         """Run all protocol events of one tick; returns delivered fixes.
 
-        ``asv_xy`` is the (n_asv, 2) array of ASV positions.  ``recolor()``
-        must return a fresh (graph, coloring) pair; it is invoked once per
-        round boundary.
+        ``anchors`` are the ASV positions as ``anchor_points`` returns
+        them.  ``recolor()`` must return a (graph, coloring) pair for the
+        current positions; it is invoked once per round boundary.
         """
-        if self.schedule is None:
+        if self.round_end is None:
             raise RuntimeError("start_round() must be called before step()")
-        if tick == self.schedule.round_end:
+        if tick == self.round_end:
             graph, coloring = recolor()
             self.start_round(graph, coloring, tick)
-        anchors = _anchors(asv_xy)
-        for g, start in enumerate(self.schedule.group_start_ticks):
-            if start != tick:
-                continue
-            members = self.groups[g] if g < len(self.groups) else []
+        g, off = divmod(tick - self.round_start, self.slot_ticks)
+        if off == 0 and 0 <= g < len(self.groups):
+            members = self.groups[g]
             n_cont = self.n_auv if self.contention == "fleet" else max(len(members), 1)
             fused, heard = _ping_group(members, tick, g, auv_positions, anchors,
                                        self.noise, self.coeffs, n_cont,
                                        self.path_rngs, self.events,
                                        graph=self.graph)
-            heard_set = set(heard)
             for i in members:
-                self.heard_log[i].append(i in heard_set)
+                self.heard_log[i].append(i in heard)
             for ff in fused:
                 if ff.auv_id in self.buffer:
                     self.dropped["superseded"] += 1
-                    self.events.append(
-                        f"DROP{{tick={tick}, auv={ff.auv_id}, reason=superseded}}")
+                    self.events.add(SUPERSEDED, tick, ff.auv_id)
                 self.buffer[ff.auv_id] = (ff, tick)
-        self._mf_step(tick, auv_positions, anchors)
+        if self.buffer and tick >= self.mf_busy_until:
+            self._mf_step(tick, auv_positions, anchors)
         delivered = self._release_due(tick)
         self.next_tick = self._next_event(tick)
         return delivered
 
     def _next_event(self, tick: int) -> int:
         """Earliest tick after ``tick`` at which ``step()`` has work."""
-        nxt = next((start for start in self.schedule.group_start_ticks
-                    if start > tick), self.schedule.round_end)
-        if self.buffer:
-            nxt = min(nxt, self.mf_busy_until)
-        for q in self.queues:
-            head = q.head_tick()
-            if head is not None and head < nxt:
-                nxt = head
+        start = self.round_start
+        nxt = min(start + ((tick - start) // self.slot_ticks + 1) * self.slot_ticks,
+                  self.round_end)
+        if self.buffer and self.mf_busy_until < nxt:
+            nxt = self.mf_busy_until
+        head = self.queue.head_tick()
+        if head is not None and head < nxt:
+            nxt = head
         return max(nxt, tick + 1)
 
     def _mf_step(self, tick: int, auv_positions, anchors):
-        if tick < self.mf_busy_until:
-            return
         for i in sorted(self.buffer):
             if tick - self.buffer[i][1] > self.max_age_ticks:
                 del self.buffer[i]
                 self.dropped["expired"] += 1
-                self.events.append(f"DROP{{tick={tick}, auv={i}, reason=expired}}")
+                self.events.add(EXPIRED, tick, i)
         if not self.buffer:
             return
         target = min(self.buffer, key=lambda a: (self.last_served[a], a))
@@ -411,27 +416,21 @@ class TdmaScheduler:
         asv_j = self.bcast_count % self.n_asv
         self.bcast_count += 1
         self.last_served[target] = tick
-        nbytes = payload_bytes(1, self.timing)
-        t_tx = tx_duration(nbytes, self.timing)
-        self.events.append(f"BCAST{{tick={tick}, asv={asv_j}, bytes={nbytes}}}")
-        t_dl = downlink_slot_duration(self.L, t_tx, self.timing)
-        self.mf_busy_until = tick + ticks_ceil(t_dl, self.timing.f_t)
+        self.events.add(BCAST, tick, asv_j, self.fix_payload)
+        self.mf_busy_until = tick + self.mf_slot_ticks
         d = math.hypot(auv_positions[target][0] - anchors[asv_j][0],
                        auv_positions[target][1] - anchors[asv_j][1])
-        kd = delivery_tick(tick, t_tx, d, self.timing)
+        kd = delivery_tick(tick, self.t_tx, d, self.timing)
         if kd is None:
             self.dropped["out_of_mf_range"] += 1
-            self.events.append(f"DROP{{tick={tick}, auv={target}, reason=out_of_mf_range}}")
+            self.events.add(OUT_OF_MF_RANGE, tick, target)
             return
-        self.queues[target].push(PendingDelivery(ff, kd, ping_tick))
+        self.queue.push(target, PendingDelivery(ff, kd, ping_tick))
 
     def _release_due(self, tick: int):
-        delivered = []
-        for i, q in enumerate(self.queues):
-            for pd in q.pop_due(tick):
-                lat = e2e_latency(pd.ping_tick, pd.deliver_tick, self.timing.f_t)
-                self.latencies.append(lat)
-                self.events.append(
-                    f"DELIVER{{tick={tick}, auv={i}, latency_s={lat:.6f}}}")
-                delivered.append((i, pd))
+        delivered = self.queue.pop_due(tick)
+        for i, pd in delivered:
+            lat = e2e_latency(pd.ping_tick, pd.deliver_tick, self.timing.f_t)
+            self.latencies.append(lat)
+            self.events.add(DELIVER, tick, i, lat)
         return delivered

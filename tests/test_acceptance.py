@@ -14,14 +14,17 @@ honest rather than weakened; their docstrings carry the analysis:
 """
 
 import math
+import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coopnav.conflict import build_conflict_graph, greedy_color
+import coopnav
+from coopnav.conflict import audibility_masks, build_conflict_graph, greedy_color
 from coopnav.engine import SimConfig, run
 from coopnav.formation import (AsvLayout, FormationConfig, asv_positions,
                                coverage_fraction_grid, min_formation_radius)
@@ -297,7 +300,7 @@ def test_criterion_9_scheduler_safety(baseline_runs, failure_runs):
         L = float(rng.uniform(40, 160))
         pts = rng.uniform(-L / 2, L / 2, size=(n_auv, 2))
         layout = AsvLayout(rng.uniform(-L / 2, L / 2, size=(n_asv, 2)))
-        g = build_conflict_graph(pts, layout, 50.0)
+        g = build_conflict_graph(audibility_masks(pts, layout.positions, 50.0))
         c = greedy_color(g)
         assert all(c.color[i] != c.color[j] for i, j in g.edges)
         assert c.k <= g.max_degree() + 1
@@ -319,13 +322,17 @@ def test_criterion_10_determinism(tmp_path):
     sweep = tmp_path / "sweep.ini"
     sweep.write_text("[sweep]\nL = 60\nn_asv = 1, 2\nn_auv = 3\n"
                      "alpha0_deg = 0, 30\nseeds = 2\n\n[sim]\nduration = 20\n")
+    # the cli subprocess imports the same coopnav sources as this test
+    src = str(Path(coopnav.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     outs = []
     for par in (1, 8):
         out = tmp_path / f"p{par}"
         r = subprocess.run(
             [sys.executable, "-m", "coopnav.cli", "sweep", "--config",
              str(sweep), "--out", str(out), "--parallel", str(par)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
         outs.append((out / "runs.csv").read_bytes())
     sweeps_equal = outs[0] == outs[1]

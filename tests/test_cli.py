@@ -80,7 +80,7 @@ def test_check_coverage_small_survey(tmp_path, capsys):
     cfg = write(tmp_path, BASE)
     assert main(["check-coverage", "--config", cfg]) == 0
     out = capsys.readouterr().out
-    assert "full coverage: yes (corner 42.43 m <= 50 m)" in out
+    assert "full coverage: yes (worst point 42.43 m <= 50 m)" in out
     assert "min formation radius: -10.00 m" in out
 
 
@@ -88,7 +88,7 @@ def test_check_coverage_large_survey(tmp_path, capsys):
     cfg = write(tmp_path, "[sim]\nL = 140\nn_auv = 3\n")
     assert main(["check-coverage", "--config", cfg]) == 0
     out = capsys.readouterr().out
-    assert "full coverage: no (corner 98.99 m > 50 m)" in out
+    assert "full coverage: no (point (70.00, 70.00) is 98.99 m > 50 m from every ASV)" in out
     assert "infeasible" in out
 
 
@@ -96,6 +96,17 @@ def test_check_coverage_mid_survey(tmp_path, capsys):
     cfg = write(tmp_path, "[sim]\nL = 100\n")
     assert main(["check-coverage", "--config", cfg]) == 0
     assert "min formation radius: 50.00 m" in capsys.readouterr().out
+
+
+def test_check_coverage_uncovered_edge_midpoint(tmp_path, capsys):
+    # both corners of each side are in range of its anchor, but the edge
+    # midpoints between the two anchors are not: the grid agrees
+    cfg = write(tmp_path, "[sim]\nL = 80\nn_asv = 2\n\n[formation]\nr_hf = 50\n")
+    assert main(["check-coverage", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "corner distance: 41.23 m" in out
+    assert "grid coverage fraction: 0.8482" in out
+    assert "full coverage: no (point (0.00, 40.00) is 64.03 m > 50 m from every ASV)" in out
 
 
 SWEEP = """

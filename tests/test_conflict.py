@@ -2,12 +2,17 @@
 import numpy as np
 
 from coopnav.conflict import (ConflictGraph, acoustic_conflict,
-                              build_conflict_graph, greedy_color)
+                              audibility_masks, build_conflict_graph,
+                              greedy_color)
 from coopnav.formation import AsvLayout
 
 
 def layout(*pts):
     return AsvLayout(np.array(pts, dtype=float))
+
+
+def graph(auv_xy, asvs, r_hf):
+    return build_conflict_graph(audibility_masks(auv_xy, asvs.positions, r_hf))
 
 
 def test_conflict_both_in_range():
@@ -24,24 +29,24 @@ def test_conflict_at_range_boundary():
 
 def test_complete_graph_when_all_audible():
     pts = [(0, 0), (10, 0), (0, 10), (10, 10)]
-    g = build_conflict_graph(pts, layout((5, 5)), 50.0)
+    g = graph(pts, layout((5, 5)), 50.0)
     assert len(g.edges) == 6
     assert g.max_degree() == 3
 
 
 def test_disjoint_footprints_no_edges():
-    g = build_conflict_graph([(-100, 0), (100, 0)],
+    g = graph([(-100, 0), (100, 0)],
                              layout((-100, 0), (100, 0)), 50.0)
     assert g.edges == frozenset()
 
 
 def test_empty_fleet():
-    g = build_conflict_graph([], layout((0, 0)), 50.0)
+    g = graph([], layout((0, 0)), 50.0)
     assert g.n == 0 and g.edges == frozenset()
 
 
 def test_out_of_range_auv_is_isolated_but_present():
-    g = build_conflict_graph([(0, 0), (1, 0), (500, 500)], layout((0, 0)), 50.0)
+    g = graph([(0, 0), (1, 0), (500, 500)], layout((0, 0)), 50.0)
     assert g.n == 3
     assert g.has_edge(0, 1)
     assert not g.adj[2]
@@ -71,7 +76,7 @@ def test_coloring_properties_random_geometric():
         L = float(rng.uniform(40, 160))
         pts = rng.uniform(-L / 2, L / 2, size=(n_auv, 2))
         asv = AsvLayout(rng.uniform(-L / 2, L / 2, size=(n_asv, 2)))
-        g = build_conflict_graph(pts, asv, 50.0)
+        g = graph(pts, asv, 50.0)
         c = greedy_color(g)
         # proper
         for i, j in g.edges:
@@ -92,7 +97,7 @@ def test_edge_iff_shared_audible_asv():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-70, 70, size=(8, 2))
     asv = AsvLayout(rng.uniform(-70, 70, size=(3, 2)))
-    g = build_conflict_graph(pts, asv, 50.0)
+    g = graph(pts, asv, 50.0)
     for i in range(8):
         for j in range(i + 1, 8):
             assert g.has_edge(i, j) == acoustic_conflict(pts[i], pts[j], asv, 50.0)

@@ -5,7 +5,7 @@ import pytest
 
 from coopnav.acoustic import FusedFix
 from coopnav.nav import (KinematicInput, NavState, apply_fix, dead_reckon_step,
-                         depth_update, drift_bound, error_envelope)
+                         depth_update)
 
 DT = 1.0 / 30.0
 
@@ -45,18 +45,6 @@ def test_dr_step_can_hold_fused():
                      advance_fused=False)
     assert s.p_imu[0] > 0.0
     assert s.p_fused[0] == 0.0
-
-
-def test_drift_bound():
-    assert drift_bound(0.0, (0.06, 0.06)) == 0.0
-    assert drift_bound(10.0, (0.06, 0.06)) == pytest.approx(0.424, abs=1e-3)
-    assert drift_bound(4.02, (0.06, 0.06)) == pytest.approx(0.1706, abs=1e-4)
-
-
-def test_error_envelope():
-    assert error_envelope(0.0, (0.06, 0.06), 0.027) == 0.0
-    assert error_envelope(100.0, (0.06, 0.06), 0.027) == pytest.approx(4.2512, abs=1e-3)
-    assert error_envelope(1.0, (0.0, 0.0), 0.027) == pytest.approx(0.027)
 
 
 def test_depth_update_exact_when_noiseless():

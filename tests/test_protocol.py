@@ -1,16 +1,19 @@
 
+import math
+
 import numpy as np
 import pytest
 
-from coopnav.acoustic import LossModelCoefficients, UsblNoiseConfig
-from coopnav.conflict import Coloring, ConflictGraph
+from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig,
+                              attempt_fix, fuse_fixes)
+from coopnav.conflict import (Coloring, ConflictGraph, audibility_masks,
+                              build_conflict_graph, greedy_color)
 from coopnav.engine import derive_rng
-from coopnav.protocol import (FixQueue, PendingDelivery, TimingConfig,
-                              crossing_time, delivery_tick,
-                              downlink_slot_duration, e2e_latency,
-                              next_group_start, payload_bytes, plan_round,
-                              run_round, ticks_ceil, tx_duration,
-                              uplink_slot_duration)
+from coopnav.protocol import (FixQueue, PendingDelivery, TdmaScheduler,
+                              TimingConfig, anchor_points, crossing_time,
+                              delivery_tick, downlink_slot_duration,
+                              e2e_latency, next_group_start, payload_bytes,
+                              ticks_ceil, tx_duration, uplink_slot_duration)
 
 CFG = TimingConfig()
 
@@ -74,23 +77,31 @@ def test_e2e_latency():
 
 
 def test_fix_queue_orders_by_delivery_tick():
-    q = FixQueue()
-    q.push(PendingDelivery(None, 12, 0))
-    q.push(PendingDelivery(None, 5, 1))
-    q.push(PendingDelivery(None, 9, 2))
-    assert not q.peek_due(4)
+    q = FixQueue(1)
+    q.push(0, PendingDelivery(None, 12, 0))
+    q.push(0, PendingDelivery(None, 5, 1))
+    q.push(0, PendingDelivery(None, 9, 2))
+    assert not q.due(4) and q.head_tick() == 5
     out = q.pop_due(10)
-    assert [pd.deliver_tick for pd in out] == [5, 9]
-    assert q.pop_due(20)[0].deliver_tick == 12
-    assert len(q) == 0
+    assert [(i, pd.deliver_tick) for i, pd in out] == [(0, 5), (0, 9)]
+    assert q.pop_due(20)[0][1].deliver_tick == 12
+    assert len(q) == 0 and q.head_tick() is None
 
 
-def test_plan_round_spans():
-    c = Coloring([0, 1, 2, 3], 4)
-    sched = plan_round(c, 60.0, 0, CFG, tau_ot_max=50.0 / 1500.0)
-    assert sched.group_start_ticks == [0, 3, 6, 9]
-    assert sched.round_end == 12
-    assert sched.broadcast_tick == 12
+def test_fix_queue_releases_a_tick_by_auv_then_push_order():
+    q = FixQueue(3)
+    for auv, kd, ping in ((2, 7, 0), (0, 7, 1), (2, 7, 2), (1, 9, 3), (0, 6, 4)):
+        q.push(auv, PendingDelivery(None, kd, ping))
+    assert q.due(7) == {0, 2}
+    out = q.pop_due(7)
+    # per AUV ascending, each AUV's fixes in delivery-tick then push order
+    assert [(i, pd.ping_tick) for i, pd in out] == [(0, 4), (0, 1), (2, 0), (2, 2)]
+    assert q.head_tick() == 9
+    q.push(1, PendingDelivery(None, 8, 5))
+    q.pop_due(9)
+    q.push(1, PendingDelivery(None, 3, 6))
+    with pytest.raises(AssertionError):
+        q.pop_due(9)
 
 
 def make_rngs(n_auv, n_asv, seed=0):
@@ -101,89 +112,99 @@ def make_rngs(n_auv, n_asv, seed=0):
     return lambda i, j: (usbl[i][j], loss[i][j])
 
 
-def test_run_round_k4_uplink_span():
-    # four mutually conflicting vehicles, one anchor: four slots of 0.1 s
+def one_round(pos, asv, graph, coloring, ticks=None):
+    """Step a scheduler at L=60 every tick over its first round, or ``ticks``
+    ticks; returns it and its rendered events."""
+    sched = TdmaScheduler(TimingConfig(), UsblNoiseConfig(r_max=50.0),
+                          LossModelCoefficients(), 60.0, len(pos), len(asv),
+                          make_rngs(len(pos), len(asv)))
+    sched.start_round(graph, coloring, 0)
+    anchors = anchor_points(asv)
+    for k in range(sched.round_end if ticks is None else ticks):
+        sched.step(k, pos, anchors, recolor=lambda: (graph, coloring))
+    return sched, list(sched.events)
+
+
+def test_scheduler_k4_uplink_span():
+    # four mutually conflicting vehicles, one anchor: four slots of 0.1 s,
+    # then single-fix broadcasts, each delivered after it goes out
     pos = [(10.0, 0.0, 10.0), (0.0, 10.0, 10.0), (-10.0, 0.0, 10.0),
            (0.0, -10.0, 10.0)]
-    asv = np.zeros((1, 2))
     g = ConflictGraph(4, frozenset({(i, j) for i in range(4) for j in range(i + 1, 4)}))
-    coloring = Coloring([0, 1, 2, 3], 4)
-    noise = UsblNoiseConfig(r_max=50.0)
-    fixes, deliveries, nxt, events = run_round(
-        coloring, pos, asv, 0, CFG, noise, LossModelCoefficients(),
-        make_rngs(4, 1), L=60.0, graph=g)
-    assert nxt == 12
+    sched, events = one_round(pos, np.zeros((1, 2)), g, Coloring([0, 1, 2, 3], 4),
+                              ticks=60)
     pings = [e for e in events if e.startswith("PING")]
-    assert len(pings) == 4
+    assert pings[:4] == [f"PING{{tick={3 * i}, auv={i}, group={i}}}" for i in range(4)]
+    assert pings[4].startswith("PING{tick=12, auv=0,")
     bcast = [e for e in events if e.startswith("BCAST")]
-    assert len(bcast) == 1 and f"bytes={payload_bytes(len(fixes), CFG)}" in bcast[0]
-    for pd in deliveries:
-        assert pd.deliver_tick > 12
+    assert bcast and all(f"bytes={payload_bytes(1, CFG)}}}" in e for e in bcast)
+    first_bcast = int(bcast[0].split("tick=")[1].split(",")[0])
+    delivers = [int(e.split("tick=")[1].split(",")[0])
+                for e in events if e.startswith("DELIVER")]
+    assert delivers and min(delivers) > first_bcast
 
 
-def test_run_round_no_fixes_header_only():
-    # everyone out of range: the broadcast still goes out, header only
+def test_scheduler_unheard_round_broadcasts_nothing():
+    # everyone out of range: pings go out unheard, and with no fix buffered
+    # the event-triggered downlink stays silent
     pos = [(500.0, 0.0, 10.0), (-500.0, 0.0, 10.0)]
-    asv = np.zeros((1, 2))
-    coloring = Coloring([0, 0], 1)
-    fixes, deliveries, nxt, events = run_round(
-        coloring, pos, asv, 0, TimingConfig(), UsblNoiseConfig(r_max=50.0),
-        LossModelCoefficients(), make_rngs(2, 1), L=60.0)
-    assert fixes == [] and deliveries == []
-    assert any(e.startswith("BCAST") and "bytes=8" in e for e in events)
+    sched, events = one_round(pos, np.zeros((1, 2)), ConflictGraph(2, frozenset()),
+                              Coloring([0, 0], 1), ticks=30)
+    assert events and all(e.startswith("PING") for e in events)
+    assert sched.heard_log == [[False] * 10, [False] * 10]
+    assert not sched.buffer and not sched.queue and sched.bcast_count == 0
 
 
-def test_run_round_disjoint_footprints_share_slot():
+def test_scheduler_disjoint_footprints_share_slot():
     # empty conflict graph: both vehicles ping in the same slot tick
     pos = [(-100.0, 0.0, 10.0), (100.0, 0.0, 10.0)]
     asv = np.array([[-100.0, 0.0], [100.0, 0.0]])
-    g = ConflictGraph(2, frozenset())
-    coloring = Coloring([0, 0], 1)
-    fixes, deliveries, nxt, events = run_round(
-        coloring, pos, asv, 0, TimingConfig(), UsblNoiseConfig(r_max=50.0),
-        LossModelCoefficients(), make_rngs(2, 2), L=60.0, graph=g)
+    _, events = one_round(pos, asv, ConflictGraph(2, frozenset()), Coloring([0, 0], 1))
     pings = [e for e in events if e.startswith("PING")]
-    assert len(pings) == 2
-    assert all("tick=0" in e for e in pings)
+    assert pings == ["PING{tick=0, auv=0, group=0}", "PING{tick=0, auv=1, group=0}"]
 
 
-def test_run_round_rejects_conflicting_slot_mates():
+def test_scheduler_rejects_conflicting_slot_mates():
     pos = [(0.0, 0.0, 10.0), (5.0, 0.0, 10.0)]
-    asv = np.zeros((1, 2))
     g = ConflictGraph(2, frozenset({(0, 1)}))
     bad = Coloring([0, 0], 1)   # improper on purpose
-    with pytest.raises(AssertionError):
-        run_round(bad, pos, asv, 0, TimingConfig(), UsblNoiseConfig(r_max=50.0),
-                  LossModelCoefficients(), make_rngs(2, 1), L=60.0, graph=g)
+    with pytest.raises(AssertionError, match="conflicting AUVs 0 and 1"):
+        one_round(pos, np.zeros((1, 2)), g, bad)
 
 
-def test_scheduler_and_run_round_agree_on_uplink():
-    # the incremental scheduler stepped over one round must produce exactly
-    # the ping/fix/fusion outcomes of the one-shot executor on equal streams
-    from coopnav.protocol import TdmaScheduler
-    from coopnav.conflict import build_conflict_graph, greedy_color
-    from coopnav.formation import AsvLayout
-
-    pos = [(20.0, 5.0, 10.0), (-15.0, 10.0, 10.0), (5.0, -25.0, 10.0)]
+def test_scheduler_uplink_matches_reference_fix_attempts():
+    # the scheduler attempts fixes on in-range paths only; attempting every
+    # path, as a reference loop here does, draws and yields exactly the same
+    pos = [(20.0, 5.0, 10.0), (-15.0, 10.0, 10.0), (5.0, -45.0, 10.0)]
     asv = np.array([[0.0, 0.0], [30.0, 0.0]])
-    noise = UsblNoiseConfig(r_max=50.0)
-    g = build_conflict_graph([p[:2] for p in pos], AsvLayout(asv), 50.0)
+    g = build_conflict_graph(audibility_masks(pos, asv, 50.0))
     coloring = greedy_color(g)
+    sched, events = one_round(pos, asv, g, coloring)
 
-    _, _, nxt, ref_events = run_round(
-        coloring, pos, asv, 0, TimingConfig(), noise, LossModelCoefficients(),
-        make_rngs(3, 2), L=60.0, graph=g, n_contention=3)
-
-    sched = TdmaScheduler(TimingConfig(), noise, LossModelCoefficients(),
-                          60.0, 3, 2, make_rngs(3, 2))
-    sched.start_round(g, coloring, 0)
-    for k in range(nxt):
-        sched.step(k, pos, asv, recolor=lambda: (g, coloring))
-    ref_uplink = [e for e in ref_events
-                  if e.split("{")[0] in ("PING", "FIX", "FUSE")]
-    inc_uplink = [e for e in sched.events
-                  if e.split("{")[0] in ("PING", "FIX", "FUSE")]
-    assert inc_uplink == ref_uplink
+    noise, coeffs, rngs = UsblNoiseConfig(r_max=50.0), LossModelCoefficients(), make_rngs(3, 2)
+    ref = []
+    for grp, members in enumerate(coloring.groups()):
+        tick = grp * sched.slot_ticks
+        for i in members:
+            ref.append(f"PING{{tick={tick}, auv={i}, group={grp}}}")
+            fixes = []
+            for j, a in enumerate(anchor_points(asv)):
+                rng, loss_rng = rngs(i, j)
+                fx = attempt_fix(a, pos[i], 3, noise, coeffs, rng, loss_rng=loss_rng,
+                                 auv_id=i, asv_id=j, measure_tick=tick)
+                if fx is not None:
+                    x, y, z = fx.position
+                    ref.append(f"FIX{{tick={tick}, auv={i}, asv={j}, "
+                               f"pos=({x:.6f}, {y:.6f}, {z:.6f}), "
+                               f"var={fx.horiz_variance:.6f}}}")
+                    fixes.append(fx)
+            if fixes:
+                ref.append(f"FUSE{{tick={tick}, auv={i}, "
+                           f"k={fuse_fixes(fixes).contributing_asv_count}}}")
+    uplink = [e for e in events if e.split("{")[0] in ("PING", "FIX", "FUSE")]
+    assert uplink == ref
+    assert any(e.startswith("FIX") and "asv=1" in e for e in ref)
+    assert math.dist(pos[2], (30.0, 0.0, 0.0)) > 50.0    # one path out of range
 
 
 def test_slot_durations_respect_minimums():
@@ -196,12 +217,8 @@ def test_slot_durations_respect_minimums():
 
 def drive_scheduler(trace, asv, skip_idle):
     """Step a scheduler over per-tick AUV positions; optionally skip idle ticks."""
-    from coopnav.protocol import TdmaScheduler
-    from coopnav.conflict import build_conflict_graph, greedy_color
-    from coopnav.formation import AsvLayout
-
     def recolor(pos):
-        g = build_conflict_graph(pos, AsvLayout(asv), 50.0)
+        g = build_conflict_graph(audibility_masks(pos, asv, 50.0))
         return g, greedy_color(g)
 
     n_auv = len(trace[0])
@@ -209,6 +226,7 @@ def drive_scheduler(trace, asv, skip_idle):
                           LossModelCoefficients(), 70.0, n_auv, len(asv),
                           make_rngs(n_auv, len(asv), seed=3))
     sched.start_round(*recolor(trace[0]), 0)
+    anchors = anchor_points(asv)
     deliveries, steps = [], 0
     for k, pos in enumerate(trace):
         idle = k < sched.next_tick
@@ -216,7 +234,7 @@ def drive_scheduler(trace, asv, skip_idle):
             continue
         n_events = len(sched.events)
         due = sched.due_auvs(k)
-        out = sched.step(k, pos, asv, lambda: recolor(pos))
+        out = sched.step(k, pos, anchors, lambda: recolor(pos))
         steps += 1
         if idle:
             assert not due and not out and len(sched.events) == n_events
@@ -242,7 +260,7 @@ def test_scheduler_skipping_idle_ticks_matches_every_tick():
         trace.append(pos)
     full, full_del, full_steps = drive_scheduler(trace, asv, skip_idle=False)
     fast, fast_del, fast_steps = drive_scheduler(trace, asv, skip_idle=True)
-    assert fast.events == full.events
+    assert list(fast.events) == list(full.events)
     assert fast_del == full_del
     assert fast.latencies == full.latencies
     assert fast.dropped == full.dropped
