@@ -125,17 +125,30 @@ def one_round(pos, asv, graph, coloring, ticks=None):
     return sched, list(sched.events)
 
 
-def test_scheduler_k4_uplink_span():
-    # four mutually conflicting vehicles, one anchor: four slots of 0.1 s,
-    # then single-fix broadcasts, each delivered after it goes out
-    pos = [(10.0, 0.0, 10.0), (0.0, 10.0, 10.0), (-10.0, 0.0, 10.0),
-           (0.0, -10.0, 10.0)]
-    g = ConflictGraph(4, frozenset({(i, j) for i in range(4) for j in range(i + 1, 4)}))
-    sched, events = one_round(pos, np.zeros((1, 2)), g, Coloring([0, 1, 2, 3], 4),
-                              ticks=60)
+K4_POS = [(10.0, 0.0, 10.0), (0.0, 10.0, 10.0), (-10.0, 0.0, 10.0),
+          (0.0, -10.0, 10.0)]
+K4_GRAPH = ConflictGraph(4, frozenset({(i, j) for i in range(4) for j in range(i + 1, 4)}))
+
+
+def test_plan_round_spans():
+    # k=4 groups at L=60: uplink slots of 3 ticks start at 0, 3, 6, 9 and the
+    # next round starts at 12
+    sched, events = one_round(K4_POS, np.zeros((1, 2)), K4_GRAPH,
+                              Coloring([0, 1, 2, 3], 4), ticks=13)
+    assert sched.slot_ticks == 3
     pings = [e for e in events if e.startswith("PING")]
     assert pings[:4] == [f"PING{{tick={3 * i}, auv={i}, group={i}}}" for i in range(4)]
     assert pings[4].startswith("PING{tick=12, auv=0,")
+    assert sched.round_start == 12 and sched.round_end == 24
+
+
+def test_run_round_k4_uplink_span():
+    # four mutually conflicting vehicles, one anchor: four slots of 0.1 s,
+    # then single-fix broadcasts, each delivered after it goes out
+    sched, events = one_round(K4_POS, np.zeros((1, 2)), K4_GRAPH,
+                              Coloring([0, 1, 2, 3], 4), ticks=60)
+    assert len([e for e in events
+                if e.startswith("PING") and int(e.split("tick=")[1].split(",")[0]) < 12]) == 4
     bcast = [e for e in events if e.startswith("BCAST")]
     assert bcast and all(f"bytes={payload_bytes(1, CFG)}}}" in e for e in bcast)
     first_bcast = int(bcast[0].split("tick=")[1].split(",")[0])
