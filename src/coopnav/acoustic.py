@@ -62,99 +62,45 @@ class FusedFix:
     measure_tick: int
 
 
-def slant_range(tau_rtt: float, c: float = SOUND_SPEED) -> float:
-    """Range from a round-trip travel time: r = c * tau / 2."""
-    if tau_rtt < 0:
-        raise ValueError(f"tau_rtt must be >= 0 (got {tau_rtt})")
-    return c * tau_rtt / 2.0
-
-
-def measure_fix(asv_pos, auv_true_pos, noise: UsblNoiseConfig, rng,
-                auv_id: int = 0, asv_id: int = 0, measure_tick: int = 0) -> UsblFix:
-    """Synthesize one noisy absolute fix of an AUV as seen from an ASV.
-
-    Decomposes the true relative vector into (range, azimuth, elevation),
-    perturbs each with its Gaussian noise, and reconstructs
-    ``asv + r*(cos(phi)cos(theta), cos(phi)sin(theta), sin(phi))``.
-    """
-    fix = _fix(asv_pos, auv_true_pos, None, noise, None, rng, None,
-               auv_id, asv_id, measure_tick)
-    if fix is None:
-        r = math.dist(asv_pos, auv_true_pos)
-        raise ValueError(f"slant range {r:.3f} m exceeds r_max {noise.r_max} m")
-    return fix
-
-
-def loss_probability(r: float, coeffs: LossModelCoefficients = LossModelCoefficients()) -> float:
-    """Range-dependent fix loss probability, clamped into [0, 1]."""
-    if r < 0:
-        raise ValueError(f"r must be >= 0 (got {r})")
-    rt = min(r, coeffs.r_clip)
-    raw = coeffs.a * math.exp(coeffs.b * rt) + coeffs.c0 * math.exp(coeffs.d * rt)
-    return min(max(raw, 0.0), 1.0)
-
-
-def total_loss_probability(r: float, n_auv: int,
-                           coeffs: LossModelCoefficients = LossModelCoefficients()) -> float:
-    """Loss probability including the contention term for a fleet of n_auv."""
-    if n_auv < 1:
-        raise ValueError(f"n_auv must be >= 1 (got {n_auv})")
-    return min(loss_probability(r, coeffs) + (n_auv - 1) * coeffs.p_col, coeffs.p_cap)
-
-
-def attempt_fix(asv_pos, auv_true_pos, n_auv: int, noise: UsblNoiseConfig,
-                coeffs: LossModelCoefficients, rng, loss_rng=None,
+def attempt_fix(asv_pos, auv_pos, r: float, n_auv: int, noise: UsblNoiseConfig,
+                coeffs: LossModelCoefficients, noise_tuples, loss_rng,
                 auv_id: int = 0, asv_id: int = 0,
                 measure_tick: int = 0) -> UsblFix | None:
     """One fix attempt over one acoustic path; None means the fix was lost.
 
-    Loss is a modeled outcome, not an error: the attempt is lost when the
-    AUV is out of range or when the loss draw u < P_loss_total(r).
-    ``loss_rng`` lets callers keep loss draws on a separate stream from the
-    measurement noise; it defaults to ``rng``.
+    ``r`` is the slant range between the two positions as the caller
+    computed it.  Loss is a modeled outcome, not an error: the attempt is
+    lost without a draw when ``r`` exceeds ``noise.r_max``, and otherwise
+    when the ``loss_rng.uniform()`` draw u < P_loss_total(r): the
+    range-dependent double exponential clamped into [0, 1], plus ``p_col``
+    per additional vehicle, capped at ``p_cap``.  A kept fix decomposes the
+    true relative vector into (range, azimuth, elevation), adds the next
+    ``noise_tuples`` triple of pre-scaled perturbations, and reconstructs
+    ``asv + r*(cos(phi)cos(theta), cos(phi)sin(theta), sin(phi))``.
     """
-    if n_auv < 1:
-        raise ValueError(f"n_auv must be >= 1 (got {n_auv})")
-    return _fix(asv_pos, auv_true_pos, n_auv, noise, coeffs, rng,
-                loss_rng if loss_rng is not None else rng,
-                auv_id, asv_id, measure_tick)
-
-
-def _fix(asv_pos, auv_true_pos, n_auv, noise, coeffs, rng, loss_rng,
-         auv_id, asv_id, measure_tick) -> UsblFix | None:
-    """The geometry, loss draw and noisy reconstruction of one fix.
-
-    None when the AUV is beyond ``noise.r_max`` or, with a ``loss_rng``,
-    when the loss draw falls below ``total_loss_probability``, evaluated
-    here term for term.  Without a ``loss_rng`` nothing is lost.
-    """
-    ax, ay, az = float(asv_pos[0]), float(asv_pos[1]), float(asv_pos[2])
-    dx = float(auv_true_pos[0]) - ax
-    dy = float(auv_true_pos[1]) - ay
-    dz = float(auv_true_pos[2]) - az
-    r = math.sqrt(dx * dx + dy * dy + dz * dz)
     if r > noise.r_max:
         return None
-    if loss_rng is not None:
-        rt = min(r, coeffs.r_clip)
-        p = coeffs.a * math.exp(coeffs.b * rt) + coeffs.c0 * math.exp(coeffs.d * rt)
-        p = min(min(max(p, 0.0), 1.0) + (n_auv - 1) * coeffs.p_col, coeffs.p_cap)
-        if loss_rng.uniform() < p:
-            return None
+    rt = min(r, coeffs.r_clip)
+    p = coeffs.a * math.exp(coeffs.b * rt) + coeffs.c0 * math.exp(coeffs.d * rt)
+    p = min(min(max(p, 0.0), 1.0) + (n_auv - 1) * coeffs.p_col, coeffs.p_cap)
+    if loss_rng.uniform() < p:
+        return None
+    ax, ay, az = asv_pos[0], asv_pos[1], asv_pos[2]
+    dx = auv_pos[0] - ax
+    dy = auv_pos[1] - ay
+    dz = auv_pos[2] - az
     theta = math.atan2(dy, dx) if r > 0 else 0.0
     phi = math.asin(max(-1.0, min(1.0, dz / r))) if r > 0 else 0.0
 
-    sigma_r, sigma_theta, sigma_phi = noise.sigma_r, noise.sigma_theta, noise.sigma_phi
-    r_m = r + (rng.normal(0.0, sigma_r) if sigma_r > 0 else 0.0)
-    t_m = theta + (rng.normal(0.0, sigma_theta) if sigma_theta > 0 else 0.0)
-    p_m = phi + (rng.normal(0.0, sigma_phi) if sigma_phi > 0 else 0.0)
-    r_m = max(r_m, 0.0)
-
+    n_r, n_theta, n_phi = next(noise_tuples)
+    r_m = max(r + n_r, 0.0)
+    t_m = theta + n_theta
+    p_m = phi + n_phi
     cp = math.cos(p_m)
     pos = (ax + r_m * cp * math.cos(t_m),
            ay + r_m * cp * math.sin(t_m),
            az + r_m * math.sin(p_m))
-    var = sigma_r ** 2 + (r * sigma_theta) ** 2
+    var = noise.sigma_r ** 2 + (r * noise.sigma_theta) ** 2
     return UsblFix(auv_id, asv_id, pos, var, measure_tick)
 
 

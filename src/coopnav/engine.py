@@ -4,8 +4,9 @@ Per tick, in fixed order: guidance from the fused estimates, truth advance,
 dead reckoning of both estimates, pressure-depth replacement, protocol
 events (pings, fusion, broadcasts, deliveries), fix application, metric
 accumulation.  The protocol is stepped only from its next event tick on,
-and the noise streams are drawn in blocks; both leave every value as it
-would be tick by tick.  Identical (config, seed) pairs produce
+the noise streams are drawn in blocks, and on a tick without a fix
+delivery the metrics are taken in the kinematic pass; all three leave every
+value as it would be tick by tick.  Identical (config, seed) pairs produce
 byte-identical event logs.
 """
 
@@ -14,16 +15,18 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
 from .acoustic import LossModelCoefficients, UsblNoiseConfig
 from .conflict import audibility_masks, build_conflict_graph, greedy_color
 from .formation import FormationConfig, asv_positions
-from .mission import (GuidanceConfig, VehicleTruth, advance_truth,
-                      guidance_step, plan_lawnmower, point_segment_distance)
+from .mission import (GuidanceConfig, VehicleTruth, advance_truth, guidance_step,
+                      plan_lawnmower, point_segment_distance, segment)
 from .nav import KinematicInput, NavState, apply_fix, dead_reckon_step, depth_update
-from .protocol import EventLog, TdmaScheduler, TimingConfig, anchor_points
+from .protocol import (EventLog, TdmaScheduler, TimingConfig, anchor_points,
+                       ticks_ceil)
 
 
 @dataclass
@@ -78,6 +81,8 @@ class SimConfig:
                              f"(got {self.contention!r})")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must be in (0, 1] (got {self.gamma})")
+        if self.sigma < 0 or self.sigma_z < 0:
+            raise ValueError("sigma and sigma_z must be >= 0")
         self.timing.validate()
         self.guidance.validate()
 
@@ -152,32 +157,54 @@ def derive_rng(seed: int, stream_label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-RNG_BLOCK = 64   # draws per buffered block of a NormalStream / UniformStream
+RNG_BLOCK = 128   # values per buffered block of a NoiseStream / UniformStream
 
 
-class NormalStream:
-    """A generator's ``normal(loc, scale)`` served from blocks of draws.
+def _noise_blocks(gen, scales, gain):
+    """The blocks a ``NoiseStream`` chains: floats for a scalar scale, else
+    tuples zipped from one iterator over the block's values in draw order,
+    with a zero in the place of each scale that draws nothing."""
+    scalar = np.ndim(scales) == 0
+    scales = np.atleast_1d(np.asarray(scales, dtype=float))
+    drawn = (scales > 0).tolist()
+    positive = scales[scales > 0]
+    if not len(positive):
+        yield repeat(0.0) if scalar else repeat((0.0,) * len(scales))
+        return
+    while True:
+        # IEEE-exact elementwise * and + only: each value equals the scalar
+        # (0.0 + scale * z) * gain
+        z = gen.standard_normal((RNG_BLOCK, len(positive)))
+        z *= positive
+        z += 0.0
+        z *= gain
+        values = z.ravel().tolist()
+        if scalar:
+            yield values
+        else:
+            it = iter(values)
+            yield zip(*[it if d else repeat(0.0) for d in drawn])
 
-    numpy's scalar ``normal(loc, scale)`` is ``loc + scale * z`` with ``z``
-    the generator's next standard normal, and a block of standard normals
-    equals as many scalar draws, so every value is bit-identical to calling
-    the generator draw by draw, whatever the mix of scales.  The first
-    block is drawn on the first call, not when the stream is built.
+
+class NoiseStream(chain):
+    """Pre-scaled Gaussian noise from a generator, one value per ``next()``.
+
+    A scalar ``scale`` gives floats, a sequence of scales gives tuples with
+    one entry per scale.  Each entry is ``(0.0 + scale * z) * gain`` with
+    ``z`` the generator's next standard normal, which is numpy's scalar
+    ``normal(0.0, scale)`` times ``gain``; a scale that is not positive
+    draws nothing and gives 0.0.  Values are computed a block of
+    ``RNG_BLOCK`` at a time, and a block of standard normals equals as many
+    scalar draws, so every value is bit-identical to drawing one at a time.
+    The first block is drawn on the first ``next()``, not when the stream is
+    built.  A ``chain`` over the blocks serves each value without a Python
+    call.
     """
 
-    __slots__ = ("gen", "_it")
+    __slots__ = ()
 
-    def __init__(self, gen: np.random.Generator):
-        self.gen = gen
-        self._it = iter(())
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        try:
-            z = next(self._it)
-        except StopIteration:
-            self._it = iter(self.gen.standard_normal(RNG_BLOCK).tolist())
-            z = next(self._it)
-        return loc + scale * z
+    def __new__(cls, gen: np.random.Generator, scales, gain: float = 1.0):
+        return cls.from_iterable(_noise_blocks(gen, scales, gain))
 
 
 class UniformStream:
@@ -222,6 +249,12 @@ class Recolorer:
         return self.pair
 
 
+# (kinematics, metrics) per pass over the AUVs of one tick; the protocol
+# steps after the kinematics
+ONE_PASS = ((True, True),)
+SPLIT_PASSES = ((True, False), (False, True))
+
+
 def coverage_fraction(ping_log) -> float:
     """Fraction of ping attempts heard by at least one ASV (0 when none)."""
     if len(ping_log) == 0:
@@ -259,10 +292,14 @@ def run(config: SimConfig) -> MissionReport:
     base_asv = layout.positions
 
     seed = config.seed
-    imu_rng = [NormalStream(derive_rng(seed, f"imu/{i}")) for i in range(n)]
-    depth_rng = [NormalStream(derive_rng(seed, f"depth/{i}")) for i in range(n)]
-    usbl_rng = [[NormalStream(derive_rng(seed, f"usbl/{i}/{j}")) for j in range(m)]
-                for i in range(n)]
+    sq_dt = math.sqrt(dt)
+    imu_noise = [NoiseStream(derive_rng(seed, f"imu/{i}"), (config.sigma, config.sigma),
+                             sq_dt) for i in range(n)]
+    depth_noise = [NoiseStream(derive_rng(seed, f"depth/{i}"), config.sigma_z)
+                   for i in range(n)]
+    usbl_scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
+    usbl_noise = [[NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), usbl_scales)
+                   for j in range(m)] for i in range(n)]
     loss_rng = [[UniformStream(derive_rng(seed, f"loss/{i}/{j}")) for j in range(m)]
                 for i in range(n)]
     jitter_rng = derive_rng(seed, "asv_jitter") if config.asv_jitter_std > 0 else None
@@ -274,21 +311,22 @@ def run(config: SimConfig) -> MissionReport:
         x1, y1 = wps[1]
         yaw0 = math.atan2(y1 - y0, x1 - x0)
         truths.append(VehicleTruth(x0, y0, depth, yaw0))
-        navs.append(NavState.at(x0, y0, depth, bias=config.bias,
-                                sigma=config.sigma, sigma_z=config.sigma_z,
-                                gamma=config.gamma))
-        kin.append(KinematicInput((0.0, 0.0), yaw0, dt, depth))
+        navs.append(NavState.at(x0, y0, depth, dt, bias=config.bias, gamma=config.gamma))
+        kin.append(KinematicInput(0.0, math.cos(yaw0), math.sin(yaw0)))
         # cross-track error is taken against the segment currently being
         # tracked, indexed by waypoint index; a starved vehicle's divergence
         # is then measured, not absorbed by whichever parallel track it
         # happens to drift past
         last = len(wps) - 1
         tracked = [min(max(w, 1), last) for w in range(last + 2)]
-        segments.append([wps[w - 1] + wps[w] for w in tracked])
+        segments.append([segment(*wps[w - 1], *wps[w]) for w in tracked])
     wp_index = [0] * n
+    max_step = guid.max_yaw_rate * dt
+    auvs = list(zip(range(n), truths, navs, kin, imu_noise, depth_noise,
+                    waypoints, segments))
 
     proto = TdmaScheduler(timing, noise, LossModelCoefficients(), config.L,
-                          n, m, lambda i, j: (usbl_rng[i][j], loss_rng[i][j]),
+                          n, m, lambda i, j: (usbl_noise[i][j], loss_rng[i][j]),
                           contention=config.contention)
     last_fix_xy = [(t.x, t.y) for t in truths]
     anchors = anchor_points(base_asv)
@@ -300,6 +338,9 @@ def run(config: SimConfig) -> MissionReport:
         return recolorer(last_fix_xy, anchors)
 
     proto.start_round(*recolor(), tick=0)
+    # a broadcast is delivered on its own tick only if its airtime rounds
+    # to no tick; the metrics then always wait for the protocol
+    same_tick = ticks_ceil(proto.t_tx, f_t) == 0
 
     cte_sum = [0.0] * n
     err_sum = [0.0] * n
@@ -330,58 +371,56 @@ def run(config: SimConfig) -> MissionReport:
                            for (bx, by), (jx, jy) in zip(base_xy, jitter[row])]
 
         due = proto.due_auvs(k) if active else ()
-        for i in range(n):
-            t = truths[i]
-            nav = navs[i]
-            est_xy = (t.x, t.y) if on_truth else nav.p_fused
-            speed_cmd, yaw_cmd, w = guidance_step(
-                t, est_xy, waypoints[i], wp_index[i], guid, dt)
-            if w != wp_index[i]:
-                wp_index[i] = w
-                if w >= len(waypoints[i]):
-                    finished += 1
-            advance_truth(t, speed_cmd, yaw_cmd, guid, dt, depth)
-            ki = kin[i]
-            ki.v_body = (t.speed, 0.0)
-            ki.psi = t.yaw
-            dead_reckon_step(nav, ki, imu_rng[i], advance_fused=(i not in due))
-            depth_update(nav, t.z, depth_rng[i])
+        # only a delivery changes the metrics of a tick; on a tick without
+        # one they are taken in the kinematic pass
+        split = due or (same_tick and active)
+        for kinematics, metrics in (SPLIT_PASSES if split else ONE_PASS):
+            for i, t, nav, ki, imu, dz, wps, segs in auvs:
+                if kinematics:
+                    est_xy = (t.x, t.y) if on_truth else nav.p_fused
+                    speed_cmd, yaw_cmd, w = guidance_step(t, est_xy, wps, wp_index[i], guid)
+                    if w != wp_index[i]:
+                        wp_index[i] = w
+                        if w >= len(wps):
+                            finished += 1
+                    ki.speed = speed_cmd
+                    ki.cos_psi, ki.sin_psi = advance_truth(t, speed_cmd, yaw_cmd,
+                                                           max_step, dt)
+                    dead_reckon_step(nav, ki, next(imu), i not in due)
+                    depth_update(nav, depth, next(dz))
+                if metrics:
+                    x, y = t.x, t.y
+                    cte = point_segment_distance(x, y, segs[wp_index[i]])
+                    cte_sum[i] += cte
+                    p = nav.p_fused
+                    e = math.hypot(p[0] - x, p[1] - y)
+                    err_sum[i] += e
+                    if e > max_fused_err[i]:
+                        max_fused_err[i] = e
+                    dist[i] += t.speed * dt
+                    if x > edge or x < -edge or y > edge or y < -edge:   # |x|, |y| > edge
+                        excursions += 1
+                    if trace:
+                        q = nav.p_imu
+                        trace_log.append(
+                            f"TRACE{{tick={k}, auv={i}, "
+                            f"true=({x:.6f}, {y:.6f}, {t.z:.6f}), "
+                            f"imu=({q[0]:.6f}, {q[1]:.6f}, {q[2]:.6f}), "
+                            f"fused=({p[0]:.6f}, {p[1]:.6f}, {p[2]:.6f}), "
+                            f"cte={cte:.6f}}}")
 
-        if active:
-            pos3 = [(t.x, t.y, t.z) for t in truths]
-            for i, pd in proto.step(k, pos3, anchors, recolor):
-                p = navs[i].p_fused
-                fx, fy = pd.fix.position[0], pd.fix.position[1]
-                innov = math.hypot(fx - p[0], fy - p[1])
-                if innov > max_innovation:
-                    max_innovation = innov
-                apply_fix(navs[i], pd.fix, kin[i])
-                applied[i] += 1
-                applied_ticks[i].append(k)
-                last_fix_xy[i] = (fx, fy)
-
-        for i in range(n):
-            t = truths[i]
-            x, y = t.x, t.y
-            ax, ay, bx, by = segments[i][wp_index[i]]
-            cte = point_segment_distance(x, y, ax, ay, bx, by)
-            cte_sum[i] += cte
-            p = navs[i].p_fused
-            e = math.hypot(p[0] - x, p[1] - y)
-            err_sum[i] += e
-            if e > max_fused_err[i]:
-                max_fused_err[i] = e
-            dist[i] += t.speed * dt
-            if abs(x) > edge or abs(y) > edge:
-                excursions += 1
-            if trace:
-                nv = navs[i]
-                trace_log.append(
-                    f"TRACE{{tick={k}, auv={i}, "
-                    f"true=({t.x:.6f}, {t.y:.6f}, {t.z:.6f}), "
-                    f"imu=({nv.p_imu[0]:.6f}, {nv.p_imu[1]:.6f}, {nv.p_imu[2]:.6f}), "
-                    f"fused=({nv.p_fused[0]:.6f}, {nv.p_fused[1]:.6f}, "
-                    f"{nv.p_fused[2]:.6f}), cte={cte:.6f}}}")
+            if kinematics and active:
+                pos3 = [(t.x, t.y, t.z) for t in truths]
+                for i, pd in proto.step(k, pos3, anchors, recolor):
+                    p = navs[i].p_fused
+                    fx, fy = pd.fix.position[0], pd.fix.position[1]
+                    innov = math.hypot(fx - p[0], fy - p[1])
+                    if innov > max_innovation:
+                        max_innovation = innov
+                    apply_fix(navs[i], pd.fix, kin[i])
+                    applied[i] += 1
+                    applied_ticks[i].append(k)
+                    last_fix_xy[i] = (fx, fy)
 
         ticks_run = k + 1
         if finished == n:

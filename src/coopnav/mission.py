@@ -42,12 +42,6 @@ class LawnmowerPlan:
     track_spacing: float
     depth: float = 10.0
 
-    def segments(self, auv: int) -> list[tuple[float, float, float, float]]:
-        """Consecutive waypoint segments (ax, ay, bx, by) of one AUV's plan."""
-        wps = self.waypoints[auv]
-        return [(wps[i][0], wps[i][1], wps[i + 1][0], wps[i + 1][1])
-                for i in range(len(wps) - 1)]
-
 
 def default_track_spacing(L: float, n_auv: int) -> float:
     """One third of the strip height: 5 m at L=60 with four AUVs, scaled."""
@@ -88,7 +82,7 @@ def plan_lawnmower(L: float, n_auv: int, track_spacing: float | None = None,
 
 
 def guidance_step(truth: VehicleTruth, estimate_xy, waypoints, wp_index: int,
-                  cfg: GuidanceConfig, dt: float):
+                  cfg: GuidanceConfig):
     """Waypoint guidance on the estimated position.
 
     Advances the waypoint index while the estimate is within the capture
@@ -96,42 +90,57 @@ def guidance_step(truth: VehicleTruth, estimate_xy, waypoints, wp_index: int,
     the current waypoint.  The yaw-rate limit is enforced by the truth
     integrator.  Returns (speed_cmd, yaw_cmd, wp_index).
     """
-    ex, ey = float(estimate_xy[0]), float(estimate_xy[1])
+    ex, ey = estimate_xy[0], estimate_xy[1]
     n = len(waypoints)
-    while wp_index < n and math.hypot(waypoints[wp_index][0] - ex,
-                                      waypoints[wp_index][1] - ey) <= cfg.capture_radius:
-        wp_index += 1
-    if wp_index >= n:
-        return 0.0, truth.yaw, wp_index
-    wx, wy = waypoints[wp_index]
-    return cfg.cruise_speed, math.atan2(wy - ey, wx - ex), wp_index
+    while wp_index < n:
+        wx, wy = waypoints[wp_index]
+        dx, dy = wx - ex, wy - ey
+        if math.hypot(dx, dy) <= cfg.capture_radius:
+            wp_index += 1
+        else:
+            return cfg.cruise_speed, math.atan2(dy, dx), wp_index
+    return 0.0, truth.yaw, wp_index
 
 
-def wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
+_PI = math.pi
+_TWO_PI = 2.0 * math.pi
 
 
 def advance_truth(truth: VehicleTruth, speed_cmd: float, yaw_cmd: float,
-                  cfg: GuidanceConfig, dt: float, depth: float) -> VehicleTruth:
-    """Slew the yaw toward the command and move the unicycle one tick."""
-    err = wrap_angle(yaw_cmd - truth.yaw)
-    max_step = cfg.max_yaw_rate * dt
+                  max_step: float, dt: float) -> tuple[float, float]:
+    """Slew the yaw toward the command and move the unicycle one tick.
+
+    ``max_step`` is the yaw-rate limit times ``dt``.  Both angles are wrapped
+    into [-pi, pi) by ``(a + pi) % 2pi - pi``, which is not the identity even
+    for small angles: it rounds to the spacing of doubles near pi.  Returns
+    the cosine and sine of the new yaw.
+    """
+    yaw = truth.yaw
+    err = (yaw_cmd - yaw + _PI) % _TWO_PI - _PI
     if err > max_step:
         err = max_step
     elif err < -max_step:
         err = -max_step
-    truth.yaw = wrap_angle(truth.yaw + err)
+    truth.yaw = yaw = (yaw + err + _PI) % _TWO_PI - _PI
     truth.speed = speed_cmd
-    truth.x += speed_cmd * dt * math.cos(truth.yaw)
-    truth.y += speed_cmd * dt * math.sin(truth.yaw)
-    truth.z = depth
-    return truth
+    c, s = math.cos(yaw), math.sin(yaw)
+    step = speed_cmd * dt
+    truth.x += step * c
+    truth.y += step * s
+    return c, s
 
 
-def point_segment_distance(px: float, py: float, ax: float, ay: float,
-                           bx: float, by: float) -> float:
+def segment(ax: float, ay: float, bx: float,
+            by: float) -> tuple[float, float, float, float, float]:
+    """The segment from (ax, ay) to (bx, by) as ``point_segment_distance``
+    takes it: (ax, ay, dx, dy, dx*dx + dy*dy)."""
     dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
+    return ax, ay, dx, dy, dx * dx + dy * dy
+
+
+def point_segment_distance(px: float, py: float, seg) -> float:
+    """Distance from (px, py) to a ``segment``."""
+    ax, ay, dx, dy, L2 = seg
     if L2 == 0.0:
         return math.hypot(px - ax, py - ay)
     t = ((px - ax) * dx + (py - ay) * dy) / L2
@@ -140,12 +149,3 @@ def point_segment_distance(px: float, py: float, ax: float, ay: float,
     elif t > 1.0:
         t = 1.0
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
-def cross_track_error(true_xy, segments) -> float:
-    """Distance from the true position to the nearest planned segment."""
-    if not segments:
-        raise ValueError("plan has no segments")
-    px, py = float(true_xy[0]), float(true_xy[1])
-    return min(point_segment_distance(px, py, ax, ay, bx, by)
-               for ax, ay, bx, by in segments)

@@ -9,7 +9,6 @@ reading replaces the vertical component of both estimates every tick.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .acoustic import FusedFix
@@ -21,67 +20,62 @@ class NavState:
 
     p_imu: list[float]
     p_fused: list[float]
+    dt: float                                  # integration step, s
     bias: tuple[float, float] = (0.06, 0.06)   # body-frame velocity bias, m/s
-    sigma: float = 0.027                       # step noise, m/sqrt(s)
-    sigma_z: float = 0.05                      # depth sensor noise, m
     gamma: float = 0.90                        # fix correction gain
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must be in (0, 1] (got {self.gamma})")
-        if self.sigma < 0 or self.sigma_z < 0:
-            raise ValueError("sigma and sigma_z must be >= 0")
-
-    @classmethod
-    def at(cls, x: float, y: float, z: float, **kw) -> "NavState":
-        return cls(p_imu=[x, y, z], p_fused=[x, y, z], **kw)
-
-
-@dataclass
-class KinematicInput:
-    """Ground-truth body-frame velocity and attitude for one tick."""
-
-    v_body: tuple[float, float]
-    psi: float
-    dt: float
-    z_true: float = 0.0
-
-    def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0 (got {self.dt})")
+        # the bias's body-frame displacement per step; the body frame has no
+        # lateral velocity, whose 0.0 * dt term stays in for its signed zero
+        self.bias_dx = self.bias[0] * self.dt
+        self.bias_dy = 0.0 * self.dt + self.bias[1] * self.dt
+
+    @classmethod
+    def at(cls, x: float, y: float, z: float, dt: float, **kw) -> "NavState":
+        return cls(p_imu=[x, y, z], p_fused=[x, y, z], dt=dt, **kw)
 
 
-def dead_reckon_step(state: NavState, inp: KinematicInput, rng,
+@dataclass(slots=True)
+class KinematicInput:
+    """Ground-truth forward speed and heading (as cosine and sine) for one tick."""
+
+    speed: float
+    cos_psi: float
+    sin_psi: float
+
+
+def dead_reckon_step(state: NavState, inp: KinematicInput, noise,
                      advance_fused: bool = True) -> NavState:
     """One horizontal dead-reckoning step.
 
-    p += R(psi) * (v_body*dt + bias*dt + eta*sqrt(dt)), eta ~ N(0, sigma^2 I).
-    Always applied to p_imu; applied to p_fused unless the caller is about
-    to run the fix predict-correct update for this tick instead.
+    p += R(psi) * ((speed, 0)*dt + bias*dt + eta*sqrt(dt)), eta ~ N(0, sigma^2 I),
+    with ``noise`` the pre-scaled pair eta*sqrt(dt).  Always applied to
+    p_imu; applied to p_fused unless the caller is about to run the fix
+    predict-correct update for this tick instead.
     """
-    dt = inp.dt
-    if state.sigma > 0:
-        ex = rng.normal(0.0, state.sigma)
-        ey = rng.normal(0.0, state.sigma)
-    else:
-        ex = ey = 0.0
-    sq = math.sqrt(dt)
-    bx = inp.v_body[0] * dt + state.bias[0] * dt + ex * sq
-    by = inp.v_body[1] * dt + state.bias[1] * dt + ey * sq
-    c, s = math.cos(inp.psi), math.sin(inp.psi)
+    bx = inp.speed * state.dt + state.bias_dx + noise[0]
+    by = state.bias_dy + noise[1]
+    c, s = inp.cos_psi, inp.sin_psi
     wx = c * bx - s * by
     wy = s * bx + c * by
-    state.p_imu[0] += wx
-    state.p_imu[1] += wy
+    p = state.p_imu
+    p[0] += wx
+    p[1] += wy
     if advance_fused:
-        state.p_fused[0] += wx
-        state.p_fused[1] += wy
+        p = state.p_fused
+        p[0] += wx
+        p[1] += wy
     return state
 
 
-def depth_update(state: NavState, z_true: float, rng) -> float:
-    """Replace the depth of both estimates with a noisy pressure reading."""
-    z = z_true + (rng.normal(0.0, state.sigma_z) if state.sigma_z > 0 else 0.0)
+def depth_update(state: NavState, z_true: float, noise: float) -> float:
+    """Replace the depth of both estimates with a pressure reading, ``z_true``
+    plus the pre-scaled sensor noise."""
+    z = z_true + noise
     state.p_imu[2] = z
     state.p_fused[2] = z
     return z
@@ -98,10 +92,10 @@ def apply_fix(state: NavState, fix: FusedFix, inp: KinematicInput,
     g = state.gamma if gamma is None else gamma
     if not (0.0 < g <= 1.0):
         raise ValueError(f"gamma must be in (0, 1] (got {g})")
-    dt = inp.dt
-    bx = (inp.v_body[0] + state.bias[0]) * dt
-    by = (inp.v_body[1] + state.bias[1]) * dt
-    c, s = math.cos(inp.psi), math.sin(inp.psi)
+    dt = state.dt
+    bx = (inp.speed + state.bias[0]) * dt
+    by = (0.0 + state.bias[1]) * dt
+    c, s = inp.cos_psi, inp.sin_psi
     px = state.p_fused[0] + c * bx - s * by
     py = state.p_fused[1] + s * bx + c * by
     state.p_fused[0] = px + g * (fix.position[0] - px)

@@ -261,14 +261,14 @@ def _ping_group(members, tick, group_idx, auv_positions, anchors,
             dx = px - asv_pos[0]
             dy = py - asv_pos[1]
             dz = pz - asv_pos[2]
-            if math.sqrt(dx * dx + dy * dy + dz * dz) > r_max:
+            r = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if r > r_max:
                 continue
             if not heard_ids or heard_ids[-1] != i:
                 heard_ids.append(i)
-            rng, loss_rng = path_rngs(i, j)
-            fx = attempt_fix(asv_pos, pos_i, n_contention, noise, coeffs, rng,
-                             loss_rng=loss_rng, auv_id=i, asv_id=j,
-                             measure_tick=tick)
+            noise_tuples, loss_rng = path_rngs(i, j)
+            fx = attempt_fix(asv_pos, pos_i, r, n_contention, noise, coeffs,
+                             noise_tuples, loss_rng, i, j, tick)
             if fx is not None:
                 x, y, z = fx.position
                 kinds.append(FIX)

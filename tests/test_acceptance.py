@@ -25,7 +25,7 @@ import pytest
 
 import coopnav
 from coopnav.conflict import audibility_masks, build_conflict_graph, greedy_color
-from coopnav.engine import SimConfig, run
+from coopnav.engine import NoiseStream, SimConfig, run
 from coopnav.formation import (AsvLayout, FormationConfig, asv_positions,
                                coverage_fraction_grid, min_formation_radius)
 from coopnav.nav import KinematicInput, NavState, dead_reckon_step
@@ -251,11 +251,12 @@ def test_criterion_7_drift_envelope():
     sums = {k: 0.0 for k in marks}
     n_trials = 200
     for trial in range(n_trials):
-        rng = np.random.default_rng(20_000 + trial)
-        s = NavState.at(0.0, 0.0, 0.0, bias=bias, sigma=sigma)
-        inp = KinematicInput((0.0, 0.0), 0.0, DT)
+        noise = NoiseStream(np.random.default_rng(20_000 + trial), (sigma, sigma),
+                            math.sqrt(DT))
+        s = NavState.at(0.0, 0.0, 0.0, DT, bias=bias)
+        inp = KinematicInput(0.0, 1.0, 0.0)     # at rest, heading 0
         for k in range(1, 9001):
-            dead_reckon_step(s, inp, rng)
+            dead_reckon_step(s, inp, next(noise))
             if k in marks:
                 sums[k] += s.p_imu[0] ** 2 + s.p_imu[1] ** 2
     b2 = bias[0] ** 2 + bias[1] ** 2

@@ -1,69 +1,99 @@
 import math
+import struct
+from itertools import repeat
 
 import numpy as np
 import pytest
 
 from coopnav.acoustic import (LossModelCoefficients, UsblFix, UsblNoiseConfig,
-                              attempt_fix, fuse_fixes, loss_probability,
-                              measure_fix, slant_range, total_loss_probability)
+                              attempt_fix, fuse_fixes)
+from coopnav.engine import NoiseStream
 
 COEFFS = LossModelCoefficients()
+NO_LOSS = LossModelCoefficients(p_cap=0.0)     # the loss draw never loses
+RANGE_ONLY = LossModelCoefficients(p_cap=1.0)  # with one vehicle: the range term alone
 
 
-def test_slant_range():
-    assert slant_range(0.0) == 0.0
-    assert slant_range(0.1) == pytest.approx(75.0)
-    assert slant_range(1.0) == pytest.approx(750.0)
-    with pytest.raises(ValueError):
-        slant_range(-0.1)
+class Draw:
+    """A loss stream that always draws ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def fix(asv, auv, noise, noise_tuples, n_auv=1, coeffs=NO_LOSS, loss_rng=Draw(0.5)):
+    return attempt_fix(asv, auv, math.dist(asv, auv), n_auv, noise, coeffs,
+                       noise_tuples, loss_rng)
+
+
+def usbl_stream(noise, seed):
+    return NoiseStream(np.random.default_rng(seed),
+                       (noise.sigma_r, noise.sigma_theta, noise.sigma_phi))
+
+
+def as_float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def loss_p(r, n_auv=1, coeffs=COEFFS):
+    """The loss probability attempt_fix applies at range r: the least draw
+    that keeps the fix, bisected over the bit patterns of [0, 1]."""
+    noise, zeros = UsblNoiseConfig(r_max=2000.0), repeat((0.0, 0.0, 0.0))
+    lo, hi = -1, struct.unpack("<q", struct.pack("<d", 1.0))[0]   # 0.0 is bits 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fix((0.0, 0.0, 0.0), (r, 0.0, 0.0), noise, zeros, n_auv, coeffs,
+               Draw(as_float(mid))) is None:
+            lo = mid
+        else:
+            hi = mid
+    return as_float(hi)
 
 
 def test_loss_probability_values():
-    assert loss_probability(0.0) == 0.0                      # raw -0.083 clamps
-    assert loss_probability(400.0) == pytest.approx(0.552362, abs=1e-6)
-    assert loss_probability(900.0) == loss_probability(800.0) == 1.0
+    assert loss_p(0.0, coeffs=RANGE_ONLY) == 0.0                 # raw -0.083 clamps
+    assert loss_p(400.0, coeffs=RANGE_ONLY) == pytest.approx(0.552362, abs=1e-6)
+    assert loss_p(900.0, coeffs=RANGE_ONLY) == loss_p(800.0, coeffs=RANGE_ONLY) == 1.0
 
 
 def test_loss_probability_monotone_then_flat():
     rs = np.linspace(0, 800, 401)
-    ps = [loss_probability(float(r)) for r in rs]
+    ps = [loss_p(float(r), coeffs=RANGE_ONLY) for r in rs]
     assert all(b >= a for a, b in zip(ps, ps[1:]))
-    assert loss_probability(1200.0) == ps[-1]
+    assert loss_p(1200.0, coeffs=RANGE_ONLY) == ps[-1]
 
 
 def test_total_loss_probability():
-    assert total_loss_probability(50.0, 4) == pytest.approx(0.15)
-    assert total_loss_probability(50.0, 1) == 0.0
-    assert total_loss_probability(800.0, 1) == 0.999
+    assert loss_p(50.0, 4) == pytest.approx(0.15)
+    assert loss_p(50.0, 1) == 0.0
+    assert loss_p(800.0, 1) == 0.999
     # never below the range-only loss (up to the cap), never above the cap
     for r in (0, 100, 500, 800):
         for n in (1, 3, 10, 40):
-            p = total_loss_probability(float(r), n)
-            assert min(loss_probability(float(r)), 0.999) <= p <= 0.999
+            p = loss_p(float(r), n)
+            assert min(loss_p(float(r), coeffs=RANGE_ONLY), 0.999) <= p <= 0.999
 
+
+# the fix measurement model: attempt_fix with a loss draw that never loses
 
 def test_measure_fix_noiseless_roundtrip():
     noise = UsblNoiseConfig(sigma_r=0.0, sigma_theta=0.0, sigma_phi=0.0, r_max=500.0)
-    rng = np.random.default_rng(0)
     cases = [((0, 0, 0), (100, 0, 10)), ((5, -3, 0), (-40, 60, 25)),
              ((0, 0, 0), (0, 0, 30)), ((1, 2, 0), (1, 2, 0))]
     for asv, auv in cases:
-        fx = measure_fix(asv, auv, noise, rng)
+        fx = fix(asv, auv, noise, usbl_stream(noise, 0))
         assert np.allclose(fx.position, auv, atol=1e-9)
-
-
-def test_measure_fix_rejects_out_of_range():
-    noise = UsblNoiseConfig(r_max=50.0)
-    with pytest.raises(ValueError):
-        measure_fix((0, 0, 0), (100, 0, 10), noise, np.random.default_rng(0))
 
 
 def test_measure_fix_cross_range_noise_scale():
     # azimuth noise of 0.5 deg at ~100 m gives ~0.87 m cross-range scatter
     noise = UsblNoiseConfig(sigma_r=0.0, sigma_theta=0.00873, sigma_phi=0.0,
                             r_max=500.0)
-    rng = np.random.default_rng(1)
-    ys = [measure_fix((0, 0, 0), (100, 0, -10), noise, rng).position[1]
+    stream = usbl_stream(noise, 1)
+    ys = [fix((0, 0, 0), (100, 0, -10), noise, stream).position[1]
           for _ in range(10_000)]
     assert np.std(ys) == pytest.approx(0.877, rel=0.10)
 
@@ -71,31 +101,34 @@ def test_measure_fix_cross_range_noise_scale():
 def test_measure_fix_along_range_noise_scale():
     noise = UsblNoiseConfig(sigma_r=0.1, sigma_theta=0.0, sigma_phi=0.0,
                             r_max=500.0)
-    rng = np.random.default_rng(2)
-    xs = [measure_fix((0, 0, 0), (50, 0, -10), noise, rng).position[0]
+    stream = usbl_stream(noise, 2)
+    xs = [fix((0, 0, 0), (50, 0, -10), noise, stream).position[0]
           for _ in range(10_000)]
     # range error projects onto the unit line-of-sight vector
     assert np.std(xs) == pytest.approx(0.1 * 50 / math.hypot(50, 10), rel=0.10)
 
 
 def test_attempt_fix_range_cutoff():
+    # beyond r_max the attempt is lost without drawing anything
     noise = UsblNoiseConfig(r_max=50.0)
-    rng = np.random.default_rng(3)
-    assert attempt_fix((0, 0, 0), (60, 0, 0), 1, noise, COEFFS, rng) is None
+    never = lambda: pytest.fail("an out-of-range attempt drew")  # noqa: E731
+    assert fix((0, 0, 0), (60, 0, 0), noise, iter(never, None), COEFFS,
+               loss_rng=None) is None
 
 
 def test_attempt_fix_short_range_always_delivers():
     noise = UsblNoiseConfig(r_max=50.0)
-    rng = np.random.default_rng(4)
+    stream = usbl_stream(noise, 4)
+    loss = np.random.default_rng(14)
     for _ in range(200):
-        assert attempt_fix((0, 0, 0), (10, 0, 0), 1, noise, COEFFS, rng) is not None
+        assert fix((0, 0, 0), (10, 0, 0), noise, stream, 1, COEFFS, loss) is not None
 
 
 def test_attempt_fix_empirical_loss_rate():
     # r = 50 m with four vehicles: loss probability 0.15
     noise = UsblNoiseConfig(r_max=80.0)
-    rng = np.random.default_rng(5)
-    lost = sum(attempt_fix((0, 0, 0), (50, 0, 0), 4, noise, COEFFS, rng) is None
+    stream, loss = usbl_stream(noise, 5), np.random.default_rng(15)
+    lost = sum(fix((0, 0, 0), (50, 0, 0), noise, stream, 4, COEFFS, loss) is None
                for _ in range(10_000))
     assert lost / 10_000 == pytest.approx(0.15, abs=0.01)
 

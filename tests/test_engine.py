@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from coopnav.acoustic import UsblNoiseConfig
-from coopnav.engine import (RNG_BLOCK, NormalStream, SimConfig, UniformStream,
+from coopnav.engine import (RNG_BLOCK, NoiseStream, SimConfig, UniformStream,
                             coverage_fraction, derive_rng, run)
 
 
@@ -152,18 +152,17 @@ def test_mission_ends_when_plans_exhausted():
 
 
 def test_buffered_streams_equal_scalar_draws():
-    # the usbl streams mix three scales; the loss streams draw uniforms
+    # the usbl streams serve (range, azimuth, elevation) triples; the loss
+    # streams draw uniforms
     noise = UsblNoiseConfig()
     scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
     gen_n, gen_u = derive_rng(5, "usbl/0/1"), derive_rng(5, "loss/0/1")
     before = (gen_n.bit_generator.state, gen_u.bit_generator.state)
-    normal, uniform = NormalStream(gen_n), UniformStream(gen_u)
+    usbl, uniform = NoiseStream(gen_n, scales), UniformStream(gen_u)
     assert (gen_n.bit_generator.state, gen_u.bit_generator.state) == before
     ref_n, ref_u = derive_rng(5, "usbl/0/1"), derive_rng(5, "loss/0/1")
-    draws = 3 * RNG_BLOCK + 5            # three refills and part of a fourth
-    for k in range(draws):
-        scale = scales[k % 3]
-        assert normal.normal(0.0, scale) == ref_n.normal(0.0, scale)
+    for _ in range(3 * RNG_BLOCK + 5):   # three refills and part of a fourth
+        assert next(usbl) == tuple(ref_n.normal(0.0, sc) for sc in scales)
         assert uniform.uniform() == ref_u.uniform()
     assert gen_n.bit_generator.state != before[0]
 

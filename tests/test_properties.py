@@ -1,15 +1,18 @@
-"""Property tests of the protocol's fast paths against their plain references.
+"""Property tests of the simulator's fast paths against their plain references.
 
 Each fast path here claims to give exactly what a simpler formulation gives:
 event records rendered on read against formatting at the event, slot starts
 from constants against laying a round out slot by slot, a reused coloring
 against a fresh build, the fleet-wide delivery heap against per-AUV queues,
-the inlined loss test against ``total_loss_probability``, and the exact
+the inlined loss test against ``total_loss_probability``, pre-scaled noise
+tuples against scalar draws, the lean truth and dead-reckoning step and the
+precomputed segment distance against their former forms, and the exact
 worst-point coverage distance against a fine grid.
 """
 
 import heapq
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -18,11 +21,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig,  # noqa: E402
-                              attempt_fix, total_loss_probability)
+                              attempt_fix)
 from coopnav.conflict import (Coloring, ConflictGraph, audibility_masks,  # noqa: E402
                               build_conflict_graph, greedy_color)
-from coopnav.engine import Recolorer  # noqa: E402
+from coopnav.engine import RNG_BLOCK, NoiseStream, Recolorer  # noqa: E402
 from coopnav.formation import AsvLayout, worst_point  # noqa: E402
+from coopnav.mission import (GuidanceConfig, VehicleTruth, advance_truth,  # noqa: E402
+                             point_segment_distance, segment)
+from coopnav.nav import KinematicInput, NavState, dead_reckon_step  # noqa: E402
 from coopnav.protocol import (BCAST, DELIVER, EXPIRED, FIX, FUSE,  # noqa: E402
                               OUT_OF_MF_RANGE, PING, SUPERSEDED, EventLog,
                               FixQueue, PendingDelivery, TdmaScheduler,
@@ -177,7 +183,7 @@ def test_fleet_queue_releases_as_per_auv_queues(ops):
 
 
 class Fixed:
-    """A stream that always draws the same value."""
+    """A loss stream that always draws the same value."""
 
     def __init__(self, value):
         self.value = value
@@ -185,8 +191,17 @@ class Fixed:
     def uniform(self):
         return self.value
 
-    def normal(self, loc=0.0, scale=1.0):
-        return loc
+
+def loss_probability(r, coeffs):
+    """Range-dependent fix loss probability, clamped into [0, 1]."""
+    rt = min(r, coeffs.r_clip)
+    raw = coeffs.a * math.exp(coeffs.b * rt) + coeffs.c0 * math.exp(coeffs.d * rt)
+    return min(max(raw, 0.0), 1.0)
+
+
+def total_loss_probability(r, n_auv, coeffs):
+    """Loss probability including the contention term for a fleet of n_auv."""
+    return min(loss_probability(r, coeffs) + (n_auv - 1) * coeffs.p_col, coeffs.p_cap)
 
 
 @settings(max_examples=300, deadline=None)
@@ -197,10 +212,129 @@ def test_inlined_loss_test_is_total_loss_probability(dx, dy, dz, n_auv):
     asv, auv = (3.0, -2.0, 0.0), (3.0 + dx, -2.0 + dy, dz)
     r = math.sqrt(dx * dx + dy * dy + dz * dz)
     p = total_loss_probability(r, n_auv, coeffs)
-    kept = attempt_fix(asv, auv, n_auv, noise, coeffs, Fixed(0.0), Fixed(p))
-    lost = attempt_fix(asv, auv, n_auv, noise, coeffs, Fixed(0.0),
+    zeros = repeat((0.0, 0.0, 0.0))
+    kept = attempt_fix(asv, auv, r, n_auv, noise, coeffs, zeros, Fixed(p))
+    lost = attempt_fix(asv, auv, r, n_auv, noise, coeffs, zeros,
                        Fixed(math.nextafter(p, -math.inf)))
     assert kept is not None and lost is None
+
+
+SCALE = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scales=st.lists(SCALE, min_size=1, max_size=3),
+       dt=st.one_of(st.sampled_from([1 / 7, 1 / 30, 1 / 50, 1.0]), st.floats(1e-4, 2.0)),
+       scalar=st.booleans(), n=st.integers(0, 3 * RNG_BLOCK + 5))
+def test_noise_stream_tuples_equal_scalar_draws(seed, scales, dt, scalar, n):
+    # each tuple is numpy's scalar normal(0.0, scale) per positive scale,
+    # times the gain; a zero scale draws nothing; blocks refill unseen
+    gain = math.sqrt(dt)
+    if scalar:
+        scales = scales[0]
+    stream = NoiseStream(np.random.default_rng(seed), scales, gain)
+    ref = np.random.default_rng(seed)
+    for _ in range(n):
+        want = [ref.normal(0.0, sc) * gain if sc > 0 else 0.0
+                for sc in np.atleast_1d(scales).tolist()]
+        got = next(stream)
+        assert ([got] if scalar else list(got)) == want
+
+
+def former_step(truth, speed_cmd, yaw_cmd, cfg, dt, depth, p_imu, bias, ex, ey):
+    """advance_truth then dead_reckon_step as composed before: the yaw wrapped
+    by a helper, cos/sin recomputed from the yaw, constants per call."""
+    def wrap_angle(a):
+        return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+    err = wrap_angle(yaw_cmd - truth.yaw)
+    max_step = cfg.max_yaw_rate * dt
+    if err > max_step:
+        err = max_step
+    elif err < -max_step:
+        err = -max_step
+    truth.yaw = wrap_angle(truth.yaw + err)
+    truth.speed = speed_cmd
+    truth.x += speed_cmd * dt * math.cos(truth.yaw)
+    truth.y += speed_cmd * dt * math.sin(truth.yaw)
+    truth.z = depth
+    v_body, psi = (truth.speed, 0.0), truth.yaw
+    sq = math.sqrt(dt)
+    bx = v_body[0] * dt + bias[0] * dt + ex * sq
+    by = v_body[1] * dt + bias[1] * dt + ey * sq
+    c, s = math.cos(psi), math.sin(psi)
+    p_imu[0] += c * bx - s * by
+    p_imu[1] += s * bx + c * by
+
+
+ANGLE = st.floats(-4 * math.pi, 4 * math.pi)
+SMALL = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.2, 0.2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(yaw=ANGLE, turn=st.one_of(ANGLE, st.floats(-0.02, 0.02)),
+       speed=st.sampled_from([0.0, 0.65, 1.3]),
+       f_t=st.sampled_from([7, 10, 30, 50]), bias=st.tuples(SMALL, SMALL),
+       z=st.tuples(SMALL, SMALL), sigma=st.sampled_from([0.0, 0.027, 0.3]),
+       x=st.floats(-100, 100), y=st.floats(-100, 100))
+def test_lean_truth_and_dead_reckoning_equal_the_former_step(
+        yaw, turn, speed, f_t, bias, z, sigma, x, y):
+    # small turns stay under the yaw-rate limit, where the wrap's rounding shows
+    cfg, dt, yaw_cmd = GuidanceConfig(), 1.0 / f_t, yaw + turn
+    # the former draws: normal(0.0, sigma) = 0.0 + sigma * z, or 0.0 unscaled
+    ex, ey = ((0.0 + sigma * z[0], 0.0 + sigma * z[1]) if sigma > 0 else (0.0, 0.0))
+    old = VehicleTruth(x, y, 10.0, yaw)
+    old_p = [x + 1.0, y - 1.0]
+    former_step(old, speed, yaw_cmd, cfg, dt, 10.0, old_p, bias, ex, ey)
+
+    new = VehicleTruth(x, y, 10.0, yaw)
+    nav = NavState.at(x + 1.0, y - 1.0, 10.0, dt, bias=bias)
+    sq = math.sqrt(dt)
+    c, s = advance_truth(new, speed, yaw_cmd, cfg.max_yaw_rate * dt, dt)
+    dead_reckon_step(nav, KinematicInput(speed, c, s), (ex * sq, ey * sq))
+    assert repr((new.x, new.y, new.z, new.yaw, new.speed)) == \
+        repr((old.x, old.y, old.z, old.yaw, old.speed))
+    assert repr(nav.p_imu[:2]) == repr(old_p)
+
+
+def former_point_segment_distance(px, py, ax, ay, bx, by):
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    if L2 == 0.0:
+        return math.hypot(px - ax, py - ay)
+    t = ((px - ax) * dx + (py - ay) * dy) / L2
+    if t <= 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+COORD = st.one_of(st.sampled_from([0.0, -0.0, 30.0, -30.0]), st.floats(-200, 200))
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=st.tuples(COORD, COORD), a=st.tuples(COORD, COORD), b=st.tuples(COORD, COORD))
+def test_precomputed_segment_distance_equals_the_former_one(p, a, b):
+    want = former_point_segment_distance(*p, *a, *b)
+    assert repr(point_segment_distance(*p, segment(*a, *b))) == repr(want)
+
+
+def test_yaw_wrap_is_not_the_identity_for_small_angles():
+    # (a + pi) % 2pi - pi rounds a to the spacing of doubles near pi, so the
+    # truth integrator's wrap changes the bits of nearly every small angle and
+    # skipping it when the angle is already inside [-pi, pi) would change runs
+    rng = np.random.default_rng(2026)
+    angles = rng.uniform(-0.02, 0.02, 200_000).tolist()
+    changed = sum((a + math.pi) % (2.0 * math.pi) - math.pi != a for a in angles)
+    assert changed > 0.95 * len(angles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-0.02, 0.02))
+def test_yaw_wrap_of_a_small_angle_is_within_half_a_spacing_near_pi(a):
+    wrapped = (a + math.pi) % (2.0 * math.pi) - math.pi
+    assert abs(wrapped - a) <= math.ulp(math.pi) / 2
 
 
 @settings(max_examples=150, deadline=None)

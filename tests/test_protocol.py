@@ -8,7 +8,7 @@ from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig,
                               attempt_fix, fuse_fixes)
 from coopnav.conflict import (Coloring, ConflictGraph, audibility_masks,
                               build_conflict_graph, greedy_color)
-from coopnav.engine import derive_rng
+from coopnav.engine import NoiseStream, derive_rng
 from coopnav.protocol import (FixQueue, PendingDelivery, TdmaScheduler,
                               TimingConfig, anchor_points, crossing_time,
                               delivery_tick, downlink_slot_duration,
@@ -104,8 +104,9 @@ def test_fix_queue_releases_a_tick_by_auv_then_push_order():
         q.pop_due(9)
 
 
-def make_rngs(n_auv, n_asv, seed=0):
-    usbl = [[derive_rng(seed, f"usbl/{i}/{j}") for j in range(n_asv)]
+def make_rngs(n_auv, n_asv, seed=0, noise=UsblNoiseConfig()):
+    scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
+    usbl = [[NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), scales) for j in range(n_asv)]
             for i in range(n_auv)]
     loss = [[derive_rng(seed, f"loss/{i}/{j}") for j in range(n_asv)]
             for i in range(n_auv)]
@@ -202,9 +203,9 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
             ref.append(f"PING{{tick={tick}, auv={i}, group={grp}}}")
             fixes = []
             for j, a in enumerate(anchor_points(asv)):
-                rng, loss_rng = rngs(i, j)
-                fx = attempt_fix(a, pos[i], 3, noise, coeffs, rng, loss_rng=loss_rng,
-                                 auv_id=i, asv_id=j, measure_tick=tick)
+                usbl, loss = rngs(i, j)
+                fx = attempt_fix(a, pos[i], math.dist(a, pos[i]), 3, noise, coeffs,
+                                 usbl, loss, auv_id=i, asv_id=j, measure_tick=tick)
                 if fx is not None:
                     x, y, z = fx.position
                     ref.append(f"FIX{{tick={tick}, auv={i}, asv={j}, "

@@ -3,7 +3,9 @@
 The benchmark's golden digests cover its three workloads only; these cases
 take the branches those never do (tracing, steering on truth, no acoustic
 layer, last-fix conflict graphs, per-group contention, ASV jitter with
-several anchors, a plan that finishes before the timeout).  Each case pins
+several anchors, a plan that finishes before the timeout) and the noise
+branches (zero IMU, depth or USBL azimuth noise, a signed-zero bias, an
+odd tick rate) and a fix delivered on the tick of its broadcast.  Each case pins
 the sha1 of the event log, of the trace log and of the full-``repr``
 numeric report, so any change in the bits a run produces shows here.  A
 change that alters the simulation on purpose re-records them and says why.
@@ -14,7 +16,10 @@ import hashlib
 
 import pytest
 
+from coopnav.acoustic import UsblNoiseConfig
 from coopnav.engine import SimConfig, run
+from coopnav.mission import GuidanceConfig
+from coopnav.protocol import TimingConfig
 
 REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
                  "applied_rate_hz", "latency_mean_s", "latency_p95_s",
@@ -33,6 +38,22 @@ CASES = {
                              duration=60.0, seed=9, asv_jitter_std=0.5),
     "early_finish": dict(L=12.0, n_auv=1, n_asv=1, duration=60.0, seed=0,
                          track_spacing=12.0),
+    # the noise branches: each case traces, so the depth estimate shows too
+    "sigma_zero": dict(duration=30.0, seed=10, sigma=0.0, trace=True),
+    "sigma_z_zero": dict(duration=30.0, seed=11, sigma_z=0.0, trace=True),
+    "bias_signed_zero": dict(duration=30.0, seed=12, bias=(-0.0, 0.1), trace=True),
+    "f_t_7": dict(duration=60.0, seed=13, f_t=7, trace=True),
+    "usbl_theta_zero": dict(L=40.0, n_auv=3, n_asv=3, r_hf=30.0, duration=30.0,
+                            seed=14, noise=UsblNoiseConfig(sigma_theta=0.0),
+                            trace=True),
+    # a broadcast delivered on its own tick: no airtime to speak of, and AUV 1
+    # directly below the ASV at the tick-65 broadcast, so the fix lands
+    # before that tick's metrics
+    "same_tick_delivery": dict(L=65.0, n_auv=2, n_asv=1, duration=8.0, seed=1,
+                               sigma=0.0, guidance_on_truth=True, trace=True,
+                               timing=TimingConfig(r_dl=1e16),
+                               guidance=GuidanceConfig(cruise_speed=30 * 32.5 / 66,
+                                                       max_yaw_rate=50.0)),
 }
 
 # (event log, trace log, numeric report) sha1 per case
@@ -61,6 +82,24 @@ PINNED = {
     "usbl_disabled": ("adc83b19e793491b1c6ea0fd8b46cd9f32e592fc",
                       "a66853232f1ee65546bf445b9e1f5d7610fdff01",
                       "e43fc1c8d68f446910d472ac318f66100e13fbd1"),
+    "sigma_zero": ("5855c6c1872e32b27c02ac16d87bcfc791495c72",
+                   "38f888d8cb2945dcac8a90252027c9148b06cad8",
+                   "7b3a17e3974a101fedc745ff890e4df104baee0d"),
+    "sigma_z_zero": ("7cd25e1cc3abb4e279ec74486b140d6d6bb528f1",
+                     "5393ef8457126a816d0a5ca859dd85f8ed8f3835",
+                     "9cddae3e56ca98b618d3710edeac8ebc68576f1d"),
+    "bias_signed_zero": ("201d80bc8199beff473f8c72c81934bbdd07033a",
+                         "63095582591657ad03044eb24b7bd8fa1d0a8e0c",
+                         "b5490f34744966c5bcbde95ebc61002a516a9a55"),
+    "f_t_7": ("6b3cb9df6c4648982d8ca3e4c5a083f800f6396b",
+              "2e4ea535eca1c66cb29bc04c13ee74fc0f440de1",
+              "707d8317367e401812b668e2350d91e42410f1bc"),
+    "usbl_theta_zero": ("2beca3d572313409e0a9d74d3d8a12fcf2d72328",
+                        "a0871ed0765c1107f27502f148408043824d13b3",
+                        "8fe0a956007a50dea2ccf8b667b888937c2bbd10"),
+    "same_tick_delivery": ("fcf4bcafb0e9309b899dc3fed870a6b25d616bdd",
+                           "bf58a81217a5d908ed985be4d097cae5a7270c11",
+                           "cfd92f73f27252f807e2df22de49e3c3c4373593"),
 }
 
 
