@@ -27,6 +27,8 @@ class UsblNoiseConfig:
     def validate(self):
         if min(self.sigma_r, self.sigma_theta, self.sigma_phi) < 0:
             raise ValueError("noise stds must be >= 0")
+        if self.sigma_r == 0 and self.sigma_theta == 0:   # a fix's variance would be 0
+            raise ValueError("sigma_r and sigma_theta must not both be 0")
         if self.c <= 0:
             raise ValueError(f"c must be > 0 (got {self.c})")
         if self.r_max <= 0:
@@ -80,20 +82,26 @@ def attempt_fix(asv_pos, auv_pos, r: float, n_auv: int, noise: UsblNoiseConfig,
     """
     if r > noise.r_max:
         return None
-    rt = min(r, coeffs.r_clip)
+    # min(a, b) as `b if b < a else a`, max(a, b) as `b if b > a else a`: the same float
+    rc, pc = coeffs.r_clip, coeffs.p_cap
+    rt = rc if rc < r else r
     p = coeffs.a * math.exp(coeffs.b * rt) + coeffs.c0 * math.exp(coeffs.d * rt)
-    p = min(min(max(p, 0.0), 1.0) + (n_auv - 1) * coeffs.p_col, coeffs.p_cap)
+    p = 0.0 if 0.0 > p else p
+    p = (1.0 if 1.0 < p else p) + (n_auv - 1) * coeffs.p_col
+    p = pc if pc < p else p
     if loss_rng.uniform() < p:
         return None
     ax, ay, az = asv_pos[0], asv_pos[1], asv_pos[2]
     dx = auv_pos[0] - ax
     dy = auv_pos[1] - ay
     dz = auv_pos[2] - az
-    theta = math.atan2(dy, dx) if r > 0 else 0.0
-    phi = math.asin(max(-1.0, min(1.0, dz / r))) if r > 0 else 0.0
+    theta, s = (math.atan2(dy, dx), dz / r) if r > 0 else (0.0, 0.0)   # asin(0.0) is 0.0
+    s = s if s < 1.0 else 1.0
+    phi = math.asin(s if s > -1.0 else -1.0)
 
     n_r, n_theta, n_phi = next(noise_tuples)
-    r_m = max(r + n_r, 0.0)
+    r_m = r + n_r
+    r_m = 0.0 if 0.0 > r_m else r_m
     t_m = theta + n_theta
     p_m = phi + n_phi
     cp = math.cos(p_m)

@@ -11,10 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .formation import AsvLayout
-
 
 @dataclass
 class ConflictGraph:
@@ -34,12 +30,6 @@ class ConflictGraph:
                 adj[j].add(i)
             self.adj = adj
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
-
 
 @dataclass
 class Coloring:
@@ -54,31 +44,23 @@ class Coloring:
         return out
 
 
-def acoustic_conflict(p_i, p_j, layout: AsvLayout, r_hf: float) -> bool:
-    """True iff some ASV is within r_hf (horizontal) of both AUV positions."""
-    pi = np.asarray(p_i, dtype=float)[:2]
-    pj = np.asarray(p_j, dtype=float)[:2]
-    di = np.linalg.norm(layout.positions - pi, axis=1)
-    dj = np.linalg.norm(layout.positions - pj, axis=1)
-    return bool(np.any((di <= r_hf) & (dj <= r_hf)))
-
-
 def audibility_masks(auv_positions, anchors, r_hf: float) -> list[int]:
     """Per-AUV bitmask of the ASVs within r_hf (horizontal) of it.
 
     Bit j of entry i is set when ASV j hears AUV i.  ``anchors`` are ASV
-    positions whose first two coordinates are x and y.  sqrt(dx*dx + dy*dy)
-    is what numpy's norm computes for a 2-vector, so the range test matches
-    ``acoustic_conflict`` bit for bit.
+    positions whose first two coordinates are x and y.  The range is
+    sqrt(dx*dx + dy*dy), what numpy's norm computes for a 2-vector.
     """
     masks = []
     for p in auv_positions:
-        px, py = float(p[0]), float(p[1])
+        px, py = p[0], p[1]
         mask = 0
-        for j, a in enumerate(anchors):
+        bit = 1
+        for a in anchors:
             dx, dy = px - a[0], py - a[1]
             if math.sqrt(dx * dx + dy * dy) <= r_hf:
-                mask |= 1 << j
+                mask |= bit
+            bit <<= 1
         masks.append(mask)
     return masks
 

@@ -83,6 +83,9 @@ class SimConfig:
             raise ValueError(f"gamma must be in (0, 1] (got {self.gamma})")
         if self.sigma < 0 or self.sigma_z < 0:
             raise ValueError("sigma and sigma_z must be >= 0")
+        if self.track_spacing is not None and not self.track_spacing > 0:
+            raise ValueError(f"track_spacing must be > 0 (got {self.track_spacing})")
+        self.noise.validate()
         self.timing.validate()
         self.guidance.validate()
 

@@ -209,6 +209,8 @@ class FixQueue:
     def pop_due(self, tick: int) -> list[tuple[int, PendingDelivery]]:
         """Remove and return the (auv, delivery) pairs due by ``tick``."""
         heap = self._heap
+        if not heap or heap[0][0] > tick:
+            return []
         out = []
         while heap and heap[0][0] <= tick:
             out.append(heapq.heappop(heap))
@@ -231,22 +233,15 @@ def anchor_points(asv_xy) -> list[tuple[float, float, float]]:
 
 def _ping_group(members, tick, group_idx, auv_positions, anchors,
                 noise: UsblNoiseConfig, coeffs: LossModelCoefficients,
-                n_contention: int, path_rngs, events: EventLog,
-                graph: ConflictGraph | None = None):
+                n_contention: int, paths, events: EventLog):
     """Every AUV of one color group pings; every ASV in range attempts a fix.
 
-    ``anchors`` are the ASV positions as ``anchor_points`` returns them.
-    An ASV beyond ``noise.r_max`` of an AUV neither hears it nor attempts a
-    fix, which ``attempt_fix`` would lose without a draw.  Returns (fused
-    fixes, auv ids heard by at least one ASV).  When a graph is given,
-    asserts the spatial-reuse safety of the slot against it.
+    ``anchors`` are the ASV positions as ``anchor_points`` returns them,
+    ``paths`` the scheduler's per-path streams.  An ASV beyond
+    ``noise.r_max`` of an AUV neither hears it nor attempts a fix, which
+    ``attempt_fix`` would lose without a draw.  Returns (fused fixes, auv
+    ids heard by at least one ASV).
     """
-    if graph is not None:
-        for a_i, a in enumerate(members):
-            clash = graph.adj[a].intersection(members[a_i + 1:])
-            if clash:
-                raise AssertionError(f"conflicting AUVs {a} and {min(clash)} "
-                                     f"share uplink slot {group_idx}")
     # EventLog.add inlined: this loop records most of a run's events
     kinds, fields = events.kinds, events.fields
     r_max = noise.r_max
@@ -266,7 +261,7 @@ def _ping_group(members, tick, group_idx, auv_positions, anchors,
                 continue
             if not heard_ids or heard_ids[-1] != i:
                 heard_ids.append(i)
-            noise_tuples, loss_rng = path_rngs(i, j)
+            noise_tuples, loss_rng = paths[i][j]
             fx = attempt_fix(asv_pos, pos_i, r, n_contention, noise, coeffs,
                              noise_tuples, loss_rng, i, j, tick)
             if fx is not None:
@@ -312,7 +307,8 @@ class TdmaScheduler:
         self.coeffs = coeffs
         self.n_auv = n_auv
         self.n_asv = n_asv
-        self.path_rngs = path_rngs
+        # (noise tuples, loss stream) per AUV-to-ASV path; looking up draws nothing
+        self.paths = [[path_rngs(i, j) for j in range(n_asv)] for i in range(n_auv)]
         self.contention = contention
         self.max_age_ticks = ticks_ceil(timing.max_fix_age_s, timing.f_t)
         # ticks from one group's slot start to the next's
@@ -327,7 +323,7 @@ class TdmaScheduler:
 
         self.coloring: Coloring | None = None
         self.groups: list[list[int]] = []
-        self.graph: ConflictGraph | None = None
+        self.graph: ConflictGraph | None = None   # the graph ``groups`` were checked on
         self.round_start = 0
         self.round_end: int | None = None    # == next round's first slot start
         self.buffer: dict[int, tuple[FusedFix, int]] = {}   # auv -> (fix, ping tick)
@@ -344,12 +340,22 @@ class TdmaScheduler:
     def start_round(self, graph: ConflictGraph, coloring: Coloring, tick: int):
         """Lay out a round of ``coloring``'s groups from ``tick`` on.
 
-        The groups are recomputed only for a coloring other than the last.
+        Groups are recomputed for a new coloring, and asserted to put no two
+        AUVs adjacent in ``graph`` in one slot for a new (graph, coloring)
+        pair only: groups do not change between rounds.
         """
         if coloring is not self.coloring:
             self.coloring = coloring
             self.groups = coloring.groups()
-        self.graph = graph
+            self.graph = None
+        if graph is not self.graph:
+            for g, members in enumerate(self.groups):
+                for a_i, a in enumerate(members):
+                    clash = graph.adj[a].intersection(members[a_i + 1:])
+                    if clash:
+                        raise AssertionError(f"conflicting AUVs {a} and {min(clash)} "
+                                             f"share uplink slot {g}")
+            self.graph = graph
         self.round_start = tick
         self.round_end = tick + max(coloring.k, 1) * self.slot_ticks
         self.next_tick = min(self.next_tick, tick)
@@ -373,11 +379,10 @@ class TdmaScheduler:
         g, off = divmod(tick - self.round_start, self.slot_ticks)
         if off == 0 and 0 <= g < len(self.groups):
             members = self.groups[g]
-            n_cont = self.n_auv if self.contention == "fleet" else max(len(members), 1)
+            n_cont = self.n_auv if self.contention == "fleet" else len(members) or 1
             fused, heard = _ping_group(members, tick, g, auv_positions, anchors,
                                        self.noise, self.coeffs, n_cont,
-                                       self.path_rngs, self.events,
-                                       graph=self.graph)
+                                       self.paths, self.events)
             for i in members:
                 self.heard_log[i].append(i in heard)
             for ff in fused:
@@ -387,32 +392,41 @@ class TdmaScheduler:
                 self.buffer[ff.auv_id] = (ff, tick)
         if self.buffer and tick >= self.mf_busy_until:
             self._mf_step(tick, auv_positions, anchors)
-        delivered = self._release_due(tick)
+        delivered = self.queue.pop_due(tick)
+        for i, pd in delivered:
+            lat = e2e_latency(pd.ping_tick, pd.deliver_tick, self.timing.f_t)
+            self.latencies.append(lat)
+            self.events.add(DELIVER, tick, i, lat)
         self.next_tick = self._next_event(tick)
         return delivered
 
     def _next_event(self, tick: int) -> int:
         """Earliest tick after ``tick`` at which ``step()`` has work."""
-        start = self.round_start
-        nxt = min(start + ((tick - start) // self.slot_ticks + 1) * self.slot_ticks,
-                  self.round_end)
+        slot = self.slot_ticks
+        nxt = tick - (tick - self.round_start) % slot + slot   # next slot start
+        if self.round_end < nxt:
+            nxt = self.round_end
         if self.buffer and self.mf_busy_until < nxt:
             nxt = self.mf_busy_until
         head = self.queue.head_tick()
         if head is not None and head < nxt:
             nxt = head
-        return max(nxt, tick + 1)
+        return nxt if nxt > tick else tick + 1
 
     def _mf_step(self, tick: int, auv_positions, anchors):
-        for i in sorted(self.buffer):
-            if tick - self.buffer[i][1] > self.max_age_ticks:
-                del self.buffer[i]
+        buffer = self.buffer
+        oldest = tick - self.max_age_ticks   # a fix pinged before it is expired
+        target = -1   # the AUV served least recently, the lowest id on a tie
+        for i in sorted(buffer):
+            if buffer[i][1] < oldest:
+                del buffer[i]
                 self.dropped["expired"] += 1
                 self.events.add(EXPIRED, tick, i)
-        if not self.buffer:
+            elif target < 0 or self.last_served[i] < self.last_served[target]:
+                target = i
+        if target < 0:
             return
-        target = min(self.buffer, key=lambda a: (self.last_served[a], a))
-        ff, ping_tick = self.buffer.pop(target)
+        ff, ping_tick = buffer.pop(target)
         asv_j = self.bcast_count % self.n_asv
         self.bcast_count += 1
         self.last_served[target] = tick
@@ -426,11 +440,3 @@ class TdmaScheduler:
             self.events.add(OUT_OF_MF_RANGE, tick, target)
             return
         self.queue.push(target, PendingDelivery(ff, kd, ping_tick))
-
-    def _release_due(self, tick: int):
-        delivered = self.queue.pop_due(tick)
-        for i, pd in delivered:
-            lat = e2e_latency(pd.ping_tick, pd.deliver_tick, self.timing.f_t)
-            self.latencies.append(lat)
-            self.events.add(DELIVER, tick, i, lat)
-        return delivered

@@ -76,6 +76,18 @@ def test_validate_config_command(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("section, field", [
+    ("[mission]\ntrack_spacing = 0\n", "track_spacing"),
+    ("[mission]\ntrack_spacing = -5\n", "track_spacing"),
+    ("[acoustic]\nsigma_r = 0\nsigma_theta_deg = 0\n", "sigma_r and sigma_theta"),
+], ids=["track_spacing_0", "track_spacing_-5", "usbl_sigmas_0"])
+def test_validate_config_rejects_what_run_cannot_simulate(tmp_path, capsys, section, field):
+    cfg = write(tmp_path, BASE + section)
+    assert main(["validate-config", "--config", cfg]) == 1
+    out = capsys.readouterr()
+    assert "OK" not in out.out and field in out.err
+
+
 def test_check_coverage_small_survey(tmp_path, capsys):
     cfg = write(tmp_path, BASE)
     assert main(["check-coverage", "--config", cfg]) == 0

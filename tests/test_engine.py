@@ -116,6 +116,24 @@ def test_config_validation_messages_name_fields():
         SimConfig(conflict_source="psychic").validate()
 
 
+@pytest.mark.parametrize("spacing", [0.0, -5.0, float("nan")])
+def test_run_rejects_a_track_spacing_that_is_not_positive(spacing):
+    # unvalidated, 0 divides by zero and -5 indexes out of range while the
+    # lawnmower is planned
+    with pytest.raises(ValueError, match="track_spacing must be > 0"):
+        run(short_cfg(track_spacing=spacing))
+
+
+def test_run_rejects_usbl_noise_without_range_or_azimuth_spread():
+    # sigma_r = sigma_theta = 0 gives every fix variance 0, which fusion
+    # cannot weight; either one alone is fine
+    zero = UsblNoiseConfig(sigma_r=0.0, sigma_theta=0.0)
+    with pytest.raises(ValueError, match="sigma_r and sigma_theta"):
+        run(short_cfg(noise=zero))
+    for noise in (UsblNoiseConfig(sigma_r=0.0), UsblNoiseConfig(sigma_theta=0.0)):
+        assert run(short_cfg(duration=5.0, noise=noise)).total_applied > 0
+
+
 def test_config_hash_ignores_seed():
     assert short_cfg(seed=1).config_hash() == short_cfg(seed=2).config_hash()
     assert short_cfg(L=61.0).config_hash() != short_cfg().config_hash()

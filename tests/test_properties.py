@@ -6,13 +6,17 @@ from constants against laying a round out slot by slot, a reused coloring
 against a fresh build, the fleet-wide delivery heap against per-AUV queues,
 the inlined loss test against ``total_loss_probability``, pre-scaled noise
 tuples against scalar draws, the lean truth and dead-reckoning step and the
-precomputed segment distance against their former forms, and the exact
+precomputed segment distance against their former forms, the comparison
+clamps against the builtins they replace, the lean ``attempt_fix`` and
+``audibility_masks`` against their former forms, slot safety checked once per
+(graph, coloring) against the former per-ping check, and the exact
 worst-point coverage distance against a fine grid.
 """
 
 import heapq
 import math
 from itertools import repeat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +24,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig,  # noqa: E402
-                              attempt_fix)
+from coopnav import protocol  # noqa: E402
+from coopnav.acoustic import (LossModelCoefficients, UsblFix,  # noqa: E402
+                              UsblNoiseConfig, attempt_fix)
 from coopnav.conflict import (Coloring, ConflictGraph, audibility_masks,  # noqa: E402
                               build_conflict_graph, greedy_color)
 from coopnav.engine import RNG_BLOCK, NoiseStream, Recolorer  # noqa: E402
@@ -86,8 +91,8 @@ def test_slot_starts_from_constants_equal_the_former_layout(L, k, round_start, f
     noise = UsblNoiseConfig(r_max=50.0)
     # every AUV far out of range: each slot shows as its group's pings only
     pos = [(1000.0 * (i + 1), 0.0, 10.0) for i in range(k)]
-    rngs = lambda i, j: pytest.fail("no fix may be attempted out of range")  # noqa: E731
-    sched = TdmaScheduler(cfg, noise, LossModelCoefficients(), L, k, 1, rngs)
+    sched = TdmaScheduler(cfg, noise, LossModelCoefficients(), L, k, 1,
+                          lambda i, j: (None, None))
     coloring = Coloring(list(range(k)), k)
     graph = ConflictGraph(k, frozenset())
     sched.start_round(graph, coloring, round_start)
@@ -95,9 +100,11 @@ def test_slot_starts_from_constants_equal_the_former_layout(L, k, round_start, f
     assert sched.round_end == end
     anchors = anchor_points(np.zeros((1, 2)))
     tick = round_start
-    while tick < end:
-        sched.step(tick, pos, anchors, lambda: (graph, coloring))
-        tick = sched.next_tick
+    with mock.patch.object(protocol, "attempt_fix",
+                           lambda *a: pytest.fail("no fix may be attempted out of range")):
+        while tick < end:
+            sched.step(tick, pos, anchors, lambda: (graph, coloring))
+            tick = sched.next_tick
     assert tick == end
     assert list(sched.events) == [f"PING{{tick={s}, auv={g}, group={g}}}"
                                   for g, s in enumerate(starts)]
@@ -358,3 +365,157 @@ def test_worst_point_bounds_a_fine_grid(L, asv):
     # half a grid diagonal, and the distance is 1-Lipschitz
     assert d.max() <= worst + 1e-9 * L
     assert worst <= d.max() + step / math.sqrt(2) + 1e-9 * L
+
+
+# floats where a comparison and the builtin could part: NaN, signed zeros,
+# infinities, subnormals and the clamp bounds themselves
+EDGE = st.sampled_from([math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf,
+                        5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 800.0])
+ANY_FLOAT = st.one_of(EDGE, st.floats(allow_nan=True, allow_infinity=True,
+                                      allow_subnormal=True))
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=ANY_FLOAT, b=ANY_FLOAT)
+def test_comparison_clamps_are_the_builtins(a, b):
+    # the very object the builtin returns, so a NaN or -0.0 argument shows
+    assert (b if b < a else a) is min(a, b)
+    assert (b if b > a else a) is max(a, b)
+
+
+def former_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, coeffs, noise_tuples,
+                       loss_rng, auv_id=0, asv_id=0, measure_tick=0):
+    """``attempt_fix`` as it was, clamping with the builtins."""
+    if r > noise.r_max:
+        return None
+    if loss_rng.uniform() < total_loss_probability(r, n_auv, coeffs):
+        return None
+    ax, ay, az = asv_pos[0], asv_pos[1], asv_pos[2]
+    dx, dy, dz = auv_pos[0] - ax, auv_pos[1] - ay, auv_pos[2] - az
+    theta = math.atan2(dy, dx) if r > 0 else 0.0
+    phi = math.asin(max(-1.0, min(1.0, dz / r))) if r > 0 else 0.0
+    n_r, n_theta, n_phi = next(noise_tuples)
+    r_m = max(r + n_r, 0.0)
+    t_m, p_m = theta + n_theta, phi + n_phi
+    cp = math.cos(p_m)
+    pos = (ax + r_m * cp * math.cos(t_m), ay + r_m * cp * math.sin(t_m),
+           az + r_m * math.sin(p_m))
+    var = noise.sigma_r ** 2 + (r * noise.sigma_theta) ** 2
+    return UsblFix(auv_id, asv_id, pos, var, measure_tick)
+
+
+def outcome(fix_fn, *args):
+    """What a fix attempt gives, bit for bit, or the exception it raises."""
+    try:
+        fx = fix_fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None if fx is None else repr((fx.position, fx.horiz_variance))
+
+
+RANGE = st.one_of(EDGE, st.floats(0.0, 900.0), st.floats(-1e-300, 1e-300))
+
+
+@settings(max_examples=500, deadline=None)
+@given(r=RANGE, dz=ANY_FLOAT, n=st.tuples(ANY_FLOAT, EDGE, EDGE),
+       n_auv=st.integers(1, 30), u=st.one_of(EDGE, st.floats(0.0, 1.0)),
+       r_clip=st.one_of(EDGE, st.floats(0.0, 900.0)),
+       p_cap=st.one_of(EDGE, st.floats(0.0, 1.0)),
+       asv=st.sampled_from([(1.0, -2.0, 0.0), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)]))
+@example(r=-0.0, dz=-0.0, n=(-0.0, 0.0, 0.0), n_auv=1, u=1.0, r_clip=800.0,
+         p_cap=0.999, asv=(-0.0, -0.0, -0.0))
+@example(r=10.0, dz=20.0, n=(-11.0, 0.0, 0.0), n_auv=1, u=1.0, r_clip=800.0,
+         p_cap=0.999, asv=(1.0, -2.0, 0.0))
+@example(r=math.nan, dz=1.0, n=(0.0, 0.0, 0.0), n_auv=1, u=0.5, r_clip=800.0,
+         p_cap=0.999, asv=(1.0, -2.0, 0.0))
+def test_lean_attempt_fix_equals_the_former_one(r, dz, n, n_auv, u, r_clip, p_cap, asv):
+    # r is the caller's range, not recomputed, so the clamps meet any float;
+    # signed-zero anchors let the sign of a zero range show in the position
+    noise = UsblNoiseConfig(r_max=math.inf)
+    coeffs = LossModelCoefficients(r_clip=r_clip, p_cap=p_cap)
+    ax, ay, az = asv
+    args = (asv, (ax + 3.0, ay + 4.0, dz), r, n_auv, noise, coeffs)
+    assert (outcome(attempt_fix, *args, repeat(n), Fixed(u)) ==
+            outcome(former_attempt_fix, *args, repeat(n), Fixed(u)))
+
+
+def former_audibility_masks(auv_positions, anchors, r_hf):
+    """``audibility_masks`` as it was: float() on every AUV coordinate."""
+    masks = []
+    for p in auv_positions:
+        px, py = float(p[0]), float(p[1])
+        mask = 0
+        for j, a in enumerate(anchors):
+            dx, dy = px - a[0], py - a[1]
+            if math.sqrt(dx * dx + dy * dy) <= r_hf:
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
+
+
+XY = st.one_of(st.sampled_from([0.0, -0.0, 30.0, -30.0, 1e-310, math.nan, math.inf]),
+               st.floats(-100.0, 100.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(auvs=st.lists(st.tuples(XY, XY), max_size=8),
+       asvs=st.lists(st.tuples(XY, XY), min_size=1, max_size=5),
+       r_hf=st.one_of(st.just(30.0), st.floats(0.0, 150.0)),
+       form=st.sampled_from(["tuples", "numpy", "ints"]))
+@example(auvs=[(0.0, 30.0), (-30.0, 0.0)], asvs=[(0.0, 0.0)], r_hf=30.0, form="tuples")
+def test_lean_audibility_masks_equal_the_former_ones(auvs, asvs, r_hf, form):
+    # the host passes float tuples; tests pass numpy rows and int pairs too
+    anchors = [(x, y, 0.0) for x, y in asvs]
+    if form == "numpy":
+        auvs = np.nan_to_num(np.array(auvs, dtype=float).reshape(-1, 2), posinf=1e3)
+        anchors = np.nan_to_num(np.array(asvs), posinf=-1e3)
+    elif form == "ints":
+        auvs = [(int(x), int(y)) for x, y in np.nan_to_num(np.array(auvs).reshape(-1, 2))]
+    assert (audibility_masks(auvs, anchors, r_hf) ==
+            former_audibility_masks(auvs, anchors, r_hf))
+
+
+def former_slot_check(graph, coloring):
+    """The message of the per-ping slot check for the first clashing group,
+    pinging the groups in order, or None for a proper coloring."""
+    for g, members in enumerate(coloring.groups()):
+        for a_i, a in enumerate(members):
+            later = [b for b in members[a_i + 1:] if (a, b) in graph.edges]
+            if later:
+                return f"conflicting AUVs {a} and {later[0]} share uplink slot {g}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7))
+def test_improper_coloring_raises_at_start_round(data, n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = frozenset(data.draw(st.lists(st.sampled_from(pairs), unique=True))
+                      if pairs else ())
+    k = data.draw(st.integers(1, n))
+    coloring = Coloring(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                           max_size=n)), k)
+    graph = ConflictGraph(n, edges)
+    want = former_slot_check(graph, coloring)
+
+    def scheduler():
+        return TdmaScheduler(TimingConfig(), UsblNoiseConfig(), LossModelCoefficients(),
+                             60.0, n, 1, lambda i, j: (None, None))
+
+    # a new coloring, checked on its first graph
+    new = scheduler()
+    # a coloring proper for an earlier graph, reused with a new one
+    reused = scheduler()
+    reused.start_round(ConflictGraph(n, frozenset()), coloring, 0)
+    # a new coloring for a graph already checked with another one
+    recolored = scheduler()
+    recolored.start_round(graph, greedy_color(graph), 0)
+    for sched in (new, reused, recolored):
+        tick = sched.round_end or 0
+        if want is None:
+            sched.start_round(graph, coloring, tick)
+            sched.start_round(graph, coloring, sched.round_end)   # the same pair again
+        else:
+            with pytest.raises(AssertionError) as err:
+                sched.start_round(graph, coloring, tick)
+            assert str(err.value) == want
