@@ -13,26 +13,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .schema import from_degrees, param
+
 SOUND_SPEED = 1500.0  # m/s, nominal
 
 
 @dataclass
 class UsblNoiseConfig:
-    sigma_r: float = 0.1                         # range noise std, m
-    sigma_theta: float = math.radians(0.5)       # azimuth noise std, rad
-    sigma_phi: float = math.radians(0.5)         # elevation noise std, rad
-    c: float = SOUND_SPEED                       # m/s
-    r_max: float = 50.0                          # HF audibility cutoff, m
-
-    def validate(self):
-        if min(self.sigma_r, self.sigma_theta, self.sigma_phi) < 0:
-            raise ValueError("noise stds must be >= 0")
-        if self.sigma_r == 0 and self.sigma_theta == 0:   # a fix's variance would be 0
-            raise ValueError("sigma_r and sigma_theta must not both be 0")
-        if self.c <= 0:
-            raise ValueError(f"c must be > 0 (got {self.c})")
-        if self.r_max <= 0:
-            raise ValueError(f"r_max must be > 0 (got {self.r_max})")
+    sigma_r: float = param(0.1, "acoustic", ge=0)                    # range noise std, m
+    sigma_theta: float = param(math.radians(0.5), "acoustic", "sigma_theta_deg",
+                               conv=from_degrees, ge=0)              # azimuth noise std, rad
+    sigma_phi: float = param(math.radians(0.5), "acoustic", "sigma_phi_deg",
+                             conv=from_degrees, ge=0)                # elevation noise std, rad
+    c: float = param(SOUND_SPEED, "acoustic", "sound_speed", gt=0)   # m/s
+    r_max: float = param(50.0, gt=0)                                 # HF audibility cutoff, m
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ def attempt_fix(asv_pos, auv_pos, r: float, n_auv: int, noise: UsblNoiseConfig,
     ``r`` is the slant range between the two positions as the caller
     computed it.  Loss is a modeled outcome, not an error: the attempt is
     lost without a draw when ``r`` exceeds ``noise.r_max``, and otherwise
-    when the ``loss_rng.uniform()`` draw u < P_loss_total(r): the
+    when the next ``loss_rng`` draw u < P_loss_total(r): the
     range-dependent double exponential clamped into [0, 1], plus ``p_col``
     per additional vehicle, capped at ``p_cap``.  A kept fix decomposes the
     true relative vector into (range, azimuth, elevation), adds the next
@@ -89,7 +83,7 @@ def attempt_fix(asv_pos, auv_pos, r: float, n_auv: int, noise: UsblNoiseConfig,
     p = 0.0 if 0.0 > p else p
     p = (1.0 if 1.0 < p else p) + (n_auv - 1) * coeffs.p_col
     p = pc if pc < p else p
-    if loss_rng.uniform() < p:
+    if next(loss_rng) < p:
         return None
     ax, ay, az = asv_pos[0], asv_pos[1], asv_pos[2]
     dx = auv_pos[0] - ax

@@ -21,7 +21,8 @@ import math
 import re
 import statistics
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 from .engine import MissionReport, SimConfig, run
@@ -37,12 +38,11 @@ class ConfigError(Exception):
 
 
 def _to_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    """true/yes/on/1 or false/no/off/0, in any case."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _find_line(text: str, key: str) -> int | str:
@@ -52,51 +52,28 @@ def _find_line(text: str, key: str) -> int | str:
     return "?"
 
 
-# (section, key) -> (SimConfig assignment path, converter)
-_SCHEMA = {
-    ("sim", "l"): ("L", float),
-    ("sim", "n_auv"): ("n_auv", int),
-    ("sim", "n_asv"): ("n_asv", int),
-    ("sim", "alpha0_deg"): ("alpha0", lambda v: math.radians(float(v))),
-    ("sim", "duration"): ("duration", float),
-    ("sim", "tick_rate"): ("f_t", int),
-    ("sim", "seed"): ("seed", int),
-    ("sim", "guidance_on_truth"): ("guidance_on_truth", _to_bool),
-    ("sim", "usbl_enabled"): ("usbl_enabled", _to_bool),
-    ("sim", "conflict_source"): ("conflict_source", str),
-    ("sim", "contention"): ("contention", str),
-    ("sim", "trace"): ("trace", _to_bool),
-    ("formation", "r_hf"): ("r_hf", float),
-    ("formation", "delta_b"): ("delta_b", float),
-    ("formation", "asv_jitter_std"): ("asv_jitter_std", float),
-    ("acoustic", "sigma_r"): ("noise.sigma_r", float),
-    ("acoustic", "sigma_theta_deg"): ("noise.sigma_theta", lambda v: math.radians(float(v))),
-    ("acoustic", "sigma_phi_deg"): ("noise.sigma_phi", lambda v: math.radians(float(v))),
-    ("acoustic", "sound_speed"): ("noise.c", float),
-    ("protocol", "ping_duration"): ("timing.t_p", float),
-    ("protocol", "guard_factor_ul"): ("timing.guard_factor_ul", float),
-    ("protocol", "min_slot_factor_ul"): ("timing.min_slot_factor_ul", float),
-    ("protocol", "guard_factor_dl"): ("timing.guard_factor_dl", float),
-    ("protocol", "min_slot_factor_dl"): ("timing.min_slot_factor_dl", float),
-    ("protocol", "r_dl"): ("timing.r_dl", float),
-    ("protocol", "overhead"): ("timing.overhead", float),
-    ("protocol", "header_bytes"): ("timing.n_hdr", int),
-    ("protocol", "fix_bytes"): ("timing.b_fix", int),
-    ("protocol", "r_mf"): ("timing.r_mf", float),
-    ("protocol", "max_fix_age"): ("timing.max_fix_age_s", float),
-    ("nav", "bias_x"): ("bias_x", float),
-    ("nav", "bias_y"): ("bias_y", float),
-    ("nav", "sigma"): ("sigma", float),
-    ("nav", "sigma_z"): ("sigma_z", float),
-    ("nav", "gamma"): ("gamma", float),
-    ("mission", "depth"): ("depth", float),
-    ("mission", "cruise_speed"): ("guidance.cruise_speed", float),
-    ("mission", "capture_radius"): ("guidance.capture_radius", float),
-    ("mission", "max_yaw_rate"): ("guidance.max_yaw_rate", float),
-    ("mission", "track_spacing"): ("track_spacing",
-                                   lambda v: None if v.strip().lower() == "auto" else float(v)),
-}
-_RUN_SECTIONS = {"sim", "formation", "acoustic", "protocol", "nav", "mission"}
+_CONVERTERS = {bool: _to_bool, int: int, float: float, str: str}
+
+
+def _ini_table(cfg, path=()) -> dict:
+    """(section, key) -> (attribute path, tuple index or None, converter) of
+    every field of ``cfg`` and its nested configs that declares INI keys."""
+    table = {}
+    for f in fields(cfg):
+        value, m = getattr(cfg, f.name), f.metadata
+        if is_dataclass(value):
+            table.update(_ini_table(value, path + (f.name,)))
+        elif m.get("section"):
+            keys = m["keys"] or (f.name,)
+            for i, key in enumerate(keys):
+                index = i if len(keys) > 1 else None
+                conv = m["conv"] or _CONVERTERS[type(value if index is None else value[i])]
+                table[(m["section"], key)] = (path + (f.name,), index, conv)
+    return table
+
+
+_INI = _ini_table(SimConfig())
+_RUN_SECTIONS = {section for section, _ in _INI}
 
 
 def _read_ini(path: str | Path) -> tuple[configparser.ConfigParser, str]:
@@ -114,35 +91,29 @@ def _read_ini(path: str | Path) -> tuple[configparser.ConfigParser, str]:
 
 def _apply_run_sections(parser, text, path, cfg: SimConfig,
                         skip: frozenset = frozenset()) -> SimConfig:
-    bias = list(cfg.bias)
     for section in parser.sections():
         if section in skip:
             continue
         if section not in _RUN_SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            spec = _SCHEMA.get((section, key))
+            spec = _INI.get((section, key))
             if spec is None:
                 line = _find_line(text, key)
                 raise ConfigError(
                     f"{path}:{line}: unknown key '{key}' in section [{section}]")
-            attr_path, conv = spec
+            (*owners, name), index, conv = spec
             try:
                 value = conv(raw)
             except ValueError as exc:
                 line = _find_line(text, key)
                 raise ConfigError(
                     f"{path}:{line}: bad value for '{key}': {exc}") from exc
-            if attr_path == "bias_x":
-                bias[0] = value
-            elif attr_path == "bias_y":
-                bias[1] = value
-            elif "." in attr_path:
-                sub, name = attr_path.split(".")
-                setattr(getattr(cfg, sub), name, value)
-            else:
-                setattr(cfg, attr_path, value)
-    cfg.bias = (bias[0], bias[1])
+            obj = reduce(getattr, owners, cfg)
+            if index is not None:   # bias_x and bias_y fill one tuple
+                value = tuple(value if i == index else v
+                              for i, v in enumerate(getattr(obj, name)))
+            setattr(obj, name, value)
     return cfg
 
 

@@ -27,92 +27,56 @@ from .mission import (GuidanceConfig, VehicleTruth, advance_truth, guidance_step
 from .nav import KinematicInput, NavState, apply_fix, dead_reckon_step, depth_update
 from .protocol import (EventLog, TdmaScheduler, TimingConfig, anchor_points,
                        ticks_ceil)
+from .schema import auto_or_float, check, from_degrees, hash_items, param
 
 
 @dataclass
 class SimConfig:
-    L: float = 60.0
-    n_auv: int = 4
-    n_asv: int = 1
-    alpha0: float = 0.0                  # formation angle, rad
-    duration: float = 300.0              # s
-    f_t: int = 30                        # Hz
-    seed: int = 0
-    r_hf: float = 50.0                   # HF uplink range, m
-    delta_b: float = 0.0                 # formation radius buffer, m
-    asv_jitter_std: float = 0.0          # station-keeping jitter std, m
-    depth: float = 10.0                  # survey depth, m
-    track_spacing: float | None = None   # None: strip height / 3
+    L: float = param(60.0, "sim", "l", gt=0)
+    n_auv: int = param(4, "sim", ge=1)
+    n_asv: int = param(1, "sim", ge=1)
+    alpha0: float = param(0.0, "sim", "alpha0_deg", conv=from_degrees,
+                          finite=True)                          # formation angle, rad
+    duration: float = param(300.0, "sim", ge=0, finite=True)            # s
+    f_t: int = param(30, "sim", "tick_rate", ge=1)                      # Hz
+    seed: int = param(0, "sim", hashed=False)
+    r_hf: float = param(50.0, "formation", gt=0)           # HF uplink range, m
+    delta_b: float = param(0.0, "formation", ge=0)         # formation radius buffer, m
+    asv_jitter_std: float = param(0.0, "formation", ge=0)  # station-keeping jitter std, m
+    depth: float = param(10.0, "mission", finite=True)     # survey depth, m
+    track_spacing: float | None = param(None, "mission", conv=auto_or_float,
+                                        gt=0)              # None: strip height / 3
     noise: UsblNoiseConfig = field(default_factory=UsblNoiseConfig)
     timing: TimingConfig = field(default_factory=TimingConfig)
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
-    bias: tuple[float, float] = (0.06, 0.06)
-    sigma: float = 0.027
-    sigma_z: float = 0.05
-    gamma: float = 0.90
-    guidance_on_truth: bool = False      # steer on truth instead of the estimate
-    usbl_enabled: bool = True
-    conflict_source: str = "truth"       # or "last_fix"
-    contention: str = "fleet"            # or "group"
-    trace: bool = False
+    bias: tuple[float, float] = param((0.06, 0.06), "nav", "bias_x", "bias_y")
+    sigma: float = param(0.027, "nav", ge=0)
+    sigma_z: float = param(0.05, "nav", ge=0)
+    gamma: float = param(0.90, "nav", gt=0)                # and <= 1
+    guidance_on_truth: bool = param(False, "sim")   # steer on truth instead of the estimate
+    usbl_enabled: bool = param(True, "sim")
+    conflict_source: str = param("truth", "sim")    # or "last_fix"
+    contention: str = param("fleet", "sim")         # or "group"
+    trace: bool = param(False, "sim", hashed=False)
 
     def validate(self):
-        if self.n_auv < 1:
-            raise ValueError(f"n_auv must be >= 1 (got {self.n_auv})")
-        if self.n_asv < 1:
-            raise ValueError(f"n_asv must be >= 1 (got {self.n_asv})")
-        if self.L <= 0:
-            raise ValueError(f"L must be > 0 (got {self.L})")
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0 (got {self.duration})")
-        if self.f_t < 1 or int(self.f_t) != self.f_t:
-            raise ValueError(f"f_t must be a positive integer (got {self.f_t})")
-        if self.r_hf <= 0:
-            raise ValueError(f"r_hf must be > 0 (got {self.r_hf})")
-        if self.delta_b < 0:
-            raise ValueError(f"delta_b must be >= 0 (got {self.delta_b})")
-        if self.asv_jitter_std < 0:
-            raise ValueError(f"asv_jitter_std must be >= 0 (got {self.asv_jitter_std})")
-        if self.conflict_source not in ("truth", "last_fix"):
-            raise ValueError(f"conflict_source must be 'truth' or 'last_fix' "
-                             f"(got {self.conflict_source!r})")
-        if self.contention not in ("fleet", "group"):
-            raise ValueError(f"contention must be 'fleet' or 'group' "
-                             f"(got {self.contention!r})")
-        if not (0.0 < self.gamma <= 1.0):
+        """The declared bounds of every field, then the rules across fields."""
+        check(self)
+        if self.f_t % 1:
+            raise ValueError(f"f_t must be an integer (got {self.f_t})")
+        for name, allowed in (("conflict_source", ("truth", "last_fix")),
+                              ("contention", ("fleet", "group"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed} (got {getattr(self, name)!r})")
+        if self.gamma > 1.0:
             raise ValueError(f"gamma must be in (0, 1] (got {self.gamma})")
-        if self.sigma < 0 or self.sigma_z < 0:
-            raise ValueError("sigma and sigma_z must be >= 0")
-        if self.track_spacing is not None and not self.track_spacing > 0:
-            raise ValueError(f"track_spacing must be > 0 (got {self.track_spacing})")
-        self.noise.validate()
-        self.timing.validate()
-        self.guidance.validate()
-
-    def canonical_items(self) -> list[tuple[str, str]]:
-        """Flat, ordered (key, value) view of everything that shapes dynamics."""
-        items = [
-            ("L", repr(self.L)), ("n_auv", repr(self.n_auv)),
-            ("n_asv", repr(self.n_asv)), ("alpha0", repr(self.alpha0)),
-            ("duration", repr(self.duration)), ("f_t", repr(self.f_t)),
-            ("r_hf", repr(self.r_hf)), ("delta_b", repr(self.delta_b)),
-            ("asv_jitter_std", repr(self.asv_jitter_std)),
-            ("depth", repr(self.depth)), ("track_spacing", repr(self.track_spacing)),
-            ("bias", repr(self.bias)), ("sigma", repr(self.sigma)),
-            ("sigma_z", repr(self.sigma_z)), ("gamma", repr(self.gamma)),
-            ("guidance_on_truth", repr(self.guidance_on_truth)),
-            ("usbl_enabled", repr(self.usbl_enabled)),
-            ("conflict_source", self.conflict_source),
-            ("contention", self.contention),
-        ]
-        for prefix, obj in (("noise", self.noise), ("timing", self.timing),
-                            ("guidance", self.guidance)):
-            for k in sorted(vars(obj)):
-                items.append((f"{prefix}.{k}", repr(getattr(obj, k))))
-        return items
+        if self.track_spacing is not None and self.track_spacing > self.L / self.n_auv + 1e-9:
+            raise ValueError(f"track_spacing {self.track_spacing} exceeds the strip height L / n_auv")
+        if self.noise.sigma_r == 0 and self.noise.sigma_theta == 0:   # fixes of variance 0
+            raise ValueError("sigma_r and sigma_theta must not both be 0")
 
     def config_hash(self) -> str:
-        blob = "\n".join(f"{k}={v}" for k, v in self.canonical_items())
+        blob = "\n".join(f"{k}={v}" for k, v in hash_items(self))
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
@@ -160,7 +124,7 @@ def derive_rng(seed: int, stream_label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-RNG_BLOCK = 128   # values per buffered block of a NoiseStream / UniformStream
+RNG_BLOCK = 128   # values per buffered block of a noise or uniform stream
 
 
 def _noise_blocks(gen, scales, gain):
@@ -210,25 +174,15 @@ class NoiseStream(chain):
         return cls.from_iterable(_noise_blocks(gen, scales, gain))
 
 
-class UniformStream:
-    """A generator's ``uniform()`` on [0, 1) served from blocks of ``random``.
+def uniform_stream(gen: np.random.Generator) -> chain:
+    """A generator's ``uniform()`` on [0, 1), one value per ``next()``.
 
     ``uniform()`` is ``0.0 + 1.0 * u`` with ``u`` the next ``random()``
-    double, so the buffered values equal scalar draws bit for bit.
+    double, so values served from blocks of ``RNG_BLOCK`` ``random`` draws
+    equal scalar draws bit for bit.  As in ``NoiseStream``, the first block
+    is drawn on the first ``next()``.
     """
-
-    __slots__ = ("gen", "_it")
-
-    def __init__(self, gen: np.random.Generator):
-        self.gen = gen
-        self._it = iter(())
-
-    def uniform(self) -> float:
-        try:
-            return next(self._it)
-        except StopIteration:
-            self._it = iter(self.gen.random(RNG_BLOCK).tolist())
-            return next(self._it)
+    return chain.from_iterable(gen.random(RNG_BLOCK).tolist() for _ in repeat(None))
 
 
 class Recolorer:
@@ -303,7 +257,7 @@ def run(config: SimConfig) -> MissionReport:
     usbl_scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
     usbl_noise = [[NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), usbl_scales)
                    for j in range(m)] for i in range(n)]
-    loss_rng = [[UniformStream(derive_rng(seed, f"loss/{i}/{j}")) for j in range(m)]
+    loss_rng = [[uniform_stream(derive_rng(seed, f"loss/{i}/{j}")) for j in range(m)]
                 for i in range(n)]
     jitter_rng = derive_rng(seed, "asv_jitter") if config.asv_jitter_std > 0 else None
 

@@ -15,33 +15,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .schema import check, param
+
 
 @dataclass
 class FormationConfig:
     """Geometry parameters for the surface-anchor ring."""
 
-    n_asv: int
-    L: float                     # survey side length, m
-    r_hf: float = 50.0           # HF uplink range, m
-    delta_b: float = 0.0         # clearance buffer added to the ring radius, m
-    alpha0: float = 0.0          # formation angle, rad
+    n_asv: int = param(ge=1)
+    L: float = param(gt=0)               # survey side length, m
+    r_hf: float = param(50.0, gt=0)      # HF uplink range, m
+    delta_b: float = param(0.0, ge=0)    # clearance buffer added to the ring radius, m
+    alpha0: float = 0.0                  # formation angle, rad
 
-    def __post_init__(self):
-        self.validate()
+    __post_init__ = validate = check     # the declared bounds, checked on construction
 
     @property
     def radius(self) -> float:
         return self.r_hf + self.delta_b
-
-    def validate(self):
-        if self.n_asv < 1:
-            raise ValueError(f"n_asv must be >= 1 (got {self.n_asv})")
-        if self.r_hf <= 0:
-            raise ValueError(f"r_hf must be > 0 (got {self.r_hf})")
-        if self.delta_b < 0:
-            raise ValueError(f"delta_b must be >= 0 (got {self.delta_b})")
-        if self.L <= 0:
-            raise ValueError(f"L must be > 0 (got {self.L})")
 
 
 @dataclass

@@ -14,16 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .schema import param
+
 
 @dataclass
 class GuidanceConfig:
-    cruise_speed: float = 0.65     # m/s
-    capture_radius: float = 2.0    # m
-    max_yaw_rate: float = 0.5      # rad/s
-
-    def validate(self):
-        if self.cruise_speed <= 0 or self.capture_radius <= 0 or self.max_yaw_rate <= 0:
-            raise ValueError("guidance parameters must be > 0")
+    cruise_speed: float = param(0.65, "mission", gt=0)    # m/s
+    capture_radius: float = param(2.0, "mission", gt=0)   # m
+    max_yaw_rate: float = param(0.5, "mission", gt=0)     # rad/s
 
 
 @dataclass
@@ -54,12 +52,9 @@ def plan_lawnmower(L: float, n_auv: int, track_spacing: float | None = None,
 
     Strip i spans y in [-L/2 + i*h, -L/2 + (i+1)*h] with h = L/n_auv; tracks
     sit at y = strip_low + j*spacing for j = 0..floor(h/spacing), so the
-    strip edges carry tracks whenever the spacing divides the height.
+    strip edges carry tracks whenever the spacing divides the height.  ``L``
+    and ``n_auv`` are taken as ``SimConfig.validate`` bounds them.
     """
-    if n_auv < 1:
-        raise ValueError(f"n_auv must be >= 1 (got {n_auv})")
-    if L <= 0:
-        raise ValueError(f"L must be > 0 (got {L})")
     h = L / n_auv
     spacing = default_track_spacing(L, n_auv) if track_spacing is None else track_spacing
     if spacing > h + 1e-9:

@@ -29,33 +29,25 @@ from operator import itemgetter
 from .acoustic import (SOUND_SPEED, FusedFix, LossModelCoefficients,
                        UsblNoiseConfig, attempt_fix, fuse_fixes)
 from .conflict import Coloring, ConflictGraph
+from .schema import param
 
 _TICK_EPS = 1e-9   # guards ceil() against float residue in exact products
 
 
 @dataclass
 class TimingConfig:
-    f_t: int = 30                    # tick rate, Hz
-    t_p: float = 0.010               # ping duration, s (fixed hardware)
-    guard_factor_ul: float = 0.5     # uplink guard, crossing times
-    min_slot_factor_ul: float = 2.5  # uplink slot floor, crossing times
-    guard_factor_dl: float = 1.25    # downlink guard, crossing times
-    min_slot_factor_dl: float = 10.0 # downlink slot floor, crossing times
-    r_dl: float = 2000.0             # downlink bitrate, bits/s
-    overhead: float = 2.0            # protocol overhead factor
-    n_hdr: int = 8                   # broadcast header, bytes
-    b_fix: int = 16                  # per-fix record, bytes
-    r_mf: float = 100.0              # MF downlink range, m
-    max_fix_age_s: float = 0.30      # downlink buffer freshness window, s
-
-    def validate(self):
-        for name in ("f_t", "t_p", "guard_factor_ul", "min_slot_factor_ul",
-                     "guard_factor_dl", "min_slot_factor_dl", "r_dl",
-                     "overhead", "n_hdr", "b_fix", "r_mf", "max_fix_age_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0 (got {getattr(self, name)})")
-        if int(self.f_t) != self.f_t:
-            raise ValueError(f"f_t must be integer-valued (got {self.f_t})")
+    f_t: int = param(30, gt=0)                                # tick rate, Hz
+    t_p: float = param(0.010, "protocol", "ping_duration", gt=0)   # ping duration, s
+    guard_factor_ul: float = param(0.5, "protocol", gt=0)     # uplink guard, crossing times
+    min_slot_factor_ul: float = param(2.5, "protocol", gt=0)  # uplink slot floor, crossing times
+    guard_factor_dl: float = param(1.25, "protocol", gt=0)    # downlink guard, crossing times
+    min_slot_factor_dl: float = param(10.0, "protocol", gt=0) # downlink slot floor, crossing times
+    r_dl: float = param(2000.0, "protocol", gt=0)             # downlink bitrate, bits/s
+    overhead: float = param(2.0, "protocol", gt=0)            # protocol overhead factor
+    n_hdr: int = param(8, "protocol", "header_bytes", gt=0)   # broadcast header, bytes
+    b_fix: int = param(16, "protocol", "fix_bytes", gt=0)     # per-fix record, bytes
+    r_mf: float = param(100.0, "protocol", gt=0)              # MF downlink range, m
+    max_fix_age_s: float = param(0.30, "protocol", "max_fix_age", gt=0)  # buffer freshness, s
 
 
 def ticks_ceil(seconds: float, f_t: float) -> int:
@@ -283,6 +275,7 @@ class TdmaScheduler:
     Owns the round schedule, the downlink fix buffer, the MF channel state
     and the fleet's causal delivery queue.  The host simulation supplies
     fresh positions and a recoloring callback fired at each round boundary.
+    The configs and ``contention`` are taken as ``SimConfig.validate`` left them.
 
     Slot lengths, the one-fix payload and its airtime depend only on the
     configuration, so they are computed once: group g of a round starting
@@ -298,10 +291,6 @@ class TdmaScheduler:
     def __init__(self, timing: TimingConfig, noise: UsblNoiseConfig,
                  coeffs: LossModelCoefficients, L: float, n_auv: int,
                  n_asv: int, path_rngs, contention: str = "fleet"):
-        timing.validate()
-        noise.validate()
-        if contention not in ("fleet", "group"):
-            raise ValueError(f"contention must be 'fleet' or 'group' (got {contention!r})")
         self.timing = timing
         self.noise = noise
         self.coeffs = coeffs

@@ -7,24 +7,14 @@ import pytest
 
 from coopnav.acoustic import (LossModelCoefficients, UsblFix, UsblNoiseConfig,
                               attempt_fix, fuse_fixes)
-from coopnav.engine import NoiseStream
+from coopnav.engine import NoiseStream, uniform_stream
 
 COEFFS = LossModelCoefficients()
 NO_LOSS = LossModelCoefficients(p_cap=0.0)     # the loss draw never loses
 RANGE_ONLY = LossModelCoefficients(p_cap=1.0)  # with one vehicle: the range term alone
 
 
-class Draw:
-    """A loss stream that always draws ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self):
-        return self.u
-
-
-def fix(asv, auv, noise, noise_tuples, n_auv=1, coeffs=NO_LOSS, loss_rng=Draw(0.5)):
+def fix(asv, auv, noise, noise_tuples, n_auv=1, coeffs=NO_LOSS, loss_rng=repeat(0.5)):
     return attempt_fix(asv, auv, math.dist(asv, auv), n_auv, noise, coeffs,
                        noise_tuples, loss_rng)
 
@@ -46,7 +36,7 @@ def loss_p(r, n_auv=1, coeffs=COEFFS):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if fix((0.0, 0.0, 0.0), (r, 0.0, 0.0), noise, zeros, n_auv, coeffs,
-               Draw(as_float(mid))) is None:
+               repeat(as_float(mid))) is None:
             lo = mid
         else:
             hi = mid
@@ -119,7 +109,7 @@ def test_attempt_fix_range_cutoff():
 def test_attempt_fix_short_range_always_delivers():
     noise = UsblNoiseConfig(r_max=50.0)
     stream = usbl_stream(noise, 4)
-    loss = np.random.default_rng(14)
+    loss = uniform_stream(np.random.default_rng(14))
     for _ in range(200):
         assert fix((0, 0, 0), (10, 0, 0), noise, stream, 1, COEFFS, loss) is not None
 
@@ -127,7 +117,7 @@ def test_attempt_fix_short_range_always_delivers():
 def test_attempt_fix_empirical_loss_rate():
     # r = 50 m with four vehicles: loss probability 0.15
     noise = UsblNoiseConfig(r_max=80.0)
-    stream, loss = usbl_stream(noise, 5), np.random.default_rng(15)
+    stream, loss = usbl_stream(noise, 5), uniform_stream(np.random.default_rng(15))
     lost = sum(fix((0, 0, 0), (50, 0, 0), noise, stream, 4, COEFFS, loss) is None
                for _ in range(10_000))
     assert lost / 10_000 == pytest.approx(0.15, abs=0.01)

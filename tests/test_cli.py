@@ -1,7 +1,12 @@
+import configparser
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from coopnav import cli
 from coopnav.cli import (ConfigError, load_sim_config, load_sweep_spec, main,
                          report_row)
 from coopnav.engine import SimConfig, run
@@ -80,12 +85,91 @@ def test_validate_config_command(tmp_path, capsys):
     ("[mission]\ntrack_spacing = 0\n", "track_spacing"),
     ("[mission]\ntrack_spacing = -5\n", "track_spacing"),
     ("[acoustic]\nsigma_r = 0\nsigma_theta_deg = 0\n", "sigma_r and sigma_theta"),
-], ids=["track_spacing_0", "track_spacing_-5", "usbl_sigmas_0"])
+    # BASE has L = 60 and n_auv = 4: strips 15 m high
+    ("[mission]\ntrack_spacing = 40\n", "track_spacing"),
+], ids=["track_spacing_0", "track_spacing_-5", "usbl_sigmas_0", "track_spacing_over_strip"])
 def test_validate_config_rejects_what_run_cannot_simulate(tmp_path, capsys, section, field):
     cfg = write(tmp_path, BASE + section)
     assert main(["validate-config", "--config", cfg]) == 1
     out = capsys.readouterr()
     assert "OK" not in out.out and field in out.err
+
+
+def test_track_spacing_of_one_strip_height_is_valid(tmp_path, capsys):
+    cfg = write(tmp_path, BASE + "[mission]\ntrack_spacing = 15\n")
+    assert main(["validate-config", "--config", cfg]) == 0
+
+
+# every run-config key and the attribute of SimConfig it sets
+RUN_CONFIG_KEYS = {
+    ("sim", "l"): "L", ("sim", "n_auv"): "n_auv", ("sim", "n_asv"): "n_asv",
+    ("sim", "alpha0_deg"): "alpha0", ("sim", "duration"): "duration",
+    ("sim", "tick_rate"): "f_t", ("sim", "seed"): "seed",
+    ("sim", "guidance_on_truth"): "guidance_on_truth", ("sim", "usbl_enabled"): "usbl_enabled",
+    ("sim", "conflict_source"): "conflict_source", ("sim", "contention"): "contention",
+    ("sim", "trace"): "trace",
+    ("formation", "r_hf"): "r_hf", ("formation", "delta_b"): "delta_b",
+    ("formation", "asv_jitter_std"): "asv_jitter_std",
+    ("acoustic", "sigma_r"): "noise.sigma_r", ("acoustic", "sigma_theta_deg"): "noise.sigma_theta",
+    ("acoustic", "sigma_phi_deg"): "noise.sigma_phi", ("acoustic", "sound_speed"): "noise.c",
+    ("protocol", "ping_duration"): "timing.t_p",
+    ("protocol", "guard_factor_ul"): "timing.guard_factor_ul",
+    ("protocol", "min_slot_factor_ul"): "timing.min_slot_factor_ul",
+    ("protocol", "guard_factor_dl"): "timing.guard_factor_dl",
+    ("protocol", "min_slot_factor_dl"): "timing.min_slot_factor_dl",
+    ("protocol", "r_dl"): "timing.r_dl", ("protocol", "overhead"): "timing.overhead",
+    ("protocol", "header_bytes"): "timing.n_hdr", ("protocol", "fix_bytes"): "timing.b_fix",
+    ("protocol", "r_mf"): "timing.r_mf", ("protocol", "max_fix_age"): "timing.max_fix_age_s",
+    ("nav", "bias_x"): "bias[0]", ("nav", "bias_y"): "bias[1]", ("nav", "sigma"): "sigma",
+    ("nav", "sigma_z"): "sigma_z", ("nav", "gamma"): "gamma",
+    ("mission", "depth"): "depth", ("mission", "cruise_speed"): "guidance.cruise_speed",
+    ("mission", "capture_radius"): "guidance.capture_radius",
+    ("mission", "max_yaw_rate"): "guidance.max_yaw_rate",
+    ("mission", "track_spacing"): "track_spacing",
+}
+
+
+def test_ini_table_derived_from_the_fields_is_the_run_config():
+    assert len(RUN_CONFIG_KEYS) == 40
+    derived = {k: ".".join(path) + ("" if i is None else f"[{i}]")
+               for k, (path, i, _) in cli._INI.items()}
+    assert derived == RUN_CONFIG_KEYS
+
+
+def _bounded_ini_keys():
+    """(section, key) of every run-config key whose field declares a bound."""
+    cfg = SimConfig()
+    return [(m["section"], (m["keys"] or (f.name,))[0])
+            for obj in (cfg, cfg.noise, cfg.timing, cfg.guidance) for f in fields(obj)
+            if (m := f.metadata) and m["section"] and (m["bound"] or m["finite"])]
+
+
+BOUNDED = _bounded_ini_keys()
+
+
+@pytest.mark.parametrize("section, key", BOUNDED, ids=[f"{s}.{k}" for s, k in BOUNDED])
+def test_nan_is_rejected_naming_the_key(tmp_path, capsys, section, key):
+    cfg = write(tmp_path, f"[{section}]\n{key} = nan\n")
+    assert main(["validate-config", "--config", cfg]) == 1
+    out = capsys.readouterr()
+    assert "OK" not in out.out
+    assert re.search(rf"\b{key}\b", out.err.split("cfg.ini", 1)[1]), out.err
+
+
+def test_an_infinite_duration_is_rejected(tmp_path, capsys):
+    # it would pass the bound and overflow when the ticks are counted
+    cfg = write(tmp_path, "[sim]\nduration = inf\n")
+    assert main(["validate-config", "--config", cfg]) == 1
+    assert "duration must be finite" in capsys.readouterr().err
+
+
+def test_readme_run_config_block_is_the_schema(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Run config", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(block)
+    assert {(s, k) for s in parser.sections() for k in parser[s]} == set(cli._INI)
+    assert load_sim_config(write(tmp_path, block)).config_hash() == SimConfig().config_hash()
 
 
 def test_check_coverage_small_survey(tmp_path, capsys):

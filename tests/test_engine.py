@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from coopnav.acoustic import UsblNoiseConfig
-from coopnav.engine import (RNG_BLOCK, NoiseStream, SimConfig, UniformStream,
-                            coverage_fraction, derive_rng, run)
+from coopnav.engine import (RNG_BLOCK, NoiseStream, SimConfig, coverage_fraction,
+                            derive_rng, run, uniform_stream)
 
 
 def short_cfg(**kw):
@@ -124,6 +124,14 @@ def test_run_rejects_a_track_spacing_that_is_not_positive(spacing):
         run(short_cfg(track_spacing=spacing))
 
 
+def test_run_rejects_a_track_spacing_wider_than_the_strip():
+    # L = 60 and four AUVs give 15 m strips; unvalidated, planning the
+    # lawnmower fails after the run has started
+    with pytest.raises(ValueError, match="track_spacing 40.0 exceeds the strip height"):
+        run(short_cfg(track_spacing=40.0))
+    assert run(short_cfg(duration=1.0, track_spacing=15.0)).ticks == 30
+
+
 def test_run_rejects_usbl_noise_without_range_or_azimuth_spread():
     # sigma_r = sigma_theta = 0 gives every fix variance 0, which fusion
     # cannot weight; either one alone is fine
@@ -132,6 +140,11 @@ def test_run_rejects_usbl_noise_without_range_or_azimuth_spread():
         run(short_cfg(noise=zero))
     for noise in (UsblNoiseConfig(sigma_r=0.0), UsblNoiseConfig(sigma_theta=0.0)):
         assert run(short_cfg(duration=5.0, noise=noise)).total_applied > 0
+
+
+def test_default_config_hash_is_pinned():
+    # the hash identifies runs in sweep outputs; it changes only on purpose
+    assert SimConfig().config_hash() == "e2fd90d2b6ae"
 
 
 def test_config_hash_ignores_seed():
@@ -176,12 +189,12 @@ def test_buffered_streams_equal_scalar_draws():
     scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
     gen_n, gen_u = derive_rng(5, "usbl/0/1"), derive_rng(5, "loss/0/1")
     before = (gen_n.bit_generator.state, gen_u.bit_generator.state)
-    usbl, uniform = NoiseStream(gen_n, scales), UniformStream(gen_u)
+    usbl, uniform = NoiseStream(gen_n, scales), uniform_stream(gen_u)
     assert (gen_n.bit_generator.state, gen_u.bit_generator.state) == before
     ref_n, ref_u = derive_rng(5, "usbl/0/1"), derive_rng(5, "loss/0/1")
     for _ in range(3 * RNG_BLOCK + 5):   # three refills and part of a fourth
         assert next(usbl) == tuple(ref_n.normal(0.0, sc) for sc in scales)
-        assert uniform.uniform() == ref_u.uniform()
+        assert next(uniform) == ref_u.uniform()
     assert gen_n.bit_generator.state != before[0]
 
 

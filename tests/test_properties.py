@@ -10,9 +10,11 @@ precomputed segment distance against their former forms, the comparison
 clamps against the builtins they replace, the lean ``attempt_fix`` and
 ``audibility_masks`` against their former forms, slot safety checked once per
 (graph, coloring) against the former per-ping check, and the exact
-worst-point coverage distance against a fine grid.
+worst-point coverage distance against a fine grid.  The config hash, derived
+from the field declarations, changes with every field but the seed and trace.
 """
 
+import dataclasses
 import heapq
 import math
 from itertools import repeat
@@ -29,7 +31,7 @@ from coopnav.acoustic import (LossModelCoefficients, UsblFix,  # noqa: E402
                               UsblNoiseConfig, attempt_fix)
 from coopnav.conflict import (Coloring, ConflictGraph, audibility_masks,  # noqa: E402
                               build_conflict_graph, greedy_color)
-from coopnav.engine import RNG_BLOCK, NoiseStream, Recolorer  # noqa: E402
+from coopnav.engine import RNG_BLOCK, NoiseStream, Recolorer, SimConfig  # noqa: E402
 from coopnav.formation import AsvLayout, worst_point  # noqa: E402
 from coopnav.mission import (GuidanceConfig, VehicleTruth, advance_truth,  # noqa: E402
                              point_segment_distance, segment)
@@ -189,16 +191,6 @@ def test_fleet_queue_releases_as_per_auv_queues(ops):
         assert fleet.head_tick() == (min(heads) if heads else None)
 
 
-class Fixed:
-    """A loss stream that always draws the same value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def uniform(self):
-        return self.value
-
-
 def loss_probability(r, coeffs):
     """Range-dependent fix loss probability, clamped into [0, 1]."""
     rt = min(r, coeffs.r_clip)
@@ -220,9 +212,9 @@ def test_inlined_loss_test_is_total_loss_probability(dx, dy, dz, n_auv):
     r = math.sqrt(dx * dx + dy * dy + dz * dz)
     p = total_loss_probability(r, n_auv, coeffs)
     zeros = repeat((0.0, 0.0, 0.0))
-    kept = attempt_fix(asv, auv, r, n_auv, noise, coeffs, zeros, Fixed(p))
+    kept = attempt_fix(asv, auv, r, n_auv, noise, coeffs, zeros, repeat(p))
     lost = attempt_fix(asv, auv, r, n_auv, noise, coeffs, zeros,
-                       Fixed(math.nextafter(p, -math.inf)))
+                       repeat(math.nextafter(p, -math.inf)))
     assert kept is not None and lost is None
 
 
@@ -388,7 +380,7 @@ def former_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, coeffs, noise_tuples,
     """``attempt_fix`` as it was, clamping with the builtins."""
     if r > noise.r_max:
         return None
-    if loss_rng.uniform() < total_loss_probability(r, n_auv, coeffs):
+    if next(loss_rng) < total_loss_probability(r, n_auv, coeffs):
         return None
     ax, ay, az = asv_pos[0], asv_pos[1], asv_pos[2]
     dx, dy, dz = auv_pos[0] - ax, auv_pos[1] - ay, auv_pos[2] - az
@@ -435,8 +427,8 @@ def test_lean_attempt_fix_equals_the_former_one(r, dz, n, n_auv, u, r_clip, p_ca
     coeffs = LossModelCoefficients(r_clip=r_clip, p_cap=p_cap)
     ax, ay, az = asv
     args = (asv, (ax + 3.0, ay + 4.0, dz), r, n_auv, noise, coeffs)
-    assert (outcome(attempt_fix, *args, repeat(n), Fixed(u)) ==
-            outcome(former_attempt_fix, *args, repeat(n), Fixed(u)))
+    assert (outcome(attempt_fix, *args, repeat(n), repeat(u)) ==
+            outcome(former_attempt_fix, *args, repeat(n), repeat(u)))
 
 
 def former_audibility_masks(auv_positions, anchors, r_hf):
@@ -519,3 +511,46 @@ def test_improper_coloring_raises_at_start_round(data, n):
             with pytest.raises(AssertionError) as err:
                 sched.start_round(graph, coloring, tick)
             assert str(err.value) == want
+
+
+def config_fields():
+    """(nested config or None, field name) of every SimConfig field."""
+    cfg, out = SimConfig(), []
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(v):
+            out += [(f.name, g.name) for g in dataclasses.fields(v)]
+        else:
+            out.append((None, f.name))
+    return out
+
+
+def values_like(v):
+    """Values of the type of ``v``; floats or None where ``v`` is either, as
+    the track spacing is."""
+    if isinstance(v, bool):
+        return st.booleans()
+    if isinstance(v, int):
+        return st.integers()
+    if isinstance(v, str):
+        return st.text()
+    if isinstance(v, tuple):
+        return st.tuples(ANY_FLOAT, ANY_FLOAT)
+    return st.one_of(ANY_FLOAT, st.none())
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), where=st.sampled_from(config_fields()))
+def test_config_hash_changes_with_every_field_but_seed_and_trace(data, where):
+    owner, name = where
+    cfg = SimConfig()
+    # start from a config that differs from the default in some other field
+    other_owner, other = data.draw(st.sampled_from(config_fields()))
+    obj = getattr(cfg, other_owner) if other_owner else cfg
+    setattr(obj, other, data.draw(values_like(getattr(obj, other))))
+    obj = getattr(cfg, owner) if owner else cfg
+    old = getattr(obj, name)
+    new = data.draw(values_like(old).filter(lambda v: repr(v) != repr(old)))
+    before = cfg.config_hash()
+    setattr(obj, name, new)
+    assert (cfg.config_hash() != before) == (where not in ((None, "seed"), (None, "trace")))

@@ -8,7 +8,7 @@ from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig,
                               attempt_fix, fuse_fixes)
 from coopnav.conflict import (Coloring, ConflictGraph, audibility_masks,
                               build_conflict_graph, greedy_color)
-from coopnav.engine import NoiseStream, derive_rng
+from coopnav.engine import NoiseStream, derive_rng, uniform_stream
 from coopnav.protocol import (FixQueue, PendingDelivery, TdmaScheduler,
                               TimingConfig, anchor_points, crossing_time,
                               delivery_tick, downlink_slot_duration,
@@ -108,7 +108,7 @@ def make_rngs(n_auv, n_asv, seed=0, noise=UsblNoiseConfig()):
     scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
     usbl = [[NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), scales) for j in range(n_asv)]
             for i in range(n_auv)]
-    loss = [[derive_rng(seed, f"loss/{i}/{j}") for j in range(n_asv)]
+    loss = [[uniform_stream(derive_rng(seed, f"loss/{i}/{j}")) for j in range(n_asv)]
             for i in range(n_auv)]
     return lambda i, j: (usbl[i][j], loss[i][j])
 

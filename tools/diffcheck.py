@@ -13,12 +13,15 @@ a summary, and exits 0 when every mission is identical, else 1.
 
 The random missions cover the survey scale L, n_auv, n_asv, tick rates
 f_t in {7, 10, 30, 50}, zero IMU and depth noise, a signed-zero bias, zero
-USBL range, azimuth or elevation noise, ASV station-keeping jitter, both
-contention modes, both conflict sources, tracing, steering on truth, the
-acoustic layer switched off and downlink bitrates up to 1e12 bit/s.  They
-leave out what ``SimConfig.validate`` rejects: a non-positive track spacing
-and USBL noise with both ``sigma_r`` and ``sigma_theta`` zero, which the
-parent may accept and fail on later.
+USBL range, azimuth or elevation noise, the sound speed, ASV
+station-keeping jitter, both contention modes, both conflict sources,
+tracing, steering on truth, the acoustic layer switched off, the protocol's
+guard and slot factors, header and fix sizes, MF range and fix age,
+downlink bitrates up to 1e12 bit/s, and the guidance's cruise speed,
+capture radius and yaw-rate limit.  They leave out what
+``SimConfig.validate`` rejects: a track spacing that is not positive or is
+wider than a strip, and USBL noise with both ``sigma_r`` and
+``sigma_theta`` zero, which the parent may accept and fail on later.
 """
 
 from __future__ import annotations
@@ -63,9 +66,20 @@ def random_spec(rng: random.Random) -> dict:
         contention=rng.choice(["fleet", "group"]),
         trace=rng.random() < 0.25,
         noise=dict(sigma_r=sigma_r, sigma_theta=sigma_theta,
-                   sigma_phi=rng.choice([math.radians(0.5), 0.0])),
-        timing=dict(r_dl=rng.choice([2000.0, 2000.0, 1e5, 1e12]),
-                    max_fix_age_s=rng.choice([0.30, 0.30, 1.0])),
+                   sigma_phi=rng.choice([math.radians(0.5), 0.0]),
+                   c=rng.choice([1500.0, 1500.0, 1450.0, rng.uniform(1400.0, 1600.0)])),
+        timing=dict(guard_factor_ul=rng.choice([0.5, 0.5, 0.25, 1.0]),
+                    min_slot_factor_ul=rng.choice([2.5, 2.5, 1.0, 4.0]),
+                    guard_factor_dl=rng.choice([1.25, 1.25, 0.5, 2.0]),
+                    min_slot_factor_dl=rng.choice([10.0, 10.0, 4.0, 15.0]),
+                    r_dl=rng.choice([2000.0, 2000.0, 1e5, 1e12]),
+                    n_hdr=rng.choice([8, 8, 1, 32]),
+                    b_fix=rng.choice([16, 16, 4, 64]),
+                    r_mf=rng.choice([100.0, 100.0, 40.0, 200.0]),
+                    max_fix_age_s=rng.choice([0.30, 0.30, 1.0, 0.05])),
+        guidance=dict(cruise_speed=rng.choice([0.65, 0.65, 0.3, 1.5]),
+                      capture_radius=rng.choice([2.0, 2.0, 0.5, 5.0]),
+                      max_yaw_rate=rng.choice([0.5, 0.5, 0.2, 2.0])),
     )
 
 
@@ -79,6 +93,7 @@ def worker(src: str) -> None:
     import coopnav
     from coopnav.acoustic import UsblNoiseConfig
     from coopnav.engine import SimConfig, run
+    from coopnav.mission import GuidanceConfig
     from coopnav.protocol import TimingConfig
 
     if Path(coopnav.__file__).resolve().parents[1] != Path(src).resolve():
@@ -91,7 +106,8 @@ def worker(src: str) -> None:
     for spec in json.load(sys.stdin):
         spec = dict(spec, bias=tuple(spec["bias"]),
                     noise=UsblNoiseConfig(**spec["noise"]),
-                    timing=TimingConfig(**spec["timing"]))
+                    timing=TimingConfig(**spec["timing"]),
+                    guidance=GuidanceConfig(**spec["guidance"]))
         try:
             rep = run(SimConfig(**spec))
         except Exception as exc:   # a mission's failure is a result to compare
