@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import asin, atan2, cos, exp, sin
 
 from .schema import from_degrees, param
 
@@ -41,15 +42,6 @@ class LossModelCoefficients:
 
 
 @dataclass(slots=True)
-class UsblFix:
-    auv_id: int
-    asv_id: int
-    position: tuple[float, float, float]   # world frame, m
-    horiz_variance: float                   # per-axis horizontal proxy, m^2
-    measure_tick: int
-
-
-@dataclass(slots=True)
 class FusedFix:
     auv_id: int
     position: tuple[float, float, float]
@@ -58,73 +50,62 @@ class FusedFix:
     measure_tick: int
 
 
-def attempt_fix(asv_pos, auv_pos, r: float, n_auv: int, noise: UsblNoiseConfig,
-                coeffs: LossModelCoefficients, noise_tuples, loss_rng,
-                auv_id: int = 0, asv_id: int = 0,
-                measure_tick: int = 0) -> UsblFix | None:
-    """One fix attempt over one acoustic path; None means the fix was lost.
+def attempt_fix(asv, dx: float, dy: float, dz: float, r: float, p_con: float,
+                var_r: float, sigma_theta: float, coeffs: LossModelCoefficients,
+                noise_tuples, loss_rng) -> tuple[float, float, float, float] | None:
+    """One fix attempt over one in-range acoustic path: (x, y, z, variance)
+    of the fix, or None when it was lost.
 
-    ``r`` is the slant range between the two positions as the caller
-    computed it.  Loss is a modeled outcome, not an error: the attempt is
-    lost without a draw when ``r`` exceeds ``noise.r_max``, and otherwise
-    when the next ``loss_rng`` draw u < P_loss_total(r): the
-    range-dependent double exponential clamped into [0, 1], plus ``p_col``
-    per additional vehicle, capped at ``p_cap``.  A kept fix decomposes the
-    true relative vector into (range, azimuth, elevation), adds the next
-    ``noise_tuples`` triple of pre-scaled perturbations, and reconstructs
-    ``asv + r*(cos(phi)cos(theta), cos(phi)sin(theta), sin(phi))``.
+    The caller hands over what its range test computed: the AUV's offset
+    (dx, dy, dz) from the ``asv`` position and the slant range ``r``.  It
+    also passes ``p_con``, the contention term ``(n - 1) * p_col`` for n
+    contending vehicles, and from the noise config ``var_r = sigma_r ** 2``
+    and ``sigma_theta``.  Loss is a modeled outcome, not an error: the fix
+    is lost when the next ``loss_rng`` draw u < P_loss_total(r), the
+    range-dependent double exponential clamped into [0, 1], plus ``p_con``,
+    capped at ``p_cap``.  A kept fix decomposes the offset into (range,
+    azimuth, elevation), adds the next ``noise_tuples`` triple of
+    pre-scaled perturbations, and reconstructs ``asv + r*(cos(phi)cos(theta),
+    cos(phi)sin(theta), sin(phi))``; its variance is ``var_r + (r *
+    sigma_theta) ** 2``.
     """
-    if r > noise.r_max:
-        return None
     # min(a, b) as `b if b < a else a`, max(a, b) as `b if b > a else a`: the same float
     rc, pc = coeffs.r_clip, coeffs.p_cap
     rt = rc if rc < r else r
-    p = coeffs.a * math.exp(coeffs.b * rt) + coeffs.c0 * math.exp(coeffs.d * rt)
+    p = coeffs.a * exp(coeffs.b * rt) + coeffs.c0 * exp(coeffs.d * rt)
     p = 0.0 if 0.0 > p else p
-    p = (1.0 if 1.0 < p else p) + (n_auv - 1) * coeffs.p_col
+    p = (1.0 if 1.0 < p else p) + p_con
     p = pc if pc < p else p
     if next(loss_rng) < p:
         return None
-    ax, ay, az = asv_pos[0], asv_pos[1], asv_pos[2]
-    dx = auv_pos[0] - ax
-    dy = auv_pos[1] - ay
-    dz = auv_pos[2] - az
-    theta, s = (math.atan2(dy, dx), dz / r) if r > 0 else (0.0, 0.0)   # asin(0.0) is 0.0
+    theta, s = (atan2(dy, dx), dz / r) if r > 0 else (0.0, 0.0)   # asin(0.0) is 0.0
     s = s if s < 1.0 else 1.0
-    phi = math.asin(s if s > -1.0 else -1.0)
+    phi = asin(s if s > -1.0 else -1.0)
 
     n_r, n_theta, n_phi = next(noise_tuples)
     r_m = r + n_r
     r_m = 0.0 if 0.0 > r_m else r_m
     t_m = theta + n_theta
     p_m = phi + n_phi
-    cp = math.cos(p_m)
-    pos = (ax + r_m * cp * math.cos(t_m),
-           ay + r_m * cp * math.sin(t_m),
-           az + r_m * math.sin(p_m))
-    var = noise.sigma_r ** 2 + (r * noise.sigma_theta) ** 2
-    return UsblFix(auv_id, asv_id, pos, var, measure_tick)
+    cp = cos(p_m)
+    ax, ay, az = asv
+    return (ax + r_m * cp * cos(t_m), ay + r_m * cp * sin(t_m), az + r_m * sin(p_m),
+            var_r + (r * sigma_theta) ** 2)
 
 
-def fuse_fixes(fixes: list[UsblFix]) -> FusedFix:
-    """Inverse-variance weighted merge of simultaneous fixes of one AUV.
+def fuse_fixes(fixes: list[tuple[float, float, float, float]], auv_id: int,
+               tick: int) -> FusedFix:
+    """Inverse-variance weighted merge of the (x, y, z, variance) fixes of
+    AUV ``auv_id`` pinged at ``tick``.
 
     With equal variances this is the arithmetic mean with variance sigma^2/K.
     """
     if not fixes:
         raise ValueError("cannot fuse an empty fix list")
-    auv_id = fixes[0].auv_id
-    tick = fixes[0].measure_tick
     wsum = x = y = z = 0.0
-    for f in fixes:
-        if f.auv_id != auv_id:
-            raise ValueError(f"mixed auv_id in fusion ({f.auv_id} != {auv_id})")
-        if f.measure_tick != tick:
-            raise ValueError(f"mixed measure_tick in fusion ({f.measure_tick} != {tick})")
-        v = f.horiz_variance
+    for px, py, pz, v in fixes:
         if v <= 0:
             raise ValueError("fix variance must be > 0")
-        px, py, pz = f.position
         wsum += 1.0 / v
         x += px / v
         y += py / v

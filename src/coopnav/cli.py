@@ -139,11 +139,22 @@ class SweepSpec:
     base: SimConfig = field(default_factory=SimConfig)
 
     def validate(self):
+        """The axes and the seed count, then the run config of each cell:
+        ``base`` with the cell's axis values, so that no job fails validation
+        in a run.  The seed is not validated, so one job per cell stands for
+        all of the cell's seeds."""
         for name in ("L_values", "n_asv_values", "n_auv_values", "alpha0_deg_values"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep list {name} must be non-empty")
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1 (got {self.seeds})")
+        for _, cfg in replace(self, seeds=1).jobs():
+            try:
+                cfg.validate()
+            except ValueError as exc:
+                raise ConfigError(
+                    f"sweep cell L={cfg.L:g}, n_asv={cfg.n_asv}, n_auv={cfg.n_auv}, "
+                    f"alpha0_deg={math.degrees(cfg.alpha0):g}: {exc}") from exc
 
     def jobs(self) -> list[tuple[int, SimConfig]]:
         """Cross-product job list; the formation angle axis collapses to the

@@ -37,7 +37,7 @@ class SimConfig:
     n_asv: int = param(1, "sim", ge=1)
     alpha0: float = param(0.0, "sim", "alpha0_deg", conv=from_degrees,
                           finite=True)                          # formation angle, rad
-    duration: float = param(300.0, "sim", ge=0, finite=True)            # s
+    duration: float = param(300.0, "sim", ge=0)                         # s
     f_t: int = param(30, "sim", "tick_rate", ge=1)                      # Hz
     seed: int = param(0, "sim", hashed=False)
     r_hf: float = param(50.0, "formation", gt=0)           # HF uplink range, m
@@ -49,7 +49,8 @@ class SimConfig:
     noise: UsblNoiseConfig = field(default_factory=UsblNoiseConfig)
     timing: TimingConfig = field(default_factory=TimingConfig)
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
-    bias: tuple[float, float] = param((0.06, 0.06), "nav", "bias_x", "bias_y")
+    bias: tuple[float, float] = param((0.06, 0.06), "nav", "bias_x", "bias_y",
+                                      finite=True)
     sigma: float = param(0.027, "nav", ge=0)
     sigma_z: float = param(0.05, "nav", ge=0)
     gamma: float = param(0.90, "nav", gt=0)                # and <= 1
@@ -186,24 +187,37 @@ def uniform_stream(gen: np.random.Generator) -> chain:
 
 
 class Recolorer:
-    """The fleet's conflict graph and greedy coloring, rebuilt on change only.
+    """The fleet's conflict graph and greedy coloring, built once per pattern.
 
-    Both depend on the AUVs' audibility masks alone, so a call whose masks
-    equal the previous call's returns the previous (graph, coloring) pair,
-    exactly what a fresh build would give.
+    Both depend on the AUVs' audibility masks alone, so the (graph,
+    coloring) pair built for a tuple of masks is kept and returned whenever
+    the masks recur: exactly what a fresh build would give.  A mission
+    visits few mask patterns, so the pairs are kept for its whole length.
     """
 
     def __init__(self, r_hf: float):
         self.r_hf = r_hf
-        self.masks: list[int] | None = None
-        self.pair = None
+        self.pairs: dict[tuple[int, ...], tuple] = {}
 
     def __call__(self, positions, anchors):
-        masks = audibility_masks(positions, anchors, self.r_hf)
-        if masks != self.masks:
+        masks = tuple(audibility_masks(positions, anchors, self.r_hf))
+        pair = self.pairs.get(masks)
+        if pair is None:
             g = build_conflict_graph(masks)
-            self.masks, self.pair = masks, (g, greedy_color(g))
-        return self.pair
+            pair = self.pairs[masks] = (g, greedy_color(g))
+        return pair
+
+
+def jittered_anchors(base_asv, jitter) -> list:
+    """Per-tick ASV anchors of a block of jitter: row k is
+    ``anchor_points(base_asv + jitter[k])``, as nested lists.
+
+    ``jitter`` is a (ticks, n_asv, 2) array.  numpy's float64 ``+`` gives
+    the IEEE sum of each pair, so every coordinate is the scalar ``bx +
+    jx``; the z column is 0.0.
+    """
+    xy = jitter + base_asv
+    return np.concatenate((xy, np.zeros(xy.shape[:-1] + (1,))), axis=-1).tolist()
 
 
 # (kinematics, metrics) per pass over the AUVs of one tick; the protocol
@@ -308,8 +322,7 @@ def run(config: SimConfig) -> MissionReport:
     max_innovation = 0.0
     excursions = 0
     trace_log: list[str] = []
-    jitter = None   # RNG_BLOCK ticks of ASV jitter, one (m, 2) row per tick
-    base_xy = base_asv.tolist()
+    jittered = None   # RNG_BLOCK ticks of jittered anchors, one row per tick
 
     total_ticks = round(config.duration * f_t)
     ticks_run = 0
@@ -320,12 +333,10 @@ def run(config: SimConfig) -> MissionReport:
         if jitter_rng is not None:
             row = k % RNG_BLOCK
             if row == 0:
-                jitter = jitter_rng.normal(0.0, config.asv_jitter_std,
-                                           size=(RNG_BLOCK,) + base_asv.shape).tolist()
+                jittered = jittered_anchors(base_asv, jitter_rng.normal(
+                    0.0, config.asv_jitter_std, size=(RNG_BLOCK,) + base_asv.shape))
             if active:
-                # Python float sums equal numpy's float64 sums: base_asv + jitter[row]
-                anchors = [(bx + jx, by + jy, 0.0)
-                           for (bx, by), (jx, jy) in zip(base_xy, jitter[row])]
+                anchors = jittered[row]
 
         due = proto.due_auvs(k) if active else ()
         # only a delivery changes the metrics of a tick; on a tick without
@@ -367,8 +378,7 @@ def run(config: SimConfig) -> MissionReport:
                             f"cte={cte:.6f}}}")
 
             if kinematics and active:
-                pos3 = [(t.x, t.y, t.z) for t in truths]
-                for i, pd in proto.step(k, pos3, anchors, recolor):
+                for i, pd in proto.step(k, truths, anchors, recolor):
                     p = navs[i].p_fused
                     fx, fy = pd.fix.position[0], pd.fix.position[1]
                     innov = math.hypot(fx - p[0], fy - p[1])

@@ -223,59 +223,14 @@ def anchor_points(asv_xy) -> list[tuple[float, float, float]]:
     return [(x, y, 0.0) for x, y in asv_xy.tolist()]
 
 
-def _ping_group(members, tick, group_idx, auv_positions, anchors,
-                noise: UsblNoiseConfig, coeffs: LossModelCoefficients,
-                n_contention: int, paths, events: EventLog):
-    """Every AUV of one color group pings; every ASV in range attempts a fix.
-
-    ``anchors`` are the ASV positions as ``anchor_points`` returns them,
-    ``paths`` the scheduler's per-path streams.  An ASV beyond
-    ``noise.r_max`` of an AUV neither hears it nor attempts a fix, which
-    ``attempt_fix`` would lose without a draw.  Returns (fused fixes, auv
-    ids heard by at least one ASV).
-    """
-    # EventLog.add inlined: this loop records most of a run's events
-    kinds, fields = events.kinds, events.fields
-    r_max = noise.r_max
-    fused, heard_ids = [], []
-    for i in members:
-        kinds.append(PING)
-        fields += (tick, i, group_idx)
-        pos_i = auv_positions[i]
-        px, py, pz = pos_i[0], pos_i[1], pos_i[2]
-        fixes = []
-        for j, asv_pos in enumerate(anchors):
-            dx = px - asv_pos[0]
-            dy = py - asv_pos[1]
-            dz = pz - asv_pos[2]
-            r = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if r > r_max:
-                continue
-            if not heard_ids or heard_ids[-1] != i:
-                heard_ids.append(i)
-            noise_tuples, loss_rng = paths[i][j]
-            fx = attempt_fix(asv_pos, pos_i, r, n_contention, noise, coeffs,
-                             noise_tuples, loss_rng, i, j, tick)
-            if fx is not None:
-                x, y, z = fx.position
-                kinds.append(FIX)
-                fields += (tick, i, j, x, y, z, fx.horiz_variance)
-                fixes.append(fx)
-        if fixes:
-            ff = fuse_fixes(fixes)
-            kinds.append(FUSE)
-            fields += (tick, i, ff.contributing_asv_count)
-            fused.append(ff)
-    return fused, heard_ids
-
-
 class TdmaScheduler:
     """Incremental protocol engine driven one tick at a time.
 
     Owns the round schedule, the downlink fix buffer, the MF channel state
     and the fleet's causal delivery queue.  The host simulation supplies
-    fresh positions and a recoloring callback fired at each round boundary.
-    The configs and ``contention`` are taken as ``SimConfig.validate`` left them.
+    its vehicles' true positions and a recoloring callback fired at each
+    round boundary.  The configs and ``contention`` are taken as
+    ``SimConfig.validate`` left them.
 
     Slot lengths, the one-fix payload and its airtime depend only on the
     configuration, so they are computed once: group g of a round starting
@@ -310,9 +265,11 @@ class TdmaScheduler:
         self.mf_slot_ticks = ticks_ceil(
             downlink_slot_duration(L, self.t_tx, timing), timing.f_t)
 
-        self.coloring: Coloring | None = None
+        self.var_r = noise.sigma_r ** 2
+        # (graph, coloring, groups) per checked pair, keyed by the pair's ids;
+        # holding both objects keeps their ids from being reused
+        self.checked: dict[tuple[int, int], tuple] = {}
         self.groups: list[list[int]] = []
-        self.graph: ConflictGraph | None = None   # the graph ``groups`` were checked on
         self.round_start = 0
         self.round_end: int | None = None    # == next round's first slot start
         self.buffer: dict[int, tuple[FusedFix, int]] = {}   # auv -> (fix, ping tick)
@@ -329,22 +286,22 @@ class TdmaScheduler:
     def start_round(self, graph: ConflictGraph, coloring: Coloring, tick: int):
         """Lay out a round of ``coloring``'s groups from ``tick`` on.
 
-        Groups are recomputed for a new coloring, and asserted to put no two
-        AUVs adjacent in ``graph`` in one slot for a new (graph, coloring)
-        pair only: groups do not change between rounds.
+        The groups of a (graph, coloring) pair are computed, and asserted to
+        put no two AUVs adjacent in ``graph`` in one slot, the first time the
+        pair starts a round only: a pair's groups never change.
         """
-        if coloring is not self.coloring:
-            self.coloring = coloring
-            self.groups = coloring.groups()
-            self.graph = None
-        if graph is not self.graph:
-            for g, members in enumerate(self.groups):
+        key = (id(graph), id(coloring))
+        checked = self.checked.get(key)
+        if checked is None:
+            groups = coloring.groups()
+            for g, members in enumerate(groups):
                 for a_i, a in enumerate(members):
                     clash = graph.adj[a].intersection(members[a_i + 1:])
                     if clash:
                         raise AssertionError(f"conflicting AUVs {a} and {min(clash)} "
                                              f"share uplink slot {g}")
-            self.graph = graph
+            checked = self.checked[key] = (graph, coloring, groups)
+        self.groups = checked[2]
         self.round_start = tick
         self.round_end = tick + max(coloring.k, 1) * self.slot_ticks
         self.next_tick = min(self.next_tick, tick)
@@ -353,12 +310,18 @@ class TdmaScheduler:
         """AUVs with a delivery due at this tick (known before the tick runs)."""
         return self.queue.due(tick)
 
-    def step(self, tick: int, auv_positions, anchors, recolor):
+    def step(self, tick: int, vehicles, anchors, recolor):
         """Run all protocol events of one tick; returns delivered fixes.
 
-        ``anchors`` are the ASV positions as ``anchor_points`` returns
-        them.  ``recolor()`` must return a (graph, coloring) pair for the
-        current positions; it is invoked once per round boundary.
+        ``vehicles[i]`` is AUV i's true position as its ``x``, ``y`` and
+        ``z``, and ``anchors[j]`` ASV j's as (x, y, z), as ``anchor_points``
+        gives them.  ``recolor()`` must return a (graph, coloring) pair for
+        the current positions; it is invoked once per round boundary.
+
+        In a group's slot every member pings, and every ASV within
+        ``noise.r_max`` of it attempts a fix; an ASV beyond it neither hears
+        the ping nor draws.  The fixes of one ping are fused, and each fused
+        fix replaces the AUV's buffered one.
         """
         if self.round_end is None:
             raise RuntimeError("start_round() must be called before step()")
@@ -366,21 +329,52 @@ class TdmaScheduler:
             graph, coloring = recolor()
             self.start_round(graph, coloring, tick)
         g, off = divmod(tick - self.round_start, self.slot_ticks)
-        if off == 0 and 0 <= g < len(self.groups):
-            members = self.groups[g]
+        groups = self.groups
+        if off == 0 and 0 <= g < len(groups):
+            members = groups[g]
             n_cont = self.n_auv if self.contention == "fleet" else len(members) or 1
-            fused, heard = _ping_group(members, tick, g, auv_positions, anchors,
-                                       self.noise, self.coeffs, n_cont,
-                                       self.paths, self.events)
+            p_con = (n_cont - 1) * self.coeffs.p_col
+            r_max, var_r = self.noise.r_max, self.var_r
+            sigma_theta, coeffs = self.noise.sigma_theta, self.coeffs
+            # EventLog.add inlined: this loop records most of a run's events
+            kinds, fields = self.events.kinds, self.events.fields
+            fused = []
             for i in members:
-                self.heard_log[i].append(i in heard)
+                kinds.append(PING)
+                fields += (tick, i, g)
+                t, paths = vehicles[i], self.paths[i]
+                px, py, pz = t.x, t.y, t.z
+                heard = False
+                fixes = []
+                for j, a in enumerate(anchors):
+                    dx = px - a[0]
+                    dy = py - a[1]
+                    dz = pz - a[2]
+                    r = math.sqrt(dx * dx + dy * dy + dz * dz)
+                    if r > r_max:
+                        continue
+                    heard = True
+                    noise_tuples, loss_rng = paths[j]
+                    fx = attempt_fix(a, dx, dy, dz, r, p_con, var_r, sigma_theta, coeffs,
+                                     noise_tuples, loss_rng)
+                    if fx is not None:
+                        kinds.append(FIX)
+                        fields += (tick, i, j)
+                        fields += fx
+                        fixes.append(fx)
+                self.heard_log[i].append(heard)
+                if fixes:
+                    kinds.append(FUSE)
+                    fields += (tick, i, len(fixes))
+                    fused.append(fuse_fixes(fixes, i, tick))
+            buffer = self.buffer
             for ff in fused:
-                if ff.auv_id in self.buffer:
+                if ff.auv_id in buffer:
                     self.dropped["superseded"] += 1
                     self.events.add(SUPERSEDED, tick, ff.auv_id)
-                self.buffer[ff.auv_id] = (ff, tick)
+                buffer[ff.auv_id] = (ff, tick)
         if self.buffer and tick >= self.mf_busy_until:
-            self._mf_step(tick, auv_positions, anchors)
+            self._mf_step(tick, vehicles, anchors)
         delivered = self.queue.pop_due(tick)
         for i, pd in delivered:
             lat = e2e_latency(pd.ping_tick, pd.deliver_tick, self.timing.f_t)
@@ -402,7 +396,7 @@ class TdmaScheduler:
             nxt = head
         return nxt if nxt > tick else tick + 1
 
-    def _mf_step(self, tick: int, auv_positions, anchors):
+    def _mf_step(self, tick: int, vehicles, anchors):
         buffer = self.buffer
         oldest = tick - self.max_age_ticks   # a fix pinged before it is expired
         target = -1   # the AUV served least recently, the lowest id on a tie
@@ -421,8 +415,8 @@ class TdmaScheduler:
         self.last_served[target] = tick
         self.events.add(BCAST, tick, asv_j, self.fix_payload)
         self.mf_busy_until = tick + self.mf_slot_ticks
-        d = math.hypot(auv_positions[target][0] - anchors[asv_j][0],
-                       auv_positions[target][1] - anchors[asv_j][1])
+        t, a = vehicles[target], anchors[asv_j]
+        d = math.hypot(t.x - a[0], t.y - a[1])
         kd = delivery_tick(tick, self.t_tx, d, self.timing)
         if kd is None:
             self.dropped["out_of_mf_range"] += 1

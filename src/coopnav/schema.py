@@ -16,11 +16,12 @@ def param(default=MISSING, section=None, *keys, conv=None, gt=None, ge=None,
           finite=False, hashed=True):
     """A field set by INI ``[section] key`` (its name unless ``keys`` are given;
     two keys fill a tuple's two entries), converted by ``conv`` where the default's
-    type does not say how, bounded by ``> gt`` or ``>= ge``, finite if ``finite``."""
+    type does not say how, bounded by ``> gt`` or ``>= ge``, finite if ``finite``
+    or bounded."""
     bound = (">", gt) if gt is not None else (">=", ge) if ge is not None else None
     return field(default=default, metadata={
         "section": section, "keys": keys, "conv": conv, "bound": bound,
-        "finite": finite, "hashed": hashed})
+        "finite": finite or bound is not None, "hashed": hashed})
 
 
 def from_degrees(raw: str) -> float:
@@ -33,7 +34,8 @@ def auto_or_float(raw: str) -> float | None:
 
 def check(cfg, prefix: str = "") -> None:
     """Raise ValueError naming the first field of ``cfg`` or of a config
-    nested in it (and the field's INI key) outside its bound.  A bound is
+    nested in it (and the field's INI key) outside its bound or not finite;
+    each entry of a tuple field is tested under its own key.  A bound is
     tested as ``not (v > low)`` or ``not (v >= low)``, so NaN fails it;
     None passes."""
     for f in fields(cfg):
@@ -42,14 +44,14 @@ def check(cfg, prefix: str = "") -> None:
             check(v, f"{prefix}{f.name}.")
         if v is None or not m:
             continue
-        key = (m["keys"] or (f.name,))[0]
-        label = prefix + f.name + (f" ([{m['section']}] {key})" if key != f.name else "")
-        if m["bound"]:
-            op, low = m["bound"]
-            if not (v > low if op == ">" else v >= low):
-                raise ValueError(f"{label} must be {op} {low} (got {v})")
-        if m["finite"] and not math.isfinite(v):
-            raise ValueError(f"{label} must be finite (got {v})")
+        for key, x in zip(m["keys"] or (f.name,), v if isinstance(v, tuple) else (v,)):
+            label = prefix + f.name + (f" ([{m['section']}] {key})" if key != f.name else "")
+            if m["bound"]:
+                op, low = m["bound"]
+                if not (x > low if op == ">" else x >= low):
+                    raise ValueError(f"{label} must be {op} {low} (got {x})")
+            if m["finite"] and not math.isfinite(x):
+                raise ValueError(f"{label} must be finite (got {x})")
 
 
 def hash_items(cfg) -> list[tuple[str, str]]:

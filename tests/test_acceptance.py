@@ -29,7 +29,7 @@ from coopnav.engine import NoiseStream, SimConfig, run
 from coopnav.formation import (AsvLayout, FormationConfig, asv_positions,
                                coverage_fraction_grid, min_formation_radius)
 from coopnav.nav import KinematicInput, NavState, dead_reckon_step
-from coopnav.acoustic import UsblFix, fuse_fixes
+from coopnav.acoustic import fuse_fixes
 
 SEEDS = list(range(5))
 DT = 1.0 / 30.0
@@ -278,9 +278,9 @@ def test_criterion_8_fusion_scaling():
     for k in (1, 2, 3):
         vals = []
         for _ in range(10_000):
-            fixes = [UsblFix(0, j, (float(rng.normal(0, sigma)), 0.0, 0.0),
-                             sigma ** 2, 0) for j in range(k)]
-            vals.append(fuse_fixes(fixes).position[0])
+            fixes = [(float(rng.normal(0, sigma)), 0.0, 0.0, sigma ** 2)
+                     for _ in range(k)]
+            vals.append(fuse_fixes(fixes, 0, 0).position[0])
         stds[k] = float(np.std(vals))
     ok = all(abs(stds[k] - stds[1] / math.sqrt(k)) <= 0.10 * stds[1] / math.sqrt(k)
              for k in (2, 3))

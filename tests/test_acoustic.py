@@ -5,9 +5,12 @@ from itertools import repeat
 import numpy as np
 import pytest
 
-from coopnav.acoustic import (LossModelCoefficients, UsblFix, UsblNoiseConfig,
-                              attempt_fix, fuse_fixes)
+from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig, attempt_fix,
+                              fuse_fixes)
+from coopnav.conflict import Coloring, ConflictGraph
 from coopnav.engine import NoiseStream, uniform_stream
+from coopnav.mission import VehicleTruth
+from coopnav.protocol import TdmaScheduler, TimingConfig
 
 COEFFS = LossModelCoefficients()
 NO_LOSS = LossModelCoefficients(p_cap=0.0)     # the loss draw never loses
@@ -15,8 +18,12 @@ RANGE_ONLY = LossModelCoefficients(p_cap=1.0)  # with one vehicle: the range ter
 
 
 def fix(asv, auv, noise, noise_tuples, n_auv=1, coeffs=NO_LOSS, loss_rng=repeat(0.5)):
-    return attempt_fix(asv, auv, math.dist(asv, auv), n_auv, noise, coeffs,
-                       noise_tuples, loss_rng)
+    """attempt_fix over an in-range path, handed the geometry and constants
+    as the scheduler hands them over: (x, y, z, variance) or None."""
+    dx, dy, dz = (b - a for a, b in zip(asv, auv))
+    return attempt_fix(asv, dx, dy, dz, math.dist(asv, auv), (n_auv - 1) * coeffs.p_col,
+                       noise.sigma_r ** 2, noise.sigma_theta, coeffs, noise_tuples,
+                       loss_rng)
 
 
 def usbl_stream(noise, seed):
@@ -75,7 +82,7 @@ def test_measure_fix_noiseless_roundtrip():
              ((0, 0, 0), (0, 0, 30)), ((1, 2, 0), (1, 2, 0))]
     for asv, auv in cases:
         fx = fix(asv, auv, noise, usbl_stream(noise, 0))
-        assert np.allclose(fx.position, auv, atol=1e-9)
+        assert np.allclose(fx[:3], auv, atol=1e-9)
 
 
 def test_measure_fix_cross_range_noise_scale():
@@ -83,7 +90,7 @@ def test_measure_fix_cross_range_noise_scale():
     noise = UsblNoiseConfig(sigma_r=0.0, sigma_theta=0.00873, sigma_phi=0.0,
                             r_max=500.0)
     stream = usbl_stream(noise, 1)
-    ys = [fix((0, 0, 0), (100, 0, -10), noise, stream).position[1]
+    ys = [fix((0, 0, 0), (100, 0, -10), noise, stream)[1]
           for _ in range(10_000)]
     assert np.std(ys) == pytest.approx(0.877, rel=0.10)
 
@@ -92,18 +99,27 @@ def test_measure_fix_along_range_noise_scale():
     noise = UsblNoiseConfig(sigma_r=0.1, sigma_theta=0.0, sigma_phi=0.0,
                             r_max=500.0)
     stream = usbl_stream(noise, 2)
-    xs = [fix((0, 0, 0), (50, 0, -10), noise, stream).position[0]
+    xs = [fix((0, 0, 0), (50, 0, -10), noise, stream)[0]
           for _ in range(10_000)]
     # range error projects onto the unit line-of-sight vector
     assert np.std(xs) == pytest.approx(0.1 * 50 / math.hypot(50, 10), rel=0.10)
 
 
 def test_attempt_fix_range_cutoff():
-    # beyond r_max the attempt is lost without drawing anything
+    # the scheduler attempts a fix up to r_max and no further; beyond it the
+    # ping is unheard and nothing is drawn
     noise = UsblNoiseConfig(r_max=50.0)
-    never = lambda: pytest.fail("an out-of-range attempt drew")  # noqa: E731
-    assert fix((0, 0, 0), (60, 0, 0), noise, iter(never, None), COEFFS,
-               loss_rng=None) is None
+    never = iter(lambda: pytest.fail("an out-of-range attempt drew"), None)
+    paths = [(never, never), (repeat((0.0, 0.0, 0.0)), repeat(0.99))]
+    sched = TdmaScheduler(TimingConfig(), noise, COEFFS, 60.0, 2, 1, lambda i, j: paths[i])
+    graph, coloring = ConflictGraph(2, frozenset()), Coloring([0, 0], 1)
+    sched.start_round(graph, coloring, 0)
+    auvs = [VehicleTruth(60.0, 0.0, 0.0, 0.0), VehicleTruth(30.0, 0.0, 40.0, 0.0)]
+    sched.step(0, auvs, [(0.0, 0.0, 0.0)], lambda: (graph, coloring))
+    assert sched.heard_log == [[False], [True]]
+    # AUV 1, exactly r_max away, is attempted and its fix kept
+    assert [e for e in sched.events if e.startswith("FIX")] == [
+        "FIX{tick=0, auv=1, asv=0, pos=(30.000000, 0.000000, 40.000000), var=0.200386}"]
 
 
 def test_attempt_fix_short_range_always_delivers():
@@ -123,36 +139,39 @@ def test_attempt_fix_empirical_loss_rate():
     assert lost / 10_000 == pytest.approx(0.15, abs=0.01)
 
 
-def fix_at(x, var, auv_id=0, tick=0):
-    return UsblFix(auv_id, 0, (x, 0.0, 0.0), var, tick)
+def fix_at(x, var):
+    return (x, 0.0, 0.0, var)
+
+
+def fuse(fixes):
+    return fuse_fixes(fixes, 0, 0)
 
 
 def test_fuse_single_fix_identity():
-    f = fuse_fixes([fix_at(1.5, 2.0)])
+    f = fuse_fixes([fix_at(1.5, 2.0)], 3, 7)
     assert f.position[0] == pytest.approx(1.5)
     assert f.horiz_variance == pytest.approx(2.0)
     assert f.contributing_asv_count == 1
+    assert (f.auv_id, f.measure_tick) == (3, 7)
 
 
 def test_fuse_equal_variance_mean():
-    f = fuse_fixes([fix_at(1.0, 1.0), fix_at(3.0, 1.0)])
+    f = fuse([fix_at(1.0, 1.0), fix_at(3.0, 1.0)])
     assert f.position[0] == pytest.approx(2.0)
     assert f.horiz_variance == pytest.approx(0.5)
 
 
 def test_fuse_weighted():
-    f = fuse_fixes([fix_at(0.0, 1.0), fix_at(3.0, 0.5)])
+    f = fuse([fix_at(0.0, 1.0), fix_at(3.0, 0.5)])
     assert f.position[0] == pytest.approx(2.0)
     assert f.horiz_variance == pytest.approx(1.0 / 3.0)
 
 
 def test_fuse_validation():
     with pytest.raises(ValueError):
-        fuse_fixes([])
+        fuse([])
     with pytest.raises(ValueError):
-        fuse_fixes([fix_at(0, 1, auv_id=0), fix_at(1, 1, auv_id=1)])
-    with pytest.raises(ValueError):
-        fuse_fixes([fix_at(0, 1, tick=0), fix_at(1, 1, tick=5)])
+        fuse([fix_at(0.0, 1.0), fix_at(1.0, 0.0)])
 
 
 def test_fused_variance_never_exceeds_best_input():
@@ -161,8 +180,8 @@ def test_fused_variance_never_exceeds_best_input():
         k = int(rng.integers(1, 5))
         fixes = [fix_at(float(rng.normal()), float(rng.uniform(0.1, 3.0)))
                  for _ in range(k)]
-        f = fuse_fixes(fixes)
-        assert f.horiz_variance <= min(x.horiz_variance for x in fixes) + 1e-12
+        f = fuse(fixes)
+        assert f.horiz_variance <= min(x[3] for x in fixes) + 1e-12
 
 
 def test_fused_error_shrinks_with_sqrt_k():
@@ -175,7 +194,7 @@ def test_fused_error_shrinks_with_sqrt_k():
         for _ in range(10_000):
             fixes = [fix_at(float(rng.normal(0.0, sigma)), sigma ** 2)
                      for _ in range(k)]
-            errs.append(fuse_fixes(fixes).position[0])
+            errs.append(fuse(fixes).position[0])
         stds[k] = float(np.std(errs))
     assert stds[2] == pytest.approx(stds[1] / math.sqrt(2), rel=0.10)
     assert stds[3] == pytest.approx(stds[1] / math.sqrt(3), rel=0.10)

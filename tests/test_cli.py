@@ -137,11 +137,13 @@ def test_ini_table_derived_from_the_fields_is_the_run_config():
 
 
 def _bounded_ini_keys():
-    """(section, key) of every run-config key whose field declares a bound."""
+    """(section, key) of every run-config key whose field must be finite,
+    as every field with a bound must."""
     cfg = SimConfig()
-    return [(m["section"], (m["keys"] or (f.name,))[0])
+    return [(m["section"], key)
             for obj in (cfg, cfg.noise, cfg.timing, cfg.guidance) for f in fields(obj)
-            if (m := f.metadata) and m["section"] and (m["bound"] or m["finite"])]
+            if (m := f.metadata) and m["section"] and m["finite"]
+            for key in m["keys"] or (f.name,)]
 
 
 BOUNDED = _bounded_ini_keys()
@@ -154,6 +156,22 @@ def test_nan_is_rejected_naming_the_key(tmp_path, capsys, section, key):
     out = capsys.readouterr()
     assert "OK" not in out.out
     assert re.search(rf"\b{key}\b", out.err.split("cfg.ini", 1)[1]), out.err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("section, key", BOUNDED, ids=[f"{s}.{k}" for s, k in BOUNDED])
+def test_inf_is_rejected_naming_the_key(tmp_path, capsys, section, key, value):
+    # a bound alone would let inf through, and the run would then fail
+    cfg = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    assert main(["validate-config", "--config", cfg]) == 1
+    out = capsys.readouterr()
+    assert "OK" not in out.out
+    assert re.search(rf"\b{key}\b", out.err.split("cfg.ini", 1)[1]), out.err
+
+
+def test_bounded_keys_include_every_bound_and_both_bias_entries():
+    assert {("nav", "bias_x"), ("nav", "bias_y"), ("formation", "r_hf"),
+            ("protocol", "r_dl"), ("nav", "sigma_z"), ("sim", "duration")} <= set(BOUNDED)
 
 
 def test_an_infinite_duration_is_rejected(tmp_path, capsys):
@@ -227,6 +245,24 @@ def test_sweep_single_cell(tmp_path, capsys):
     assert len(lines) == 3      # comment, header, one data row
     assert (out / "aggregate.csv").is_file()
     assert (out / "heatmap.txt").is_file()
+
+
+@pytest.mark.parametrize("old, new, cell, error", [
+    ("duration = 8", "duration = -1", "L=60, n_asv=1, n_auv=3, alpha0_deg=0",
+     "duration must be >= 0"),
+    ("L = 60", "L = 60, -60", "L=-60, n_asv=1, n_auv=3", "L ([sim] l) must be > 0"),
+    ("duration = 8", "duration = 8\n[mission]\ntrack_spacing = 15",
+     "L=60, n_asv=1, n_auv=5", "exceeds the strip height"),
+], ids=["base", "axis", "across_fields"])
+def test_sweep_rejects_an_invalid_cell_before_running(tmp_path, capsys, old, new, cell, error):
+    # n_auv = 3, 5 gives strips 20 and 12 m high
+    cfg = write(tmp_path, SWEEP.replace("n_auv = 3", "n_auv = 3, 5").replace(old, new),
+                "sweep.ini")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"sweep cell {cell}" in err and error in err, err
+    assert not (out / "runs.csv").exists()
 
 
 def test_full_grid_job_count(tmp_path):

@@ -2,17 +2,18 @@
 
 Each fast path here claims to give exactly what a simpler formulation gives:
 event records rendered on read against formatting at the event, slot starts
-from constants against laying a round out slot by slot, a reused coloring
-against a fresh build, the fleet-wide delivery heap against per-AUV queues,
-the inlined loss test against ``total_loss_probability``, pre-scaled noise
-tuples against scalar draws, the lean truth and dead-reckoning step and the
-precomputed segment distance against their former forms, the comparison
-clamps against the builtins they replace, the lean ``attempt_fix`` and
-``audibility_masks`` against their former forms, slot safety checked once per
-(graph, coloring) against the former per-ping check, and the exact
-worst-point coverage distance against a fine grid.  The config hash, derived
-from the field declarations, changes with every field but the seed and trace.
-"""
+from constants against laying a round out slot by slot, a coloring reused
+or memoised by mask pattern against a fresh build, the fleet-wide delivery
+heap against per-AUV queues, the inlined loss test against
+``total_loss_probability``, pre-scaled noise tuples against scalar draws,
+block-built jittered anchors against per-tick sums, the lean truth and
+dead-reckoning step and the precomputed segment distance against their
+former forms, the comparison clamps against the builtins they replace,
+``attempt_fix`` on its caller's geometry and the lean ``audibility_masks``
+against their former forms, slot safety checked once per (graph, coloring)
+against the former per-ping check, and the exact worst-point coverage
+distance against a fine grid.  The config hash, derived from the field
+declarations, changes with every field but the seed and trace."""
 
 import dataclasses
 import heapq
@@ -27,11 +28,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from coopnav import protocol  # noqa: E402
-from coopnav.acoustic import (LossModelCoefficients, UsblFix,  # noqa: E402
-                              UsblNoiseConfig, attempt_fix)
+from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig,  # noqa: E402
+                              attempt_fix)
 from coopnav.conflict import (Coloring, ConflictGraph, audibility_masks,  # noqa: E402
                               build_conflict_graph, greedy_color)
-from coopnav.engine import RNG_BLOCK, NoiseStream, Recolorer, SimConfig  # noqa: E402
+from coopnav.engine import (RNG_BLOCK, NoiseStream, Recolorer, SimConfig,  # noqa: E402
+                           jittered_anchors)
 from coopnav.formation import AsvLayout, worst_point  # noqa: E402
 from coopnav.mission import (GuidanceConfig, VehicleTruth, advance_truth,  # noqa: E402
                              point_segment_distance, segment)
@@ -92,7 +94,7 @@ def test_slot_starts_from_constants_equal_the_former_layout(L, k, round_start, f
     cfg = TimingConfig(f_t=f_t)
     noise = UsblNoiseConfig(r_max=50.0)
     # every AUV far out of range: each slot shows as its group's pings only
-    pos = [(1000.0 * (i + 1), 0.0, 10.0) for i in range(k)]
+    pos = [VehicleTruth(1000.0 * (i + 1), 0.0, 10.0, 0.0) for i in range(k)]
     sched = TdmaScheduler(cfg, noise, LossModelCoefficients(), L, k, 1,
                           lambda i, j: (None, None))
     coloring = Coloring(list(range(k)), k)
@@ -149,6 +151,31 @@ def test_recolor_reuses_and_rebuilds_over_an_orbit():
     builds = check_recolor_over_orbit([0.0, 2.1, 4.2], [30.0, 35.0, 40.0], asv,
                                       rounds=400)
     assert 1 < builds < 400
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets=st.lists(st.lists(st.tuples(st.floats(-45, 45), st.floats(-45, 45)),
+                                min_size=3, max_size=3), min_size=1, max_size=4),
+       visits=st.lists(st.integers(0, 3), min_size=1, max_size=30),
+       asv=st.lists(st.tuples(st.floats(-30, 30), st.floats(-30, 30)),
+                    min_size=1, max_size=4))
+def test_memoised_coloring_matches_a_fresh_build_when_patterns_recur(fleets, visits, asv):
+    # a few fleet placements visited in any order: mask patterns come back,
+    # also after other patterns came between
+    recolorer = Recolorer(30.0)
+    anchors = anchor_points(np.array(asv))
+    first = {}
+    for v in visits:
+        pos = fleets[v % len(fleets)]
+        pair = recolorer(pos, anchors)
+        masks = audibility_masks(pos, anchors, 30.0)
+        fresh = build_conflict_graph(masks)
+        graph, coloring = pair
+        assert graph.edges == fresh.edges and graph.adj == fresh.adj
+        assert (coloring.color, coloring.k) == (greedy_color(fresh).color,
+                                                greedy_color(fresh).k)
+        assert first.setdefault(tuple(masks), pair) is pair
+    assert len(recolorer.pairs) == len(first)
 
 
 class PerAuvQueues:
@@ -212,9 +239,9 @@ def test_inlined_loss_test_is_total_loss_probability(dx, dy, dz, n_auv):
     r = math.sqrt(dx * dx + dy * dy + dz * dz)
     p = total_loss_probability(r, n_auv, coeffs)
     zeros = repeat((0.0, 0.0, 0.0))
-    kept = attempt_fix(asv, auv, r, n_auv, noise, coeffs, zeros, repeat(p))
-    lost = attempt_fix(asv, auv, r, n_auv, noise, coeffs, zeros,
-                       repeat(math.nextafter(p, -math.inf)))
+    kept = lean_attempt_fix(asv, auv, r, n_auv, noise, coeffs, zeros, repeat(p))
+    lost = lean_attempt_fix(asv, auv, r, n_auv, noise, coeffs, zeros,
+                            repeat(math.nextafter(p, -math.inf)))
     assert kept is not None and lost is None
 
 
@@ -375,25 +402,65 @@ def test_comparison_clamps_are_the_builtins(a, b):
     assert (b if b > a else a) is max(a, b)
 
 
-def former_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, coeffs, noise_tuples,
-                       loss_rng, auv_id=0, asv_id=0, measure_tick=0):
-    """``attempt_fix`` as it was, clamping with the builtins."""
+PAIR = st.tuples(ANY_FLOAT, ANY_FLOAT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.lists(PAIR, min_size=1, max_size=5),
+       jitter=st.lists(st.lists(PAIR, min_size=5, max_size=5), min_size=1, max_size=6))
+@example(base=[(-0.0, 0.0), (0.0, -0.0)], jitter=[[(-0.0, -0.0)] * 5, [(0.0, 0.0)] * 5])
+def test_block_built_anchors_equal_the_per_tick_sums(base, jitter):
+    # one row of jitter per tick; signed zeros, infinities and NaN show in the repr
+    jitter = [row[:len(base)] for row in jitter]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = jittered_anchors(np.array(base), np.array(jitter))
+    want = [[(bx + jx, by + jy, 0.0) for (bx, by), (jx, jy) in zip(base, row)]
+            for row in jitter]
+    assert repr([[tuple(a) for a in row] for row in got]) == repr(want)
+
+
+def lean_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, coeffs, noise_tuples, loss_rng):
+    """``attempt_fix`` as the scheduler calls it: past its range test, with
+    the offset, the contention term and ``sigma_r ** 2`` computed for it."""
     if r > noise.r_max:
         return None
-    if next(loss_rng) < total_loss_probability(r, n_auv, coeffs):
+    dx, dy, dz = (auv_pos[k] - asv_pos[k] for k in range(3))
+    return attempt_fix(asv_pos, dx, dy, dz, r, (n_auv - 1) * coeffs.p_col,
+                       noise.sigma_r ** 2, noise.sigma_theta, coeffs, noise_tuples, loss_rng)
+
+
+def former_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, coeffs, noise_tuples,
+                       loss_rng):
+    """``attempt_fix`` as it was: the range test, the offset and the
+    constants inside, and the fix as (x, y, z, variance)."""
+    if r > noise.r_max:
+        return None
+    rc, pc = coeffs.r_clip, coeffs.p_cap
+    rt = rc if rc < r else r
+    p = coeffs.a * math.exp(coeffs.b * rt) + coeffs.c0 * math.exp(coeffs.d * rt)
+    p = 0.0 if 0.0 > p else p
+    p = (1.0 if 1.0 < p else p) + (n_auv - 1) * coeffs.p_col
+    p = pc if pc < p else p
+    if next(loss_rng) < p:
         return None
     ax, ay, az = asv_pos[0], asv_pos[1], asv_pos[2]
-    dx, dy, dz = auv_pos[0] - ax, auv_pos[1] - ay, auv_pos[2] - az
-    theta = math.atan2(dy, dx) if r > 0 else 0.0
-    phi = math.asin(max(-1.0, min(1.0, dz / r))) if r > 0 else 0.0
+    dx = auv_pos[0] - ax
+    dy = auv_pos[1] - ay
+    dz = auv_pos[2] - az
+    theta, s = (math.atan2(dy, dx), dz / r) if r > 0 else (0.0, 0.0)
+    s = s if s < 1.0 else 1.0
+    phi = math.asin(s if s > -1.0 else -1.0)
     n_r, n_theta, n_phi = next(noise_tuples)
-    r_m = max(r + n_r, 0.0)
-    t_m, p_m = theta + n_theta, phi + n_phi
+    r_m = r + n_r
+    r_m = 0.0 if 0.0 > r_m else r_m
+    t_m = theta + n_theta
+    p_m = phi + n_phi
     cp = math.cos(p_m)
-    pos = (ax + r_m * cp * math.cos(t_m), ay + r_m * cp * math.sin(t_m),
+    pos = (ax + r_m * cp * math.cos(t_m),
+           ay + r_m * cp * math.sin(t_m),
            az + r_m * math.sin(p_m))
     var = noise.sigma_r ** 2 + (r * noise.sigma_theta) ** 2
-    return UsblFix(auv_id, asv_id, pos, var, measure_tick)
+    return (*pos, var)
 
 
 def outcome(fix_fn, *args):
@@ -402,7 +469,7 @@ def outcome(fix_fn, *args):
         fx = fix_fn(*args)
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
-    return None if fx is None else repr((fx.position, fx.horiz_variance))
+    return repr(fx)
 
 
 RANGE = st.one_of(EDGE, st.floats(0.0, 900.0), st.floats(-1e-300, 1e-300))
@@ -427,7 +494,7 @@ def test_lean_attempt_fix_equals_the_former_one(r, dz, n, n_auv, u, r_clip, p_ca
     coeffs = LossModelCoefficients(r_clip=r_clip, p_cap=p_cap)
     ax, ay, az = asv
     args = (asv, (ax + 3.0, ay + 4.0, dz), r, n_auv, noise, coeffs)
-    assert (outcome(attempt_fix, *args, repeat(n), repeat(u)) ==
+    assert (outcome(lean_attempt_fix, *args, repeat(n), repeat(u)) ==
             outcome(former_attempt_fix, *args, repeat(n), repeat(u)))
 
 

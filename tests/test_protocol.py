@@ -9,6 +9,7 @@ from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig,
 from coopnav.conflict import (Coloring, ConflictGraph, audibility_masks,
                               build_conflict_graph, greedy_color)
 from coopnav.engine import NoiseStream, derive_rng, uniform_stream
+from coopnav.mission import VehicleTruth
 from coopnav.protocol import (FixQueue, PendingDelivery, TdmaScheduler,
                               TimingConfig, anchor_points, crossing_time,
                               delivery_tick, downlink_slot_duration,
@@ -113,6 +114,11 @@ def make_rngs(n_auv, n_asv, seed=0, noise=UsblNoiseConfig()):
     return lambda i, j: (usbl[i][j], loss[i][j])
 
 
+def vehicles(pos):
+    """(x, y, z) positions as the scheduler reads them, from vehicles."""
+    return [VehicleTruth(x, y, z, 0.0) for x, y, z in pos]
+
+
 def one_round(pos, asv, graph, coloring, ticks=None):
     """Step a scheduler at L=60 every tick over its first round, or ``ticks``
     ticks; returns it and its rendered events."""
@@ -120,9 +126,9 @@ def one_round(pos, asv, graph, coloring, ticks=None):
                           LossModelCoefficients(), 60.0, len(pos), len(asv),
                           make_rngs(len(pos), len(asv)))
     sched.start_round(graph, coloring, 0)
-    anchors = anchor_points(asv)
+    anchors, auvs = anchor_points(asv), vehicles(pos)
     for k in range(sched.round_end if ticks is None else ticks):
-        sched.step(k, pos, anchors, recolor=lambda: (graph, coloring))
+        sched.step(k, auvs, anchors, recolor=lambda: (graph, coloring))
     return sched, list(sched.events)
 
 
@@ -187,8 +193,8 @@ def test_scheduler_rejects_conflicting_slot_mates():
 
 
 def test_scheduler_uplink_matches_reference_fix_attempts():
-    # the scheduler attempts fixes on in-range paths only; attempting every
-    # path, as a reference loop here does, draws and yields exactly the same
+    # the scheduler attempts fixes on in-range paths only, handing each
+    # attempt the geometry of its range test, as a reference loop does here
     pos = [(20.0, 5.0, 10.0), (-15.0, 10.0, 10.0), (5.0, -45.0, 10.0)]
     asv = np.array([[0.0, 0.0], [30.0, 0.0]])
     g = build_conflict_graph(audibility_masks(pos, asv, 50.0))
@@ -203,18 +209,21 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
             ref.append(f"PING{{tick={tick}, auv={i}, group={grp}}}")
             fixes = []
             for j, a in enumerate(anchor_points(asv)):
+                dx, dy, dz = (p - q for p, q in zip(pos[i], a))
+                r = math.sqrt(dx * dx + dy * dy + dz * dz)
+                if r > noise.r_max:
+                    continue
                 usbl, loss = rngs(i, j)
-                fx = attempt_fix(a, pos[i], math.dist(a, pos[i]), 3, noise, coeffs,
-                                 usbl, loss, auv_id=i, asv_id=j, measure_tick=tick)
+                fx = attempt_fix(a, dx, dy, dz, r, 2 * coeffs.p_col, noise.sigma_r ** 2,
+                                 noise.sigma_theta, coeffs, usbl, loss)
                 if fx is not None:
-                    x, y, z = fx.position
+                    x, y, z, var = fx
                     ref.append(f"FIX{{tick={tick}, auv={i}, asv={j}, "
-                               f"pos=({x:.6f}, {y:.6f}, {z:.6f}), "
-                               f"var={fx.horiz_variance:.6f}}}")
+                               f"pos=({x:.6f}, {y:.6f}, {z:.6f}), var={var:.6f}}}")
                     fixes.append(fx)
             if fixes:
                 ref.append(f"FUSE{{tick={tick}, auv={i}, "
-                           f"k={fuse_fixes(fixes).contributing_asv_count}}}")
+                           f"k={fuse_fixes(fixes, i, tick).contributing_asv_count}}}")
     uplink = [e for e in events if e.split("{")[0] in ("PING", "FIX", "FUSE")]
     assert uplink == ref
     assert any(e.startswith("FIX") and "asv=1" in e for e in ref)
@@ -248,7 +257,7 @@ def drive_scheduler(trace, asv, skip_idle):
             continue
         n_events = len(sched.events)
         due = sched.due_auvs(k)
-        out = sched.step(k, pos, anchors, lambda: recolor(pos))
+        out = sched.step(k, vehicles(pos), anchors, lambda: recolor(pos))
         steps += 1
         if idle:
             assert not due and not out and len(sched.events) == n_events

@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Interleaved timing of two coopnav source trees on one sweep INI.
+
+    python3 tools/abtime.py PARENT_SRC CHANGE_SRC --ini FILE [--rounds N]
+
+PARENT_SRC and CHANGE_SRC are ``src/`` directories of two checkouts.  Both
+trees are imported into this one process, as the packages ``coopnav_parent``
+and ``coopnav_change`` (coopnav imports its own modules relatively only).
+Each round runs every job of the sweep INI once per tree, back to back,
+alternating which tree goes first, and times each ``run()`` call.  A pair is
+one job of one round; its ratio is the change's time over the parent's.
+The script prints each tree's median mission time with its quartiles, the
+quartiles of the pair ratios and the fraction of pairs the change won.  Host
+speed drifts within a benchmark run (perfbench/README.md); two runs timed
+back to back see nearly the same host, so the pair ratio cancels the drift.
+
+Every pair's event log and report digest must be equal: the script exits 1
+on the first mismatch, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+
+def load_tree(src: str, name: str):
+    """``coopnav`` of ``src`` imported as package ``name``; returns its
+    ``cli`` module."""
+    init = Path(src) / "coopnav" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return importlib.import_module(f"{name}.cli")
+
+
+def digest(rep) -> str:
+    blob = "\n".join(rep.event_log) + repr(
+        (rep.ticks, rep.per_auv, rep.total_applied, rep.latency_mean_s,
+         rep.latency_p95_s, rep.dropped, rep.max_innovation, rep.excursion_ticks))
+    return hashlib.sha1(blob.encode()).hexdigest()
+
+
+def timed(cli, cfg) -> tuple[float, str]:
+    t0 = time.perf_counter()
+    rep = cli.run(cfg)
+    return time.perf_counter() - t0, digest(rep)
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4)
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent_src")
+    p.add_argument("change_src")
+    p.add_argument("--ini", required=True, help="sweep INI whose jobs are timed")
+    p.add_argument("--rounds", type=int, default=5, help="passes over the jobs")
+    args = p.parse_args(argv)
+    trees = (load_tree(args.parent_src, "coopnav_parent"),
+             load_tree(args.change_src, "coopnav_change"))
+    jobs = [[cfg for _, cfg in cli.load_sweep_spec(args.ini).jobs()] for cli in trees]
+    times: tuple[list[float], list[float]] = ([], [])
+    ratios = []
+    for rnd in range(args.rounds):
+        for n, cfgs in enumerate(zip(*jobs)):
+            order = (0, 1) if (rnd + n) % 2 == 0 else (1, 0)
+            out = {side: timed(trees[side], cfgs[side]) for side in order}
+            if out[0][1] != out[1][1]:
+                print(f"round {rnd} job {n}: outputs differ")
+                return 1
+            times[0].append(out[0][0])
+            times[1].append(out[1][0])
+            ratios.append(out[1][0] / out[0][0])
+    for label, ts in zip(("parent", "change"), times):
+        q1, med, q3 = quartiles(ts)
+        print(f"{label}: median {med:.4f} s [{q1:.4f}, {q3:.4f}] over {len(ts)} runs")
+    q1, med, q3 = quartiles(ratios)
+    wins = sum(r < 1.0 for r in ratios)
+    print(f"change/parent ratio: median {med:.3f} [{q1:.3f}, {q3:.3f}]; "
+          f"change won {wins}/{len(ratios)} pairs ({wins / len(ratios):.0%})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
