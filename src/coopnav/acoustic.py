@@ -41,15 +41,6 @@ class LossModelCoefficients:
     p_cap: float = 0.999
 
 
-@dataclass(slots=True)
-class FusedFix:
-    auv_id: int
-    position: tuple[float, float, float]
-    horiz_variance: float
-    contributing_asv_count: int
-    measure_tick: int
-
-
 def attempt_fix(asv, dx: float, dy: float, dz: float, r: float, p_con: float,
                 var_r: float, sigma_theta: float, coeffs: LossModelCoefficients,
                 noise_tuples, loss_rng) -> tuple[float, float, float, float] | None:
@@ -93,12 +84,11 @@ def attempt_fix(asv, dx: float, dy: float, dz: float, r: float, p_con: float,
             var_r + (r * sigma_theta) ** 2)
 
 
-def fuse_fixes(fixes: list[tuple[float, float, float, float]], auv_id: int,
-               tick: int) -> FusedFix:
-    """Inverse-variance weighted merge of the (x, y, z, variance) fixes of
-    AUV ``auv_id`` pinged at ``tick``.
+def fuse_fixes(fixes: list[tuple[float, float, float, float]]) -> tuple[float, float, float]:
+    """Inverse-variance weighted merge of one ping's (x, y, z, variance)
+    fixes into the fused (x, y, z).
 
-    With equal variances this is the arithmetic mean with variance sigma^2/K.
+    With equal variances this is the arithmetic mean, of variance sigma^2/K.
     """
     if not fixes:
         raise ValueError("cannot fuse an empty fix list")
@@ -110,4 +100,4 @@ def fuse_fixes(fixes: list[tuple[float, float, float, float]], auv_id: int,
         x += px / v
         y += py / v
         z += pz / v
-    return FusedFix(auv_id, (x / wsum, y / wsum, z / wsum), 1.0 / wsum, len(fixes), tick)
+    return x / wsum, y / wsum, z / wsum

@@ -26,9 +26,8 @@ from functools import reduce
 from pathlib import Path
 
 from .engine import MissionReport, SimConfig, run
-from .formation import (FormationConfig, asv_positions, corner_distance,
-                        coverage_fraction_grid, min_formation_radius,
-                        worst_point)
+from .formation import (corner_distance, coverage_fraction_grid,
+                        min_formation_radius, worst_point)
 
 log = logging.getLogger("coopnav")
 
@@ -139,15 +138,17 @@ class SweepSpec:
     base: SimConfig = field(default_factory=SimConfig)
 
     def validate(self):
-        """The axes and the seed count, then the run config of each cell:
-        ``base`` with the cell's axis values, so that no job fails validation
-        in a run.  The seed is not validated, so one job per cell stands for
-        all of the cell's seeds."""
+        """The axes, the seed count and the base seed, then the run config of
+        each cell: ``base`` with the cell's axis values, so that no job fails
+        validation in a run.  A cell's seeds count up from ``base_seed``, so
+        its job with that seed stands for all of them."""
         for name in ("L_values", "n_asv_values", "n_auv_values", "alpha0_deg_values"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep list {name} must be non-empty")
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1 (got {self.seeds})")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0 (got {self.base_seed})")
         for _, cfg in replace(self, seeds=1).jobs():
             try:
                 cfg.validate()
@@ -247,19 +248,23 @@ def report_row(cfg: SimConfig, rep: MissionReport) -> dict:
     }
 
 
+def _error_row(cfg: SimConfig, exc: BaseException) -> dict:
+    return {
+        **dict.fromkeys(_CSV_COLUMNS, ""),
+        "config_hash": cfg.config_hash(), "seed": cfg.seed,
+        "L": f"{cfg.L:g}", "n_asv": cfg.n_asv, "n_auv": cfg.n_auv,
+        "alpha0_deg": f"{math.degrees(cfg.alpha0):g}",
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+
+
 def _sweep_job(payload: tuple[int, SimConfig]) -> tuple[int, dict]:
     idx, cfg = payload
     try:
         rep = run(cfg)
         row = report_row(cfg, rep)
     except Exception as exc:   # a failed run must not sink the sweep
-        row = {c: "" for c in _CSV_COLUMNS}
-        row.update({
-            "config_hash": cfg.config_hash(), "seed": cfg.seed,
-            "L": f"{cfg.L:g}", "n_asv": cfg.n_asv, "n_auv": cfg.n_auv,
-            "alpha0_deg": f"{math.degrees(cfg.alpha0):g}",
-            "error": f"{type(exc).__name__}: {exc}",
-        })
+        row = _error_row(cfg, exc)
     return idx, row
 
 
@@ -316,14 +321,20 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     jobs = spec.jobs()
-    log.info("sweep: %d runs, parallelism %d", len(jobs), args.parallel)
-    results: list[tuple[int, dict]] = []
-    if args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_sweep_job, jobs, chunksize=1))
+    # a fork-started pool starts all of its workers up front
+    workers = min(args.parallel, len(jobs))
+    log.info("sweep: %d runs, parallelism %d", len(jobs), workers)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_sweep_job, j) for j in jobs]
+        results = []
+        for (idx, cfg), future in zip(jobs, futures):
+            try:
+                results.append(future.result())
+            except concurrent.futures.BrokenExecutor as exc:   # a worker died first
+                results.append((idx, _error_row(cfg, exc)))
     else:
         results = [_sweep_job(j) for j in jobs]
-    results.sort(key=lambda t: t[0])
     rows = [r for _, r in results]
     _write_csv(out / "runs.csv", _CSV_COLUMNS, rows, "coopnav sweep runs schema v1")
 
@@ -374,13 +385,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_check_coverage(args) -> int:
     cfg = load_sim_config(args.config)
-    fc = FormationConfig(n_asv=cfg.n_asv, L=cfg.L, r_hf=cfg.r_hf,
-                         delta_b=cfg.delta_b, alpha0=cfg.alpha0)
-    layout = asv_positions(fc)
-    corner = corner_distance(layout, cfg.L)
-    worst, (wx, wy) = worst_point(layout, cfg.L)
+    asv = cfg.formation()
+    corner = corner_distance(asv, cfg.L)
+    worst, (wx, wy) = worst_point(asv, cfg.L)
     mfr = min_formation_radius(cfg.L, cfg.r_hf)
-    frac = coverage_fraction_grid(layout, cfg.L, cfg.r_hf)
+    frac = coverage_fraction_grid(asv, cfg.L, cfg.r_hf)
     full = worst <= cfg.r_hf
     print(f"corner distance: {corner:.2f} m (HF range {cfg.r_hf:g} m)")
     if mfr is None:
@@ -402,6 +411,13 @@ def cmd_validate(args) -> int:
     load_sim_config(args.config)
     print(f"{args.config}: OK")
     return 0
+
+
+def positive_int(raw: str) -> int:
+    n = int(raw)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {n})")
+    return n
 
 
 class _Parser(argparse.ArgumentParser):
@@ -429,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default="out")
     ps.add_argument("--seeds", type=int, default=None,
                     help="override the seed count of the sweep spec")
-    ps.add_argument("--parallel", type=int, default=1)
+    ps.add_argument("--parallel", type=positive_int, default=1,
+                    help="worker processes, at most one per run")
     ps.set_defaults(func=cmd_sweep)
 
     pc = sub.add_parser("check-coverage",

@@ -9,26 +9,7 @@ share uplink slots safely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-
-@dataclass
-class ConflictGraph:
-    n: int
-    edges: frozenset[tuple[int, int]]    # pairs (i, j) with i < j
-    adj: list[set[int]] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.adj is None:
-            adj = [set() for _ in range(self.n)]
-            for i, j in self.edges:
-                if i == j:
-                    raise ValueError(f"self-loop on vertex {i}")
-                if not (0 <= i < self.n and 0 <= j < self.n):
-                    raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-                adj[i].add(j)
-                adj[j].add(i)
-            self.adj = adj
+from dataclasses import dataclass
 
 
 @dataclass
@@ -65,8 +46,9 @@ def audibility_masks(auv_positions, anchors, r_hf: float) -> list[int]:
     return masks
 
 
-def build_conflict_graph(masks: list[int]) -> ConflictGraph:
-    """Conflict graph over the whole fleet from its ``audibility_masks``.
+def build_conflict_graph(masks: list[int]) -> list[set[int]]:
+    """Conflict graph over the whole fleet from its ``audibility_masks``, as
+    its adjacency list: entry i is the set of AUVs that conflict with AUV i.
 
     Two AUVs conflict when their masks share an ASV.  AUVs out of range of
     every ASV become isolated vertices; they still get a color and ping in
@@ -74,16 +56,20 @@ def build_conflict_graph(masks: list[int]) -> ConflictGraph:
     masks alone.
     """
     n = len(masks)
-    edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
-                      if masks[i] & masks[j])
-    return ConflictGraph(n, edges)
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if masks[i] & masks[j]:
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
 
 
-def greedy_color(g: ConflictGraph) -> Coloring:
+def greedy_color(adj: list[set[int]]) -> Coloring:
     """Greedy coloring in ascending vertex order (deterministic)."""
-    color = [-1] * g.n
-    for v in range(g.n):
-        used = {color[u] for u in g.adj[v] if color[u] != -1}
+    color = [-1] * len(adj)
+    for v, nbrs in enumerate(adj):
+        used = {color[u] for u in nbrs if color[u] != -1}
         c = 0
         while c in used:
             c += 1

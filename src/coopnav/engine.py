@@ -21,7 +21,7 @@ import numpy as np
 
 from .acoustic import LossModelCoefficients, UsblNoiseConfig
 from .conflict import audibility_masks, build_conflict_graph, greedy_color
-from .formation import FormationConfig, asv_positions
+from .formation import asv_positions
 from .mission import (GuidanceConfig, VehicleTruth, advance_truth, guidance_step,
                       plan_lawnmower, point_segment_distance, segment)
 from .nav import KinematicInput, NavState, apply_fix, dead_reckon_step, depth_update
@@ -39,7 +39,7 @@ class SimConfig:
                           finite=True)                          # formation angle, rad
     duration: float = param(300.0, "sim", ge=0)                         # s
     f_t: int = param(30, "sim", "tick_rate", ge=1)                      # Hz
-    seed: int = param(0, "sim", hashed=False)
+    seed: int = param(0, "sim", ge=0, hashed=False)
     r_hf: float = param(50.0, "formation", gt=0)           # HF uplink range, m
     delta_b: float = param(0.0, "formation", ge=0)         # formation radius buffer, m
     asv_jitter_std: float = param(0.0, "formation", ge=0)  # station-keeping jitter std, m
@@ -75,6 +75,10 @@ class SimConfig:
             raise ValueError(f"track_spacing {self.track_spacing} exceeds the strip height L / n_auv")
         if self.noise.sigma_r == 0 and self.noise.sigma_theta == 0:   # fixes of variance 0
             raise ValueError("sigma_r and sigma_theta must not both be 0")
+
+    def formation(self) -> np.ndarray:
+        """The ``(n_asv, 2)`` ASV ring of radius ``r_hf + delta_b`` at ``alpha0``."""
+        return asv_positions(self.n_asv, self.r_hf + self.delta_b, self.alpha0)
 
     def config_hash(self) -> str:
         blob = "\n".join(f"{k}={v}" for k, v in hash_items(self))
@@ -255,12 +259,8 @@ def run(config: SimConfig) -> MissionReport:
     usbl_enabled = config.usbl_enabled
     trace = config.trace
 
-    plan = plan_lawnmower(config.L, n, config.track_spacing, depth)
-    waypoints = plan.waypoints
-    layout = asv_positions(FormationConfig(
-        n_asv=m, L=config.L, r_hf=config.r_hf, delta_b=config.delta_b,
-        alpha0=config.alpha0))
-    base_asv = layout.positions
+    waypoints = plan_lawnmower(config.L, n, config.track_spacing)
+    base_asv = config.formation()
 
     seed = config.seed
     sq_dt = math.sqrt(dt)
@@ -378,13 +378,13 @@ def run(config: SimConfig) -> MissionReport:
                             f"cte={cte:.6f}}}")
 
             if kinematics and active:
-                for i, pd in proto.step(k, truths, anchors, recolor):
+                for _, i, _, fix, _ in proto.step(k, truths, anchors, recolor):
                     p = navs[i].p_fused
-                    fx, fy = pd.fix.position[0], pd.fix.position[1]
+                    fx, fy = fix[0], fix[1]
                     innov = math.hypot(fx - p[0], fy - p[1])
                     if innov > max_innovation:
                         max_innovation = innov
-                    apply_fix(navs[i], pd.fix, kin[i])
+                    apply_fix(navs[i], fix, kin[i])
                     applied[i] += 1
                     applied_ticks[i].append(k)
                     last_fix_xy[i] = (fx, fy)

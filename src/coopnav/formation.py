@@ -11,67 +11,36 @@ and a brute-force grid oracle for the coverage fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import check, param
+
+def asv_positions(n_asv: int, radius: float, alpha0: float) -> np.ndarray:
+    """The ``(n_asv, 2)`` ASV positions on the regular N-gon of ``radius``
+    from angle ``alpha0`` (the origin for a single ASV)."""
+    if n_asv == 1:
+        return np.zeros((1, 2))
+    j = np.arange(n_asv)
+    ang = alpha0 + 2.0 * math.pi * j / n_asv
+    return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-@dataclass
-class FormationConfig:
-    """Geometry parameters for the surface-anchor ring."""
-
-    n_asv: int = param(ge=1)
-    L: float = param(gt=0)               # survey side length, m
-    r_hf: float = param(50.0, gt=0)      # HF uplink range, m
-    delta_b: float = param(0.0, ge=0)    # clearance buffer added to the ring radius, m
-    alpha0: float = 0.0                  # formation angle, rad
-
-    __post_init__ = validate = check     # the declared bounds, checked on construction
-
-    @property
-    def radius(self) -> float:
-        return self.r_hf + self.delta_b
-
-
-@dataclass
-class AsvLayout:
-    """Ordered 2D ASV positions (NED horizontal plane), shape (n, 2)."""
-
-    positions: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
-def asv_positions(cfg: FormationConfig) -> AsvLayout:
-    """Place the ASVs on the regular N-gon (origin for a single ASV)."""
-    cfg.validate()
-    if cfg.n_asv == 1:
-        return AsvLayout(np.zeros((1, 2)))
-    j = np.arange(cfg.n_asv)
-    ang = cfg.alpha0 + 2.0 * math.pi * j / cfg.n_asv
-    pos = cfg.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return AsvLayout(pos)
-
-
-def corner_distance(layout: AsvLayout, L: float) -> float:
+def corner_distance(asv: np.ndarray, L: float) -> float:
     """Worst-corner nearest-ASV distance.
 
     For each of the four survey corners (+-L/2, +-L/2) take the distance to
     the nearest ASV, then return the maximum over corners: the binding corner
     that any coverage argument has to beat.
     """
-    if len(layout) == 0:
+    if len(asv) == 0:
         raise ValueError("layout must contain at least one ASV")
     h = L / 2.0
     corners = np.array([[h, h], [h, -h], [-h, h], [-h, -h]])
-    d = np.linalg.norm(corners[:, None, :] - layout.positions[None, :, :], axis=2)
+    d = np.linalg.norm(corners[:, None, :] - asv[None, :, :], axis=2)
     return float(d.min(axis=1).max())
 
 
-def worst_point(layout: AsvLayout, L: float) -> tuple[float, tuple[float, float]]:
+def worst_point(asv: np.ndarray, L: float) -> tuple[float, tuple[float, float]]:
     """Largest nearest-ASV distance over the survey square, and where it is.
 
     The nearest-ASV distance is convex on each Voronoi cell, so its maximum
@@ -82,9 +51,9 @@ def worst_point(layout: AsvLayout, L: float) -> tuple[float, tuple[float, float]
     Evaluating every such candidate gives the maximum exactly; the square is
     fully covered iff it is <= r_hf.
     """
-    if len(layout) == 0:
+    if len(asv) == 0:
         raise ValueError("layout must contain at least one ASV")
-    a = layout.positions.tolist()
+    a = asv.tolist()
     h = L / 2.0
     cands = [(h, h), (h, -h), (-h, h), (-h, -h)]
     for i, (ax, ay) in enumerate(a):
@@ -108,7 +77,7 @@ def worst_point(layout: AsvLayout, L: float) -> tuple[float, tuple[float, float]
     # a crossing or circumcentre off the square is no candidate; one on its
     # boundary may sit a rounding error outside it, which the clip absorbs
     pts = np.clip(pts[(np.abs(pts) <= h * (1 + 1e-12)).all(axis=1)], -h, h)
-    d = np.linalg.norm(pts[:, None, :] - layout.positions[None, :, :], axis=2).min(axis=1)
+    d = np.linalg.norm(pts[:, None, :] - asv[None, :, :], axis=2).min(axis=1)
     w = int(np.argmax(d))
     return float(d[w]), (float(pts[w, 0]), float(pts[w, 1]))
 
@@ -130,7 +99,7 @@ def min_formation_radius(L: float, r_hf: float) -> float | None:
     return half - math.sqrt(r_hf * r_hf - half * half)
 
 
-def coverage_fraction_grid(layout: AsvLayout, L: float, r_hf: float,
+def coverage_fraction_grid(asv: np.ndarray, L: float, r_hf: float,
                            grid_step: float = 0.5) -> float:
     """Brute-force coverage oracle.
 
@@ -146,6 +115,6 @@ def coverage_fraction_grid(layout: AsvLayout, L: float, r_hf: float,
         coords = np.linspace(-L / 2.0, L / 2.0, n)
     gx, gy = np.meshgrid(coords, coords)
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    d2 = ((pts[:, None, :] - layout.positions[None, :, :]) ** 2).sum(axis=2)
+    d2 = ((pts[:, None, :] - asv[None, :, :]) ** 2).sum(axis=2)
     covered = (d2.min(axis=1) <= r_hf * r_hf)
     return float(covered.mean())

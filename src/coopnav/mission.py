@@ -33,34 +33,24 @@ class VehicleTruth:
     speed: float = 0.0
 
 
-@dataclass
-class LawnmowerPlan:
-    waypoints: list[list[tuple[float, float]]]        # per AUV, ordered
-    strip_bounds: list[tuple[float, float]]           # per AUV (y_low, y_high)
-    track_spacing: float
-    depth: float = 10.0
-
-
 def default_track_spacing(L: float, n_auv: int) -> float:
     """One third of the strip height: 5 m at L=60 with four AUVs, scaled."""
     return (L / n_auv) / 3.0
 
 
-def plan_lawnmower(L: float, n_auv: int, track_spacing: float | None = None,
-                   depth: float = 10.0) -> LawnmowerPlan:
-    """Build the per-AUV serpentine plans.
+def plan_lawnmower(L: float, n_auv: int,
+                   track_spacing: float | None = None) -> list[list[tuple[float, float]]]:
+    """Build the per-AUV serpentine plans: each AUV's ordered waypoints.
 
     Strip i spans y in [-L/2 + i*h, -L/2 + (i+1)*h] with h = L/n_auv; tracks
     sit at y = strip_low + j*spacing for j = 0..floor(h/spacing), so the
-    strip edges carry tracks whenever the spacing divides the height.  ``L``
-    and ``n_auv`` are taken as ``SimConfig.validate`` bounds them.
+    strip edges carry tracks whenever the spacing divides the height.  ``L``,
+    ``n_auv`` and the spacing are taken as ``SimConfig.validate`` bounds them.
     """
     h = L / n_auv
     spacing = default_track_spacing(L, n_auv) if track_spacing is None else track_spacing
-    if spacing > h + 1e-9:
-        raise ValueError(f"track_spacing {spacing} exceeds strip height {h}")
     half = L / 2.0
-    all_wps, bounds = [], []
+    all_wps = []
     for i in range(n_auv):
         y0 = -half + i * h
         n_tracks = int(math.floor(h / spacing + 1e-9)) + 1
@@ -72,8 +62,7 @@ def plan_lawnmower(L: float, n_auv: int, track_spacing: float | None = None,
             else:
                 wps.extend([(-half, y), (half, y)])
         all_wps.append(wps)
-        bounds.append((y0, y0 + h))
-    return LawnmowerPlan(all_wps, bounds, spacing, depth)
+    return all_wps
 
 
 def guidance_step(truth: VehicleTruth, estimate_xy, waypoints, wp_index: int,

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .acoustic import FusedFix
-
 
 @dataclass
 class NavState:
-    """Estimator state and constants for one AUV.  Positions are [x, y, z]."""
+    """Estimator state and constants for one AUV.  Positions are [x, y, z];
+    ``dt`` and ``gamma`` are taken as ``SimConfig.validate`` bounds them."""
 
     p_imu: list[float]
     p_fused: list[float]
@@ -25,10 +24,6 @@ class NavState:
     gamma: float = 0.90                        # fix correction gain
 
     def __post_init__(self):
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError(f"gamma must be in (0, 1] (got {self.gamma})")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0 (got {self.dt})")
         # the bias's body-frame displacement per step; the body frame has no
         # lateral velocity, whose 0.0 * dt term stays in for its signed zero
         self.bias_dx = self.bias[0] * self.dt
@@ -81,23 +76,21 @@ def depth_update(state: NavState, z_true: float, noise: float) -> float:
     return z
 
 
-def apply_fix(state: NavState, fix: FusedFix, inp: KinematicInput,
-              gamma: float | None = None) -> NavState:
+def apply_fix(state: NavState, fix: tuple[float, float, float],
+              inp: KinematicInput) -> NavState:
     """Predict-correct update of the fused estimate at a fix delivery.
 
     Predict: one biased (noise-free) kinematic step from the previous fused
-    position.  Correct: move gamma of the way to the fix.  Only the fused
-    horizontal components change; p_imu never ingests fixes.
+    position.  Correct: move gamma of the way to the fused (x, y, z) fix.
+    Only the fused horizontal components change; p_imu never ingests fixes.
     """
-    g = state.gamma if gamma is None else gamma
-    if not (0.0 < g <= 1.0):
-        raise ValueError(f"gamma must be in (0, 1] (got {g})")
+    g = state.gamma
     dt = state.dt
     bx = (inp.speed + state.bias[0]) * dt
     by = (0.0 + state.bias[1]) * dt
     c, s = inp.cos_psi, inp.sin_psi
     px = state.p_fused[0] + c * bx - s * by
     py = state.p_fused[1] + s * bx + c * by
-    state.p_fused[0] = px + g * (fix.position[0] - px)
-    state.p_fused[1] = py + g * (fix.position[1] - py)
+    state.p_fused[0] = px + g * (fix[0] - px)
+    state.p_fused[1] = py + g * (fix[1] - py)
     return state

@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .acoustic import (SOUND_SPEED, FusedFix, LossModelCoefficients,
-                       UsblNoiseConfig, attempt_fix, fuse_fixes)
-from .conflict import Coloring, ConflictGraph
+from .acoustic import (SOUND_SPEED, LossModelCoefficients, UsblNoiseConfig,
+                       attempt_fix, fuse_fixes)
+from .conflict import Coloring
 from .schema import param
 
 _TICK_EPS = 1e-9   # guards ceil() against float residue in exact products
@@ -163,19 +163,13 @@ class EventLog:
             pos += n
 
 
-@dataclass
-class PendingDelivery:
-    fix: FusedFix
-    deliver_tick: int
-    ping_tick: int
-
-
 class FixQueue:
     """The fleet's pending deliveries, one min-heap keyed on delivery tick.
 
-    Fixes due by a tick are released in ascending AUV order and, for one
-    AUV, in delivery-tick then push order; an AUV's releases never go back
-    in delivery tick.
+    A delivery is its heap entry ``(deliver_tick, auv, seq, fix, ping_tick)``
+    with ``seq`` the push count.  Fixes due by a tick are released in
+    ascending AUV order and, for one AUV, in delivery-tick then push order;
+    an AUV's releases never go back in delivery tick.
     """
 
     def __init__(self, n_auv: int):
@@ -183,8 +177,8 @@ class FixQueue:
         self._seq = 0
         self._last_released = [-1] * n_auv
 
-    def push(self, auv: int, pd: PendingDelivery):
-        heapq.heappush(self._heap, (pd.deliver_tick, auv, self._seq, pd))
+    def push(self, deliver_tick: int, auv: int, fix, ping_tick: int):
+        heapq.heappush(self._heap, (deliver_tick, auv, self._seq, fix, ping_tick))
         self._seq += 1
 
     def head_tick(self) -> int | None:
@@ -196,10 +190,10 @@ class FixQueue:
         heap = self._heap
         if not heap or heap[0][0] > tick:
             return set()
-        return {auv for kd, auv, _, _ in heap if kd <= tick}
+        return {auv for kd, auv, _, _, _ in heap if kd <= tick}
 
-    def pop_due(self, tick: int) -> list[tuple[int, PendingDelivery]]:
-        """Remove and return the (auv, delivery) pairs due by ``tick``."""
+    def pop_due(self, tick: int) -> list[tuple]:
+        """Remove and return the heap entries due by ``tick``."""
         heap = self._heap
         if not heap or heap[0][0] > tick:
             return []
@@ -208,14 +202,11 @@ class FixQueue:
             out.append(heapq.heappop(heap))
         out.sort(key=itemgetter(1))    # stable: keeps each AUV's heap order
         last = self._last_released
-        for kd, auv, _, _ in out:
+        for kd, auv, _, _, _ in out:
             if kd < last[auv]:
                 raise AssertionError("delivery queue released out of order")
             last[auv] = kd
-        return [(auv, pd) for _, auv, _, pd in out]
-
-    def __len__(self):
-        return len(self._heap)
+        return out
 
 
 def anchor_points(asv_xy) -> list[tuple[float, float, float]]:
@@ -272,7 +263,7 @@ class TdmaScheduler:
         self.groups: list[list[int]] = []
         self.round_start = 0
         self.round_end: int | None = None    # == next round's first slot start
-        self.buffer: dict[int, tuple[FusedFix, int]] = {}   # auv -> (fix, ping tick)
+        self.buffer: dict[int, tuple] = {}   # auv -> (fused (x, y, z), ping tick)
         self.last_served = [-1] * n_auv
         self.mf_busy_until = 0
         self.bcast_count = 0
@@ -283,7 +274,7 @@ class TdmaScheduler:
         self.events = EventLog()
         self.next_tick = 0
 
-    def start_round(self, graph: ConflictGraph, coloring: Coloring, tick: int):
+    def start_round(self, graph: list[set[int]], coloring: Coloring, tick: int):
         """Lay out a round of ``coloring``'s groups from ``tick`` on.
 
         The groups of a (graph, coloring) pair are computed, and asserted to
@@ -296,7 +287,7 @@ class TdmaScheduler:
             groups = coloring.groups()
             for g, members in enumerate(groups):
                 for a_i, a in enumerate(members):
-                    clash = graph.adj[a].intersection(members[a_i + 1:])
+                    clash = graph[a].intersection(members[a_i + 1:])
                     if clash:
                         raise AssertionError(f"conflicting AUVs {a} and {min(clash)} "
                                              f"share uplink slot {g}")
@@ -311,7 +302,7 @@ class TdmaScheduler:
         return self.queue.due(tick)
 
     def step(self, tick: int, vehicles, anchors, recolor):
-        """Run all protocol events of one tick; returns delivered fixes.
+        """Run all protocol events of one tick; returns the queue entries delivered.
 
         ``vehicles[i]`` is AUV i's true position as its ``x``, ``y`` and
         ``z``, and ``anchors[j]`` ASV j's as (x, y, z), as ``anchor_points``
@@ -366,18 +357,18 @@ class TdmaScheduler:
                 if fixes:
                     kinds.append(FUSE)
                     fields += (tick, i, len(fixes))
-                    fused.append(fuse_fixes(fixes, i, tick))
+                    fused.append((i, fuse_fixes(fixes)))
             buffer = self.buffer
-            for ff in fused:
-                if ff.auv_id in buffer:
+            for i, fix in fused:
+                if i in buffer:
                     self.dropped["superseded"] += 1
-                    self.events.add(SUPERSEDED, tick, ff.auv_id)
-                buffer[ff.auv_id] = (ff, tick)
+                    self.events.add(SUPERSEDED, tick, i)
+                buffer[i] = (fix, tick)
         if self.buffer and tick >= self.mf_busy_until:
             self._mf_step(tick, vehicles, anchors)
         delivered = self.queue.pop_due(tick)
-        for i, pd in delivered:
-            lat = e2e_latency(pd.ping_tick, pd.deliver_tick, self.timing.f_t)
+        for kd, i, _, _, ping_tick in delivered:
+            lat = e2e_latency(ping_tick, kd, self.timing.f_t)
             self.latencies.append(lat)
             self.events.add(DELIVER, tick, i, lat)
         self.next_tick = self._next_event(tick)
@@ -409,7 +400,7 @@ class TdmaScheduler:
                 target = i
         if target < 0:
             return
-        ff, ping_tick = buffer.pop(target)
+        fix, ping_tick = buffer.pop(target)
         asv_j = self.bcast_count % self.n_asv
         self.bcast_count += 1
         self.last_served[target] = tick
@@ -422,4 +413,4 @@ class TdmaScheduler:
             self.dropped["out_of_mf_range"] += 1
             self.events.add(OUT_OF_MF_RANGE, tick, target)
             return
-        self.queue.push(target, PendingDelivery(ff, kd, ping_tick))
+        self.queue.push(kd, target, fix, ping_tick)

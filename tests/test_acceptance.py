@@ -26,10 +26,10 @@ import pytest
 import coopnav
 from coopnav.conflict import audibility_masks, build_conflict_graph, greedy_color
 from coopnav.engine import NoiseStream, SimConfig, run
-from coopnav.formation import (AsvLayout, FormationConfig, asv_positions,
-                               coverage_fraction_grid, min_formation_radius)
+from coopnav.formation import asv_positions, coverage_fraction_grid, min_formation_radius
 from coopnav.nav import KinematicInput, NavState, dead_reckon_step
 from coopnav.acoustic import fuse_fixes
+from graphs import edges
 
 SEEDS = list(range(5))
 DT = 1.0 / 30.0
@@ -280,7 +280,7 @@ def test_criterion_8_fusion_scaling():
         for _ in range(10_000):
             fixes = [(float(rng.normal(0, sigma)), 0.0, 0.0, sigma ** 2)
                      for _ in range(k)]
-            vals.append(fuse_fixes(fixes, 0, 0).position[0])
+            vals.append(fuse_fixes(fixes)[0])
         stds[k] = float(np.std(vals))
     ok = all(abs(stds[k] - stds[1] / math.sqrt(k)) <= 0.10 * stds[1] / math.sqrt(k)
              for k in (2, 3))
@@ -300,11 +300,11 @@ def test_criterion_9_scheduler_safety(baseline_runs, failure_runs):
         n_asv = int(rng.integers(1, 4))
         L = float(rng.uniform(40, 160))
         pts = rng.uniform(-L / 2, L / 2, size=(n_auv, 2))
-        layout = AsvLayout(rng.uniform(-L / 2, L / 2, size=(n_asv, 2)))
-        g = build_conflict_graph(audibility_masks(pts, layout.positions, 50.0))
+        asv = rng.uniform(-L / 2, L / 2, size=(n_asv, 2))
+        g = build_conflict_graph(audibility_masks(pts, asv, 50.0))
         c = greedy_color(g)
-        assert all(c.color[i] != c.color[j] for i, j in g.edges)
-        assert c.k <= max((len(a) for a in g.adj), default=0) + 1
+        assert all(c.color[i] != c.color[j] for i, j in edges(g))
+        assert c.k <= max((len(a) for a in g), default=0) + 1
         checked += 1
     n_pings = sum(1 for r in baseline_runs + failure_runs
                   for e in r.event_log if e.startswith("PING"))
@@ -365,13 +365,8 @@ def test_criterion_11_coverage_oracle_vs_closed_form():
             eff_rf = 0.0 if n == 1 else r_f
             if eff_rf < max(0.0, mfr):      # constraint filter (n=1 degenerate)
                 continue
-            cfg = FormationConfig(n_asv=n, L=L, r_hf=r_hf,
-                                  delta_b=max(0.0, eff_rf - r_hf))
-            ang = 2 * math.pi * np.arange(n) / n
-            layout = AsvLayout(eff_rf * np.stack([np.cos(ang), np.sin(ang)],
-                                                 axis=1)) if n > 1 \
-                else asv_positions(cfg)
-            frac = coverage_fraction_grid(layout, L, r_hf, 0.5)
+            # the ring of radius eff_rf at angle 0; one ASV sits at the origin
+            frac = coverage_fraction_grid(asv_positions(n, eff_rf, 0.0), L, r_hf, 0.5)
             checked[n] += 1
             if frac < 1.0:
                 failures.append((n, round(L, 1), round(r_hf, 1),

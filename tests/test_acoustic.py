@@ -7,7 +7,7 @@ import pytest
 
 from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig, attempt_fix,
                               fuse_fixes)
-from coopnav.conflict import Coloring, ConflictGraph
+from coopnav.conflict import Coloring
 from coopnav.engine import NoiseStream, uniform_stream
 from coopnav.mission import VehicleTruth
 from coopnav.protocol import TdmaScheduler, TimingConfig
@@ -112,7 +112,7 @@ def test_attempt_fix_range_cutoff():
     never = iter(lambda: pytest.fail("an out-of-range attempt drew"), None)
     paths = [(never, never), (repeat((0.0, 0.0, 0.0)), repeat(0.99))]
     sched = TdmaScheduler(TimingConfig(), noise, COEFFS, 60.0, 2, 1, lambda i, j: paths[i])
-    graph, coloring = ConflictGraph(2, frozenset()), Coloring([0, 0], 1)
+    graph, coloring = [set(), set()], Coloring([0, 0], 1)
     sched.start_round(graph, coloring, 0)
     auvs = [VehicleTruth(60.0, 0.0, 0.0, 0.0), VehicleTruth(30.0, 0.0, 40.0, 0.0)]
     sched.step(0, auvs, [(0.0, 0.0, 0.0)], lambda: (graph, coloring))
@@ -143,45 +143,34 @@ def fix_at(x, var):
     return (x, 0.0, 0.0, var)
 
 
-def fuse(fixes):
-    return fuse_fixes(fixes, 0, 0)
-
-
 def test_fuse_single_fix_identity():
-    f = fuse_fixes([fix_at(1.5, 2.0)], 3, 7)
-    assert f.position[0] == pytest.approx(1.5)
-    assert f.horiz_variance == pytest.approx(2.0)
-    assert f.contributing_asv_count == 1
-    assert (f.auv_id, f.measure_tick) == (3, 7)
+    assert fuse_fixes([(1.5, -2.0, 10.0, 2.0)]) == pytest.approx((1.5, -2.0, 10.0))
 
 
 def test_fuse_equal_variance_mean():
-    f = fuse([fix_at(1.0, 1.0), fix_at(3.0, 1.0)])
-    assert f.position[0] == pytest.approx(2.0)
-    assert f.horiz_variance == pytest.approx(0.5)
+    assert fuse_fixes([fix_at(1.0, 1.0), fix_at(3.0, 1.0)]) == pytest.approx((2.0, 0.0, 0.0))
 
 
 def test_fuse_weighted():
-    f = fuse([fix_at(0.0, 1.0), fix_at(3.0, 0.5)])
-    assert f.position[0] == pytest.approx(2.0)
-    assert f.horiz_variance == pytest.approx(1.0 / 3.0)
+    assert fuse_fixes([fix_at(0.0, 1.0), fix_at(3.0, 0.5)]) == pytest.approx((2.0, 0.0, 0.0))
 
 
 def test_fuse_validation():
     with pytest.raises(ValueError):
-        fuse([])
+        fuse_fixes([])
     with pytest.raises(ValueError):
-        fuse([fix_at(0.0, 1.0), fix_at(1.0, 0.0)])
+        fuse_fixes([fix_at(0.0, 1.0), fix_at(1.0, 0.0)])
 
 
-def test_fused_variance_never_exceeds_best_input():
+def test_fused_position_is_the_inverse_variance_mean():
     rng = np.random.default_rng(6)
     for _ in range(100):
         k = int(rng.integers(1, 5))
-        fixes = [fix_at(float(rng.normal()), float(rng.uniform(0.1, 3.0)))
+        fixes = [tuple(rng.normal(size=3)) + (float(rng.uniform(0.1, 3.0)),)
                  for _ in range(k)]
-        f = fuse(fixes)
-        assert f.horiz_variance <= min(x[3] for x in fixes) + 1e-12
+        pos, var = np.array(fixes)[:, :3], np.array(fixes)[:, 3]
+        expect = np.average(pos, axis=0, weights=1.0 / var)
+        assert fuse_fixes(fixes) == pytest.approx(tuple(expect), abs=1e-12)
 
 
 def test_fused_error_shrinks_with_sqrt_k():
@@ -194,7 +183,7 @@ def test_fused_error_shrinks_with_sqrt_k():
         for _ in range(10_000):
             fixes = [fix_at(float(rng.normal(0.0, sigma)), sigma ** 2)
                      for _ in range(k)]
-            errs.append(fuse(fixes).position[0])
+            errs.append(fuse_fixes(fixes)[0])
         stds[k] = float(np.std(errs))
     assert stds[2] == pytest.approx(stds[1] / math.sqrt(2), rel=0.10)
     assert stds[3] == pytest.approx(stds[1] / math.sqrt(3), rel=0.10)

@@ -1,5 +1,8 @@
+import concurrent.futures
 import configparser
+import csv
 import math
+import os
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -293,8 +296,7 @@ seeds = 2
     assert len(jobs) == 2 + 6
 
 
-def test_sweep_parallelism_invariance(tmp_path):
-    cfg = write(tmp_path, """
+FOUR_RUNS = """
 [sweep]
 L = 60
 n_asv = 1
@@ -303,12 +305,110 @@ seeds = 2
 
 [sim]
 duration = 6
-""", "sweep.ini")
+"""
+
+
+def test_sweep_parallelism_invariance(tmp_path):
+    cfg = write(tmp_path, FOUR_RUNS, "sweep.ini")
     out1, out2 = tmp_path / "p1", tmp_path / "p2"
     assert main(["sweep", "--config", cfg, "--out", str(out1), "--parallel", "1"]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out2), "--parallel", "4"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out2), "--parallel", "2"]) == 0
     assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
     assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
+
+
+def csv_rows(path):
+    with path.open() as fh:
+        next(fh)   # the schema comment
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("parallel", ["0", "-4"])
+def test_sweep_rejects_a_parallelism_below_one(tmp_path, capsys, parallel):
+    cfg = write(tmp_path, SWEEP, "sweep.ini")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", parallel]) == 1
+    assert f"--parallel: must be >= 1 (got {parallel})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class RecordingPool:
+    """A process pool stand-in that records its size and runs each job here,
+    starting no process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_sweep_pool_has_at_most_one_worker_per_run(tmp_path, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(sizes, max_workers))
+    cfg = write(tmp_path, FOUR_RUNS, "sweep.ini")
+    serial = tmp_path / "serial"
+    assert main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
+    assert sizes == []
+    for parallel in ("8", "3"):
+        out = tmp_path / parallel
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", parallel]) == 0
+        assert (out / "runs.csv").read_bytes() == (serial / "runs.csv").read_bytes()
+    assert sizes == [4, 3]
+
+
+def test_a_crashed_worker_leaves_the_finished_rows(tmp_path, monkeypatch, capsys):
+    cfg = write(tmp_path, FOUR_RUNS, "sweep.ini")
+    serial = tmp_path / "serial"
+    assert main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
+    job = cli._sweep_job
+
+    def crash_on_the_last_run(payload):
+        if payload[0] == 3:
+            os._exit(1)
+        return job(payload)
+
+    # the pool pickles the job by name; forked workers inherit the patched name
+    crash_on_the_last_run.__module__ = cli.__name__
+    crash_on_the_last_run.__qualname__ = "_sweep_job"
+    monkeypatch.setattr(cli, "_sweep_job", crash_on_the_last_run)
+    out = tmp_path / "crashed"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", "2"]) == 2
+    assert "4 runs (" in capsys.readouterr().out
+    want, got = csv_rows(serial / "runs.csv"), csv_rows(out / "runs.csv")
+    assert len(got) == 4 and got[3]["error"].startswith("BrokenProcessPool: ")
+    finished = [(w, g) for w, g in zip(want, got) if not g["error"]]
+    assert finished and all(w == g for w, g in finished)
+    for w, g in zip(want, got):
+        assert g["error"] == "" or g["error"].startswith("BrokenProcessPool: ")
+        assert (g["seed"], g["n_auv"]) == (w["seed"], w["n_auv"])
+    assert (out / "aggregate.csv").is_file() and (out / "heatmap.txt").is_file()
+
+
+def test_a_negative_seed_is_rejected(tmp_path, capsys):
+    cfg = write(tmp_path, BASE.replace("seed = 3", "seed = -1"))
+    assert main(["validate-config", "--config", cfg]) == 1
+    assert "seed must be >= 0 (got -1)" in capsys.readouterr().err
+    assert main(["validate-config", "--config", write(tmp_path, BASE.replace(
+        "seed = 3", "seed = 0"))]) == 0
+
+
+def test_sweep_rejects_a_negative_base_seed(tmp_path, capsys):
+    cfg = write(tmp_path, SWEEP.replace("seeds = 1", "seeds = 1\nbase_seed = -3"),
+                "sweep.ini")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert "base_seed must be >= 0 (got -3)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_row_reproducible_from_hash_and_seed(tmp_path):

@@ -3,37 +3,44 @@ import math
 import numpy as np
 import pytest
 
-from coopnav.formation import (AsvLayout, FormationConfig, asv_positions,
-                               corner_distance, coverage_fraction_grid,
+from coopnav.engine import SimConfig
+from coopnav.formation import (asv_positions, corner_distance, coverage_fraction_grid,
                                min_formation_radius)
 
 
 def layout_of(n, r_hf=50.0, alpha0=0.0, L=60.0, delta_b=0.0):
-    return asv_positions(FormationConfig(n_asv=n, L=L, r_hf=r_hf,
-                                         delta_b=delta_b, alpha0=alpha0))
+    """The ring as ``run`` and ``check-coverage`` build it."""
+    return SimConfig(n_asv=n, L=L, r_hf=r_hf, delta_b=delta_b, alpha0=alpha0).formation()
 
 
 def test_single_asv_degenerates_to_origin():
     lay = layout_of(1, r_hf=123.0)
-    assert lay.positions.shape == (1, 2)
-    assert np.allclose(lay.positions, 0.0)
+    assert lay.shape == (1, 2)
+    assert np.allclose(lay, 0.0)
 
 
 def test_three_asv_ring():
     lay = layout_of(3, r_hf=50.0)
     expect = np.array([[50.0, 0.0], [-25.0, 43.301], [-25.0, -43.301]])
-    assert np.allclose(lay.positions, expect, atol=1e-3)
+    assert np.allclose(lay, expect, atol=1e-3)
 
 
 def test_two_asv_rotated_ring():
     lay = layout_of(2, r_hf=50.0, alpha0=math.pi / 6)
     expect = np.array([[43.301, 25.0], [-43.301, -25.0]])
-    assert np.allclose(lay.positions, expect, atol=1e-3)
+    assert np.allclose(lay, expect, atol=1e-3)
+
+
+def test_ring_radius_adds_the_buffer():
+    lay = layout_of(4, r_hf=40.0, alpha0=0.3, delta_b=5.0)
+    assert np.array_equal(lay, asv_positions(4, 45.0, 0.3))
+    assert np.allclose(np.linalg.norm(lay, axis=1), 45.0)
 
 
 def test_rejects_zero_asvs():
-    with pytest.raises(ValueError):
-        FormationConfig(n_asv=0, L=60.0)
+    # the ring's bounds have one owner: the run config
+    with pytest.raises(ValueError, match="n_asv"):
+        SimConfig(n_asv=0).validate()
 
 
 def test_ring_equidistance_and_spacing():
@@ -43,9 +50,9 @@ def test_ring_equidistance_and_spacing():
         a0 = float(rng.uniform(0, 2 * math.pi))
         rf = float(rng.uniform(1, 200))
         lay = layout_of(n, r_hf=rf, alpha0=a0)
-        radii = np.linalg.norm(lay.positions, axis=1)
+        radii = np.linalg.norm(lay, axis=1)
         assert np.all(np.abs(radii - rf) < 1e-9)
-        ang = np.arctan2(lay.positions[:, 1], lay.positions[:, 0])
+        ang = np.arctan2(lay[:, 1], lay[:, 0])
         gaps = np.diff(ang) % (2 * math.pi)
         assert np.allclose(gaps, 2 * math.pi / n, atol=1e-9)
 
@@ -85,7 +92,7 @@ def test_coverage_grid_partial_disc():
 
 def test_coverage_grid_degenerate_point():
     # grid collapses to the single centre point, which the ASV covers
-    lay = AsvLayout(np.zeros((1, 2)))
+    lay = np.zeros((1, 2))
     assert coverage_fraction_grid(lay, 1.0, 50.0, grid_step=10.0) == 1.0
 
 
@@ -106,7 +113,7 @@ def test_degenerate_ring_closed_form_equivalence():
 
 def ring_layout(n, radius):
     ang = 2 * math.pi * np.arange(n) / n
-    return AsvLayout(radius * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
 def test_ring_coverage_known_instances():

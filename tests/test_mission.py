@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from coopnav.engine import SimConfig
 from coopnav.mission import (GuidanceConfig, VehicleTruth, advance_truth,
                              guidance_step, plan_lawnmower, point_segment_distance,
                              segment)
@@ -13,7 +15,7 @@ MAX_STEP = GUID.max_yaw_rate * DT
 
 def segments(plan, auv):
     """Consecutive waypoint segments of one AUV's plan."""
-    wps = plan.waypoints[auv]
+    wps = plan[auv]
     return [segment(*wps[i], *wps[i + 1]) for i in range(len(wps) - 1)]
 
 
@@ -22,46 +24,50 @@ def cross_track_error(true_xy, segs):
     return min(point_segment_distance(true_xy[0], true_xy[1], seg) for seg in segs)
 
 
+def track_ys(plan, auv):
+    """The y of each track of one AUV's plan, ascending."""
+    return sorted({wp[1] for wp in plan[auv]})
+
+
 def test_plan_baseline_strips():
     plan = plan_lawnmower(60.0, 4, 5.0)
-    assert plan.strip_bounds[0] == (-30.0, -15.0)
-    ys = sorted({wp[1] for wp in plan.waypoints[0]})
-    assert ys == [-30.0, -25.0, -20.0, -15.0]
+    assert track_ys(plan, 0) == [-30.0, -25.0, -20.0, -15.0]
 
 
 def test_plan_single_strip_two_tracks():
     plan = plan_lawnmower(60.0, 1, 60.0)
-    ys = sorted({wp[1] for wp in plan.waypoints[0]})
-    assert ys == [-30.0, 30.0]
+    assert track_ys(plan, 0) == [-30.0, 30.0]
 
 
 def test_plan_three_wide_strips():
     plan = plan_lawnmower(140.0, 3, 10.0)
-    lo, hi = plan.strip_bounds[1]
-    assert hi - lo == pytest.approx(140.0 / 3.0)
+    lows = [track_ys(plan, i)[0] for i in range(3)]
+    assert np.diff(lows) == pytest.approx([140.0 / 3.0] * 2)
 
 
 def test_plan_rejects_oversized_spacing():
-    with pytest.raises(ValueError):
-        plan_lawnmower(60.0, 4, 16.0)
+    # the spacing's bound has one owner: the run config (strips 15 m high)
+    with pytest.raises(ValueError, match="track_spacing 16.0 exceeds the strip height"):
+        SimConfig(L=60.0, n_auv=4, track_spacing=16.0).validate()
+    SimConfig(L=60.0, n_auv=4, track_spacing=15.0).validate()
 
 
 def test_plan_strips_partition_survey():
     plan = plan_lawnmower(100.0, 5, None)
-    assert plan.strip_bounds[0][0] == -50.0
-    assert plan.strip_bounds[-1][1] == pytest.approx(50.0)
-    for (a, b), (c, d) in zip(plan.strip_bounds, plan.strip_bounds[1:]):
-        assert b == pytest.approx(c)
-    for wps in plan.waypoints:
+    for i in range(5):
+        ys = track_ys(plan, i)
+        # strip i spans [-50 + 20 i, -50 + 20 (i + 1)]
+        assert ys[0] == pytest.approx(-50.0 + 20.0 * i)
+        assert ys[-1] == pytest.approx(-50.0 + 20.0 * (i + 1))
+    for wps in plan:
         for x, y in wps:
             assert -50.0 <= x <= 50.0 and -50.0 <= y <= 50.0
 
 
 def test_default_spacing_is_third_of_strip():
-    plan = plan_lawnmower(60.0, 4, None)
-    assert plan.track_spacing == pytest.approx(5.0)
-    plan = plan_lawnmower(140.0, 3, None)
-    assert plan.track_spacing == pytest.approx(140.0 / 9.0)
+    assert np.diff(track_ys(plan_lawnmower(60.0, 4, None), 0)) == pytest.approx([5.0] * 3)
+    assert np.diff(track_ys(plan_lawnmower(140.0, 3, None), 2)) == \
+        pytest.approx([140.0 / 9.0] * 3)
 
 
 def test_guidance_points_at_waypoint():
@@ -143,7 +149,7 @@ def test_closed_loop_offset_follows_estimate_error():
 
 def test_perfect_estimator_tracks_plan():
     plan = plan_lawnmower(30.0, 1, 15.0)
-    wps = plan.waypoints[0]
+    wps = plan[0]
     segs = segments(plan, 0)
     truth = VehicleTruth(wps[0][0], wps[0][1], 10.0,
                          math.atan2(wps[1][1] - wps[0][1], wps[1][0] - wps[0][0]))

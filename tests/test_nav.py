@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coopnav.acoustic import FusedFix
-from coopnav.engine import NoiseStream
+from coopnav.engine import NoiseStream, SimConfig
 from coopnav.nav import (KinematicInput, NavState, apply_fix, dead_reckon_step,
                          depth_update)
 
@@ -71,8 +70,8 @@ def test_depth_noise_statistics():
     assert np.max(np.abs(errs)) <= 5 * 0.05
 
 
-def fused(x, y, tick=0):
-    return FusedFix(0, (x, y, 10.0), 0.1, 1, tick)
+def fused(x, y):
+    return (x, y, 10.0)
 
 
 def test_apply_fix_correction():
@@ -115,11 +114,11 @@ def test_apply_fix_leaves_imu_untouched():
 
 
 def test_gamma_validation():
-    with pytest.raises(ValueError):
-        NavState.at(0, 0, 0, DT, gamma=0.0)
-    s = state()
-    with pytest.raises(ValueError):
-        apply_fix(s, fused(0, 0), heading(0.0, 0.0), gamma=1.5)
+    # the gain's bound (0, 1] has one owner: the run config
+    for gamma in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="gamma"):
+            SimConfig(gamma=gamma).validate()
+    SimConfig(gamma=1.0).validate()
 
 
 def test_stationary_rms_matches_dynamics_envelope():

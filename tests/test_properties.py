@@ -30,19 +30,20 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from coopnav import protocol  # noqa: E402
 from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig,  # noqa: E402
                               attempt_fix)
-from coopnav.conflict import (Coloring, ConflictGraph, audibility_masks,  # noqa: E402
+from coopnav.conflict import (Coloring, audibility_masks,  # noqa: E402
                               build_conflict_graph, greedy_color)
 from coopnav.engine import (RNG_BLOCK, NoiseStream, Recolorer, SimConfig,  # noqa: E402
                            jittered_anchors)
-from coopnav.formation import AsvLayout, worst_point  # noqa: E402
+from coopnav.formation import worst_point  # noqa: E402
 from coopnav.mission import (GuidanceConfig, VehicleTruth, advance_truth,  # noqa: E402
                              point_segment_distance, segment)
 from coopnav.nav import KinematicInput, NavState, dead_reckon_step  # noqa: E402
 from coopnav.protocol import (BCAST, DELIVER, EXPIRED, FIX, FUSE,  # noqa: E402
                               OUT_OF_MF_RANGE, PING, SUPERSEDED, EventLog,
-                              FixQueue, PendingDelivery, TdmaScheduler,
-                              TimingConfig, anchor_points, next_group_start,
+                              FixQueue, TdmaScheduler, TimingConfig,
+                              anchor_points, next_group_start,
                               uplink_slot_duration)
+from graphs import edges, from_edges  # noqa: E402
 
 # the event text as the scheduler formatted it at each event
 FORMER = {
@@ -98,7 +99,7 @@ def test_slot_starts_from_constants_equal_the_former_layout(L, k, round_start, f
     sched = TdmaScheduler(cfg, noise, LossModelCoefficients(), L, k, 1,
                           lambda i, j: (None, None))
     coloring = Coloring(list(range(k)), k)
-    graph = ConflictGraph(k, frozenset())
+    graph = from_edges(k)
     sched.start_round(graph, coloring, round_start)
     starts, end = former_layout(k, L, round_start, cfg, noise.r_max / noise.c)
     assert sched.round_end == end
@@ -129,7 +130,7 @@ def check_recolor_over_orbit(phases, radii, asv, rounds):
         pos = orbit_positions(3 * rnd, phases, radii)
         graph, coloring = recolorer(pos, anchors)
         fresh = build_conflict_graph(audibility_masks(pos, asv, 30.0))
-        assert graph.edges == fresh.edges and graph.adj == fresh.adj
+        assert graph == fresh
         assert coloring.color == greedy_color(fresh).color
         assert coloring.k == greedy_color(fresh).k
         pairs.append((graph, coloring))
@@ -171,7 +172,7 @@ def test_memoised_coloring_matches_a_fresh_build_when_patterns_recur(fleets, vis
         masks = audibility_masks(pos, anchors, 30.0)
         fresh = build_conflict_graph(masks)
         graph, coloring = pair
-        assert graph.edges == fresh.edges and graph.adj == fresh.adj
+        assert graph == fresh
         assert (coloring.color, coloring.k) == (greedy_color(fresh).color,
                                                 greedy_color(fresh).k)
         assert first.setdefault(tuple(masks), pair) is pair
@@ -179,21 +180,23 @@ def test_memoised_coloring_matches_a_fresh_build_when_patterns_recur(fleets, vis
 
 
 class PerAuvQueues:
-    """The delivery queues as they were: one heap per AUV, released by AUV."""
+    """The delivery queues as they were: one heap per AUV, released by AUV,
+    each release given as the fleet queue's entry."""
 
     def __init__(self, n_auv):
         self.heaps = [[] for _ in range(n_auv)]
         self.seq = 0
 
-    def push(self, auv, pd):
-        heapq.heappush(self.heaps[auv], (pd.deliver_tick, self.seq, pd))
+    def push(self, deliver_tick, auv, fix, ping_tick):
+        heapq.heappush(self.heaps[auv], (deliver_tick, self.seq, fix, ping_tick))
         self.seq += 1
 
     def pop_due(self, tick):
         out = []
         for i, heap in enumerate(self.heaps):
             while heap and heap[0][0] <= tick:
-                out.append((i, heapq.heappop(heap)[2]))
+                kd, seq, fix, ping_tick = heapq.heappop(heap)
+                out.append((kd, i, seq, fix, ping_tick))
         return out
 
 
@@ -205,15 +208,15 @@ def test_fleet_queue_releases_as_per_auv_queues(ops):
     tick = 0
     for n, (is_push, auv, offset) in enumerate(ops):
         if is_push:
-            pd = PendingDelivery(None, tick + offset, n)   # ping_tick tells pushes apart
-            fleet.push(auv, pd)
-            ref.push(auv, pd)
+            fix = (float(n), 0.0, 0.0)   # tells pushes apart
+            fleet.push(tick + offset, auv, fix, n)
+            ref.push(tick + offset, auv, fix, n)
         else:
             tick += offset
             due = fleet.due(tick)
             out = fleet.pop_due(tick)
             assert out == ref.pop_due(tick)
-            assert due == {i for i, _ in out}
+            assert due == {i for _, i, _, _, _ in out}
         heads = [h[0][0] for h in ref.heaps if h]
         assert fleet.head_tick() == (min(heads) if heads else None)
 
@@ -368,17 +371,17 @@ def test_yaw_wrap_of_a_small_angle_is_within_half_a_spacing_near_pi(a):
        asv=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                     min_size=1, max_size=5))
 def test_worst_point_bounds_a_fine_grid(L, asv):
-    layout = AsvLayout(np.array(asv) * L)
+    layout = np.array(asv) * L
     worst, (wx, wy) = worst_point(layout, L)
     h = L / 2.0
     assert abs(wx) <= h and abs(wy) <= h
-    nearest = min(math.hypot(wx - ax, wy - ay) for ax, ay in layout.positions)
+    nearest = min(math.hypot(wx - ax, wy - ay) for ax, ay in layout)
     assert math.isclose(worst, nearest, rel_tol=1e-12, abs_tol=1e-9)
     n = 121
     coords = np.linspace(-h, h, n)
     gx, gy = np.meshgrid(coords, coords)
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    d = np.linalg.norm(grid[:, None, :] - layout.positions[None, :, :], axis=2).min(axis=1)
+    d = np.linalg.norm(grid[:, None, :] - layout[None, :, :], axis=2).min(axis=1)
     step = L / (n - 1)
     # no grid point beats the exact maximum; none is farther from it than
     # half a grid diagonal, and the distance is 1-Lipschitz
@@ -539,7 +542,7 @@ def former_slot_check(graph, coloring):
     pinging the groups in order, or None for a proper coloring."""
     for g, members in enumerate(coloring.groups()):
         for a_i, a in enumerate(members):
-            later = [b for b in members[a_i + 1:] if (a, b) in graph.edges]
+            later = [b for b in members[a_i + 1:] if (a, b) in edges(graph)]
             if later:
                 return f"conflicting AUVs {a} and {later[0]} share uplink slot {g}"
     return None
@@ -549,12 +552,11 @@ def former_slot_check(graph, coloring):
 @given(data=st.data(), n=st.integers(1, 7))
 def test_improper_coloring_raises_at_start_round(data, n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = frozenset(data.draw(st.lists(st.sampled_from(pairs), unique=True))
-                      if pairs else ())
+    drawn = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ()
     k = data.draw(st.integers(1, n))
     coloring = Coloring(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
                                            max_size=n)), k)
-    graph = ConflictGraph(n, edges)
+    graph = from_edges(n, drawn)
     want = former_slot_check(graph, coloring)
 
     def scheduler():
@@ -565,7 +567,7 @@ def test_improper_coloring_raises_at_start_round(data, n):
     new = scheduler()
     # a coloring proper for an earlier graph, reused with a new one
     reused = scheduler()
-    reused.start_round(ConflictGraph(n, frozenset()), coloring, 0)
+    reused.start_round(from_edges(n), coloring, 0)
     # a new coloring for a graph already checked with another one
     recolored = scheduler()
     recolored.start_round(graph, greedy_color(graph), 0)

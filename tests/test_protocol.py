@@ -4,17 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig,
-                              attempt_fix, fuse_fixes)
-from coopnav.conflict import (Coloring, ConflictGraph, audibility_masks,
-                              build_conflict_graph, greedy_color)
+from coopnav.acoustic import LossModelCoefficients, UsblNoiseConfig, attempt_fix
+from coopnav.conflict import (Coloring, audibility_masks, build_conflict_graph,
+                              greedy_color)
 from coopnav.engine import NoiseStream, derive_rng, uniform_stream
 from coopnav.mission import VehicleTruth
-from coopnav.protocol import (FixQueue, PendingDelivery, TdmaScheduler,
-                              TimingConfig, anchor_points, crossing_time,
-                              delivery_tick, downlink_slot_duration,
+from coopnav.protocol import (FixQueue, TdmaScheduler, TimingConfig, anchor_points,
+                              crossing_time, delivery_tick, downlink_slot_duration,
                               e2e_latency, next_group_start, payload_bytes,
                               ticks_ceil, tx_duration, uplink_slot_duration)
+from graphs import from_edges
 
 CFG = TimingConfig()
 
@@ -79,28 +78,29 @@ def test_e2e_latency():
 
 def test_fix_queue_orders_by_delivery_tick():
     q = FixQueue(1)
-    q.push(0, PendingDelivery(None, 12, 0))
-    q.push(0, PendingDelivery(None, 5, 1))
-    q.push(0, PendingDelivery(None, 9, 2))
+    q.push(12, 0, None, 0)
+    q.push(5, 0, None, 1)
+    q.push(9, 0, None, 2)
     assert not q.due(4) and q.head_tick() == 5
     out = q.pop_due(10)
-    assert [(i, pd.deliver_tick) for i, pd in out] == [(0, 5), (0, 9)]
-    assert q.pop_due(20)[0][1].deliver_tick == 12
-    assert len(q) == 0 and q.head_tick() is None
+    assert [(i, kd) for kd, i, _, _, _ in out] == [(0, 5), (0, 9)]
+    assert q.pop_due(20)[0][0] == 12
+    assert q.head_tick() is None
 
 
 def test_fix_queue_releases_a_tick_by_auv_then_push_order():
     q = FixQueue(3)
     for auv, kd, ping in ((2, 7, 0), (0, 7, 1), (2, 7, 2), (1, 9, 3), (0, 6, 4)):
-        q.push(auv, PendingDelivery(None, kd, ping))
+        q.push(kd, auv, (float(ping), 0.0, 0.0), ping)
     assert q.due(7) == {0, 2}
     out = q.pop_due(7)
     # per AUV ascending, each AUV's fixes in delivery-tick then push order
-    assert [(i, pd.ping_tick) for i, pd in out] == [(0, 4), (0, 1), (2, 0), (2, 2)]
+    assert [(i, ping) for _, i, _, _, ping in out] == [(0, 4), (0, 1), (2, 0), (2, 2)]
+    assert [fix[0] for _, _, _, fix, _ in out] == [4.0, 1.0, 0.0, 2.0]
     assert q.head_tick() == 9
-    q.push(1, PendingDelivery(None, 8, 5))
+    q.push(8, 1, None, 5)
     q.pop_due(9)
-    q.push(1, PendingDelivery(None, 3, 6))
+    q.push(3, 1, None, 6)
     with pytest.raises(AssertionError):
         q.pop_due(9)
 
@@ -134,7 +134,7 @@ def one_round(pos, asv, graph, coloring, ticks=None):
 
 K4_POS = [(10.0, 0.0, 10.0), (0.0, 10.0, 10.0), (-10.0, 0.0, 10.0),
           (0.0, -10.0, 10.0)]
-K4_GRAPH = ConflictGraph(4, frozenset({(i, j) for i in range(4) for j in range(i + 1, 4)}))
+K4_GRAPH = from_edges(4, {(i, j) for i in range(4) for j in range(i + 1, 4)})
 
 
 def test_plan_round_spans():
@@ -168,25 +168,25 @@ def test_scheduler_unheard_round_broadcasts_nothing():
     # everyone out of range: pings go out unheard, and with no fix buffered
     # the event-triggered downlink stays silent
     pos = [(500.0, 0.0, 10.0), (-500.0, 0.0, 10.0)]
-    sched, events = one_round(pos, np.zeros((1, 2)), ConflictGraph(2, frozenset()),
+    sched, events = one_round(pos, np.zeros((1, 2)), from_edges(2),
                               Coloring([0, 0], 1), ticks=30)
     assert events and all(e.startswith("PING") for e in events)
     assert sched.heard_log == [[False] * 10, [False] * 10]
-    assert not sched.buffer and not sched.queue and sched.bcast_count == 0
+    assert not sched.buffer and sched.queue.head_tick() is None and sched.bcast_count == 0
 
 
 def test_scheduler_disjoint_footprints_share_slot():
     # empty conflict graph: both vehicles ping in the same slot tick
     pos = [(-100.0, 0.0, 10.0), (100.0, 0.0, 10.0)]
     asv = np.array([[-100.0, 0.0], [100.0, 0.0]])
-    _, events = one_round(pos, asv, ConflictGraph(2, frozenset()), Coloring([0, 0], 1))
+    _, events = one_round(pos, asv, from_edges(2), Coloring([0, 0], 1))
     pings = [e for e in events if e.startswith("PING")]
     assert pings == ["PING{tick=0, auv=0, group=0}", "PING{tick=0, auv=1, group=0}"]
 
 
 def test_scheduler_rejects_conflicting_slot_mates():
     pos = [(0.0, 0.0, 10.0), (5.0, 0.0, 10.0)]
-    g = ConflictGraph(2, frozenset({(0, 1)}))
+    g = from_edges(2, {(0, 1)})
     bad = Coloring([0, 0], 1)   # improper on purpose
     with pytest.raises(AssertionError, match="conflicting AUVs 0 and 1"):
         one_round(pos, np.zeros((1, 2)), g, bad)
@@ -222,8 +222,7 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
                                f"pos=({x:.6f}, {y:.6f}, {z:.6f}), var={var:.6f}}}")
                     fixes.append(fx)
             if fixes:
-                ref.append(f"FUSE{{tick={tick}, auv={i}, "
-                           f"k={fuse_fixes(fixes, i, tick).contributing_asv_count}}}")
+                ref.append(f"FUSE{{tick={tick}, auv={i}, k={len(fixes)}}}")
     uplink = [e for e in events if e.split("{")[0] in ("PING", "FIX", "FUSE")]
     assert uplink == ref
     assert any(e.startswith("FIX") and "asv=1" in e for e in ref)
@@ -261,8 +260,8 @@ def drive_scheduler(trace, asv, skip_idle):
         steps += 1
         if idle:
             assert not due and not out and len(sched.events) == n_events
-        assert {i for i, _ in out} == due
-        deliveries += [(k, i, pd.deliver_tick, pd.ping_tick, pd.fix) for i, pd in out]
+        assert {i for _, i, _, _, _ in out} == due
+        deliveries += [(k, i, kd, ping, fix) for kd, i, _, fix, ping in out]
     return sched, deliveries, steps
 
 

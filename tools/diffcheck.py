@@ -8,7 +8,9 @@ tree runs the same ``--n`` random ``SimConfig`` missions in a subprocess of
 its own that imports coopnav from that tree alone.  Per mission the check
 compares the sha1 of the event log, of the trace log and of the full-``repr``
 numeric report (as ``tests/test_run_digests.py`` computes them), or the type
-and text of the exception the mission raised.  It prints each mismatch and
+and text of the exception the mission raised.  It also compares the exit
+code and stdout of ``coopnav check-coverage`` on an INI holding the
+mission's L, n_asv, r_hf, delta_b and alpha0.  It prints each mismatch and
 a summary, and exits 0 when every mission is identical, else 1.
 
 The random missions cover the survey scale L, n_auv, n_asv, tick rates
@@ -27,11 +29,14 @@ wider than a strip, and USBL noise with both ``sigma_r`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import random
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -85,12 +90,13 @@ def random_spec(rng: random.Random) -> dict:
 
 def worker(src: str) -> None:
     """Run the JSON list of specs on stdin with coopnav from ``src``; print
-    one result per spec as a JSON list."""
+    one [mission result, check-coverage result] pair per spec as a JSON list."""
     sys.path.insert(0, src)
     import dataclasses
     import hashlib
 
     import coopnav
+    from coopnav import cli
     from coopnav.acoustic import UsblNoiseConfig
     from coopnav.engine import SimConfig, run
     from coopnav.mission import GuidanceConfig
@@ -102,8 +108,21 @@ def worker(src: str) -> None:
     def sha1(lines) -> str:
         return hashlib.sha1(("\n".join(lines) + "\n").encode()).hexdigest()
 
+    def coverage(spec: dict, ini: Path) -> str:
+        """check-coverage's exit code and stdout lines on the spec's formation."""
+        ini.write_text(f"[sim]\nl = {spec['L']!r}\nn_asv = {spec['n_asv']}\n"
+                       f"alpha0_deg = {math.degrees(spec['alpha0'])!r}\n"
+                       f"[formation]\nr_hf = {spec['r_hf']!r}\n"
+                       f"delta_b = {spec['delta_b']!r}\n")
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code = cli.main(["check-coverage", "--config", str(ini)])
+        return " | ".join([f"exit {code}"] + text.getvalue().splitlines())
+
+    specs = json.load(sys.stdin)
+    with tempfile.TemporaryDirectory() as tmp:
+        covered = [coverage(spec, Path(tmp) / "formation.ini") for spec in specs]
     out = []
-    for spec in json.load(sys.stdin):
+    for spec, checked in zip(specs, covered):
         spec = dict(spec, bias=tuple(spec["bias"]),
                     noise=UsblNoiseConfig(**spec["noise"]),
                     timing=TimingConfig(**spec["timing"]),
@@ -111,17 +130,18 @@ def worker(src: str) -> None:
         try:
             rep = run(SimConfig(**spec))
         except Exception as exc:   # a mission's failure is a result to compare
-            out.append(f"raised {type(exc).__name__}: {exc}")
+            out.append([f"raised {type(exc).__name__}: {exc}", checked])
             continue
         numeric = [(name, [dataclasses.asdict(a) for a in rep.per_auv]
                     if name == "per_auv" else getattr(rep, name))
                    for name in REPORT_FIELDS]
-        out.append(" ".join((sha1(rep.event_log), sha1(rep.trace_log),
-                             hashlib.sha1(repr(numeric).encode()).hexdigest())))
+        out.append([" ".join((sha1(rep.event_log), sha1(rep.trace_log),
+                              hashlib.sha1(repr(numeric).encode()).hexdigest())),
+                    checked])
     json.dump(out, sys.stdout)
 
 
-def run_tree(src: str, specs: list[dict]) -> list[str]:
+def run_tree(src: str, specs: list[dict]) -> list[list[str]]:
     proc = subprocess.run([sys.executable, __file__, "--worker", src],
                           input=json.dumps(specs), capture_output=True, text=True)
     if proc.returncode != 0:
@@ -149,11 +169,12 @@ def main(argv=None) -> int:
                                   (args.parent_src, args.change_src))
     same = 0
     for n, (spec, a, b) in enumerate(zip(specs, parent, change)):
-        if a == b:
-            same += 1
-        else:
-            print(f"mission {n} differs: {json.dumps(spec)}\n  parent: {a}\n  change: {b}")
-    raised = sum(r.startswith("raised") for r in parent)
+        same += a == b
+        for what, x, y in zip(("", " check-coverage"), a, b):
+            if x != y:
+                print(f"mission {n}{what} differs: {json.dumps(spec)}\n"
+                      f"  parent: {x}\n  change: {y}")
+    raised = sum(r[0].startswith("raised") for r in parent)
     print(f"{same}/{len(specs)} identical ({raised} raised on the parent tree)")
     return 0 if same == len(specs) else 1
 
