@@ -90,8 +90,6 @@ def fuse_fixes(fixes: list[tuple[float, float, float, float]]) -> tuple[float, f
 
     With equal variances this is the arithmetic mean, of variance sigma^2/K.
     """
-    if not fixes:
-        raise ValueError("cannot fuse an empty fix list")
     wsum = x = y = z = 0.0
     for px, py, pz, v in fixes:
         if v <= 0:

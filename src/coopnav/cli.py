@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import configparser
 import csv
+import itertools
 import logging
 import math
 import re
@@ -44,11 +45,16 @@ def _to_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def _find_line(text: str, key: str) -> int | str:
-    for idx, line in enumerate(text.splitlines(), 1):
-        if re.match(rf"\s*{re.escape(key)}\s*[=:]", line):
-            return idx
-    return "?"
+def _key_error(path, text: str, section: str, key: str, message: str) -> ConfigError:
+    """``message`` located at the file and line of ``key`` in ``[section]``."""
+    line, current = "?", None
+    for idx, row in enumerate(text.splitlines(), 1):
+        if header := re.match(r"\[(.+)\]", row):
+            current = header[1]
+        elif current == section and re.match(rf"\s*{re.escape(key)}\s*[=:]", row, re.I):
+            line = idx
+            break
+    return ConfigError(f"{path}:{line}: {message}")
 
 
 _CONVERTERS = {bool: _to_bool, int: int, float: float, str: str}
@@ -88,26 +94,21 @@ def _read_ini(path: str | Path) -> tuple[configparser.ConfigParser, str]:
     return parser, text
 
 
-def _apply_run_sections(parser, text, path, cfg: SimConfig,
-                        skip: frozenset = frozenset()) -> SimConfig:
+def _apply_run_sections(parser, text, path, cfg: SimConfig) -> SimConfig:
     for section in parser.sections():
-        if section in skip:
-            continue
         if section not in _RUN_SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
             spec = _INI.get((section, key))
             if spec is None:
-                line = _find_line(text, key)
-                raise ConfigError(
-                    f"{path}:{line}: unknown key '{key}' in section [{section}]")
+                raise _key_error(path, text, section, key,
+                                 f"unknown key '{key}' in section [{section}]")
             (*owners, name), index, conv = spec
             try:
                 value = conv(raw)
             except ValueError as exc:
-                line = _find_line(text, key)
-                raise ConfigError(
-                    f"{path}:{line}: bad value for '{key}': {exc}") from exc
+                raise _key_error(path, text, section, key,
+                                 f"bad value for '{key}': {exc}") from exc
             obj = reduce(getattr, owners, cfg)
             if index is not None:   # bias_x and bias_y fill one tuple
                 value = tuple(value if i == index else v
@@ -127,24 +128,22 @@ def load_sim_config(path: str | Path) -> SimConfig:
     return cfg
 
 
+# [sweep] key -> the SimConfig field its list varies, outermost axis first
+AXES = {"l": "L", "n_asv": "n_asv", "n_auv": "n_auv", "alpha0_deg": "alpha0"}
+
+
 @dataclass
 class SweepSpec:
-    L_values: list[float]
-    n_asv_values: list[int]
-    n_auv_values: list[int]
-    alpha0_deg_values: list[float]
-    seeds: int
+    axes: dict[str, list]   # SimConfig field -> its values, one per AXES entry
+    seeds: int = 1
     base_seed: int = 0
     base: SimConfig = field(default_factory=SimConfig)
 
     def validate(self):
-        """The axes, the seed count and the base seed, then the run config of
-        each cell: ``base`` with the cell's axis values, so that no job fails
+        """The seed count and the base seed, then the run config of each
+        cell: ``base`` with the cell's axis values, so that no job fails
         validation in a run.  A cell's seeds count up from ``base_seed``, so
         its job with that seed stands for all of them."""
-        for name in ("L_values", "n_asv_values", "n_auv_values", "alpha0_deg_values"):
-            if not getattr(self, name):
-                raise ConfigError(f"sweep list {name} must be non-empty")
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1 (got {self.seeds})")
         if self.base_seed < 0:
@@ -158,50 +157,43 @@ class SweepSpec:
                     f"alpha0_deg={math.degrees(cfg.alpha0):g}: {exc}") from exc
 
     def jobs(self) -> list[tuple[int, SimConfig]]:
-        """Cross-product job list; the formation angle axis collapses to the
-        first listed angle when only one ASV is deployed (it is meaningless)."""
-        out = []
-        idx = 0
-        for L in self.L_values:
-            for n_asv in self.n_asv_values:
-                angles = self.alpha0_deg_values if n_asv > 1 \
-                    else self.alpha0_deg_values[:1]
-                for n_auv in self.n_auv_values:
-                    for adeg in angles:
-                        for s in range(self.seeds):
-                            cfg = replace(
-                                self.base, L=L, n_asv=n_asv, n_auv=n_auv,
-                                alpha0=math.radians(adeg),
-                                seed=self.base_seed + s)
-                            out.append((idx, cfg))
-                            idx += 1
-        return out
+        """Cross-product job list, seeds innermost; the formation angle axis
+        collapses to its first value when only one ASV is deployed (it is
+        meaningless)."""
+        a = self.axes
+        cells = itertools.product(a["L"], a["n_asv"], a["n_auv"], enumerate(a["alpha0"]),
+                                  range(self.base_seed, self.base_seed + self.seeds))
+        configs = [replace(self.base, L=L, n_asv=n_asv, n_auv=n_auv, alpha0=alpha0, seed=seed)
+                   for L, n_asv, n_auv, (i, alpha0), seed in cells if n_asv > 1 or i == 0]
+        return list(enumerate(configs))
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
+    """Parse and validate a sweep config: each ``[sweep]`` axis is a comma list
+    converted as its ``[sim]`` key, an absent axis is the run sections' value,
+    and a ``[sim]`` key that the sweep sets per job is an error."""
     parser, text = _read_ini(path)
     if not parser.has_section("sweep"):
         raise ConfigError(f"{path}: missing required section [sweep]")
-    known = {"l", "n_asv", "n_auv", "alpha0_deg", "seeds", "base_seed"}
-    vals = {}
+    lists, counts = {}, {}
     for key, raw in parser.items("sweep"):
-        if key not in known:
-            line = _find_line(text, key)
-            raise ConfigError(f"{path}:{line}: unknown key '{key}' in section [sweep]")
-        vals[key] = raw
-    try:
-        spec = SweepSpec(
-            L_values=[float(v) for v in vals.get("l", "60").split(",")],
-            n_asv_values=[int(v) for v in vals.get("n_asv", "1").split(",")],
-            n_auv_values=[int(v) for v in vals.get("n_auv", "4").split(",")],
-            alpha0_deg_values=[float(v) for v in vals.get("alpha0_deg", "0").split(",")],
-            seeds=int(vals.get("seeds", "1")),
-            base_seed=int(vals.get("base_seed", "0")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad value in [sweep]: {exc}") from exc
-    base = _apply_run_sections(parser, text, path, SimConfig(), skip=frozenset({"sweep"}))
-    spec.base = base
+        if key not in AXES and key not in ("seeds", "base_seed"):
+            raise _key_error(path, text, "sweep", key, f"unknown key '{key}' in section [sweep]")
+        try:
+            if key in AXES:
+                lists[key] = [_INI[("sim", key)][2](v) for v in raw.split(",")]
+            else:
+                counts[key] = int(raw)
+        except ValueError as exc:
+            raise _key_error(path, text, "sweep", key, f"bad value for '{key}': {exc}") from exc
+    for key in parser["sim"] if parser.has_section("sim") else ():
+        if key == "seed" or key in lists:
+            raise _key_error(path, text, "sim", key,
+                             f"'{key}' in section [sim] is set per job by [sweep]")
+    parser.remove_section("sweep")
+    base = _apply_run_sections(parser, text, path, SimConfig())
+    spec = SweepSpec({name: lists.get(key, [getattr(base, name)]) for key, name in AXES.items()},
+                     base=base, **counts)
     spec.validate()
     return spec
 
@@ -216,16 +208,18 @@ _CSV_COLUMNS = [
 ]
 
 
+def _cell_columns(cfg: SimConfig, config_hash: str) -> dict:
+    """The columns that name a run: its config hash, seed and sweep cell."""
+    return {"config_hash": config_hash, "seed": cfg.seed, "L": f"{cfg.L:g}",
+            "n_asv": cfg.n_asv, "n_auv": cfg.n_auv,
+            "alpha0_deg": f"{math.degrees(cfg.alpha0):g}"}
+
+
 def report_row(cfg: SimConfig, rep: MissionReport) -> dict:
     ctes = [a.mean_cte for a in rep.per_auv]
     covs = [a.coverage for a in rep.per_auv]
     return {
-        "config_hash": rep.config_hash,
-        "seed": rep.seed,
-        "L": f"{cfg.L:g}",
-        "n_asv": cfg.n_asv,
-        "n_auv": cfg.n_auv,
-        "alpha0_deg": f"{math.degrees(cfg.alpha0):g}",
+        **_cell_columns(cfg, rep.config_hash),
         "duration_s": f"{rep.duration_s:.6f}",
         "ticks": rep.ticks,
         "total_fixes": rep.total_applied,
@@ -249,13 +243,8 @@ def report_row(cfg: SimConfig, rep: MissionReport) -> dict:
 
 
 def _error_row(cfg: SimConfig, exc: BaseException) -> dict:
-    return {
-        **dict.fromkeys(_CSV_COLUMNS, ""),
-        "config_hash": cfg.config_hash(), "seed": cfg.seed,
-        "L": f"{cfg.L:g}", "n_asv": cfg.n_asv, "n_auv": cfg.n_auv,
-        "alpha0_deg": f"{math.degrees(cfg.alpha0):g}",
-        "error": f"{type(exc).__name__}: {exc}",
-    }
+    return {**dict.fromkeys(_CSV_COLUMNS, ""), **_cell_columns(cfg, cfg.config_hash()),
+            "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _sweep_job(payload: tuple[int, SimConfig]) -> tuple[int, dict]:
@@ -338,44 +327,38 @@ def cmd_sweep(args) -> int:
     rows = [r for _, r in results]
     _write_csv(out / "runs.csv", _CSV_COLUMNS, rows, "coopnav sweep runs schema v1")
 
-    # aggregate over seeds and angles per (L, n_asv, n_auv)
+    # aggregate over seeds and angles per (L, n_asv, n_auv); the means are
+    # taken over the rounded values that runs.csv holds
     groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        if row["error"]:
-            continue
-        groups.setdefault((row["L"], row["n_asv"], row["n_auv"]), []).append(row)
+    for (_, cfg), row in zip(jobs, rows):
+        if not row["error"]:
+            groups.setdefault((cfg.L, cfg.n_asv, cfg.n_auv), []).append(row)
     agg_cols = ["L", "n_asv", "n_auv", "n_runs", "cte_mean_m", "cte_std_m",
                 "fix_rate_mean_hz", "fix_rate_std_hz", "coverage_mean",
                 "latency_mean_s"]
-    agg_rows = []
-    for key in sorted(groups, key=lambda k: (float(k[0]), int(k[1]), int(k[2]))):
-        rs = groups[key]
+    agg = {}
+    for (L, n_asv, n_auv), rs in sorted(groups.items()):
         ctes = [float(r["mean_cte_m"]) for r in rs]
         rates = [float(r["per_auv_fix_rate_hz"]) for r in rs]
-        agg_rows.append({
-            "L": key[0], "n_asv": key[1], "n_auv": key[2], "n_runs": len(rs),
+        agg[L, n_asv, n_auv] = {
+            "L": f"{L:g}", "n_asv": n_asv, "n_auv": n_auv, "n_runs": len(rs),
             "cte_mean_m": f"{statistics.mean(ctes):.6f}",
             "cte_std_m": f"{statistics.pstdev(ctes):.6f}",
             "fix_rate_mean_hz": f"{statistics.mean(rates):.6f}",
             "fix_rate_std_hz": f"{statistics.pstdev(rates):.6f}",
             "coverage_mean": f"{statistics.mean(float(r['mean_coverage']) for r in rs):.6f}",
             "latency_mean_s": f"{statistics.mean(float(r['latency_mean_s']) for r in rs):.6f}",
-        })
-    _write_csv(out / "aggregate.csv", agg_cols, agg_rows,
+        }
+    _write_csv(out / "aggregate.csv", agg_cols, list(agg.values()),
                "coopnav sweep aggregate schema v1")
 
     heat = ["mean CTE (m) by survey size / ASV count (rows) and AUV count (columns)"]
-    n_auvs = sorted({int(r["n_auv"]) for r in agg_rows})
+    Ls, n_asvs, n_auvs = (sorted({key[i] for key in agg}) for i in range(3))
     heat.append("L,n_asv \\ n_auv | " + " | ".join(f"{v:>6d}" for v in n_auvs))
-    for L in sorted({float(r["L"]) for r in agg_rows}):
-        for n_asv in sorted({int(r["n_asv"]) for r in agg_rows}):
-            cells = []
-            for n_auv in n_auvs:
-                match = [r for r in agg_rows
-                         if float(r["L"]) == L and int(r["n_asv"]) == n_asv
-                         and int(r["n_auv"]) == n_auv]
-                cells.append(f"{float(match[0]['cte_mean_m']):>6.2f}" if match else "     -")
-            heat.append(f"{L:>5g},{n_asv:>5d}     | " + " | ".join(cells))
+    for L, n_asv in itertools.product(Ls, n_asvs):
+        cells = [f"{float(agg[L, n_asv, n_auv]['cte_mean_m']):>6.2f}"
+                 if (L, n_asv, n_auv) in agg else "     -" for n_auv in n_auvs]
+        heat.append(f"{L:>5g},{n_asv:>5d}     | " + " | ".join(cells))
     (out / "heatmap.txt").write_text("\n".join(heat) + "\n")
 
     failed = sum(1 for r in rows if r["error"])

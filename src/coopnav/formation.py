@@ -32,8 +32,6 @@ def corner_distance(asv: np.ndarray, L: float) -> float:
     the nearest ASV, then return the maximum over corners: the binding corner
     that any coverage argument has to beat.
     """
-    if len(asv) == 0:
-        raise ValueError("layout must contain at least one ASV")
     h = L / 2.0
     corners = np.array([[h, h], [h, -h], [-h, h], [-h, -h]])
     d = np.linalg.norm(corners[:, None, :] - asv[None, :, :], axis=2)
@@ -51,8 +49,6 @@ def worst_point(asv: np.ndarray, L: float) -> tuple[float, tuple[float, float]]:
     Evaluating every such candidate gives the maximum exactly; the square is
     fully covered iff it is <= r_hf.
     """
-    if len(asv) == 0:
-        raise ValueError("layout must contain at least one ASV")
     a = asv.tolist()
     h = L / 2.0
     cands = [(h, h), (h, -h), (-h, h), (-h, -h)]
@@ -89,10 +85,6 @@ def min_formation_radius(L: float, r_hf: float) -> float | None:
     the closed form does not apply.  A non-positive value means any ring
     radius satisfies the corner constraint.
     """
-    if L <= 0:
-        raise ValueError(f"L must be > 0 (got {L})")
-    if r_hf <= 0:
-        raise ValueError(f"r_hf must be > 0 (got {r_hf})")
     half = L / 2.0
     if r_hf < half:
         return None
@@ -106,8 +98,6 @@ def coverage_fraction_grid(asv: np.ndarray, L: float, r_hf: float,
     Fraction of points on a boundary-inclusive grid over the survey square
     that lie within ``r_hf`` of at least one ASV.
     """
-    if grid_step <= 0:
-        raise ValueError(f"grid_step must be > 0 (got {grid_step})")
     n = int(math.ceil(L / grid_step - 1e-9)) + 1
     if n < 2:
         coords = np.array([0.0])

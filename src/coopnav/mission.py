@@ -33,11 +33,6 @@ class VehicleTruth:
     speed: float = 0.0
 
 
-def default_track_spacing(L: float, n_auv: int) -> float:
-    """One third of the strip height: 5 m at L=60 with four AUVs, scaled."""
-    return (L / n_auv) / 3.0
-
-
 def plan_lawnmower(L: float, n_auv: int,
                    track_spacing: float | None = None) -> list[list[tuple[float, float]]]:
     """Build the per-AUV serpentine plans: each AUV's ordered waypoints.
@@ -48,7 +43,7 @@ def plan_lawnmower(L: float, n_auv: int,
     ``n_auv`` and the spacing are taken as ``SimConfig.validate`` bounds them.
     """
     h = L / n_auv
-    spacing = default_track_spacing(L, n_auv) if track_spacing is None else track_spacing
+    spacing = h / 3.0 if track_spacing is None else track_spacing   # 5 m at L=60, 4 AUVs
     half = L / 2.0
     all_wps = []
     for i in range(n_auv):

@@ -57,8 +57,6 @@ def ticks_ceil(seconds: float, f_t: float) -> int:
 
 def crossing_time(L: float, c: float = SOUND_SPEED) -> float:
     """Acoustic crossing time of the survey area, t_C = L / c."""
-    if L <= 0:
-        raise ValueError(f"L must be > 0 (got {L})")
     return L / c
 
 
@@ -76,15 +74,11 @@ def next_group_start(k_start: int, t_ul: float, f_t: float) -> int:
 
 def payload_bytes(k_fix: int, cfg: TimingConfig) -> int:
     """Broadcast payload: header plus k_fix fix records."""
-    if k_fix < 0:
-        raise ValueError(f"k_fix must be >= 0 (got {k_fix})")
     return cfg.n_hdr + cfg.b_fix * k_fix
 
 
 def tx_duration(n_bytes: int, cfg: TimingConfig) -> float:
     """Airtime of a payload at the downlink bitrate, including overhead."""
-    if n_bytes < 0:
-        raise ValueError(f"n_bytes must be >= 0 (got {n_bytes})")
     return n_bytes * 8.0 * cfg.overhead / cfg.r_dl
 
 
@@ -100,8 +94,6 @@ def delivery_tick(k_b: int, t_tx: float, d_ij: float, cfg: TimingConfig,
 
     None when the AUV is beyond the MF range and the fix is not delivered.
     """
-    if d_ij < 0:
-        raise ValueError(f"d_ij must be >= 0 (got {d_ij})")
     if d_ij > cfg.r_mf:
         return None
     return k_b + ticks_ceil(t_tx + d_ij / c, cfg.f_t)
@@ -109,8 +101,6 @@ def delivery_tick(k_b: int, t_tx: float, d_ij: float, cfg: TimingConfig,
 
 def e2e_latency(k_ping: int, k_deliver: int, f_t: float) -> float:
     """End-to-end latency from HF ping to fix delivery, seconds."""
-    if k_deliver < k_ping:
-        raise ValueError(f"k_deliver {k_deliver} precedes k_ping {k_ping}")
     return (k_deliver - k_ping) / f_t
 
 

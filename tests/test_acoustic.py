@@ -157,8 +157,6 @@ def test_fuse_weighted():
 
 def test_fuse_validation():
     with pytest.raises(ValueError):
-        fuse_fixes([])
-    with pytest.raises(ValueError):
         fuse_fixes([fix_at(0.0, 1.0), fix_at(1.0, 0.0)])
 
 

@@ -48,6 +48,19 @@ def test_unknown_key_is_an_error_with_location(tmp_path):
         load_sim_config(path)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("[sim]\nl = 60\n\n[formation]\nr_hf = 50\nl = 5\n",
+     r"cfg.ini:6: unknown key 'l' in section \[formation\]"),
+    ("[formation]\nr_hf = 50\n\n[sim]\nr_hf = 40\n",
+     r"cfg.ini:5: unknown key 'r_hf' in section \[sim\]"),
+    ("[sim]\nn_auv = 4\nL = wide\n", r"cfg.ini:3: bad value for 'l'"),
+], ids=["same_key_in_an_earlier_section", "known_key_in_another_section",
+        "key_in_upper_case"])
+def test_a_key_error_names_the_line_in_its_own_section(tmp_path, text, error):
+    with pytest.raises(ConfigError, match=error):
+        load_sim_config(write(tmp_path, text))
+
+
 def test_unknown_section_is_an_error(tmp_path):
     with pytest.raises(ConfigError, match=r"\[telepathy\]"):
         load_sim_config(write(tmp_path, "[telepathy]\nrange = 1\n"))
@@ -315,6 +328,86 @@ def test_sweep_parallelism_invariance(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out2), "--parallel", "2"]) == 0
     assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
     assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
+
+
+SUMMARY_SWEEP = """
+[sweep]
+l = 140, 60
+n_asv = 2, 1
+n_auv = 6, 4
+alpha0_deg = 45, 0
+seeds = 2
+
+[sim]
+duration = 30
+
+[nav]
+bias_x = 0.5
+bias_y = -0.3
+"""
+
+SUMMARY_AGGREGATE = """\
+# coopnav sweep aggregate schema v1
+L,n_asv,n_auv,n_runs,cte_mean_m,cte_std_m,fix_rate_mean_hz,fix_rate_std_hz,coverage_mean,latency_mean_s
+60,1,4,2,0.045781,0.001117,0.625000,0.000000,1.000000,0.382223
+60,1,6,2,0.074571,0.001413,0.416667,0.000000,1.000000,0.400444
+60,2,4,4,0.171379,0.124455,0.625000,0.000000,0.763333,0.367111
+60,2,6,4,0.149171,0.077807,0.416667,0.000000,0.818542,0.402555
+140,1,6,2,0.222631,0.000497,0.000000,0.000000,0.000000,0.000000
+140,2,4,4,0.123685,0.016259,0.147917,0.014878,0.619231,0.373728
+140,2,6,4,0.139345,0.006266,0.095834,0.007217,0.611314,0.357703
+"""
+
+SUMMARY_HEATMAP = """\
+mean CTE (m) by survey size / ASV count (rows) and AUV count (columns)
+L,n_asv \\ n_auv |      4 |      6
+   60,    1     |   0.05 |   0.07
+   60,    2     |   0.17 |   0.15
+  140,    1     |      - |   0.22
+  140,    2     |   0.12 |   0.14
+"""
+
+
+def test_sweep_summary_text(tmp_path, monkeypatch, capsys):
+    # unsorted axes, and one cell whose runs all fail: its error rows stay
+    # out of the aggregate and its heatmap cell reads "-"
+    run = cli.run
+
+    def fail_one_cell(cfg):
+        if (cfg.L, cfg.n_asv, cfg.n_auv) == (140, 1, 4):
+            raise RuntimeError("no fix")
+        return run(cfg)
+
+    monkeypatch.setattr(cli, "run", fail_one_cell)
+    cfg = write(tmp_path, SUMMARY_SWEEP, "sweep.ini")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", "1"]) == 2
+    assert "24 runs (2 failed)" in capsys.readouterr().out
+    assert (out / "aggregate.csv").read_text() == SUMMARY_AGGREGATE
+    assert (out / "heatmap.txt").read_text() == SUMMARY_HEATMAP
+
+
+def test_sweep_axes_default_to_the_run_sections(tmp_path):
+    spec = load_sweep_spec(write(tmp_path, """
+[sweep]
+n_asv = 1, 2
+
+[sim]
+l = 100
+n_auv = 2
+""", "sweep.ini"))
+    assert {(cfg.L, cfg.n_auv) for _, cfg in spec.jobs()} == {(100.0, 2)}
+
+
+@pytest.mark.parametrize("key", ["seed = 7", "L = 100", "n_asv = 2", "n_auv = 2",
+                                 "alpha0_deg = 30"])
+def test_sweep_rejects_a_run_key_it_sets_per_job(tmp_path, capsys, key):
+    cfg = write(tmp_path, SWEEP + key + "\n", "sweep.ini")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    name = key.split()[0].lower()
+    assert f"sweep.ini:11: '{name}' in section [sim]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def csv_rows(path):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Differential check of two coopnav source trees on random missions.
+"""Differential check of two coopnav source trees on random missions and sweeps.
 
     python3 tools/diffcheck.py PARENT_SRC CHANGE_SRC --n 160 [--seed 0]
 
@@ -10,8 +10,11 @@ compares the sha1 of the event log, of the trace log and of the full-``repr``
 numeric report (as ``tests/test_run_digests.py`` computes them), or the type
 and text of the exception the mission raised.  It also compares the exit
 code and stdout of ``coopnav check-coverage`` on an INI holding the
-mission's L, n_asv, r_hf, delta_b and alpha0.  It prints each mismatch and
-a summary, and exits 0 when every mission is identical, else 1.
+mission's L, n_asv, r_hf, delta_b and alpha0.  Each tree also runs the same
+few random sweep INIs through ``coopnav sweep``, and the check compares the
+exit code and the sha1 of ``runs.csv``, ``aggregate.csv`` and
+``heatmap.txt``.  It prints each mismatch and a summary, and exits 0 when
+every mission and sweep is identical, else 1.
 
 The random missions cover the survey scale L, n_auv, n_asv, tick rates
 f_t in {7, 10, 30, 50}, zero IMU and depth noise, a signed-zero bias, zero
@@ -24,6 +27,10 @@ capture radius and yaw-rate limit.  They leave out what
 ``SimConfig.validate`` rejects: a track spacing that is not positive or is
 wider than a strip, and USBL noise with both ``sigma_r`` and
 ``sigma_theta`` zero, which the parent may accept and fail on later.
+
+The random sweeps list their axes in random order, with repeated values,
+some axes left out, single-ASV cells whose angle axis collapses, and
+missions of a few seconds.  They set no axis key in ``[sim]``.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import io
 import json
 import math
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -44,6 +52,8 @@ from pathlib import Path
 REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
                  "applied_rate_hz", "latency_mean_s", "latency_p95_s",
                  "dropped", "max_innovation", "excursion_ticks")
+SWEEPS = 4   # random sweeps per check
+SWEEP_OUTPUTS = ("runs.csv", "aggregate.csv", "heatmap.txt")
 
 
 def random_spec(rng: random.Random) -> dict:
@@ -88,9 +98,24 @@ def random_spec(rng: random.Random) -> dict:
     )
 
 
+def random_sweep(rng: random.Random) -> str:
+    """One small sweep INI: each axis is absent or one to three values drawn
+    with repeats, in a shuffled key order."""
+    axes = {"l": [20.0, 40.0, 60.0, 65.0, 100.0, 140.0, round(rng.uniform(15.0, 160.0), 1)],
+            "n_asv": [1, 1, 2, 3], "n_auv": [1, 2, 3, 4, 5],
+            "alpha0_deg": [0.0, 30.0, 45.0, 90.0, 12.5]}
+    lines = [f"{key} = " + ", ".join(str(v) for v in rng.choices(values, k=rng.randint(1, 3)))
+             for key, values in axes.items() if rng.random() < 0.8]
+    lines += [f"seeds = {rng.randint(1, 2)}", f"base_seed = {rng.randrange(1000)}"]
+    rng.shuffle(lines)
+    duration = rng.choice([2.0, 5.0, round(rng.uniform(1.0, 8.0), 2)])
+    return "[sweep]\n" + "\n".join(lines) + f"\n\n[sim]\nduration = {duration}\n"
+
+
 def worker(src: str) -> None:
-    """Run the JSON list of specs on stdin with coopnav from ``src``; print
-    one [mission result, check-coverage result] pair per spec as a JSON list."""
+    """Run the JSON missions and sweeps on stdin with coopnav from ``src``;
+    print one [mission result, check-coverage result] pair per mission and
+    one result per sweep as JSON."""
     sys.path.insert(0, src)
     import dataclasses
     import hashlib
@@ -118,9 +143,22 @@ def worker(src: str) -> None:
             code = cli.main(["check-coverage", "--config", str(ini)])
         return " | ".join([f"exit {code}"] + text.getvalue().splitlines())
 
-    specs = json.load(sys.stdin)
+    def sweep(text: str, tmp: Path) -> str:
+        """The sweep's exit code and the sha1 of each of its outputs."""
+        ini, out = tmp / "sweep.ini", tmp / "sweep"
+        ini.write_text(text)
+        shutil.rmtree(out, ignore_errors=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["sweep", "--config", str(ini), "--out", str(out)])
+        return " ".join([f"exit {code}"] + [
+            hashlib.sha1((out / name).read_bytes()).hexdigest()
+            if (out / name).is_file() else "missing" for name in SWEEP_OUTPUTS])
+
+    todo = json.load(sys.stdin)
+    specs = todo["missions"]
     with tempfile.TemporaryDirectory() as tmp:
         covered = [coverage(spec, Path(tmp) / "formation.ini") for spec in specs]
+        swept = [sweep(text, Path(tmp)) for text in todo["sweeps"]]
     out = []
     for spec, checked in zip(specs, covered):
         spec = dict(spec, bias=tuple(spec["bias"]),
@@ -138,12 +176,12 @@ def worker(src: str) -> None:
         out.append([" ".join((sha1(rep.event_log), sha1(rep.trace_log),
                               hashlib.sha1(repr(numeric).encode()).hexdigest())),
                     checked])
-    json.dump(out, sys.stdout)
+    json.dump({"missions": out, "sweeps": swept}, sys.stdout)
 
 
-def run_tree(src: str, specs: list[dict]) -> list[list[str]]:
+def run_tree(src: str, todo: dict) -> dict:
     proc = subprocess.run([sys.executable, __file__, "--worker", src],
-                          input=json.dumps(specs), capture_output=True, text=True)
+                          input=json.dumps(todo), capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"worker for {src} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
@@ -164,19 +202,26 @@ def main(argv=None) -> int:
         p.error("PARENT_SRC and CHANGE_SRC are required")
     rng = random.Random(args.seed)
     specs = [random_spec(rng) for _ in range(args.n)]
+    todo = {"missions": specs, "sweeps": [random_sweep(rng) for _ in range(SWEEPS)]}
     with ThreadPoolExecutor(2) as pool:
-        parent, change = pool.map(lambda src: run_tree(src, specs),
+        parent, change = pool.map(lambda src: run_tree(src, todo),
                                   (args.parent_src, args.change_src))
     same = 0
-    for n, (spec, a, b) in enumerate(zip(specs, parent, change)):
+    for n, (spec, a, b) in enumerate(zip(specs, parent["missions"], change["missions"])):
         same += a == b
         for what, x, y in zip(("", " check-coverage"), a, b):
             if x != y:
                 print(f"mission {n}{what} differs: {json.dumps(spec)}\n"
                       f"  parent: {x}\n  change: {y}")
-    raised = sum(r[0].startswith("raised") for r in parent)
-    print(f"{same}/{len(specs)} identical ({raised} raised on the parent tree)")
-    return 0 if same == len(specs) else 1
+    swept = 0
+    for n, (text, x, y) in enumerate(zip(todo["sweeps"], parent["sweeps"], change["sweeps"])):
+        swept += x == y
+        if x != y:
+            print(f"sweep {n} differs:\n{text}  parent: {x}\n  change: {y}")
+    raised = sum(r[0].startswith("raised") for r in parent["missions"])
+    print(f"{same}/{len(specs)} missions identical ({raised} raised on the parent tree), "
+          f"{swept}/{SWEEPS} sweeps identical")
+    return 0 if same == len(specs) and swept == SWEEPS else 1
 
 
 if __name__ == "__main__":
