@@ -3,10 +3,9 @@
 Per tick, in fixed order: guidance from the fused estimates, truth advance,
 dead reckoning of both estimates, pressure-depth replacement, protocol
 events (pings, fusion, broadcasts, deliveries), fix application, metric
-accumulation.  The protocol is stepped only from its next event tick on,
-the noise streams are drawn in blocks, and on a tick without a fix
-delivery the metrics are taken in the kinematic pass; all three leave every
-value as it would be tick by tick.  Identical (config, seed) pairs produce
+accumulation.  The protocol is stepped only from its next event tick on
+and the noise streams are drawn in blocks; both leave every value as it
+would be tick by tick.  Identical (config, seed) pairs produce
 byte-identical event logs.
 """
 
@@ -25,8 +24,7 @@ from .formation import asv_positions
 from .mission import (GuidanceConfig, VehicleTruth, advance_truth, guidance_step,
                       plan_lawnmower, point_segment_distance, segment)
 from .nav import KinematicInput, NavState, apply_fix, dead_reckon_step, depth_update
-from .protocol import (EventLog, TdmaScheduler, TimingConfig, anchor_points,
-                       ticks_ceil)
+from .protocol import EventLog, TdmaScheduler, TimingConfig, anchor_points
 from .schema import auto_or_float, check, from_degrees, hash_items, param
 
 
@@ -73,8 +71,11 @@ class SimConfig:
             raise ValueError(f"gamma must be in (0, 1] (got {self.gamma})")
         if self.track_spacing is not None and self.track_spacing > self.L / self.n_auv + 1e-9:
             raise ValueError(f"track_spacing {self.track_spacing} exceeds the strip height L / n_auv")
-        if self.noise.sigma_r == 0 and self.noise.sigma_theta == 0:   # fixes of variance 0
-            raise ValueError("sigma_r and sigma_theta must not both be 0")
+        # a fix's variance is sigma_r**2 + (r * sigma_theta)**2, and its slant
+        # range r from an anchor at z = 0 is at least |depth|
+        if self.noise.sigma_r ** 2 + (abs(self.depth) * self.noise.sigma_theta) ** 2 == 0:
+            raise ValueError("sigma_r and sigma_theta give fixes of variance 0 "
+                             f"at depth {self.depth}")
 
     def formation(self) -> np.ndarray:
         """The ``(n_asv, 2)`` ASV ring of radius ``r_hf + delta_b`` at ``alpha0``."""
@@ -224,19 +225,6 @@ def jittered_anchors(base_asv, jitter) -> list:
     return np.concatenate((xy, np.zeros(xy.shape[:-1] + (1,))), axis=-1).tolist()
 
 
-# (kinematics, metrics) per pass over the AUVs of one tick; the protocol
-# steps after the kinematics
-ONE_PASS = ((True, True),)
-SPLIT_PASSES = ((True, False), (False, True))
-
-
-def coverage_fraction(ping_log) -> float:
-    """Fraction of ping attempts heard by at least one ASV (0 when none)."""
-    if len(ping_log) == 0:
-        return 0.0
-    return sum(1 for h in ping_log if h) / len(ping_log)
-
-
 def _percentile(sorted_vals: list[float], q: float) -> float:
     if not sorted_vals:
         return 0.0
@@ -269,10 +257,10 @@ def run(config: SimConfig) -> MissionReport:
     depth_noise = [NoiseStream(derive_rng(seed, f"depth/{i}"), config.sigma_z)
                    for i in range(n)]
     usbl_scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
-    usbl_noise = [[NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), usbl_scales)
-                   for j in range(m)] for i in range(n)]
-    loss_rng = [[uniform_stream(derive_rng(seed, f"loss/{i}/{j}")) for j in range(m)]
-                for i in range(n)]
+    # (noise tuples, loss stream) per AUV-to-ASV path
+    paths = [[(NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), usbl_scales),
+               uniform_stream(derive_rng(seed, f"loss/{i}/{j}"))) for j in range(m)]
+             for i in range(n)]
     jitter_rng = derive_rng(seed, "asv_jitter") if config.asv_jitter_std > 0 else None
 
     truths, navs, kin, segments = [], [], [], []
@@ -293,11 +281,10 @@ def run(config: SimConfig) -> MissionReport:
         segments.append([segment(*wps[w - 1], *wps[w]) for w in tracked])
     wp_index = [0] * n
     max_step = guid.max_yaw_rate * dt
-    auvs = list(zip(range(n), truths, navs, kin, imu_noise, depth_noise,
-                    waypoints, segments))
+    auvs = list(zip(range(n), truths, navs, kin, imu_noise, depth_noise, waypoints))
+    metered = list(zip(range(n), truths, navs, segments))
 
-    proto = TdmaScheduler(timing, noise, LossModelCoefficients(), config.L,
-                          n, m, lambda i, j: (usbl_noise[i][j], loss_rng[i][j]),
+    proto = TdmaScheduler(timing, noise, LossModelCoefficients(), config.L, paths,
                           contention=config.contention)
     last_fix_xy = [(t.x, t.y) for t in truths]
     anchors = anchor_points(base_asv)
@@ -309,9 +296,6 @@ def run(config: SimConfig) -> MissionReport:
         return recolorer(last_fix_xy, anchors)
 
     proto.start_round(*recolor(), tick=0)
-    # a broadcast is delivered on its own tick only if its airtime rounds
-    # to no tick; the metrics then always wait for the protocol
-    same_tick = ticks_ceil(proto.t_tx, f_t) == 0
 
     cte_sum = [0.0] * n
     err_sum = [0.0] * n
@@ -339,55 +323,50 @@ def run(config: SimConfig) -> MissionReport:
                 anchors = jittered[row]
 
         due = proto.due_auvs(k) if active else ()
-        # only a delivery changes the metrics of a tick; on a tick without
-        # one they are taken in the kinematic pass
-        split = due or (same_tick and active)
-        for kinematics, metrics in (SPLIT_PASSES if split else ONE_PASS):
-            for i, t, nav, ki, imu, dz, wps, segs in auvs:
-                if kinematics:
-                    est_xy = (t.x, t.y) if on_truth else nav.p_fused
-                    speed_cmd, yaw_cmd, w = guidance_step(t, est_xy, wps, wp_index[i], guid)
-                    if w != wp_index[i]:
-                        wp_index[i] = w
-                        if w >= len(wps):
-                            finished += 1
-                    ki.speed = speed_cmd
-                    ki.cos_psi, ki.sin_psi = advance_truth(t, speed_cmd, yaw_cmd,
-                                                           max_step, dt)
-                    dead_reckon_step(nav, ki, next(imu), i not in due)
-                    depth_update(nav, depth, next(dz))
-                if metrics:
-                    x, y = t.x, t.y
-                    cte = point_segment_distance(x, y, segs[wp_index[i]])
-                    cte_sum[i] += cte
-                    p = nav.p_fused
-                    e = math.hypot(p[0] - x, p[1] - y)
-                    err_sum[i] += e
-                    if e > max_fused_err[i]:
-                        max_fused_err[i] = e
-                    dist[i] += t.speed * dt
-                    if x > edge or x < -edge or y > edge or y < -edge:   # |x|, |y| > edge
-                        excursions += 1
-                    if trace:
-                        q = nav.p_imu
-                        trace_log.append(
-                            f"TRACE{{tick={k}, auv={i}, "
-                            f"true=({x:.6f}, {y:.6f}, {t.z:.6f}), "
-                            f"imu=({q[0]:.6f}, {q[1]:.6f}, {q[2]:.6f}), "
-                            f"fused=({p[0]:.6f}, {p[1]:.6f}, {p[2]:.6f}), "
-                            f"cte={cte:.6f}}}")
+        for i, t, nav, ki, imu, dz, wps in auvs:
+            est_xy = (t.x, t.y) if on_truth else nav.p_fused
+            speed_cmd, yaw_cmd, w = guidance_step(t, est_xy, wps, wp_index[i], guid)
+            if w != wp_index[i]:
+                wp_index[i] = w
+                if w >= len(wps):
+                    finished += 1
+            ki.speed = speed_cmd
+            ki.cos_psi, ki.sin_psi = advance_truth(t, speed_cmd, yaw_cmd, max_step, dt)
+            dead_reckon_step(nav, ki, next(imu), i not in due)
+            depth_update(nav, depth, next(dz))
 
-            if kinematics and active:
-                for _, i, _, fix, _ in proto.step(k, truths, anchors, recolor):
-                    p = navs[i].p_fused
-                    fx, fy = fix[0], fix[1]
-                    innov = math.hypot(fx - p[0], fy - p[1])
-                    if innov > max_innovation:
-                        max_innovation = innov
-                    apply_fix(navs[i], fix, kin[i])
-                    applied[i] += 1
-                    applied_ticks[i].append(k)
-                    last_fix_xy[i] = (fx, fy)
+        if active:
+            for _, i, _, fix, _ in proto.step(k, truths, anchors, recolor):
+                p = navs[i].p_fused
+                fx, fy = fix[0], fix[1]
+                innov = math.hypot(fx - p[0], fy - p[1])
+                if innov > max_innovation:
+                    max_innovation = innov
+                apply_fix(navs[i], fix, kin[i])
+                applied[i] += 1
+                applied_ticks[i].append(k)
+                last_fix_xy[i] = (fx, fy)
+
+        for i, t, nav, segs in metered:
+            x, y = t.x, t.y
+            cte = point_segment_distance(x, y, segs[wp_index[i]])
+            cte_sum[i] += cte
+            p = nav.p_fused
+            e = math.hypot(p[0] - x, p[1] - y)
+            err_sum[i] += e
+            if e > max_fused_err[i]:
+                max_fused_err[i] = e
+            dist[i] += t.speed * dt
+            if x > edge or x < -edge or y > edge or y < -edge:   # |x|, |y| > edge
+                excursions += 1
+            if trace:
+                q = nav.p_imu
+                trace_log.append(
+                    f"TRACE{{tick={k}, auv={i}, "
+                    f"true=({x:.6f}, {y:.6f}, {t.z:.6f}), "
+                    f"imu=({q[0]:.6f}, {q[1]:.6f}, {q[2]:.6f}), "
+                    f"fused=({p[0]:.6f}, {p[1]:.6f}, {p[2]:.6f}), "
+                    f"cte={cte:.6f}}}")
 
         ticks_run = k + 1
         if finished == n:
@@ -404,7 +383,7 @@ def run(config: SimConfig) -> MissionReport:
             mean_cte=cte_sum[i] / ticks_run if ticks_run else 0.0,
             mean_est_err=err_sum[i] / ticks_run if ticks_run else 0.0,
             fix_count=applied[i],
-            coverage=coverage_fraction(proto.heard_log[i]),
+            coverage=proto.heard[i] / proto.pings[i] if proto.pings[i] else 0.0,
             distance=dist[i],
             allocation=applied[i] / total_applied if total_applied else 0.0,
             mean_inter_fix_s=sum(gaps) / len(gaps) if gaps else 0.0,

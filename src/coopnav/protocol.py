@@ -210,8 +210,9 @@ class TdmaScheduler:
     Owns the round schedule, the downlink fix buffer, the MF channel state
     and the fleet's causal delivery queue.  The host simulation supplies
     its vehicles' true positions and a recoloring callback fired at each
-    round boundary.  The configs and ``contention`` are taken as
-    ``SimConfig.validate`` left them.
+    round boundary.  ``paths[i][j]`` is the (noise tuples, loss stream) pair
+    of the path from AUV i to ASV j.  The configs and ``contention`` are
+    taken as ``SimConfig.validate`` left them.
 
     Slot lengths, the one-fix payload and its airtime depend only on the
     configuration, so they are computed once: group g of a round starting
@@ -225,15 +226,14 @@ class TdmaScheduler:
     """
 
     def __init__(self, timing: TimingConfig, noise: UsblNoiseConfig,
-                 coeffs: LossModelCoefficients, L: float, n_auv: int,
-                 n_asv: int, path_rngs, contention: str = "fleet"):
+                 coeffs: LossModelCoefficients, L: float, paths,
+                 contention: str = "fleet"):
         self.timing = timing
         self.noise = noise
         self.coeffs = coeffs
-        self.n_auv = n_auv
-        self.n_asv = n_asv
-        # (noise tuples, loss stream) per AUV-to-ASV path; looking up draws nothing
-        self.paths = [[path_rngs(i, j) for j in range(n_asv)] for i in range(n_auv)]
+        self.paths = paths
+        self.n_auv = n_auv = len(paths)
+        self.n_asv = len(paths[0])
         self.contention = contention
         self.max_age_ticks = ticks_ceil(timing.max_fix_age_s, timing.f_t)
         # ticks from one group's slot start to the next's
@@ -258,7 +258,8 @@ class TdmaScheduler:
         self.mf_busy_until = 0
         self.bcast_count = 0
         self.queue = FixQueue(n_auv)
-        self.heard_log: list[list[bool]] = [[] for _ in range(n_auv)]
+        self.pings = [0] * n_auv   # per AUV: pings sent, and pings some ASV heard
+        self.heard = [0] * n_auv
         self.dropped = {"superseded": 0, "expired": 0, "out_of_mf_range": 0}
         self.latencies: list[float] = []
         self.events = EventLog()
@@ -343,7 +344,8 @@ class TdmaScheduler:
                         fields += (tick, i, j)
                         fields += fx
                         fixes.append(fx)
-                self.heard_log[i].append(heard)
+                self.pings[i] += 1
+                self.heard[i] += heard
                 if fixes:
                     kinds.append(FUSE)
                     fields += (tick, i, len(fixes))

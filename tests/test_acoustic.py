@@ -110,13 +110,13 @@ def test_attempt_fix_range_cutoff():
     # ping is unheard and nothing is drawn
     noise = UsblNoiseConfig(r_max=50.0)
     never = iter(lambda: pytest.fail("an out-of-range attempt drew"), None)
-    paths = [(never, never), (repeat((0.0, 0.0, 0.0)), repeat(0.99))]
-    sched = TdmaScheduler(TimingConfig(), noise, COEFFS, 60.0, 2, 1, lambda i, j: paths[i])
+    paths = [[(never, never)], [(repeat((0.0, 0.0, 0.0)), repeat(0.99))]]
+    sched = TdmaScheduler(TimingConfig(), noise, COEFFS, 60.0, paths)
     graph, coloring = [set(), set()], Coloring([0, 0], 1)
     sched.start_round(graph, coloring, 0)
     auvs = [VehicleTruth(60.0, 0.0, 0.0, 0.0), VehicleTruth(30.0, 0.0, 40.0, 0.0)]
     sched.step(0, auvs, [(0.0, 0.0, 0.0)], lambda: (graph, coloring))
-    assert sched.heard_log == [[False], [True]]
+    assert sched.pings == [1, 1] and sched.heard == [0, 1]
     # AUV 1, exactly r_max away, is attempted and its fix kept
     assert [e for e in sched.events if e.startswith("FIX")] == [
         "FIX{tick=0, auv=1, asv=0, pos=(30.000000, 0.000000, 40.000000), var=0.200386}"]

@@ -111,6 +111,17 @@ def test_validate_config_rejects_what_run_cannot_simulate(tmp_path, capsys, sect
     assert "OK" not in out.out and field in out.err
 
 
+@pytest.mark.parametrize("section", [
+    "[acoustic]\nsigma_r = 1e-170\nsigma_theta_deg = 1e-170\n",   # both squares underflow
+    "[acoustic]\nsigma_r = 0\n[mission]\ndepth = 0\n",   # an AUV can pass under an anchor
+], ids=["sigmas_underflow", "sigma_r_0_at_depth_0"])
+def test_a_fix_variance_of_0_is_rejected_before_the_run(tmp_path, capsys, section):
+    cfg = write(tmp_path, BASE + section)
+    assert main(["validate-config", "--config", cfg]) == 1
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "variance 0" in capsys.readouterr().err
+
+
 def test_track_spacing_of_one_strip_height_is_valid(tmp_path, capsys):
     cfg = write(tmp_path, BASE + "[mission]\ntrack_spacing = 15\n")
     assert main(["validate-config", "--config", cfg]) == 0

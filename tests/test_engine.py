@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from coopnav.acoustic import UsblNoiseConfig
-from coopnav.engine import (RNG_BLOCK, NoiseStream, SimConfig, coverage_fraction,
+from coopnav import engine
+from coopnav.engine import (RNG_BLOCK, NoiseStream, SimConfig,
                             derive_rng, run, uniform_stream)
 
 
@@ -152,10 +153,26 @@ def test_config_hash_ignores_seed():
     assert short_cfg(L=61.0).config_hash() != short_cfg().config_hash()
 
 
-def test_coverage_fraction():
-    assert coverage_fraction([True] * 10) == 1.0
-    assert coverage_fraction([True] * 9 + [False] * 91) == pytest.approx(0.09)
-    assert coverage_fraction([]) == 0.0
+def test_coverage_is_the_share_of_pings_heard(monkeypatch):
+    # an AUV's coverage is its heard / pings count on the scheduler, and
+    # 0.0 for an AUV that never pinged
+    made = []
+
+    class Recorded(engine.TdmaScheduler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "TdmaScheduler", Recorded)
+    rep = run(SimConfig(L=100.0, n_auv=3, n_asv=1, duration=60.0, seed=0))
+    sched = made[0]
+    assert [m.coverage for m in rep.per_auv] == [
+        h / p for h, p in zip(sched.heard, sched.pings)]
+    assert sched.heard[0] == 0 < sched.pings[0]      # the outer strip is never heard
+    assert 0.0 < rep.per_auv[1].coverage < 1.0
+    rep = run(short_cfg(duration=5.0, usbl_enabled=False))
+    assert made[1].pings == [0] * 4
+    assert all(m.coverage == 0.0 for m in rep.per_auv)
 
 
 def test_derive_rng_streams():

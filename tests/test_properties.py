@@ -96,8 +96,7 @@ def test_slot_starts_from_constants_equal_the_former_layout(L, k, round_start, f
     noise = UsblNoiseConfig(r_max=50.0)
     # every AUV far out of range: each slot shows as its group's pings only
     pos = [VehicleTruth(1000.0 * (i + 1), 0.0, 10.0, 0.0) for i in range(k)]
-    sched = TdmaScheduler(cfg, noise, LossModelCoefficients(), L, k, 1,
-                          lambda i, j: (None, None))
+    sched = TdmaScheduler(cfg, noise, LossModelCoefficients(), L, [[(None, None)]] * k)
     coloring = Coloring(list(range(k)), k)
     graph = from_edges(k)
     sched.start_round(graph, coloring, round_start)
@@ -561,7 +560,7 @@ def test_improper_coloring_raises_at_start_round(data, n):
 
     def scheduler():
         return TdmaScheduler(TimingConfig(), UsblNoiseConfig(), LossModelCoefficients(),
-                             60.0, n, 1, lambda i, j: (None, None))
+                             60.0, [[(None, None)]] * n)
 
     # a new coloring, checked on its first graph
     new = scheduler()

@@ -103,13 +103,12 @@ def test_fix_queue_releases_a_tick_by_auv_then_push_order():
         q.pop_due(9)
 
 
-def make_rngs(n_auv, n_asv, seed=0, noise=UsblNoiseConfig()):
+def make_paths(n_auv, n_asv, seed=0, noise=UsblNoiseConfig()):
+    """The (noise tuples, loss stream) table of every AUV-to-ASV path."""
     scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
-    usbl = [[NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), scales) for j in range(n_asv)]
+    return [[(NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), scales),
+              uniform_stream(derive_rng(seed, f"loss/{i}/{j}"))) for j in range(n_asv)]
             for i in range(n_auv)]
-    loss = [[uniform_stream(derive_rng(seed, f"loss/{i}/{j}")) for j in range(n_asv)]
-            for i in range(n_auv)]
-    return lambda i, j: (usbl[i][j], loss[i][j])
 
 
 def vehicles(pos):
@@ -121,8 +120,7 @@ def one_round(pos, asv, graph, coloring, ticks=None):
     """Step a scheduler at L=60 every tick over its first round, or ``ticks``
     ticks; returns it and its rendered events."""
     sched = TdmaScheduler(TimingConfig(), UsblNoiseConfig(r_max=50.0),
-                          LossModelCoefficients(), 60.0, len(pos), len(asv),
-                          make_rngs(len(pos), len(asv)))
+                          LossModelCoefficients(), 60.0, make_paths(len(pos), len(asv)))
     sched.start_round(graph, coloring, 0)
     anchors, auvs = anchor_points(asv), vehicles(pos)
     for k in range(sched.round_end if ticks is None else ticks):
@@ -169,7 +167,7 @@ def test_scheduler_unheard_round_broadcasts_nothing():
     sched, events = one_round(pos, np.zeros((1, 2)), from_edges(2),
                               Coloring([0, 0], 1), ticks=30)
     assert events and all(e.startswith("PING") for e in events)
-    assert sched.heard_log == [[False] * 10, [False] * 10]
+    assert sched.pings == [10, 10] and sched.heard == [0, 0]
     assert not sched.buffer and sched.queue.head_tick() is None and sched.bcast_count == 0
 
 
@@ -199,7 +197,7 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
     coloring = greedy_color(g)
     sched, events = one_round(pos, asv, g, coloring)
 
-    noise, coeffs, rngs = UsblNoiseConfig(r_max=50.0), LossModelCoefficients(), make_rngs(3, 2)
+    noise, coeffs, paths = UsblNoiseConfig(r_max=50.0), LossModelCoefficients(), make_paths(3, 2)
     ref = []
     for grp, members in enumerate(coloring.groups()):
         tick = grp * sched.slot_ticks
@@ -211,7 +209,7 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
                 r = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if r > noise.r_max:
                     continue
-                usbl, loss = rngs(i, j)
+                usbl, loss = paths[i][j]
                 fx = attempt_fix(a, dx, dy, dz, r, 2 * coeffs.p_col, noise.sigma_r ** 2,
                                  noise.sigma_theta, coeffs, usbl, loss)
                 if fx is not None:
@@ -243,8 +241,7 @@ def drive_scheduler(trace, asv, skip_idle):
 
     n_auv = len(trace[0])
     sched = TdmaScheduler(TimingConfig(), UsblNoiseConfig(r_max=50.0),
-                          LossModelCoefficients(), 70.0, n_auv, len(asv),
-                          make_rngs(n_auv, len(asv), seed=3))
+                          LossModelCoefficients(), 70.0, make_paths(n_auv, len(asv), seed=3))
     sched.start_round(*recolor(trace[0]), 0)
     anchors = anchor_points(asv)
     deliveries, steps = [], 0
@@ -284,7 +281,7 @@ def test_scheduler_skipping_idle_ticks_matches_every_tick():
     assert fast_del == full_del
     assert fast.latencies == full.latencies
     assert fast.dropped == full.dropped
-    assert fast.heard_log == full.heard_log
+    assert (fast.pings, fast.heard) == (full.pings, full.heard)
     assert full.dropped["expired"] > 0 and full.dropped["out_of_mf_range"] > 0
-    assert any(not h for log in full.heard_log for h in log)
+    assert any(h < p for h, p in zip(full.heard, full.pings))
     assert full_del and fast_steps < full_steps
