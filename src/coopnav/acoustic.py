@@ -16,9 +16,6 @@ from math import asin, atan2, cos, exp, sin
 
 from .schema import from_degrees, param
 
-SOUND_SPEED = 1500.0  # m/s, nominal
-
-
 @dataclass
 class UsblNoiseConfig:
     sigma_r: float = param(0.1, "acoustic", ge=0)                    # range noise std, m
@@ -26,7 +23,7 @@ class UsblNoiseConfig:
                                conv=from_degrees, ge=0)              # azimuth noise std, rad
     sigma_phi: float = param(math.radians(0.5), "acoustic", "sigma_phi_deg",
                              conv=from_degrees, ge=0)                # elevation noise std, rad
-    c: float = param(SOUND_SPEED, "acoustic", "sound_speed", gt=0)   # m/s
+    c: float = param(1500.0, "acoustic", "sound_speed", gt=0)        # sound speed, m/s
     r_max: float = param(50.0, gt=0)                                 # HF audibility cutoff, m
 
 

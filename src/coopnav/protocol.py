@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .acoustic import (SOUND_SPEED, LossModelCoefficients, UsblNoiseConfig,
-                       attempt_fix, fuse_fixes)
+from .acoustic import LossModelCoefficients, UsblNoiseConfig, attempt_fix, fuse_fixes
 from .conflict import Coloring
 from .schema import param
 
@@ -55,14 +54,14 @@ def ticks_ceil(seconds: float, f_t: float) -> int:
     return max(0, math.ceil(seconds * f_t - _TICK_EPS))
 
 
-def crossing_time(L: float, c: float = SOUND_SPEED) -> float:
-    """Acoustic crossing time of the survey area, t_C = L / c."""
+def crossing_time(L: float, c: float) -> float:
+    """Acoustic crossing time of the survey area at sound speed c, t_C = L / c."""
     return L / c
 
 
-def uplink_slot_duration(L: float, tau_ot_max: float, cfg: TimingConfig) -> float:
+def uplink_slot_duration(L: float, tau_ot_max: float, cfg: TimingConfig, c: float) -> float:
     """Uplink slot for one ping group: ping + worst one-way time + guard, floored."""
-    tc = crossing_time(L)
+    tc = crossing_time(L, c)
     return max(cfg.t_p + tau_ot_max + cfg.guard_factor_ul * tc,
                cfg.min_slot_factor_ul * tc)
 
@@ -82,14 +81,14 @@ def tx_duration(n_bytes: int, cfg: TimingConfig) -> float:
     return n_bytes * 8.0 * cfg.overhead / cfg.r_dl
 
 
-def downlink_slot_duration(L: float, t_tx: float, cfg: TimingConfig) -> float:
+def downlink_slot_duration(L: float, t_tx: float, cfg: TimingConfig, c: float) -> float:
     """MF slot: transmission plus guard, floored at the conservative minimum."""
-    tc = crossing_time(L)
+    tc = crossing_time(L, c)
     return max(t_tx + cfg.guard_factor_dl * tc, cfg.min_slot_factor_dl * tc)
 
 
 def delivery_tick(k_b: int, t_tx: float, d_ij: float, cfg: TimingConfig,
-                  c: float = SOUND_SPEED) -> int | None:
+                  c: float) -> int | None:
     """Tick at which a fix broadcast at k_b reaches an AUV d_ij metres away.
 
     None when the AUV is beyond the MF range and the fix is not delivered.
@@ -238,13 +237,13 @@ class TdmaScheduler:
         self.max_age_ticks = ticks_ceil(timing.max_fix_age_s, timing.f_t)
         # ticks from one group's slot start to the next's
         self.slot_ticks = next_group_start(
-            0, uplink_slot_duration(L, noise.r_max / noise.c, timing), timing.f_t)
+            0, uplink_slot_duration(L, noise.r_max / noise.c, timing, noise.c), timing.f_t)
         if self.slot_ticks < 1:
             raise ValueError("an uplink slot must last at least one tick")
         self.fix_payload = payload_bytes(1, timing)
         self.t_tx = tx_duration(self.fix_payload, timing)
         self.mf_slot_ticks = ticks_ceil(
-            downlink_slot_duration(L, self.t_tx, timing), timing.f_t)
+            downlink_slot_duration(L, self.t_tx, timing, noise.c), timing.f_t)
 
         self.var_r = noise.sigma_r ** 2
         # (graph, coloring, groups) per checked pair, keyed by the pair's ids;
@@ -400,7 +399,7 @@ class TdmaScheduler:
         self.mf_busy_until = tick + self.mf_slot_ticks
         t, a = vehicles[target], anchors[asv_j]
         d = math.hypot(t.x - a[0], t.y - a[1])
-        kd = delivery_tick(tick, self.t_tx, d, self.timing)
+        kd = delivery_tick(tick, self.t_tx, d, self.timing, self.noise.c)
         if kd is None:
             self.dropped["out_of_mf_range"] += 1
             self.events.add(OUT_OF_MF_RANGE, tick, target)

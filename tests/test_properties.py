@@ -78,9 +78,9 @@ def test_event_records_render_as_the_former_text(records):
     assert list(log) == [FORMER[kind](*fields) for kind, fields in records]
 
 
-def former_layout(k, L, round_start, cfg, tau):
+def former_layout(k, L, round_start, cfg, tau, c):
     """Group starts and round end as laid out one slot after another."""
-    t_ul = uplink_slot_duration(L, tau, cfg)
+    t_ul = uplink_slot_duration(L, tau, cfg, c)
     starts, tick = [], round_start
     for _ in range(max(k, 1)):
         starts.append(tick)
@@ -100,7 +100,7 @@ def test_slot_starts_from_constants_equal_the_former_layout(L, k, round_start, f
     coloring = Coloring(list(range(k)), k)
     graph = from_edges(k)
     sched.start_round(graph, coloring, round_start)
-    starts, end = former_layout(k, L, round_start, cfg, noise.r_max / noise.c)
+    starts, end = former_layout(k, L, round_start, cfg, noise.r_max / noise.c, noise.c)
     assert sched.round_end == end
     anchors = anchor_points(np.zeros((1, 2)))
     tick = round_start

@@ -16,18 +16,20 @@ from coopnav.protocol import (FixQueue, TdmaScheduler, TimingConfig, anchor_poin
 from graphs import from_edges
 
 CFG = TimingConfig()
+C = 1500.0   # m/s
 
 
 def test_crossing_time():
-    assert crossing_time(60.0) == pytest.approx(0.04)
-    assert crossing_time(140.0) == pytest.approx(0.093333, abs=1e-6)
-    assert crossing_time(1500.0) == pytest.approx(1.0)
+    assert crossing_time(60.0, C) == pytest.approx(0.04)
+    assert crossing_time(140.0, C) == pytest.approx(0.093333, abs=1e-6)
+    assert crossing_time(1500.0, C) == pytest.approx(1.0)
+    assert crossing_time(60.0, 750.0) == pytest.approx(0.08)
 
 
 def test_uplink_slot_duration():
-    assert uplink_slot_duration(60.0, 0.0333, CFG) == pytest.approx(0.1)
-    assert uplink_slot_duration(140.0, 0.0333, CFG) == pytest.approx(0.23333, abs=1e-4)
-    assert uplink_slot_duration(60.0, 0.2, CFG) == pytest.approx(0.23)
+    assert uplink_slot_duration(60.0, 0.0333, CFG, C) == pytest.approx(0.1)
+    assert uplink_slot_duration(140.0, 0.0333, CFG, C) == pytest.approx(0.23333, abs=1e-4)
+    assert uplink_slot_duration(60.0, 0.2, CFG, C) == pytest.approx(0.23)
 
 
 def test_next_group_start_exact_products():
@@ -57,15 +59,17 @@ def test_tx_duration():
 
 
 def test_downlink_slot_duration():
-    assert downlink_slot_duration(60.0, 0.576, CFG) == pytest.approx(0.626)
-    assert downlink_slot_duration(60.0, 0.192, CFG) == pytest.approx(0.4)
-    assert downlink_slot_duration(140.0, 0.0, CFG) == pytest.approx(0.93333, abs=1e-4)
+    assert downlink_slot_duration(60.0, 0.576, CFG, C) == pytest.approx(0.626)
+    assert downlink_slot_duration(60.0, 0.192, CFG, C) == pytest.approx(0.4)
+    assert downlink_slot_duration(140.0, 0.0, CFG, C) == pytest.approx(0.93333, abs=1e-4)
 
 
 def test_delivery_tick():
-    assert delivery_tick(100, 0.192, 30.0, CFG) == 107
-    assert delivery_tick(100, 0.192, 150.0, CFG) is None
-    assert delivery_tick(0, 0.0, 0.0, CFG) == 0
+    assert delivery_tick(100, 0.192, 30.0, CFG, C) == 107
+    assert delivery_tick(100, 0.192, 150.0, CFG, C) is None
+    assert delivery_tick(0, 0.0, 0.0, CFG, C) == 0
+    # 90 m at 750 m/s is 0.12 s of flight, not 0.06 s
+    assert delivery_tick(100, 0.192, 90.0, CFG, 750.0) == 110
 
 
 def test_e2e_latency():
@@ -227,10 +231,18 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
 
 def test_slot_durations_respect_minimums():
     for L in (60.0, 100.0, 140.0):
-        tc = crossing_time(L)
-        assert uplink_slot_duration(L, 50.0 / 1500.0, CFG) >= 2.5 * tc - 1e-12
+        tc = crossing_time(L, C)
+        assert uplink_slot_duration(L, 50.0 / C, CFG, C) >= 2.5 * tc - 1e-12
         for t_tx in (0.0, 0.192, 0.576):
-            assert downlink_slot_duration(L, t_tx, CFG) >= 10.0 * tc - 1e-12
+            assert downlink_slot_duration(L, t_tx, CFG, C) >= 10.0 * tc - 1e-12
+
+
+def test_slots_follow_the_configured_sound_speed():
+    # at 750 m/s the crossing time of L=60 doubles to 0.08 s: uplink slots
+    # of 2.5 crossing times take 6 ticks, and MF slots of 10 take 24
+    slow = TdmaScheduler(CFG, UsblNoiseConfig(c=750.0), LossModelCoefficients(), 60.0,
+                         make_paths(1, 1))
+    assert (slow.slot_ticks, slow.mf_slot_ticks) == (6, 24)
 
 
 def drive_scheduler(trace, asv, skip_idle):
