@@ -101,25 +101,19 @@ def test_validate_config_command(tmp_path, capsys):
     ("[mission]\ntrack_spacing = 0\n", "track_spacing"),
     ("[mission]\ntrack_spacing = -5\n", "track_spacing"),
     ("[acoustic]\nsigma_r = 0\nsigma_theta_deg = 0\n", "sigma_r and sigma_theta"),
+    # both squares underflow to a fix variance of 0
+    ("[acoustic]\nsigma_r = 1e-170\nsigma_theta_deg = 1e-170\n", "variance 0"),
+    # an AUV at the surface can pass right under an anchor
+    ("[acoustic]\nsigma_r = 0\n[mission]\ndepth = 0\n", "variance 0"),
     # BASE has L = 60 and n_auv = 4: strips 15 m high
     ("[mission]\ntrack_spacing = 40\n", "track_spacing"),
-], ids=["track_spacing_0", "track_spacing_-5", "usbl_sigmas_0", "track_spacing_over_strip"])
+], ids=["track_spacing_0", "track_spacing_-5", "usbl_sigmas_0", "usbl_sigmas_underflow",
+        "sigma_r_0_at_depth_0", "track_spacing_over_strip"])
 def test_validate_config_rejects_what_run_cannot_simulate(tmp_path, capsys, section, field):
     cfg = write(tmp_path, BASE + section)
     assert main(["validate-config", "--config", cfg]) == 1
     out = capsys.readouterr()
     assert "OK" not in out.out and field in out.err
-
-
-@pytest.mark.parametrize("section", [
-    "[acoustic]\nsigma_r = 1e-170\nsigma_theta_deg = 1e-170\n",   # both squares underflow
-    "[acoustic]\nsigma_r = 0\n[mission]\ndepth = 0\n",   # an AUV can pass under an anchor
-], ids=["sigmas_underflow", "sigma_r_0_at_depth_0"])
-def test_a_fix_variance_of_0_is_rejected_before_the_run(tmp_path, capsys, section):
-    cfg = write(tmp_path, BASE + section)
-    assert main(["validate-config", "--config", cfg]) == 1
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "variance 0" in capsys.readouterr().err
 
 
 def test_track_spacing_of_one_strip_height_is_valid(tmp_path, capsys):

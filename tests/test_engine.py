@@ -143,16 +143,6 @@ def test_run_rejects_usbl_noise_without_range_or_azimuth_spread():
         assert run(short_cfg(duration=5.0, noise=noise)).total_applied > 0
 
 
-def test_broadcasts_are_spaced_by_the_configured_sound_speed():
-    # at half the nominal sound speed the MF slot floor of 10 crossing times
-    # of L=60 m doubles from 12 ticks to 24
-    for c, gap in ((1500.0, 12), (750.0, 24)):
-        rep = run(short_cfg(noise=UsblNoiseConfig(c=c)))
-        ticks = [int(e.split("tick=")[1].split(",")[0])
-                 for e in rep.event_log if e.startswith("BCAST")]
-        assert min(b - a for a, b in zip(ticks, ticks[1:])) == gap
-
-
 def test_default_config_hash_is_pinned():
     # the hash identifies runs in sweep outputs; it changes only on purpose
     assert SimConfig().config_hash() == "e2fd90d2b6ae"

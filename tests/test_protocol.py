@@ -237,12 +237,22 @@ def test_slot_durations_respect_minimums():
             assert downlink_slot_duration(L, t_tx, CFG, C) >= 10.0 * tc - 1e-12
 
 
-def test_slots_follow_the_configured_sound_speed():
+def test_slots_and_flights_follow_the_configured_sound_speed():
     # at 750 m/s the crossing time of L=60 doubles to 0.08 s: uplink slots
-    # of 2.5 crossing times take 6 ticks, and MF slots of 10 take 24
-    slow = TdmaScheduler(CFG, UsblNoiseConfig(c=750.0), LossModelCoefficients(), 60.0,
-                         make_paths(1, 1))
-    assert (slow.slot_ticks, slow.mf_slot_ticks) == (6, 24)
+    # of 2.5 crossing times take 6 ticks and MF slots of 10 take 24; a fix
+    # broadcast to an AUV 40 m away lands 0.192 s + 40 m / 750 m/s later,
+    # on the 8th tick (the 7th at 1500 m/s)
+    sched = TdmaScheduler(CFG, UsblNoiseConfig(c=750.0, r_max=50.0),
+                          LossModelCoefficients(), 60.0, make_paths(1, 1))
+    assert (sched.slot_ticks, sched.mf_slot_ticks) == (6, 24)
+    graph, coloring = [set()], Coloring([0], 1)
+    sched.start_round(graph, coloring, 0)
+    auv, anchors = vehicles([(40.0, 0.0, 10.0)]), anchor_points(np.zeros((1, 2)))
+    flights = []
+    for k in range(300):
+        flights += [kd - sched.last_served[0]
+                    for kd, _, _, _, _ in sched.step(k, auv, anchors, lambda: (graph, coloring))]
+    assert flights and set(flights) == {8}
 
 
 def drive_scheduler(trace, asv, skip_idle):
