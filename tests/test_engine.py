@@ -2,10 +2,9 @@
 import numpy as np
 import pytest
 
-from coopnav.acoustic import UsblNoiseConfig
 from coopnav import engine
-from coopnav.engine import (RNG_BLOCK, NoiseStream, SimConfig,
-                            derive_rng, run, uniform_stream)
+from coopnav.acoustic import UsblNoiseConfig
+from coopnav.engine import RNG_BLOCK, NoiseStream, SimConfig, derive_rng, run, uniform_stream
 
 
 def short_cfg(**kw):
