@@ -376,7 +376,7 @@ def cmd_check_coverage(args) -> int:
     full = worst <= cfg.r_hf
     print(f"corner distance: {corner:.2f} m (HF range {cfg.r_hf:g} m)")
     if mfr is None:
-        print(f"min formation radius: infeasible (r_hf < L/2)")
+        print("min formation radius: infeasible (r_hf < L/2)")
     else:
         print(f"min formation radius: {mfr:.2f} m")
     print(f"grid coverage fraction: {frac:.4f}")

@@ -54,55 +54,6 @@ def ticks_ceil(seconds: float, f_t: float) -> int:
     return max(0, math.ceil(seconds * f_t - _TICK_EPS))
 
 
-def crossing_time(L: float, c: float) -> float:
-    """Acoustic crossing time of the survey area at sound speed c, t_C = L / c."""
-    return L / c
-
-
-def uplink_slot_duration(L: float, tau_ot_max: float, cfg: TimingConfig, c: float) -> float:
-    """Uplink slot for one ping group: ping + worst one-way time + guard, floored."""
-    tc = crossing_time(L, c)
-    return max(cfg.t_p + tau_ot_max + cfg.guard_factor_ul * tc,
-               cfg.min_slot_factor_ul * tc)
-
-
-def next_group_start(k_start: int, t_ul: float, f_t: float) -> int:
-    """Earliest start tick of the following group's slot."""
-    return k_start + ticks_ceil(t_ul, f_t)
-
-
-def payload_bytes(k_fix: int, cfg: TimingConfig) -> int:
-    """Broadcast payload: header plus k_fix fix records."""
-    return cfg.n_hdr + cfg.b_fix * k_fix
-
-
-def tx_duration(n_bytes: int, cfg: TimingConfig) -> float:
-    """Airtime of a payload at the downlink bitrate, including overhead."""
-    return n_bytes * 8.0 * cfg.overhead / cfg.r_dl
-
-
-def downlink_slot_duration(L: float, t_tx: float, cfg: TimingConfig, c: float) -> float:
-    """MF slot: transmission plus guard, floored at the conservative minimum."""
-    tc = crossing_time(L, c)
-    return max(t_tx + cfg.guard_factor_dl * tc, cfg.min_slot_factor_dl * tc)
-
-
-def delivery_tick(k_b: int, t_tx: float, d_ij: float, cfg: TimingConfig,
-                  c: float) -> int | None:
-    """Tick at which a fix broadcast at k_b reaches an AUV d_ij metres away.
-
-    None when the AUV is beyond the MF range and the fix is not delivered.
-    """
-    if d_ij > cfg.r_mf:
-        return None
-    return k_b + ticks_ceil(t_tx + d_ij / c, cfg.f_t)
-
-
-def e2e_latency(k_ping: int, k_deliver: int, f_t: float) -> float:
-    """End-to-end latency from HF ping to fix delivery, seconds."""
-    return (k_deliver - k_ping) / f_t
-
-
 # Event kinds.  A record is its kind plus the ints and floats its template
 # formats, in order.
 PING, FIX, FUSE, BCAST, DELIVER, SUPERSEDED, EXPIRED, OUT_OF_MF_RANGE = range(8)
@@ -215,7 +166,9 @@ class TdmaScheduler:
 
     Slot lengths, the one-fix payload and its airtime depend only on the
     configuration, so they are computed once: group g of a round starting
-    at tick s pings at ``s + g * slot_ticks``.
+    at tick s pings at ``s + g * slot_ticks``.  The README's "Protocol
+    timing" paragraph gives these formulas and those of delivery ticks and
+    latency.
 
     ``next_tick`` is the earliest tick at which ``step()`` can emit an event
     or deliver a fix: the round end, the next group start, the MF channel
@@ -235,15 +188,18 @@ class TdmaScheduler:
         self.n_asv = len(paths[0])
         self.contention = contention
         self.max_age_ticks = ticks_ceil(timing.max_fix_age_s, timing.f_t)
-        # ticks from one group's slot start to the next's
-        self.slot_ticks = next_group_start(
-            0, uplink_slot_duration(L, noise.r_max / noise.c, timing, noise.c), timing.f_t)
-        if self.slot_ticks < 1:
-            raise ValueError("an uplink slot must last at least one tick")
-        self.fix_payload = payload_bytes(1, timing)
-        self.t_tx = tx_duration(self.fix_payload, timing)
+        c = noise.c
+        tc = L / c   # crossing time of the survey area
+        # ticks from one group's slot start to the next's; at least one, so
+        # that successive groups never share a tick
+        self.slot_ticks = max(1, ticks_ceil(
+            max(timing.t_p + noise.r_max / c + timing.guard_factor_ul * tc,
+                timing.min_slot_factor_ul * tc), timing.f_t))
+        self.fix_payload = timing.n_hdr + timing.b_fix   # header and one fix record
+        self.t_tx = self.fix_payload * 8.0 * timing.overhead / timing.r_dl
         self.mf_slot_ticks = ticks_ceil(
-            downlink_slot_duration(L, self.t_tx, timing, noise.c), timing.f_t)
+            max(self.t_tx + timing.guard_factor_dl * tc, timing.min_slot_factor_dl * tc),
+            timing.f_t)
 
         self.var_r = noise.sigma_r ** 2
         # (graph, coloring, groups) per checked pair, keyed by the pair's ids;
@@ -313,7 +269,7 @@ class TdmaScheduler:
         groups = self.groups
         if off == 0 and 0 <= g < len(groups):
             members = groups[g]
-            n_cont = self.n_auv if self.contention == "fleet" else len(members) or 1
+            n_cont = self.n_auv if self.contention == "fleet" else len(members)
             p_con = (n_cont - 1) * self.coeffs.p_col
             r_max, var_r = self.noise.r_max, self.var_r
             sigma_theta, coeffs = self.noise.sigma_theta, self.coeffs
@@ -359,7 +315,7 @@ class TdmaScheduler:
             self._mf_step(tick, vehicles, anchors)
         delivered = self.queue.pop_due(tick)
         for kd, i, _, _, ping_tick in delivered:
-            lat = e2e_latency(ping_tick, kd, self.timing.f_t)
+            lat = (kd - ping_tick) / self.timing.f_t
             self.latencies.append(lat)
             self.events.add(DELIVER, tick, i, lat)
         self.next_tick = self._next_event(tick)
@@ -399,9 +355,9 @@ class TdmaScheduler:
         self.mf_busy_until = tick + self.mf_slot_ticks
         t, a = vehicles[target], anchors[asv_j]
         d = math.hypot(t.x - a[0], t.y - a[1])
-        kd = delivery_tick(tick, self.t_tx, d, self.timing, self.noise.c)
-        if kd is None:
+        if d > self.timing.r_mf:
             self.dropped["out_of_mf_range"] += 1
             self.events.add(OUT_OF_MF_RANGE, tick, target)
             return
+        kd = tick + ticks_ceil(self.t_tx + d / self.noise.c, self.timing.f_t)
         self.queue.push(kd, target, fix, ping_tick)

@@ -121,6 +121,16 @@ def test_track_spacing_of_one_strip_height_is_valid(tmp_path, capsys):
     assert main(["validate-config", "--config", cfg]) == 0
 
 
+def test_an_uplink_slot_shorter_than_a_tick_runs(tmp_path, capsys):
+    # at 1e12 m/s over a 1 mm square the uplink slot is far below one tick
+    # long; it lasts one tick, so what validate-config accepts run simulates
+    cfg = write(tmp_path, "[sim]\nl = 0.001\nduration = 1\n[formation]\nr_hf = 0.001\n"
+                          "[mission]\ndepth = 0.0001\ntrack_spacing = 0.0001\n"
+                          "[acoustic]\nsound_speed = 1e12\n[protocol]\nping_duration = 1e-15\n")
+    assert main(["validate-config", "--config", cfg]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 # every run-config key and the attribute of SimConfig it sets
 RUN_CONFIG_KEYS = {
     ("sim", "l"): "L", ("sim", "n_auv"): "n_auv", ("sim", "n_asv"): "n_asv",

@@ -41,8 +41,7 @@ from coopnav.nav import KinematicInput, NavState, dead_reckon_step  # noqa: E402
 from coopnav.protocol import (BCAST, DELIVER, EXPIRED, FIX, FUSE,  # noqa: E402
                               OUT_OF_MF_RANGE, PING, SUPERSEDED, EventLog,
                               FixQueue, TdmaScheduler, TimingConfig,
-                              anchor_points, next_group_start,
-                              uplink_slot_duration)
+                              anchor_points, ticks_ceil)
 from graphs import edges, from_edges  # noqa: E402
 
 # the event text as the scheduler formatted it at each event
@@ -76,6 +75,18 @@ def test_event_records_render_as_the_former_text(records):
         log.add(kind, *fields)
     assert len(log) == len(records)
     assert list(log) == [FORMER[kind](*fields) for kind, fields in records]
+
+
+def uplink_slot_duration(L: float, tau_ot_max: float, cfg: TimingConfig, c: float) -> float:
+    """Uplink slot for one ping group: ping + worst one-way time + guard, floored."""
+    tc = L / c   # crossing time of the survey area
+    return max(cfg.t_p + tau_ot_max + cfg.guard_factor_ul * tc,
+               cfg.min_slot_factor_ul * tc)
+
+
+def next_group_start(k_start: int, t_ul: float, f_t: float) -> int:
+    """Earliest start tick of the following group's slot."""
+    return k_start + ticks_ceil(t_ul, f_t)
 
 
 def former_layout(k, L, round_start, cfg, tau, c):

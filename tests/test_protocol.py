@@ -10,33 +10,11 @@ from coopnav.conflict import (Coloring, audibility_masks, build_conflict_graph,
 from coopnav.engine import NoiseStream, derive_rng, uniform_stream
 from coopnav.mission import VehicleTruth
 from coopnav.protocol import (FixQueue, TdmaScheduler, TimingConfig, anchor_points,
-                              crossing_time, delivery_tick, downlink_slot_duration,
-                              e2e_latency, next_group_start, payload_bytes,
-                              ticks_ceil, tx_duration, uplink_slot_duration)
+                              ticks_ceil)
 from graphs import from_edges
 
 CFG = TimingConfig()
 C = 1500.0   # m/s
-
-
-def test_crossing_time():
-    assert crossing_time(60.0, C) == pytest.approx(0.04)
-    assert crossing_time(140.0, C) == pytest.approx(0.093333, abs=1e-6)
-    assert crossing_time(1500.0, C) == pytest.approx(1.0)
-    assert crossing_time(60.0, 750.0) == pytest.approx(0.08)
-
-
-def test_uplink_slot_duration():
-    assert uplink_slot_duration(60.0, 0.0333, CFG, C) == pytest.approx(0.1)
-    assert uplink_slot_duration(140.0, 0.0333, CFG, C) == pytest.approx(0.23333, abs=1e-4)
-    assert uplink_slot_duration(60.0, 0.2, CFG, C) == pytest.approx(0.23)
-
-
-def test_next_group_start_exact_products():
-    # 0.1 s at 30 Hz is exactly three ticks despite float residue
-    assert next_group_start(0, 0.1, 30) == 3
-    assert next_group_start(100, 0.23333333333333334, 30) == 107
-    assert next_group_start(7, 0.0, 30) == 7
 
 
 def test_ticks_ceil():
@@ -44,38 +22,83 @@ def test_ticks_ceil():
     assert ticks_ceil(0.0999, 30) == 3
     assert ticks_ceil(0.1001, 30) == 4
     assert ticks_ceil(0.0, 30) == 0
+    # 7/30 s at 30 Hz is exactly 7 ticks
+    assert ticks_ceil(0.23333333333333334, 30) == 7
 
 
-def test_payload_bytes():
-    assert payload_bytes(4, CFG) == 72
-    assert payload_bytes(0, CFG) == 8
-    assert payload_bytes(1, CFG) == 24
+def scheduler(L=60.0, timing=CFG, c=C):
+    """A one-AUV, one-ASV scheduler with HF range 50 m."""
+    return TdmaScheduler(timing, UsblNoiseConfig(c=c, r_max=50.0),
+                         LossModelCoefficients(), L, make_paths(1, 1))
 
 
-def test_tx_duration():
-    assert tx_duration(72, CFG) == pytest.approx(0.576)
-    assert tx_duration(24, CFG) == pytest.approx(0.192)
-    assert tx_duration(0, CFG) == 0.0
+# At the defaults both slots sit on their floors of 2.5 and 10 crossing
+# times; a 0.2 s ping and 64-byte fix records put both above them
+@pytest.mark.parametrize("L, timing, c, want", [
+    (60.0, CFG, C, (3, 12, 24, 0.192)),
+    (140.0, CFG, C, (7, 28, 24, 0.192)),
+    (60.0, CFG, 750.0, (6, 24, 24, 0.192)),
+    (60.0, TimingConfig(t_p=0.2, b_fix=64), C, (8, 19, 72, 0.576)),
+], ids=["L60", "L140", "L60_at_750_m_s", "guards_above_floors"])
+def test_scheduler_timing_table(L, timing, c, want):
+    sched = scheduler(L, timing, c)
+    got = (sched.slot_ticks, sched.mf_slot_ticks, sched.fix_payload, sched.t_tx)
+    assert got[:3] == want[:3] and got[3] == pytest.approx(want[3])
 
 
-def test_downlink_slot_duration():
-    assert downlink_slot_duration(60.0, 0.576, CFG, C) == pytest.approx(0.626)
-    assert downlink_slot_duration(60.0, 0.192, CFG, C) == pytest.approx(0.4)
-    assert downlink_slot_duration(140.0, 0.0, CFG, C) == pytest.approx(0.93333, abs=1e-4)
+def test_slot_durations_respect_minimums():
+    for L in (60.0, 100.0, 140.0):
+        tc = L / C
+        for b_fix in (16, 64):
+            sched = scheduler(L, TimingConfig(b_fix=b_fix))
+            assert sched.slot_ticks >= ticks_ceil(2.5 * tc, CFG.f_t)
+            assert sched.mf_slot_ticks >= ticks_ceil(10.0 * tc, CFG.f_t)
+
+
+def static_run(sched, pos, ticks=300):
+    """Step a one-AUV scheduler with the AUV held at ``pos`` and the ASV at
+    the origin; returns each delivered queue entry with its ticks in flight
+    since the latest broadcast."""
+    graph, coloring = [set()], Coloring([0], 1)
+    sched.start_round(graph, coloring, 0)
+    auv, anchors = vehicles([pos]), anchor_points(np.zeros((1, 2)))
+    return [(entry[0] - sched.last_served[0], entry) for k in range(ticks)
+            for entry in sched.step(k, auv, anchors, lambda: (graph, coloring))]
+
+
+MF_EDGE = TimingConfig(r_mf=30.0)
 
 
 def test_delivery_tick():
-    assert delivery_tick(100, 0.192, 30.0, CFG, C) == 107
-    assert delivery_tick(100, 0.192, 150.0, CFG, C) is None
-    assert delivery_tick(0, 0.0, 0.0, CFG, C) == 0
-    # 90 m at 750 m/s is 0.12 s of flight, not 0.06 s
-    assert delivery_tick(100, 0.192, 90.0, CFG, 750.0) == 110
+    # an AUV exactly at the 30 m MF range, horizontally, gets each fix
+    # 0.192 s + 30 m / 1500 m/s after its broadcast: on the 7th tick
+    sched = scheduler(timing=MF_EDGE)
+    assert {flight for flight, _ in static_run(sched, (30.0, 0.0, 10.0), 30)} == {7}
+    assert sched.dropped["out_of_mf_range"] == 0
+
+
+def test_a_broadcast_beyond_mf_range_is_dropped():
+    # one float step beyond the 30 m MF range, every broadcast is dropped,
+    # with its DROP event on its tick
+    sched = scheduler(timing=MF_EDGE)
+    assert not static_run(sched, (math.nextafter(30.0, math.inf), 0.0, 10.0), 30)
+    assert sched.bcast_count > 0 and sched.dropped["out_of_mf_range"] == sched.bcast_count
+    drops = [e for e in sched.events if e.endswith("auv=0, reason=out_of_mf_range}")]
+    bcasts = [e for e in sched.events if e.startswith("BCAST")]
+    assert [e.split(",")[0] for e in drops] == [
+        e.replace("BCAST", "DROP").split(",")[0] for e in bcasts]
 
 
 def test_e2e_latency():
-    assert e2e_latency(100, 118, 30) == pytest.approx(0.6)
-    assert e2e_latency(7, 7, 30) == 0.0
-    assert e2e_latency(0, 15, 30) == pytest.approx(0.5)
+    # a fix's latency runs from its ping tick to its delivery tick
+    for f_t in (10, 30):
+        sched = scheduler(timing=TimingConfig(f_t=f_t))
+        entries = [entry for _, entry in static_run(sched, (20.0, 0.0, 10.0))]
+        assert entries
+        assert sched.latencies == [(kd - ping) / f_t for kd, _, _, _, ping in entries]
+        assert [e for e in sched.events if e.startswith("DELIVER")] == [
+            f"DELIVER{{tick={kd}, auv=0, latency_s={(kd - ping) / f_t:.6f}}}"
+            for kd, _, _, _, ping in entries]
 
 
 def test_fix_queue_orders_by_delivery_tick():
@@ -157,7 +180,7 @@ def test_run_round_k4_uplink_span():
     assert len([e for e in events
                 if e.startswith("PING") and int(e.split("tick=")[1].split(",")[0]) < 12]) == 4
     bcast = [e for e in events if e.startswith("BCAST")]
-    assert bcast and all(f"bytes={payload_bytes(1, CFG)}}}" in e for e in bcast)
+    assert bcast and all(f"bytes={sched.fix_payload}}}" in e for e in bcast)
     first_bcast = int(bcast[0].split("tick=")[1].split(",")[0])
     delivers = [int(e.split("tick=")[1].split(",")[0])
                 for e in events if e.startswith("DELIVER")]
@@ -229,29 +252,11 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
     assert math.dist(pos[2], (30.0, 0.0, 0.0)) > 50.0    # one path out of range
 
 
-def test_slot_durations_respect_minimums():
-    for L in (60.0, 100.0, 140.0):
-        tc = crossing_time(L, C)
-        assert uplink_slot_duration(L, 50.0 / C, CFG, C) >= 2.5 * tc - 1e-12
-        for t_tx in (0.0, 0.192, 0.576):
-            assert downlink_slot_duration(L, t_tx, CFG, C) >= 10.0 * tc - 1e-12
-
-
 def test_slots_and_flights_follow_the_configured_sound_speed():
-    # at 750 m/s the crossing time of L=60 doubles to 0.08 s: uplink slots
-    # of 2.5 crossing times take 6 ticks and MF slots of 10 take 24; a fix
+    # the slots at 750 m/s are a row of test_scheduler_timing_table; a fix
     # broadcast to an AUV 40 m away lands 0.192 s + 40 m / 750 m/s later,
     # on the 8th tick (the 7th at 1500 m/s)
-    sched = TdmaScheduler(CFG, UsblNoiseConfig(c=750.0, r_max=50.0),
-                          LossModelCoefficients(), 60.0, make_paths(1, 1))
-    assert (sched.slot_ticks, sched.mf_slot_ticks) == (6, 24)
-    graph, coloring = [set()], Coloring([0], 1)
-    sched.start_round(graph, coloring, 0)
-    auv, anchors = vehicles([(40.0, 0.0, 10.0)]), anchor_points(np.zeros((1, 2)))
-    flights = []
-    for k in range(300):
-        flights += [kd - sched.last_served[0]
-                    for kd, _, _, _, _ in sched.step(k, auv, anchors, lambda: (graph, coloring))]
+    flights = [flight for flight, _ in static_run(scheduler(c=750.0), (40.0, 0.0, 10.0))]
     assert flights and set(flights) == {8}
 
 

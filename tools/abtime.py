@@ -10,7 +10,8 @@ Each round runs every job of the sweep INI once per tree, back to back,
 alternating which tree goes first, and times each ``run()`` call.  A pair is
 one job of one round; its ratio is the change's time over the parent's.
 The script prints each tree's median mission time with its quartiles, the
-quartiles of the pair ratios and the fraction of pairs the change won.  Host
+quartiles of the pair ratios, the pairs the change won and tied, and its
+win share over the untied pairs (a tie counts for neither side).  Host
 speed drifts within a benchmark run (perfbench/README.md); two runs timed
 back to back see nearly the same host, so the pair ratio cancels the drift.
 
@@ -88,8 +89,12 @@ def main(argv=None) -> int:
         print(f"{label}: median {med:.4f} s [{q1:.4f}, {q3:.4f}] over {len(ts)} runs")
     q1, med, q3 = quartiles(ratios)
     wins = sum(r < 1.0 for r in ratios)
+    ties = sum(r == 1.0 for r in ratios)
+    decided = len(ratios) - ties
+    share = f"{wins / decided:.0%}" if decided else "n/a"
     print(f"change/parent ratio: median {med:.3f} [{q1:.3f}, {q3:.3f}]; "
-          f"change won {wins}/{len(ratios)} pairs ({wins / len(ratios):.0%})")
+          f"change won {wins} and tied {ties} of {len(ratios)} pairs; "
+          f"won {share} of the {decided} untied")
     return 0
 
 
