@@ -55,6 +55,32 @@ def test_slot_durations_respect_minimums():
             assert sched.mf_slot_ticks >= ticks_ceil(10.0 * tc, CFG.f_t)
 
 
+def test_uplink_slot_duration():
+    # ping + worst one-way time r_max / c + guard, floored at 2.5 crossing
+    # times: 0.1 s (floor), 0.2333 s (floor) and 0.23 s (guard) in ticks
+    for L, r_max, want in ((60.0, 50.0, 3), (140.0, 50.0, 7), (60.0, 300.0, 7)):
+        sched = TdmaScheduler(CFG, UsblNoiseConfig(c=C, r_max=r_max),
+                              LossModelCoefficients(), L, make_paths(1, 1))
+        assert sched.slot_ticks == want
+
+
+def test_next_group_start_exact_products():
+    # 0.1 s and 7/30 s at 30 Hz are exactly three and seven ticks despite
+    # float residue; a slot shorter than a tick still lasts one
+    for L, timing, c, start, want in ((60.0, CFG, C, 0, 3), (140.0, CFG, C, 100, 107),
+                                      (0.001, TimingConfig(t_p=1e-15), 1e14, 7, 8)):
+        sched = scheduler(L, timing, c)
+        sched.start_round([set()], Coloring([0], 1), start)
+        assert sched.round_end == want
+
+
+def test_tx_duration():
+    # header and one fix record at 2000 bit/s with overhead 2
+    assert scheduler().t_tx == pytest.approx(0.192)
+    assert scheduler(timing=TimingConfig(b_fix=64)).t_tx == pytest.approx(0.576)
+    assert scheduler(timing=TimingConfig(r_dl=4000.0, overhead=1.0)).t_tx == pytest.approx(0.048)
+
+
 def static_run(sched, pos, ticks=300):
     """Step a one-AUV scheduler with the AUV held at ``pos`` and the ASV at
     the origin; returns each delivered queue entry with its ticks in flight
