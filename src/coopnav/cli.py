@@ -264,9 +264,7 @@ def summary_text(cfg: SimConfig, rep: MissionReport) -> str:
         f"alpha0={math.degrees(cfg.alpha0):g} deg  duration={rep.duration_s:g} s",
         f"applied fixes: {rep.total_applied}  rate: {rep.applied_rate_hz:.3f} Hz  "
         f"latency mean/p95: {rep.latency_mean_s:.3f}/{rep.latency_p95_s:.3f} s",
-        f"dropped: superseded={rep.dropped.get('superseded', 0)} "
-        f"expired={rep.dropped.get('expired', 0)} "
-        f"out_of_mf_range={rep.dropped.get('out_of_mf_range', 0)}",
+        "dropped: " + " ".join(f"{reason}={count}" for reason, count in rep.dropped.items()),
         "",
         f"{'AUV':>4} {'Fixes':>6} {'Cov(%)':>7} {'CTE(m)':>8} {'Dist(m)':>8} "
         f"{'Err(m)':>7} {'Alloc(%)':>9}",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 
@@ -24,7 +25,8 @@ from .formation import asv_positions
 from .mission import (GuidanceConfig, VehicleTruth, advance_truth, guidance_step,
                       plan_lawnmower, point_segment_distance, segment)
 from .nav import KinematicInput, NavState, apply_fix, dead_reckon_step, depth_update
-from .protocol import EventLog, TdmaScheduler, TimingConfig, anchor_points
+from .protocol import (DELIVER, EXPIRED, OUT_OF_MF_RANGE, PING, SUPERSEDED,
+                       EventLog, TdmaScheduler, TimingConfig, anchor_points)
 from .schema import auto_or_float, check, from_degrees, hash_items, param
 
 
@@ -116,12 +118,22 @@ class MissionReport:
     max_innovation: float
     excursion_ticks: int
     events: EventLog = field(repr=False)
-    trace_log: list[str]
+    trace: array = field(repr=False)   # TRACE_FORMAT's 12 numbers per (tick, AUV) row
 
     @property
     def event_log(self) -> list[str]:
         """The protocol events as text, rendered from the records on each read."""
         return list(self.events)
+
+    @property
+    def trace_log(self) -> list[str]:
+        """The trace rows as text, rendered on each read like ``event_log``."""
+        return [TRACE_FORMAT % row for row in zip(*[iter(self.trace)] * 12)]
+
+
+# a row's tick and AUV are integral floats, which %d prints as the ints would
+TRACE_FORMAT = ("TRACE{tick=%d, auv=%d, true=(%.6f, %.6f, %.6f), "
+                "imu=(%.6f, %.6f, %.6f), fused=(%.6f, %.6f, %.6f), cte=%.6f}")
 
 
 def derive_rng(seed: int, stream_label: str) -> np.random.Generator:
@@ -300,12 +312,10 @@ def run(config: SimConfig) -> MissionReport:
     cte_sum = [0.0] * n
     err_sum = [0.0] * n
     dist = [0.0] * n
-    applied = [0] * n
-    applied_ticks: list[list[int]] = [[] for _ in range(n)]
     max_fused_err = [0.0] * n
     max_innovation = 0.0
     excursions = 0
-    trace_log: list[str] = []
+    trace_rows = array("d")
     jittered = None   # RNG_BLOCK ticks of jittered anchors, one row per tick
 
     total_ticks = round(config.duration * f_t)
@@ -343,8 +353,6 @@ def run(config: SimConfig) -> MissionReport:
                 if innov > max_innovation:
                     max_innovation = innov
                 apply_fix(navs[i], fix, kin[i])
-                applied[i] += 1
-                applied_ticks[i].append(k)
                 last_fix_xy[i] = (fx, fy)
 
         for i, t, nav, segs in metered:
@@ -361,31 +369,30 @@ def run(config: SimConfig) -> MissionReport:
                 excursions += 1
             if trace:
                 q = nav.p_imu
-                trace_log.append(
-                    f"TRACE{{tick={k}, auv={i}, "
-                    f"true=({x:.6f}, {y:.6f}, {t.z:.6f}), "
-                    f"imu=({q[0]:.6f}, {q[1]:.6f}, {q[2]:.6f}), "
-                    f"fused=({p[0]:.6f}, {p[1]:.6f}, {p[2]:.6f}), "
-                    f"cte={cte:.6f}}}")
+                trace_rows.extend((k, i, x, y, t.z, q[0], q[1], q[2], p[0], p[1], p[2], cte))
 
         ticks_run = k + 1
         if finished == n:
             break
 
     duration_s = ticks_run / f_t
-    total_applied = sum(applied)
-    lat_sorted = sorted(proto.latencies)
+    applied = list(proto.events.records(DELIVER))   # (tick, AUV, latency) per fix applied
+    total_applied = len(applied)
+    lat_sorted = sorted(lat for _, _, lat in applied)
+    pinged = [i for _, i, _ in proto.events.records(PING)]
+    drops = proto.events.kinds.count
     per_auv = []
     for i in range(n):
-        gaps = [(b - a) / f_t for a, b in zip(applied_ticks[i], applied_ticks[i][1:])]
+        fix_ticks = [tick for tick, auv, _ in applied if auv == i]
+        gaps = [(b - a) / f_t for a, b in zip(fix_ticks, fix_ticks[1:])]
         per_auv.append(AuvMetrics(
             auv_id=i,
             mean_cte=cte_sum[i] / ticks_run if ticks_run else 0.0,
             mean_est_err=err_sum[i] / ticks_run if ticks_run else 0.0,
-            fix_count=applied[i],
-            coverage=proto.heard[i] / proto.pings[i] if proto.pings[i] else 0.0,
+            fix_count=len(fix_ticks),
+            coverage=proto.heard[i] / pinged.count(i) if i in pinged else 0.0,
             distance=dist[i],
-            allocation=applied[i] / total_applied if total_applied else 0.0,
+            allocation=len(fix_ticks) / total_applied if total_applied else 0.0,
             mean_inter_fix_s=sum(gaps) / len(gaps) if gaps else 0.0,
             max_inter_fix_s=max(gaps) if gaps else 0.0,
             final_imu_err=math.hypot(navs[i].p_imu[0] - truths[i].x,
@@ -402,9 +409,10 @@ def run(config: SimConfig) -> MissionReport:
         applied_rate_hz=total_applied / duration_s if duration_s else 0.0,
         latency_mean_s=sum(lat_sorted) / len(lat_sorted) if lat_sorted else 0.0,
         latency_p95_s=_percentile(lat_sorted, 0.95),
-        dropped=dict(proto.dropped),
+        dropped={"superseded": drops(SUPERSEDED), "expired": drops(EXPIRED),
+                 "out_of_mf_range": drops(OUT_OF_MF_RANGE)},
         max_innovation=max_innovation,
         excursion_ticks=excursions,
         events=proto.events,
-        trace_log=trace_log,
+        trace=trace_rows,
     )

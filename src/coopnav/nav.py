@@ -4,7 +4,8 @@ Two estimates are kept side by side: ``p_imu`` integrates the biased, noisy
 kinematics and is never corrected, while ``p_fused`` follows the same
 propagation between fixes and absorbs 90% of the innovation whenever an
 acoustic fix is applied.  Depth is not integrated at all: a pressure-sensor
-reading replaces the vertical component of both estimates every tick.
+reading replaces the vertical component of both estimates every tick, and
+only the trace reads it; guidance, fixes and metrics use x and y alone.
 """
 
 from __future__ import annotations

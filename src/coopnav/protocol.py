@@ -72,35 +72,35 @@ EVENT_FORMATS = (   # (template, field count), indexed by kind
 class EventLog:
     """Protocol events as numeric records, rendered to text on read.
 
-    ``add`` appends a kind code to ``kinds`` and the event's int and float
-    values to the flat ``fields`` list, and formats nothing; ``len`` is the
-    event count and iterating yields each event's text.  ``%d`` and
-    ``%.6f`` format an int and a float as the f-string ``{v}`` and
-    ``{v:.6f}`` do, so the text is byte for byte what formatting at the
-    event gave.  The values are kept as they are, not converted into an
+    ``add`` appends a kind code to ``kinds`` and the event's values to the
+    kind's flat list ``stores[kind]``; ``records(kind)`` yields that kind's
+    field tuples in order, ``len`` counts the events and iterating renders
+    them.  ``%d`` and ``%.6f`` give what the f-string ``{v}`` and
+    ``{v:.6f}`` give, byte for byte.  Values are not converted into an
     ``array``: its per-value conversion costs more than formatting a PING.
     """
 
-    __slots__ = ("kinds", "fields")
+    __slots__ = ("kinds", "stores")
 
     def __init__(self):
         self.kinds = bytearray()
-        self.fields: list[int | float] = []
+        self.stores: list[list[int | float]] = [[] for _ in EVENT_FORMATS]
 
     def add(self, kind: int, *fields):
         self.kinds.append(kind)
-        self.fields += fields
+        self.stores[kind] += fields
 
     def __len__(self) -> int:
         return len(self.kinds)
 
+    def records(self, kind: int):
+        """The field tuples of ``kind``'s events, in the order they happened."""
+        return zip(*[iter(self.stores[kind])] * EVENT_FORMATS[kind][1])
+
     def __iter__(self):
-        fields = self.fields
-        pos = 0
+        cursors = [self.records(kind) for kind in range(len(EVENT_FORMATS))]
         for kind in self.kinds:
-            template, n = EVENT_FORMATS[kind]
-            yield template % tuple(fields[pos:pos + n])
-            pos += n
+            yield EVENT_FORMATS[kind][0] % next(cursors[kind])
 
 
 class FixQueue:
@@ -213,10 +213,7 @@ class TdmaScheduler:
         self.mf_busy_until = 0
         self.bcast_count = 0
         self.queue = FixQueue(n_auv)
-        self.pings = [0] * n_auv   # per AUV: pings sent, and pings some ASV heard
-        self.heard = [0] * n_auv
-        self.dropped = {"superseded": 0, "expired": 0, "out_of_mf_range": 0}
-        self.latencies: list[float] = []
+        self.heard = [0] * n_auv   # per AUV, pings some ASV heard: not in the events
         self.events = EventLog()
         self.next_tick = 0
 
@@ -274,11 +271,12 @@ class TdmaScheduler:
             r_max, var_r = self.noise.r_max, self.var_r
             sigma_theta, coeffs = self.noise.sigma_theta, self.coeffs
             # EventLog.add inlined: this loop records most of a run's events
-            kinds, fields = self.events.kinds, self.events.fields
+            kinds, stores = self.events.kinds, self.events.stores
+            ping_rec, fix_rec, fuse_rec = stores[PING], stores[FIX], stores[FUSE]
             fused = []
             for i in members:
                 kinds.append(PING)
-                fields += (tick, i, g)
+                ping_rec += (tick, i, g)
                 t, paths = vehicles[i], self.paths[i]
                 px, py, pz = t.x, t.y, t.z
                 heard = False
@@ -296,28 +294,24 @@ class TdmaScheduler:
                                      noise_tuples, loss_rng)
                     if fx is not None:
                         kinds.append(FIX)
-                        fields += (tick, i, j)
-                        fields += fx
+                        fix_rec += (tick, i, j)
+                        fix_rec += fx
                         fixes.append(fx)
-                self.pings[i] += 1
                 self.heard[i] += heard
                 if fixes:
                     kinds.append(FUSE)
-                    fields += (tick, i, len(fixes))
+                    fuse_rec += (tick, i, len(fixes))
                     fused.append((i, fuse_fixes(fixes)))
             buffer = self.buffer
             for i, fix in fused:
                 if i in buffer:
-                    self.dropped["superseded"] += 1
                     self.events.add(SUPERSEDED, tick, i)
                 buffer[i] = (fix, tick)
         if self.buffer and tick >= self.mf_busy_until:
             self._mf_step(tick, vehicles, anchors)
         delivered = self.queue.pop_due(tick)
         for kd, i, _, _, ping_tick in delivered:
-            lat = (kd - ping_tick) / self.timing.f_t
-            self.latencies.append(lat)
-            self.events.add(DELIVER, tick, i, lat)
+            self.events.add(DELIVER, tick, i, (kd - ping_tick) / self.timing.f_t)
         self.next_tick = self._next_event(tick)
         return delivered
 
@@ -341,7 +335,6 @@ class TdmaScheduler:
         for i in sorted(buffer):
             if buffer[i][1] < oldest:
                 del buffer[i]
-                self.dropped["expired"] += 1
                 self.events.add(EXPIRED, tick, i)
             elif target < 0 or self.last_served[i] < self.last_served[target]:
                 target = i
@@ -356,7 +349,6 @@ class TdmaScheduler:
         t, a = vehicles[target], anchors[asv_j]
         d = math.hypot(t.x - a[0], t.y - a[1])
         if d > self.timing.r_mf:
-            self.dropped["out_of_mf_range"] += 1
             self.events.add(OUT_OF_MF_RANGE, tick, target)
             return
         kd = tick + ticks_ceil(self.t_tx + d / self.noise.c, self.timing.f_t)

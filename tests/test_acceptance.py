@@ -28,6 +28,7 @@ from coopnav.conflict import audibility_masks, build_conflict_graph, greedy_colo
 from coopnav.engine import NoiseStream, SimConfig, run
 from coopnav.formation import asv_positions, coverage_fraction_grid, min_formation_radius
 from coopnav.nav import KinematicInput, NavState, dead_reckon_step
+from coopnav.protocol import DELIVER, PING
 from coopnav.acoustic import fuse_fixes
 from graphs import edges
 
@@ -142,9 +143,7 @@ def test_criterion_2_latency_bound(baseline_runs, failure_runs, recovery_runs,
             means[name] = _mean(lat)
         worst_fix = max([worst_fix] + [r.latency_p95_s for r in reps])
         for r in reps:
-            for ev in r.event_log:
-                if ev.startswith("DELIVER"):
-                    worst_fix = max(worst_fix, float(ev.split("latency_s=")[1][:-1]))
+            worst_fix = max([worst_fix] + [lat for _, _, lat in r.events.records(DELIVER)])
     worst = max(means, key=means.get)
     # the freshness window (9 ticks) plus the worst delivery offset (8 ticks)
     # bounds every single fix, not just the mean
@@ -306,8 +305,7 @@ def test_criterion_9_scheduler_safety(baseline_runs, failure_runs):
         assert all(c.color[i] != c.color[j] for i, j in edges(g))
         assert c.k <= max((len(a) for a in g), default=0) + 1
         checked += 1
-    n_pings = sum(1 for r in baseline_runs + failure_runs
-                  for e in r.event_log if e.startswith("PING"))
+    n_pings = sum(r.events.kinds.count(PING) for r in baseline_runs + failure_runs)
     _report(9, checked == 1000,
             f"{checked} random instances proper and within degree+1 bound; "
             f"{n_pings} in-run pings in slot-checked rounds")

@@ -10,7 +10,7 @@ from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig, attempt_fi
 from coopnav.conflict import Coloring
 from coopnav.engine import NoiseStream, uniform_stream
 from coopnav.mission import VehicleTruth
-from coopnav.protocol import TdmaScheduler, TimingConfig
+from coopnav.protocol import PING, TdmaScheduler, TimingConfig
 
 COEFFS = LossModelCoefficients()
 NO_LOSS = LossModelCoefficients(p_cap=0.0)     # the loss draw never loses
@@ -116,7 +116,7 @@ def test_attempt_fix_range_cutoff():
     sched.start_round(graph, coloring, 0)
     auvs = [VehicleTruth(60.0, 0.0, 0.0, 0.0), VehicleTruth(30.0, 0.0, 40.0, 0.0)]
     sched.step(0, auvs, [(0.0, 0.0, 0.0)], lambda: (graph, coloring))
-    assert sched.pings == [1, 1] and sched.heard == [0, 1]
+    assert [i for _, i, _ in sched.events.records(PING)] == [0, 1] and sched.heard == [0, 1]
     # AUV 1, exactly r_max away, is attempted and its fix kept
     assert [e for e in sched.events if e.startswith("FIX")] == [
         "FIX{tick=0, auv=1, asv=0, pos=(30.000000, 0.000000, 40.000000), var=0.200386}"]

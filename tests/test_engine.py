@@ -1,10 +1,13 @@
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from coopnav import engine
 from coopnav.acoustic import UsblNoiseConfig
 from coopnav.engine import RNG_BLOCK, NoiseStream, SimConfig, derive_rng, run, uniform_stream
+from coopnav.protocol import BCAST, DELIVER, PING
 
 
 def short_cfg(**kw):
@@ -55,13 +58,9 @@ def test_outer_strip_starvation_at_large_scale():
 
 def test_causality_no_delivery_before_broadcast():
     rep = run(short_cfg())
-    bcast_ticks = []
-    for ev in rep.event_log:
-        if ev.startswith("BCAST"):
-            bcast_ticks.append(int(ev.split("tick=")[1].split(",")[0]))
-        if ev.startswith("DELIVER"):
-            tick = int(ev.split("tick=")[1].split(",")[0])
-            assert bcast_ticks and tick >= bcast_ticks[0]
+    first_bcast = next(rep.events.records(BCAST))[0]
+    deliveries = [tick for tick, _, _ in rep.events.records(DELIVER)]
+    assert deliveries and min(deliveries) >= first_bcast
 
 
 def test_imu_unbounded_fused_bounded():
@@ -85,9 +84,9 @@ def test_truth_decoupled_from_usbl_when_steering_on_truth():
                       trace=True))
     b = run(short_cfg(duration=30.0, guidance_on_truth=True, usbl_enabled=False,
                       trace=True))
-    true_a = [ln.split("imu=")[0] for ln in a.trace_log]
-    true_b = [ln.split("imu=")[0] for ln in b.trace_log]
-    assert true_a == true_b
+    # the tick, AUV and true (x, y, z) columns of the 12-number trace rows
+    assert [a.trace[c::12] for c in range(5)] == [b.trace[c::12] for c in range(5)]
+    assert len(a.trace) == len(b.trace) > 0
     assert a.total_applied > 0 and b.total_applied == 0
 
 
@@ -153,8 +152,8 @@ def test_config_hash_ignores_seed():
 
 
 def test_coverage_is_the_share_of_pings_heard(monkeypatch):
-    # an AUV's coverage is its heard / pings count on the scheduler, and
-    # 0.0 for an AUV that never pinged
+    # an AUV's coverage is its heard count on the scheduler over its PING
+    # records, and 0.0 for an AUV that never pinged
     made = []
 
     class Recorded(engine.TdmaScheduler):
@@ -165,12 +164,12 @@ def test_coverage_is_the_share_of_pings_heard(monkeypatch):
     monkeypatch.setattr(engine, "TdmaScheduler", Recorded)
     rep = run(SimConfig(L=100.0, n_auv=3, n_asv=1, duration=60.0, seed=0))
     sched = made[0]
-    assert [m.coverage for m in rep.per_auv] == [
-        h / p for h, p in zip(sched.heard, sched.pings)]
-    assert sched.heard[0] == 0 < sched.pings[0]      # the outer strip is never heard
+    pings = Counter(i for _, i, _ in rep.events.records(PING))
+    assert [m.coverage for m in rep.per_auv] == [h / pings[i] for i, h in enumerate(sched.heard)]
+    assert sched.heard[0] == 0 < pings[0]      # the outer strip is never heard
     assert 0.0 < rep.per_auv[1].coverage < 1.0
     rep = run(short_cfg(duration=5.0, usbl_enabled=False))
-    assert made[1].pings == [0] * 4
+    assert len(rep.events) == 0 and made[1].heard == [0] * 4
     assert all(m.coverage == 0.0 for m in rep.per_auv)
 
 

@@ -1,5 +1,6 @@
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from coopnav.conflict import (Coloring, audibility_masks, build_conflict_graph,
                               greedy_color)
 from coopnav.engine import NoiseStream, derive_rng, uniform_stream
 from coopnav.mission import VehicleTruth
-from coopnav.protocol import (FixQueue, TdmaScheduler, TimingConfig, anchor_points,
+from coopnav.protocol import (BCAST, DELIVER, EXPIRED, FIX, FUSE, OUT_OF_MF_RANGE, PING,
+                              FixQueue, TdmaScheduler, TimingConfig, anchor_points,
                               ticks_ceil)
 from graphs import from_edges
 
@@ -100,7 +102,7 @@ def test_delivery_tick():
     # 0.192 s + 30 m / 1500 m/s after its broadcast: on the 7th tick
     sched = scheduler(timing=MF_EDGE)
     assert {flight for flight, _ in static_run(sched, (30.0, 0.0, 10.0), 30)} == {7}
-    assert sched.dropped["out_of_mf_range"] == 0
+    assert sched.events.kinds.count(OUT_OF_MF_RANGE) == 0
 
 
 def test_a_broadcast_beyond_mf_range_is_dropped():
@@ -108,11 +110,9 @@ def test_a_broadcast_beyond_mf_range_is_dropped():
     # with its DROP event on its tick
     sched = scheduler(timing=MF_EDGE)
     assert not static_run(sched, (math.nextafter(30.0, math.inf), 0.0, 10.0), 30)
-    assert sched.bcast_count > 0 and sched.dropped["out_of_mf_range"] == sched.bcast_count
-    drops = [e for e in sched.events if e.endswith("auv=0, reason=out_of_mf_range}")]
-    bcasts = [e for e in sched.events if e.startswith("BCAST")]
-    assert [e.split(",")[0] for e in drops] == [
-        e.replace("BCAST", "DROP").split(",")[0] for e in bcasts]
+    drops = list(sched.events.records(OUT_OF_MF_RANGE))
+    assert sched.bcast_count > 0 and len(drops) == sched.bcast_count
+    assert drops == [(tick, 0) for tick, _, _ in sched.events.records(BCAST)]
 
 
 def test_e2e_latency():
@@ -121,7 +121,8 @@ def test_e2e_latency():
         sched = scheduler(timing=TimingConfig(f_t=f_t))
         entries = [entry for _, entry in static_run(sched, (20.0, 0.0, 10.0))]
         assert entries
-        assert sched.latencies == [(kd - ping) / f_t for kd, _, _, _, ping in entries]
+        assert [lat for _, _, lat in sched.events.records(DELIVER)] == [
+            (kd - ping) / f_t for kd, _, _, _, ping in entries]
         assert [e for e in sched.events if e.startswith("DELIVER")] == [
             f"DELIVER{{tick={kd}, auv=0, latency_s={(kd - ping) / f_t:.6f}}}"
             for kd, _, _, _, ping in entries]
@@ -203,14 +204,11 @@ def test_run_round_k4_uplink_span():
     # then single-fix broadcasts, each delivered after it goes out
     sched, events = one_round(K4_POS, np.zeros((1, 2)), K4_GRAPH,
                               Coloring([0, 1, 2, 3], 4), ticks=60)
-    assert len([e for e in events
-                if e.startswith("PING") and int(e.split("tick=")[1].split(",")[0]) < 12]) == 4
-    bcast = [e for e in events if e.startswith("BCAST")]
-    assert bcast and all(f"bytes={sched.fix_payload}}}" in e for e in bcast)
-    first_bcast = int(bcast[0].split("tick=")[1].split(",")[0])
-    delivers = [int(e.split("tick=")[1].split(",")[0])
-                for e in events if e.startswith("DELIVER")]
-    assert delivers and min(delivers) > first_bcast
+    assert len([tick for tick, _, _ in sched.events.records(PING) if tick < 12]) == 4
+    bcasts = list(sched.events.records(BCAST))
+    assert bcasts and all(size == sched.fix_payload for _, _, size in bcasts)
+    delivers = [tick for tick, _, _ in sched.events.records(DELIVER)]
+    assert delivers and min(delivers) > bcasts[0][0]
 
 
 def test_scheduler_unheard_round_broadcasts_nothing():
@@ -219,8 +217,9 @@ def test_scheduler_unheard_round_broadcasts_nothing():
     pos = [(500.0, 0.0, 10.0), (-500.0, 0.0, 10.0)]
     sched, events = one_round(pos, np.zeros((1, 2)), from_edges(2),
                               Coloring([0, 0], 1), ticks=30)
-    assert events and all(e.startswith("PING") for e in events)
-    assert sched.pings == [10, 10] and sched.heard == [0, 0]
+    assert set(sched.events.kinds) == {PING}
+    assert Counter(i for _, i, _ in sched.events.records(PING)) == {0: 10, 1: 10}
+    assert sched.heard == [0, 0]
     assert not sched.buffer and sched.queue.head_tick() is None and sched.bcast_count == 0
 
 
@@ -272,7 +271,7 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
                     fixes.append(fx)
             if fixes:
                 ref.append(f"FUSE{{tick={tick}, auv={i}, k={len(fixes)}}}")
-    uplink = [e for e in events if e.split("{")[0] in ("PING", "FIX", "FUSE")]
+    uplink = [e for kind, e in zip(sched.events.kinds, events) if kind in (PING, FIX, FUSE)]
     assert uplink == ref
     assert any(e.startswith("FIX") and "asv=1" in e for e in ref)
     assert math.dist(pos[2], (30.0, 0.0, 0.0)) > 50.0    # one path out of range
@@ -330,11 +329,12 @@ def test_scheduler_skipping_idle_ticks_matches_every_tick():
         trace.append(pos)
     full, full_del, full_steps = drive_scheduler(trace, asv, skip_idle=False)
     fast, fast_del, fast_steps = drive_scheduler(trace, asv, skip_idle=True)
+    # equal records: every latency at full precision, every drop and ping
+    assert (fast.events.kinds, fast.events.stores) == (full.events.kinds, full.events.stores)
     assert list(fast.events) == list(full.events)
     assert fast_del == full_del
-    assert fast.latencies == full.latencies
-    assert fast.dropped == full.dropped
-    assert (fast.pings, fast.heard) == (full.pings, full.heard)
-    assert full.dropped["expired"] > 0 and full.dropped["out_of_mf_range"] > 0
-    assert any(h < p for h, p in zip(full.heard, full.pings))
+    assert fast.heard == full.heard
+    assert full.events.kinds.count(EXPIRED) > 0 and full.events.kinds.count(OUT_OF_MF_RANGE) > 0
+    pings = Counter(i for _, i, _ in full.events.records(PING))
+    assert any(h < pings[i] for i, h in enumerate(full.heard))
     assert full_del and fast_steps < full_steps

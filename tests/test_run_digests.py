@@ -13,13 +13,15 @@ change that alters the simulation on purpose re-records them and says why.
 
 import dataclasses
 import hashlib
+import statistics
 
 import pytest
 
 from coopnav.acoustic import UsblNoiseConfig
 from coopnav.engine import SimConfig, run
 from coopnav.mission import GuidanceConfig
-from coopnav.protocol import TimingConfig
+from coopnav.protocol import (DELIVER, EVENT_FORMATS, EXPIRED, OUT_OF_MF_RANGE, SUPERSEDED,
+                              TimingConfig)
 
 REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
                  "applied_rate_hz", "latency_mean_s", "latency_p95_s",
@@ -120,3 +122,39 @@ def digests(rep) -> tuple[str, str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_digest_pinned(case):
     assert digests(run(SimConfig(**CASES[case]))) == PINNED[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_reads_the_records(case):
+    # each kind's records render to that kind's lines of the log, in order,
+    # and the report's fix and drop figures are what the records hold
+    rep = run(SimConfig(**CASES[case]))
+    events, log = rep.events, rep.event_log
+    assert len(events) == len(log)
+    for kind, (template, _) in enumerate(EVENT_FORMATS):
+        assert [template % r for r in events.records(kind)] == [
+            line for k, line in zip(events.kinds, log) if k == kind]
+    delivered = list(events.records(DELIVER))
+    assert rep.total_applied == len(delivered)
+    assert [a.fix_count for a in rep.per_auv] == [
+        sum(auv == i for _, auv, _ in delivered) for i in range(len(rep.per_auv))]
+    lats = [lat for _, _, lat in delivered]
+    assert rep.latency_mean_s == (pytest.approx(statistics.fmean(lats), rel=1e-12)
+                                  if lats else 0.0)
+    assert rep.dropped == {reason: len(list(events.records(kind))) for reason, kind in (
+        ("superseded", SUPERSEDED), ("expired", EXPIRED), ("out_of_mf_range", OUT_OF_MF_RANGE))}
+
+
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(L=40.0, n_auv=3, n_asv=4, r_hf=30.0, depth=5.0, asv_jitter_std=0.5),
+], ids=["nominal", "multi_anchor"])
+def test_depth_noise_reaches_only_the_trace(kw):
+    # the depth estimate is read by the trace alone: any sigma_z gives the
+    # same events and numeric report, and only the trace tells them apart
+    reps = [run(SimConfig(duration=60.0, seed=2, sigma_z=s, trace=True, **kw))
+            for s in (0.0, 0.05, 3.0)]
+    got = [digests(rep) for rep in reps]
+    assert all((e, r) == (got[0][0], got[0][2]) for e, _, r in got)
+    assert len({t for _, t, _ in got}) == 3
+    assert reps[0].total_applied > 0

@@ -9,7 +9,7 @@ and ``coopnav_change`` (coopnav imports its own modules relatively only).
 Each round runs every job of the sweep INI once per tree, back to back,
 alternating which tree goes first, and times each ``run()`` call.  A pair is
 one job of one round; its ratio is the change's time over the parent's.
-The script prints each tree's median mission time with its quartiles, the
+A sweep INI with ``[sim] trace = true`` times traced runs.  The script prints each tree's median mission time with its quartiles, the
 quartiles of the pair ratios, the pairs the change won and tied, and its
 win share over the untied pairs (a tie counts for neither side).  Host
 speed drifts within a benchmark run (perfbench/README.md); two runs timed
