@@ -27,8 +27,7 @@ from functools import reduce
 from pathlib import Path
 
 from .engine import MissionReport, SimConfig, run
-from .formation import (corner_distance, coverage_fraction_grid,
-                        min_formation_radius, worst_point)
+from .formation import worst_point
 
 log = logging.getLogger("coopnav")
 
@@ -366,19 +365,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_check_coverage(args) -> int:
     cfg = load_sim_config(args.config)
-    asv = cfg.formation()
-    corner = corner_distance(asv, cfg.L)
-    worst, (wx, wy) = worst_point(asv, cfg.L)
-    mfr = min_formation_radius(cfg.L, cfg.r_hf)
-    frac = coverage_fraction_grid(asv, cfg.L, cfg.r_hf)
-    full = worst <= cfg.r_hf
-    print(f"corner distance: {corner:.2f} m (HF range {cfg.r_hf:g} m)")
-    if mfr is None:
-        print("min formation radius: infeasible (r_hf < L/2)")
-    else:
-        print(f"min formation radius: {mfr:.2f} m")
-    print(f"grid coverage fraction: {frac:.4f}")
-    if full:
+    worst, (wx, wy) = worst_point(cfg.formation(), cfg.L)
+    if worst <= cfg.r_hf:
         print(f"full coverage: yes (worst point {worst:.2f} m <= {cfg.r_hf:g} m)")
     else:
         # + 0.0 prints a coordinate that rounds to zero as 0.00, not -0.00

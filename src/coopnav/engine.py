@@ -352,7 +352,9 @@ def run(config: SimConfig) -> MissionReport:
                 innov = math.hypot(fx - p[0], fy - p[1])
                 if innov > max_innovation:
                     max_innovation = innov
-                apply_fix(navs[i], fix, kin[i])
+                # predict once, and only in place of a skipped fused step
+                apply_fix(navs[i], fix, kin[i], i in due)
+                due.discard(i)
                 last_fix_xy[i] = (fx, fy)
 
         for i, t, nav, segs in metered:

@@ -1,11 +1,10 @@
-"""Surface-vessel formation geometry and acoustic coverage checks.
+"""Surface-vessel formation geometry and its acoustic coverage.
 
 ASVs are station-kept at the vertices of a regular N-gon of radius
 ``R_f = r_hf + delta_b`` centred on the survey origin.  For a single ASV the
-formation degenerates to the origin.  The module also provides the
-corner-to-nearest-ASV distance, the closed-form minimum formation radius for
-corner coverage, the exact worst-point distance that decides full coverage,
-and a brute-force grid oracle for the coverage fraction.
+formation degenerates to the origin.  Coverage has one computation: the
+exact worst point of the survey square, the largest nearest-ASV distance,
+which decides full coverage.
 """
 
 from __future__ import annotations
@@ -23,19 +22,6 @@ def asv_positions(n_asv: int, radius: float, alpha0: float) -> np.ndarray:
     j = np.arange(n_asv)
     ang = alpha0 + 2.0 * math.pi * j / n_asv
     return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-
-
-def corner_distance(asv: np.ndarray, L: float) -> float:
-    """Worst-corner nearest-ASV distance.
-
-    For each of the four survey corners (+-L/2, +-L/2) take the distance to
-    the nearest ASV, then return the maximum over corners: the binding corner
-    that any coverage argument has to beat.
-    """
-    h = L / 2.0
-    corners = np.array([[h, h], [h, -h], [-h, h], [-h, -h]])
-    d = np.linalg.norm(corners[:, None, :] - asv[None, :, :], axis=2)
-    return float(d.min(axis=1).max())
 
 
 def worst_point(asv: np.ndarray, L: float) -> tuple[float, tuple[float, float]]:
@@ -77,34 +63,3 @@ def worst_point(asv: np.ndarray, L: float) -> tuple[float, tuple[float, float]]:
     w = int(np.argmax(d))
     return float(d[w]), (float(pts[w, 0]), float(pts[w, 1]))
 
-
-def min_formation_radius(L: float, r_hf: float) -> float | None:
-    """Closed-form ring radius from which an on-axis ASV reaches its near corners.
-
-    Returns ``L/2 - sqrt(r_hf^2 - (L/2)^2)``, or None when ``r_hf < L/2`` and
-    the closed form does not apply.  A non-positive value means any ring
-    radius satisfies the corner constraint.
-    """
-    half = L / 2.0
-    if r_hf < half:
-        return None
-    return half - math.sqrt(r_hf * r_hf - half * half)
-
-
-def coverage_fraction_grid(asv: np.ndarray, L: float, r_hf: float,
-                           grid_step: float = 0.5) -> float:
-    """Brute-force coverage oracle.
-
-    Fraction of points on a boundary-inclusive grid over the survey square
-    that lie within ``r_hf`` of at least one ASV.
-    """
-    n = int(math.ceil(L / grid_step - 1e-9)) + 1
-    if n < 2:
-        coords = np.array([0.0])
-    else:
-        coords = np.linspace(-L / 2.0, L / 2.0, n)
-    gx, gy = np.meshgrid(coords, coords)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    d2 = ((pts[:, None, :] - asv[None, :, :]) ** 2).sum(axis=2)
-    covered = (d2.min(axis=1) <= r_hf * r_hf)
-    return float(covered.mean())

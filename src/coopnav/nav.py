@@ -78,20 +78,23 @@ def depth_update(state: NavState, z_true: float, noise: float) -> float:
 
 
 def apply_fix(state: NavState, fix: tuple[float, float, float],
-              inp: KinematicInput) -> NavState:
+              inp: KinematicInput, predict: bool) -> NavState:
     """Predict-correct update of the fused estimate at a fix delivery.
 
-    Predict: one biased (noise-free) kinematic step from the previous fused
-    position.  Correct: move gamma of the way to the fused (x, y, z) fix.
-    Only the fused horizontal components change; p_imu never ingests fixes.
+    Predict, if ``predict``: one biased (noise-free) kinematic step from the
+    fused position, in place of this tick's fused dead-reckoning step.
+    Correct: move gamma of the way to the fused (x, y, z) fix.  Only the
+    fused horizontal components change; p_imu never ingests fixes.
     """
     g = state.gamma
-    dt = state.dt
-    bx = (inp.speed + state.bias[0]) * dt
-    by = (0.0 + state.bias[1]) * dt
-    c, s = inp.cos_psi, inp.sin_psi
-    px = state.p_fused[0] + c * bx - s * by
-    py = state.p_fused[1] + s * bx + c * by
+    px, py = state.p_fused[0], state.p_fused[1]
+    if predict:
+        dt = state.dt
+        bx = (inp.speed + state.bias[0]) * dt
+        by = (0.0 + state.bias[1]) * dt
+        c, s = inp.cos_psi, inp.sin_psi
+        px = px + c * bx - s * by   # not +=, which would round differently
+        py = py + s * bx + c * by
     state.p_fused[0] = px + g * (fix[0] - px)
     state.p_fused[1] = py + g * (fix[1] - py)
     return state

@@ -11,6 +11,9 @@ honest rather than weakened; their docstrings carry the analysis:
 
   * criterion 6b's absolute cross-track band at the largest survey scale,
   * criterion 11's full-coverage guarantee for 2- and 3-anchor rings.
+
+Criterion 11's subject, the closed-form minimum ring radius, lives here with
+its own checks: no production code computes it.
 """
 
 import math
@@ -26,7 +29,7 @@ import pytest
 import coopnav
 from coopnav.conflict import audibility_masks, build_conflict_graph, greedy_color
 from coopnav.engine import NoiseStream, SimConfig, run
-from coopnav.formation import asv_positions, coverage_fraction_grid, min_formation_radius
+from coopnav.formation import asv_positions, worst_point
 from coopnav.nav import KinematicInput, NavState, dead_reckon_step
 from coopnav.protocol import DELIVER, PING
 from coopnav.acoustic import fuse_fixes
@@ -340,14 +343,46 @@ def test_criterion_10_determinism(tmp_path):
             f"sweep parallelism 1 vs 8 identical={sweeps_equal}")
 
 
+def min_formation_radius(L: float, r_hf: float) -> float | None:
+    """Closed-form ring radius from which an on-axis ASV reaches its near corners.
+
+    Returns ``L/2 - sqrt(r_hf^2 - (L/2)^2)``, or None when ``r_hf < L/2`` and
+    the closed form does not apply.  A non-positive value means any ring
+    radius satisfies the corner constraint.
+    """
+    half = L / 2.0
+    if r_hf < half:
+        return None
+    return half - math.sqrt(r_hf * r_hf - half * half)
+
+
+def test_min_formation_radius_values():
+    assert min_formation_radius(60.0, 50.0) == pytest.approx(-10.0, abs=1e-9)
+    assert min_formation_radius(100.0, 50.0) == pytest.approx(50.0, abs=1e-9)
+    assert min_formation_radius(140.0, 50.0) is None
+
+
+def test_degenerate_ring_closed_form_equivalence():
+    # for the degenerate single-anchor case the closed form exactly separates
+    # full coverage from partial coverage
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        L = float(rng.uniform(20, 140))
+        r_hf = float(rng.uniform(L / 2, 1.5 * L))
+        worst, _ = worst_point(asv_positions(1, r_hf, 0.0), L)
+        assert (min_formation_radius(L, r_hf) <= 0) == (worst <= r_hf)
+
+
 def test_criterion_11_coverage_oracle_vs_closed_form():
     """KNOWN FAIL for 2- and 3-anchor rings: the closed-form minimum ring
     radius guarantees that an on-axis anchor reaches its nearest survey
     corners, which is necessary but not sufficient for covering the whole
     square.  Counterexample: two anchors at (+-50, 0) with a 50 m range on a
     100 m square satisfy the constraint, yet the midpoint of the top edge is
-    70.7 m from both.  The degenerate single-anchor case, where the
-    constraint reduces to range >= L/sqrt(2), holds exactly.
+    70.7 m from both.  The exact worst point of each ring, its farthest
+    point of the square from every anchor, exposes such counterexamples.
+    The degenerate single-anchor case, where the constraint reduces to
+    range >= L/sqrt(2), holds exactly.
     """
     rng = np.random.default_rng(1111)
     draws = 0
@@ -364,13 +399,13 @@ def test_criterion_11_coverage_oracle_vs_closed_form():
             if eff_rf < max(0.0, mfr):      # constraint filter (n=1 degenerate)
                 continue
             # the ring of radius eff_rf at angle 0; one ASV sits at the origin
-            frac = coverage_fraction_grid(asv_positions(n, eff_rf, 0.0), L, r_hf, 0.5)
+            worst, _ = worst_point(asv_positions(n, eff_rf, 0.0), L)
             checked[n] += 1
-            if frac < 1.0:
+            if worst > r_hf:
                 failures.append((n, round(L, 1), round(r_hf, 1),
-                                 round(eff_rf, 1), round(frac, 4)))
+                                 round(eff_rf, 1), round(worst, 2)))
     detail = (f"checked n=1:{checked[1]} n=2:{checked[2]} n=3:{checked[3]}; "
               f"{len(failures)} uncovered instances")
     if failures:
-        detail += f", first: (n, L, r_hf, r_f, frac)={failures[0]}"
+        detail += f", first: (n, L, r_hf, r_f, worst m)={failures[0]}"
     _report(11, not failures, detail)

@@ -4,10 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from coopnav import engine
+from coopnav import engine, nav
 from coopnav.acoustic import UsblNoiseConfig
 from coopnav.engine import RNG_BLOCK, NoiseStream, SimConfig, derive_rng, run, uniform_stream
-from coopnav.protocol import BCAST, DELIVER, PING
+from coopnav.mission import GuidanceConfig
+from coopnav.protocol import BCAST, DELIVER, PING, TimingConfig
 
 
 def short_cfg(**kw):
@@ -171,6 +172,42 @@ def test_coverage_is_the_share_of_pings_heard(monkeypatch):
     rep = run(short_cfg(duration=5.0, usbl_enabled=False))
     assert len(rep.events) == 0 and made[1].heard == [0] * 4
     assert all(m.coverage == 0.0 for m in rep.per_auv)
+
+
+def test_fused_estimate_steps_once_per_tick(monkeypatch):
+    # each tick the fused estimate takes one kinematic step: the noisy
+    # dead-reckoning step, or a fix's noise-free predict in its place.  A fix
+    # delivered on its broadcast tick comes after the full step, and a second
+    # fix of one tick after the first one's predict, so each only corrects
+    ticks = []   # [dead-reckoning steps, predicts, fixes] per AUV-tick
+
+    def dead_reckon(state, inp, noise, advance_fused=True):
+        ticks.append([int(advance_fused), 0, 0])
+        state.tick = ticks[-1]
+        return nav.dead_reckon_step(state, inp, noise, advance_fused)
+
+    def fix(state, f, inp, predict):
+        x, y, g = state.p_fused[0], state.p_fused[1], state.gamma
+        nav.apply_fix(state, f, inp, predict)
+        state.tick[1] += state.p_fused[:2] != [x + g * (f[0] - x), y + g * (f[1] - y)]
+        state.tick[2] += 1
+        return state
+
+    monkeypatch.setattr(engine, "dead_reckon_step", dead_reckon)
+    monkeypatch.setattr(engine, "apply_fix", fix)
+    # AUV 1 passes under the ASV as the instant downlink broadcasts
+    run(SimConfig(L=65.0, n_auv=2, n_asv=1, duration=8.0, seed=1, sigma=0.0,
+                  guidance_on_truth=True, timing=TimingConfig(r_dl=1e16),
+                  guidance=GuidanceConfig(cruise_speed=30 * 32.5 / 66, max_yaw_rate=50.0)))
+    assert [t for t in ticks if t[0] and t[2]] == [[1, 0, 1]]
+    assert all(dr + predicts == 1 for dr, predicts, _ in ticks)
+    # slots short enough that one AUV's fixes from two groups land together
+    ticks.clear()
+    run(SimConfig(L=60.0, n_auv=1, n_asv=3, duration=20.0, f_t=50, timing=TimingConfig(
+        t_p=0.001, guard_factor_ul=0.01, min_slot_factor_ul=0.01,
+        guard_factor_dl=0.01, min_slot_factor_dl=0.01, r_dl=1e9)))
+    assert sum(fixes == 2 for _, _, fixes in ticks) == 36
+    assert all(dr + predicts == 1 for dr, predicts, _ in ticks)
 
 
 def test_derive_rng_streams():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from coopnav.engine import SimConfig
-from coopnav.formation import (asv_positions, corner_distance, coverage_fraction_grid,
-                               min_formation_radius)
+from coopnav.formation import asv_positions, worst_point
 
 
 def layout_of(n, r_hf=50.0, alpha0=0.0, L=60.0, delta_b=0.0):
@@ -57,69 +56,20 @@ def test_ring_equidistance_and_spacing():
         assert np.allclose(gaps, 2 * math.pi / n, atol=1e-9)
 
 
-def test_corner_distance_single_asv():
-    assert corner_distance(layout_of(1), 140.0) == pytest.approx(98.995, abs=1e-3)
-    assert corner_distance(layout_of(1), 60.0) == pytest.approx(42.426, abs=1e-3)
-
-
-def test_corner_distance_three_asv_brute_force():
-    # frozen from the 4-corner x 3-ASV brute force; binding corners (70, +-70)
-    lay = layout_of(3, r_hf=50.0)
-    assert corner_distance(lay, 140.0) == pytest.approx(72.8011, abs=1e-3)
-
-
-def test_corner_distance_full_turn_invariant():
-    for n in (1, 2, 3, 5):
-        base = corner_distance(layout_of(n, alpha0=0.3), 100.0)
-        turned = corner_distance(layout_of(n, alpha0=0.3 + 2 * math.pi), 100.0)
-        assert turned == pytest.approx(base, abs=1e-9)
-
-
-def test_min_formation_radius_values():
-    assert min_formation_radius(60.0, 50.0) == pytest.approx(-10.0, abs=1e-9)
-    assert min_formation_radius(100.0, 50.0) == pytest.approx(50.0, abs=1e-9)
-    assert min_formation_radius(140.0, 50.0) is None
-
-
 def test_coverage_grid_full_at_baseline():
-    assert coverage_fraction_grid(layout_of(1), 60.0, 50.0, 0.5) == 1.0
-
-
-def test_coverage_grid_partial_disc():
-    frac = coverage_fraction_grid(layout_of(1), 140.0, 50.0, 0.5)
-    assert frac == pytest.approx(math.pi * 50.0 ** 2 / 140.0 ** 2, abs=5e-3)
-
-
-def test_coverage_grid_degenerate_point():
-    # grid collapses to the single centre point, which the ASV covers
-    lay = np.zeros((1, 2))
-    assert coverage_fraction_grid(lay, 1.0, 50.0, grid_step=10.0) == 1.0
-
-
-def test_degenerate_ring_closed_form_equivalence():
-    # for the degenerate single-anchor case the closed form exactly separates
-    # full coverage from partial coverage
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        L = float(rng.uniform(20, 140))
-        r_hf = float(rng.uniform(L / 2, 1.5 * L))
-        mfr = min_formation_radius(L, r_hf)
-        frac = coverage_fraction_grid(layout_of(1, r_hf=r_hf, L=L), L, r_hf, 1.0)
-        if mfr <= 0:
-            assert frac == 1.0
-        else:
-            assert frac < 1.0
-
-
-def ring_layout(n, radius):
-    ang = 2 * math.pi * np.arange(n) / n
-    return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    # the single anchor at the centre of the baseline square: the corners bind
+    worst, _ = worst_point(layout_of(1), 60.0)
+    assert worst == pytest.approx(30.0 * math.sqrt(2.0), abs=1e-12)
+    assert worst <= 50.0
 
 
 def test_ring_coverage_known_instances():
-    # oracle-verified spot checks: small rings that do and do not cover
-    assert coverage_fraction_grid(ring_layout(2, 25.0), 100.0, 60.0, 0.5) == 1.0
-    assert coverage_fraction_grid(ring_layout(3, 20.0), 100.0, 60.0, 0.5) == 1.0
-    assert coverage_fraction_grid(ring_layout(3, 25.0), 120.0, 70.0, 0.5) == 1.0
-    # radius 60 puts the mid-edge beyond reach of both anchors
-    assert coverage_fraction_grid(ring_layout(2, 60.0), 100.0, 60.0, 0.5) < 1.0
+    # exact spot checks: small rings that do and do not cover; radius 60
+    # puts the mid-edge beyond reach of both anchors
+    for n, radius, L, r_hf, expect in ((2, 25.0, 100.0, 60.0, 55.90),
+                                       (3, 20.0, 100.0, 60.0, 58.31),
+                                       (3, 25.0, 120.0, 70.0, 69.46),
+                                       (2, 60.0, 100.0, 60.0, 78.10)):
+        worst, _ = worst_point(asv_positions(n, radius, 0.0), L)
+        assert worst == pytest.approx(expect, abs=5e-3)
+        assert (worst <= r_hf) == (radius != 60.0)

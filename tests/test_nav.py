@@ -76,14 +76,14 @@ def fused(x, y):
 
 def test_apply_fix_correction():
     s = state(10.0, 0.0, bias=(0.0, 0.0), gamma=0.9)
-    apply_fix(s, fused(12.0, 0.0), heading(0.0, 0.0))
+    apply_fix(s, fused(12.0, 0.0), heading(0.0, 0.0), True)
     assert s.p_fused[0] == pytest.approx(11.8)
     assert s.p_fused[1] == pytest.approx(0.0)
 
 
 def test_apply_fix_full_gain_jumps_to_fix():
     s = state(10.0, 5.0, bias=(0.0, 0.0), gamma=1.0)
-    apply_fix(s, fused(-3.0, 4.0), heading(0.0, 0.0))
+    apply_fix(s, fused(-3.0, 4.0), heading(0.0, 0.0), True)
     assert s.p_fused[0] == pytest.approx(-3.0)
     assert s.p_fused[1] == pytest.approx(4.0)
 
@@ -91,25 +91,29 @@ def test_apply_fix_full_gain_jumps_to_fix():
 def test_apply_fix_zero_innovation_no_change():
     for gamma in (0.1, 0.5, 0.9, 1.0):
         s = state(7.0, -2.0, bias=(0.0, 0.0), gamma=gamma)
-        apply_fix(s, fused(7.0, -2.0), heading(0.0, 0.0))
+        apply_fix(s, fused(7.0, -2.0), heading(0.0, 0.0), True)
         assert s.p_fused[0] == pytest.approx(7.0)
         assert s.p_fused[1] == pytest.approx(-2.0)
 
 
 def test_apply_fix_predicts_with_bias_before_correcting():
     s = state(0.0, 0.0, dt=1.0, bias=(0.3, 0.0), gamma=1.0)
-    apply_fix(s, fused(0.0, 0.0), heading(0.0, 0.0))
+    apply_fix(s, fused(0.0, 0.0), heading(0.0, 0.0), True)
     # gamma = 1: lands exactly on the fix regardless of the predict
     assert s.p_fused[0] == pytest.approx(0.0)
     s2 = state(0.0, 0.0, dt=1.0, bias=(0.3, 0.0), gamma=0.5)
-    apply_fix(s2, fused(0.0, 0.0), heading(0.0, 0.0))
+    apply_fix(s2, fused(0.0, 0.0), heading(0.0, 0.0), True)
     # predict moves to 0.3, correction comes halfway back
     assert s2.p_fused[0] == pytest.approx(0.15)
+    s3 = state(0.0, 0.0, dt=1.0, bias=(0.3, 0.0), gamma=0.5)
+    apply_fix(s3, fused(1.0, 0.0), heading(0.0, 0.0), False)
+    # no predict: the correction starts from the fused position itself
+    assert s3.p_fused[0] == 0.5
 
 
 def test_apply_fix_leaves_imu_untouched():
     s = state(1.0, 1.0, bias=(0.0, 0.0))
-    apply_fix(s, fused(5.0, 5.0), heading(0.0, 0.0))
+    apply_fix(s, fused(5.0, 5.0), heading(0.0, 0.0), True)
     assert s.p_imu[:2] == [1.0, 1.0]
 
 

@@ -100,8 +100,8 @@ PINNED = {
                         "a0871ed0765c1107f27502f148408043824d13b3",
                         "8fe0a956007a50dea2ccf8b667b888937c2bbd10"),
     "same_tick_delivery": ("fcf4bcafb0e9309b899dc3fed870a6b25d616bdd",
-                           "bf58a81217a5d908ed985be4d097cae5a7270c11",
-                           "cfd92f73f27252f807e2df22de49e3c3c4373593"),
+                           "a2d5d21000f83eca61bcfedaee8a7fd5f7a27ab4",
+                           "0b0b49297dcc75595cf0355815d9c7bc0c1999e0"),
 }
 
 

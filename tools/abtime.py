@@ -9,25 +9,28 @@ and ``coopnav_change`` (coopnav imports its own modules relatively only).
 Each round runs every job of the sweep INI once per tree, back to back,
 alternating which tree goes first, and times each ``run()`` call.  A pair is
 one job of one round; its ratio is the change's time over the parent's.
-A sweep INI with ``[sim] trace = true`` times traced runs.  The script prints each tree's median mission time with its quartiles, the
+A sweep INI with ``[sim] trace = true`` times traced runs.  The script
+prints each tree's median mission time with its quartiles, the
 quartiles of the pair ratios, the pairs the change won and tied, and its
 win share over the untied pairs (a tie counts for neither side).  Host
 speed drifts within a benchmark run (perfbench/README.md); two runs timed
 back to back see nearly the same host, so the pair ratio cancels the drift.
 
-Every pair's event log and report digest must be equal: the script exits 1
-on the first mismatch, 0 otherwise.
+Every pair's event log, trace log and numeric report must be equal, as
+``tools/diffcheck.py``'s ``fingerprint`` hashes them outside the timed call:
+the script exits 1 on the first mismatch, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib.util
 import statistics
 import sys
 import time
 from pathlib import Path
+
+from diffcheck import fingerprint
 
 
 def load_tree(src: str, name: str):
@@ -42,17 +45,10 @@ def load_tree(src: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def digest(rep) -> str:
-    blob = "\n".join(rep.event_log) + repr(
-        (rep.ticks, rep.per_auv, rep.total_applied, rep.latency_mean_s,
-         rep.latency_p95_s, rep.dropped, rep.max_innovation, rep.excursion_ticks))
-    return hashlib.sha1(blob.encode()).hexdigest()
-
-
 def timed(cli, cfg) -> tuple[float, str]:
     t0 = time.perf_counter()
     rep = cli.run(cfg)
-    return time.perf_counter() - t0, digest(rep)
+    return time.perf_counter() - t0, fingerprint(rep)
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:

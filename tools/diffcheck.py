@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -54,6 +56,17 @@ REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
                  "dropped", "max_innovation", "excursion_ticks")
 SWEEPS = 4   # random sweeps per check
 SWEEP_OUTPUTS = ("runs.csv", "aggregate.csv", "heatmap.txt")
+
+
+def fingerprint(rep) -> str:
+    """A mission report's event-log, trace-log and numeric-report sha1s."""
+    def sha1(lines) -> str:
+        return hashlib.sha1(("\n".join(lines) + "\n").encode()).hexdigest()
+
+    numeric = [(name, [dataclasses.asdict(a) for a in rep.per_auv]
+                if name == "per_auv" else getattr(rep, name)) for name in REPORT_FIELDS]
+    return " ".join((sha1(rep.event_log), sha1(rep.trace_log),
+                     hashlib.sha1(repr(numeric).encode()).hexdigest()))
 
 
 def random_spec(rng: random.Random) -> dict:
@@ -117,9 +130,6 @@ def worker(src: str) -> None:
     print one [mission result, check-coverage result] pair per mission and
     one result per sweep as JSON."""
     sys.path.insert(0, src)
-    import dataclasses
-    import hashlib
-
     import coopnav
     from coopnav import cli
     from coopnav.acoustic import UsblNoiseConfig
@@ -129,9 +139,6 @@ def worker(src: str) -> None:
 
     if Path(coopnav.__file__).resolve().parents[1] != Path(src).resolve():
         raise SystemExit(f"imported coopnav from {coopnav.__file__}, not from {src}")
-
-    def sha1(lines) -> str:
-        return hashlib.sha1(("\n".join(lines) + "\n").encode()).hexdigest()
 
     def coverage(spec: dict, ini: Path) -> str:
         """check-coverage's exit code and stdout lines on the spec's formation."""
@@ -170,12 +177,7 @@ def worker(src: str) -> None:
         except Exception as exc:   # a mission's failure is a result to compare
             out.append([f"raised {type(exc).__name__}: {exc}", checked])
             continue
-        numeric = [(name, [dataclasses.asdict(a) for a in rep.per_auv]
-                    if name == "per_auv" else getattr(rep, name))
-                   for name in REPORT_FIELDS]
-        out.append([" ".join((sha1(rep.event_log), sha1(rep.trace_log),
-                              hashlib.sha1(repr(numeric).encode()).hexdigest())),
-                    checked])
+        out.append([fingerprint(rep), checked])
     json.dump({"missions": out, "sweeps": swept}, sys.stdout)
 
 
