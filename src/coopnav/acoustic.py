@@ -3,8 +3,9 @@
 A fix is built by measuring the true slant range and direction from an ASV
 to an AUV, perturbing range and angles with Gaussian noise, and
 reconstructing the world-frame position.  Fix loss combines a
-range-dependent double-exponential with a per-additional-vehicle collision
-term.  Simultaneous fixes of one AUV from several ASVs are merged with an
+range-dependent double-exponential with a collision term per additional
+contending vehicle; its coefficients are the module constants below, not
+config.  Simultaneous fixes of one AUV from several ASVs are merged with an
 inverse-variance weighted (minimum-variance linear unbiased) estimator.
 """
 
@@ -24,46 +25,43 @@ class UsblNoiseConfig:
     sigma_phi: float = param(math.radians(0.5), "acoustic", "sigma_phi_deg",
                              conv=from_degrees, ge=0)                # elevation noise std, rad
     c: float = param(1500.0, "acoustic", "sound_speed", gt=0)        # sound speed, m/s
-    r_max: float = param(50.0, gt=0)                                 # HF audibility cutoff, m
+    # the deleted HF cutoff field (SimConfig.r_hf is the cutoff), hashed as it was
+    retired = (("r_max", "50.0"),)
 
 
-@dataclass(frozen=True)
-class LossModelCoefficients:
-    a: float = -6.070
-    b: float = 2.12e-3
-    c0: float = 5.987
-    d: float = 2.25e-3
-    r_clip: float = 800.0
-    p_col: float = 0.05      # added collision probability per extra AUV
-    p_cap: float = 0.999
+# the loss model: a range term LOSS_A*exp(LOSS_B*r) + LOSS_C*exp(LOSS_D*r)
+# at r clipped to R_CLIP, plus P_COL per extra contending vehicle, capped at P_CAP
+LOSS_A, LOSS_B, LOSS_C, LOSS_D = -6.070, 2.12e-3, 5.987, 2.25e-3
+R_CLIP = 800.0   # m
+P_COL = 0.05     # added collision probability per extra contender
+P_CAP = 0.999
 
 
-def attempt_fix(asv, dx: float, dy: float, dz: float, r: float, p_con: float,
-                var_r: float, sigma_theta: float, coeffs: LossModelCoefficients,
-                noise_tuples, loss_rng) -> tuple[float, float, float, float] | None:
+def attempt_fix(asv, dx: float, dy: float, dz: float, r: float, n_cont: int, var_r: float,
+                sigma_theta: float, noise_tuples,
+                loss_rng) -> tuple[float, float, float, float] | None:
     """One fix attempt over one in-range acoustic path: (x, y, z, variance)
     of the fix, or None when it was lost.
 
     The caller hands over what its range test computed: the AUV's offset
     (dx, dy, dz) from the ``asv`` position and the slant range ``r``.  It
-    also passes ``p_con``, the contention term ``(n - 1) * p_col`` for n
-    contending vehicles, and from the noise config ``var_r = sigma_r ** 2``
-    and ``sigma_theta``.  Loss is a modeled outcome, not an error: the fix
-    is lost when the next ``loss_rng`` draw u < P_loss_total(r), the
-    range-dependent double exponential clamped into [0, 1], plus ``p_con``,
-    capped at ``p_cap``.  A kept fix decomposes the offset into (range,
-    azimuth, elevation), adds the next ``noise_tuples`` triple of
-    pre-scaled perturbations, and reconstructs ``asv + r*(cos(phi)cos(theta),
+    also passes ``n_cont``, the number of contending vehicles, and from the
+    noise config ``var_r = sigma_r ** 2`` and ``sigma_theta``.  Loss is a
+    modeled outcome, not an error: the fix is lost when the next
+    ``loss_rng`` draw u < P_loss_total(r), the range-dependent double
+    exponential clamped into [0, 1], plus ``(n_cont - 1) * P_COL``, capped
+    at ``P_CAP``.  A kept fix decomposes the offset into (range, azimuth,
+    elevation), adds the next ``noise_tuples`` triple of pre-scaled
+    perturbations, and reconstructs ``asv + r*(cos(phi)cos(theta),
     cos(phi)sin(theta), sin(phi))``; its variance is ``var_r + (r *
     sigma_theta) ** 2``.
     """
     # min(a, b) as `b if b < a else a`, max(a, b) as `b if b > a else a`: the same float
-    rc, pc = coeffs.r_clip, coeffs.p_cap
-    rt = rc if rc < r else r
-    p = coeffs.a * exp(coeffs.b * rt) + coeffs.c0 * exp(coeffs.d * rt)
+    rt = R_CLIP if R_CLIP < r else r
+    p = LOSS_A * exp(LOSS_B * rt) + LOSS_C * exp(LOSS_D * rt)
     p = 0.0 if 0.0 > p else p
-    p = (1.0 if 1.0 < p else p) + p_con
-    p = pc if pc < p else p
+    p = (1.0 if 1.0 < p else p) + (n_cont - 1) * P_COL
+    p = P_CAP if P_CAP < p else p
     if next(loss_rng) < p:
         return None
     theta, s = (atan2(dy, dx), dz / r) if r > 0 else (0.0, 0.0)   # asin(0.0) is 0.0

@@ -14,12 +14,12 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
 
-from .acoustic import LossModelCoefficients, UsblNoiseConfig
+from .acoustic import UsblNoiseConfig
 from .conflict import audibility_masks, build_conflict_graph, greedy_color
 from .formation import asv_positions
 from .mission import (GuidanceConfig, VehicleTruth, advance_truth, guidance_step,
@@ -247,8 +247,6 @@ def _percentile(sorted_vals: list[float], q: float) -> float:
 def run(config: SimConfig) -> MissionReport:
     """Execute one seeded mission and return its report."""
     config.validate()
-    noise = replace(config.noise, r_max=config.r_hf)
-    timing = replace(config.timing, f_t=config.f_t)
     guid = config.guidance
     n, m = config.n_auv, config.n_asv
     f_t = config.f_t
@@ -268,7 +266,7 @@ def run(config: SimConfig) -> MissionReport:
                              sq_dt) for i in range(n)]
     depth_noise = [NoiseStream(derive_rng(seed, f"depth/{i}"), config.sigma_z)
                    for i in range(n)]
-    usbl_scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
+    usbl_scales = (config.noise.sigma_r, config.noise.sigma_theta, config.noise.sigma_phi)
     # (noise tuples, loss stream) per AUV-to-ASV path
     paths = [[(NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), usbl_scales),
                uniform_stream(derive_rng(seed, f"loss/{i}/{j}"))) for j in range(m)]
@@ -296,8 +294,7 @@ def run(config: SimConfig) -> MissionReport:
     auvs = list(zip(range(n), truths, navs, kin, imu_noise, depth_noise, waypoints))
     metered = list(zip(range(n), truths, navs, segments))
 
-    proto = TdmaScheduler(timing, noise, LossModelCoefficients(), config.L, paths,
-                          contention=config.contention)
+    proto = TdmaScheduler(config, paths)
     last_fix_xy = [(t.x, t.y) for t in truths]
     anchors = anchor_points(base_asv)
     recolorer = Recolorer(config.r_hf)

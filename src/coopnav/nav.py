@@ -16,13 +16,13 @@ from dataclasses import dataclass
 @dataclass
 class NavState:
     """Estimator state and constants for one AUV.  Positions are [x, y, z];
-    ``dt`` and ``gamma`` are taken as ``SimConfig.validate`` bounds them."""
+    the constants are taken as ``SimConfig.validate`` bounds them."""
 
     p_imu: list[float]
     p_fused: list[float]
-    dt: float                                  # integration step, s
-    bias: tuple[float, float] = (0.06, 0.06)   # body-frame velocity bias, m/s
-    gamma: float = 0.90                        # fix correction gain
+    dt: float                    # integration step, s
+    bias: tuple[float, float]    # body-frame velocity bias, m/s
+    gamma: float                 # fix correction gain
 
     def __post_init__(self):
         # the bias's body-frame displacement per step; the body frame has no
@@ -31,8 +31,8 @@ class NavState:
         self.bias_dy = 0.0 * self.dt + self.bias[1] * self.dt
 
     @classmethod
-    def at(cls, x: float, y: float, z: float, dt: float, **kw) -> "NavState":
-        return cls(p_imu=[x, y, z], p_fused=[x, y, z], dt=dt, **kw)
+    def at(cls, x: float, y: float, z: float, dt: float, bias, gamma) -> "NavState":
+        return cls([x, y, z], [x, y, z], dt, bias, gamma)
 
 
 @dataclass(slots=True)

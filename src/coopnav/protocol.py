@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .acoustic import LossModelCoefficients, UsblNoiseConfig, attempt_fix, fuse_fixes
+from .acoustic import attempt_fix, fuse_fixes
 from .conflict import Coloring
 from .schema import param
 
@@ -35,7 +35,6 @@ _TICK_EPS = 1e-9   # guards ceil() against float residue in exact products
 
 @dataclass
 class TimingConfig:
-    f_t: int = param(30, gt=0)                                # tick rate, Hz
     t_p: float = param(0.010, "protocol", "ping_duration", gt=0)   # ping duration, s
     guard_factor_ul: float = param(0.5, "protocol", gt=0)     # uplink guard, crossing times
     min_slot_factor_ul: float = param(2.5, "protocol", gt=0)  # uplink slot floor, crossing times
@@ -47,6 +46,8 @@ class TimingConfig:
     b_fix: int = param(16, "protocol", "fix_bytes", gt=0)     # per-fix record, bytes
     r_mf: float = param(100.0, "protocol", gt=0)              # MF downlink range, m
     max_fix_age_s: float = param(0.30, "protocol", "max_fix_age", gt=0)  # buffer freshness, s
+    # the deleted tick rate field (SimConfig.f_t is the rate), hashed as it was
+    retired = (("f_t", "30"),)
 
 
 def ticks_ceil(seconds: float, f_t: float) -> int:
@@ -160,9 +161,11 @@ class TdmaScheduler:
     Owns the round schedule, the downlink fix buffer, the MF channel state
     and the fleet's causal delivery queue.  The host simulation supplies
     its vehicles' true positions and a recoloring callback fired at each
-    round boundary.  ``paths[i][j]`` is the (noise tuples, loss stream) pair
-    of the path from AUV i to ASV j.  The configs and ``contention`` are
-    taken as ``SimConfig.validate`` left them.
+    round boundary.  ``config`` is the run's ``SimConfig``, taken as its
+    ``validate`` left it: the scheduler reads its ``L``, ``f_t``, ``r_hf``
+    (the HF audibility cutoff), ``contention``, ``timing`` and ``noise``.
+    ``paths[i][j]`` is the (noise tuples, loss stream) pair of the path from
+    AUV i to ASV j.
 
     Slot lengths, the one-fix payload and its airtime depend only on the
     configuration, so they are computed once: group g of a round starting
@@ -177,29 +180,28 @@ class TdmaScheduler:
     them; stepping every tick gives the same result.
     """
 
-    def __init__(self, timing: TimingConfig, noise: UsblNoiseConfig,
-                 coeffs: LossModelCoefficients, L: float, paths,
-                 contention: str = "fleet"):
-        self.timing = timing
-        self.noise = noise
-        self.coeffs = coeffs
+    def __init__(self, config, paths):
+        self.timing = timing = config.timing
+        self.noise = noise = config.noise
+        self.f_t = f_t = config.f_t
+        self.r_hf = config.r_hf
+        self.contention = config.contention
         self.paths = paths
         self.n_auv = n_auv = len(paths)
         self.n_asv = len(paths[0])
-        self.contention = contention
-        self.max_age_ticks = ticks_ceil(timing.max_fix_age_s, timing.f_t)
+        self.max_age_ticks = ticks_ceil(timing.max_fix_age_s, f_t)
         c = noise.c
-        tc = L / c   # crossing time of the survey area
+        tc = config.L / c   # crossing time of the survey area
         # ticks from one group's slot start to the next's; at least one, so
         # that successive groups never share a tick
         self.slot_ticks = max(1, ticks_ceil(
-            max(timing.t_p + noise.r_max / c + timing.guard_factor_ul * tc,
-                timing.min_slot_factor_ul * tc), timing.f_t))
+            max(timing.t_p + self.r_hf / c + timing.guard_factor_ul * tc,
+                timing.min_slot_factor_ul * tc), f_t))
         self.fix_payload = timing.n_hdr + timing.b_fix   # header and one fix record
         self.t_tx = self.fix_payload * 8.0 * timing.overhead / timing.r_dl
         self.mf_slot_ticks = ticks_ceil(
             max(self.t_tx + timing.guard_factor_dl * tc, timing.min_slot_factor_dl * tc),
-            timing.f_t)
+            f_t)
 
         self.var_r = noise.sigma_r ** 2
         # (graph, coloring, groups) per checked pair, keyed by the pair's ids;
@@ -252,10 +254,10 @@ class TdmaScheduler:
         gives them.  ``recolor()`` must return a (graph, coloring) pair for
         the current positions; it is invoked once per round boundary.
 
-        In a group's slot every member pings, and every ASV within
-        ``noise.r_max`` of it attempts a fix; an ASV beyond it neither hears
-        the ping nor draws.  The fixes of one ping are fused, and each fused
-        fix replaces the AUV's buffered one.
+        In a group's slot every member pings, and every ASV within ``r_hf``
+        of it attempts a fix; an ASV beyond it neither hears the ping nor
+        draws.  The fixes of one ping are fused, and each fused fix replaces
+        the AUV's buffered one.
         """
         if self.round_end is None:
             raise RuntimeError("start_round() must be called before step()")
@@ -267,9 +269,7 @@ class TdmaScheduler:
         if off == 0 and 0 <= g < len(groups):
             members = groups[g]
             n_cont = self.n_auv if self.contention == "fleet" else len(members)
-            p_con = (n_cont - 1) * self.coeffs.p_col
-            r_max, var_r = self.noise.r_max, self.var_r
-            sigma_theta, coeffs = self.noise.sigma_theta, self.coeffs
+            r_hf, var_r, sigma_theta = self.r_hf, self.var_r, self.noise.sigma_theta
             # EventLog.add inlined: this loop records most of a run's events
             kinds, stores = self.events.kinds, self.events.stores
             ping_rec, fix_rec, fuse_rec = stores[PING], stores[FIX], stores[FUSE]
@@ -286,11 +286,11 @@ class TdmaScheduler:
                     dy = py - a[1]
                     dz = pz - a[2]
                     r = math.sqrt(dx * dx + dy * dy + dz * dz)
-                    if r > r_max:
+                    if r > r_hf:
                         continue
                     heard = True
                     noise_tuples, loss_rng = paths[j]
-                    fx = attempt_fix(a, dx, dy, dz, r, p_con, var_r, sigma_theta, coeffs,
+                    fx = attempt_fix(a, dx, dy, dz, r, n_cont, var_r, sigma_theta,
                                      noise_tuples, loss_rng)
                     if fx is not None:
                         kinds.append(FIX)
@@ -311,7 +311,7 @@ class TdmaScheduler:
             self._mf_step(tick, vehicles, anchors)
         delivered = self.queue.pop_due(tick)
         for kd, i, _, _, ping_tick in delivered:
-            self.events.add(DELIVER, tick, i, (kd - ping_tick) / self.timing.f_t)
+            self.events.add(DELIVER, tick, i, (kd - ping_tick) / self.f_t)
         self.next_tick = self._next_event(tick)
         return delivered
 
@@ -351,5 +351,5 @@ class TdmaScheduler:
         if d > self.timing.r_mf:
             self.events.add(OUT_OF_MF_RANGE, tick, target)
             return
-        kd = tick + ticks_ceil(self.t_tx + d / self.noise.c, self.timing.f_t)
+        kd = tick + ticks_ceil(self.t_tx + d / self.noise.c, self.f_t)
         self.queue.push(kd, target, fix, ping_tick)

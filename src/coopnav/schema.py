@@ -57,13 +57,16 @@ def check(cfg, prefix: str = "") -> None:
 def hash_items(cfg) -> list[tuple[str, str]]:
     """(name, text) of the hashed scalar fields in declaration order (a
     string as it is, the rest as repr), then the repr of each nested
-    config's fields sorted by name."""
+    config's fields sorted by name.  A nested config's class attribute
+    ``retired`` holds the (name, text) pairs of fields it no longer has,
+    sorted in with the rest, so that deleting a field moves no hash."""
     top, nested = [], []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
         if is_dataclass(v):
-            nested += sorted((f"{f.name}.{g.name}", repr(getattr(v, g.name)))
-                             for g in fields(v))
+            items = [(g.name, repr(getattr(v, g.name))) for g in fields(v)]
+            nested += sorted((f"{f.name}.{name}", text)
+                             for name, text in items + list(getattr(v, "retired", ())))
         elif f.metadata["hashed"]:
             top.append((f.name, v if isinstance(v, str) else repr(v)))
     return top + nested

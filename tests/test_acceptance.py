@@ -255,7 +255,7 @@ def test_criterion_7_drift_envelope():
     for trial in range(n_trials):
         noise = NoiseStream(np.random.default_rng(20_000 + trial), (sigma, sigma),
                             math.sqrt(DT))
-        s = NavState.at(0.0, 0.0, 0.0, DT, bias=bias)
+        s = NavState.at(0.0, 0.0, 0.0, DT, bias=bias, gamma=0.9)
         inp = KinematicInput(0.0, 1.0, 0.0)     # at rest, heading 0
         for k in range(1, 9001):
             dead_reckon_step(s, inp, next(noise))

@@ -5,25 +5,21 @@ from itertools import repeat
 import numpy as np
 import pytest
 
-from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig, attempt_fix,
-                              fuse_fixes)
+from coopnav.acoustic import P_CAP, UsblNoiseConfig, attempt_fix, fuse_fixes
 from coopnav.conflict import Coloring
-from coopnav.engine import NoiseStream, uniform_stream
+from coopnav.engine import NoiseStream, SimConfig, uniform_stream
 from coopnav.mission import VehicleTruth
-from coopnav.protocol import PING, TdmaScheduler, TimingConfig
+from coopnav.protocol import PING, TdmaScheduler
 
-COEFFS = LossModelCoefficients()
-NO_LOSS = LossModelCoefficients(p_cap=0.0)     # the loss draw never loses
-RANGE_ONLY = LossModelCoefficients(p_cap=1.0)  # with one vehicle: the range term alone
+NO_LOSS = repeat(1.0)   # a loss draw of 1.0 is never below the capped loss probability
 
 
-def fix(asv, auv, noise, noise_tuples, n_auv=1, coeffs=NO_LOSS, loss_rng=repeat(0.5)):
+def fix(asv, auv, noise, noise_tuples, n_auv=1, loss_rng=NO_LOSS):
     """attempt_fix over an in-range path, handed the geometry and constants
     as the scheduler hands them over: (x, y, z, variance) or None."""
     dx, dy, dz = (b - a for a, b in zip(asv, auv))
-    return attempt_fix(asv, dx, dy, dz, math.dist(asv, auv), (n_auv - 1) * coeffs.p_col,
-                       noise.sigma_r ** 2, noise.sigma_theta, coeffs, noise_tuples,
-                       loss_rng)
+    return attempt_fix(asv, dx, dy, dz, math.dist(asv, auv), n_auv, noise.sigma_r ** 2,
+                       noise.sigma_theta, noise_tuples, loss_rng)
 
 
 def usbl_stream(noise, seed):
@@ -35,14 +31,14 @@ def as_float(bits):
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def loss_p(r, n_auv=1, coeffs=COEFFS):
+def loss_p(r, n_auv=1):
     """The loss probability attempt_fix applies at range r: the least draw
     that keeps the fix, bisected over the bit patterns of [0, 1]."""
-    noise, zeros = UsblNoiseConfig(r_max=2000.0), repeat((0.0, 0.0, 0.0))
+    noise, zeros = UsblNoiseConfig(), repeat((0.0, 0.0, 0.0))
     lo, hi = -1, struct.unpack("<q", struct.pack("<d", 1.0))[0]   # 0.0 is bits 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fix((0.0, 0.0, 0.0), (r, 0.0, 0.0), noise, zeros, n_auv, coeffs,
+        if fix((0.0, 0.0, 0.0), (r, 0.0, 0.0), noise, zeros, n_auv,
                repeat(as_float(mid))) is None:
             lo = mid
         else:
@@ -51,33 +47,34 @@ def loss_p(r, n_auv=1, coeffs=COEFFS):
 
 
 def test_loss_probability_values():
-    assert loss_p(0.0, coeffs=RANGE_ONLY) == 0.0                 # raw -0.083 clamps
-    assert loss_p(400.0, coeffs=RANGE_ONLY) == pytest.approx(0.552362, abs=1e-6)
-    assert loss_p(900.0, coeffs=RANGE_ONLY) == loss_p(800.0, coeffs=RANGE_ONLY) == 1.0
+    # with one vehicle: the range term alone, up to the cap
+    assert loss_p(0.0) == 0.0                 # raw -0.083 clamps
+    assert loss_p(400.0) == pytest.approx(0.552362, abs=1e-6)
+    assert loss_p(900.0) == loss_p(800.0) == P_CAP == 0.999
 
 
 def test_loss_probability_monotone_then_flat():
     rs = np.linspace(0, 800, 401)
-    ps = [loss_p(float(r), coeffs=RANGE_ONLY) for r in rs]
+    ps = [loss_p(float(r)) for r in rs]
     assert all(b >= a for a, b in zip(ps, ps[1:]))
-    assert loss_p(1200.0, coeffs=RANGE_ONLY) == ps[-1]
+    assert loss_p(1200.0) == ps[-1]
 
 
 def test_total_loss_probability():
     assert loss_p(50.0, 4) == pytest.approx(0.15)
     assert loss_p(50.0, 1) == 0.0
     assert loss_p(800.0, 1) == 0.999
-    # never below the range-only loss (up to the cap), never above the cap
+    # never below the range-only loss, never above the cap
     for r in (0, 100, 500, 800):
         for n in (1, 3, 10, 40):
             p = loss_p(float(r), n)
-            assert min(loss_p(float(r), coeffs=RANGE_ONLY), 0.999) <= p <= 0.999
+            assert loss_p(float(r)) <= p <= P_CAP
 
 
 # the fix measurement model: attempt_fix with a loss draw that never loses
 
 def test_measure_fix_noiseless_roundtrip():
-    noise = UsblNoiseConfig(sigma_r=0.0, sigma_theta=0.0, sigma_phi=0.0, r_max=500.0)
+    noise = UsblNoiseConfig(sigma_r=0.0, sigma_theta=0.0, sigma_phi=0.0)
     cases = [((0, 0, 0), (100, 0, 10)), ((5, -3, 0), (-40, 60, 25)),
              ((0, 0, 0), (0, 0, 30)), ((1, 2, 0), (1, 2, 0))]
     for asv, auv in cases:
@@ -87,8 +84,7 @@ def test_measure_fix_noiseless_roundtrip():
 
 def test_measure_fix_cross_range_noise_scale():
     # azimuth noise of 0.5 deg at ~100 m gives ~0.87 m cross-range scatter
-    noise = UsblNoiseConfig(sigma_r=0.0, sigma_theta=0.00873, sigma_phi=0.0,
-                            r_max=500.0)
+    noise = UsblNoiseConfig(sigma_r=0.0, sigma_theta=0.00873, sigma_phi=0.0)
     stream = usbl_stream(noise, 1)
     ys = [fix((0, 0, 0), (100, 0, -10), noise, stream)[1]
           for _ in range(10_000)]
@@ -96,8 +92,7 @@ def test_measure_fix_cross_range_noise_scale():
 
 
 def test_measure_fix_along_range_noise_scale():
-    noise = UsblNoiseConfig(sigma_r=0.1, sigma_theta=0.0, sigma_phi=0.0,
-                            r_max=500.0)
+    noise = UsblNoiseConfig(sigma_r=0.1, sigma_theta=0.0, sigma_phi=0.0)
     stream = usbl_stream(noise, 2)
     xs = [fix((0, 0, 0), (50, 0, -10), noise, stream)[0]
           for _ in range(10_000)]
@@ -106,35 +101,34 @@ def test_measure_fix_along_range_noise_scale():
 
 
 def test_attempt_fix_range_cutoff():
-    # the scheduler attempts a fix up to r_max and no further; beyond it the
+    # the scheduler attempts a fix up to r_hf and no further; beyond it the
     # ping is unheard and nothing is drawn
-    noise = UsblNoiseConfig(r_max=50.0)
     never = iter(lambda: pytest.fail("an out-of-range attempt drew"), None)
     paths = [[(never, never)], [(repeat((0.0, 0.0, 0.0)), repeat(0.99))]]
-    sched = TdmaScheduler(TimingConfig(), noise, COEFFS, 60.0, paths)
+    sched = TdmaScheduler(SimConfig(L=60.0, r_hf=50.0), paths)
     graph, coloring = [set(), set()], Coloring([0, 0], 1)
     sched.start_round(graph, coloring, 0)
     auvs = [VehicleTruth(60.0, 0.0, 0.0, 0.0), VehicleTruth(30.0, 0.0, 40.0, 0.0)]
     sched.step(0, auvs, [(0.0, 0.0, 0.0)], lambda: (graph, coloring))
     assert [i for _, i, _ in sched.events.records(PING)] == [0, 1] and sched.heard == [0, 1]
-    # AUV 1, exactly r_max away, is attempted and its fix kept
+    # AUV 1, exactly r_hf away, is attempted and its fix kept
     assert [e for e in sched.events if e.startswith("FIX")] == [
         "FIX{tick=0, auv=1, asv=0, pos=(30.000000, 0.000000, 40.000000), var=0.200386}"]
 
 
 def test_attempt_fix_short_range_always_delivers():
-    noise = UsblNoiseConfig(r_max=50.0)
+    noise = UsblNoiseConfig()
     stream = usbl_stream(noise, 4)
     loss = uniform_stream(np.random.default_rng(14))
     for _ in range(200):
-        assert fix((0, 0, 0), (10, 0, 0), noise, stream, 1, COEFFS, loss) is not None
+        assert fix((0, 0, 0), (10, 0, 0), noise, stream, 1, loss) is not None
 
 
 def test_attempt_fix_empirical_loss_rate():
     # r = 50 m with four vehicles: loss probability 0.15
-    noise = UsblNoiseConfig(r_max=80.0)
+    noise = UsblNoiseConfig()
     stream, loss = usbl_stream(noise, 5), uniform_stream(np.random.default_rng(15))
-    lost = sum(fix((0, 0, 0), (50, 0, 0), noise, stream, 4, COEFFS, loss) is None
+    lost = sum(fix((0, 0, 0), (50, 0, 0), noise, stream, 4, loss) is None
                for _ in range(10_000))
     assert lost / 10_000 == pytest.approx(0.15, abs=0.01)
 

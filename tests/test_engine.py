@@ -9,6 +9,7 @@ from coopnav.acoustic import UsblNoiseConfig
 from coopnav.engine import RNG_BLOCK, NoiseStream, SimConfig, derive_rng, run, uniform_stream
 from coopnav.mission import GuidanceConfig
 from coopnav.protocol import BCAST, DELIVER, PING, TimingConfig
+from coopnav.schema import hash_items
 
 
 def short_cfg(**kw):
@@ -145,6 +146,30 @@ def test_run_rejects_usbl_noise_without_range_or_azimuth_spread():
 def test_default_config_hash_is_pinned():
     # the hash identifies runs in sweep outputs; it changes only on purpose
     assert SimConfig().config_hash() == "e2fd90d2b6ae"
+    # a 300 s L=40 cell of 3 AUVs and 4 jittered ASVs, as an INI gives it
+    assert SimConfig(L=40.0, n_auv=3, n_asv=4, r_hf=30.0, asv_jitter_std=0.5,
+                     depth=5.0).config_hash() == "94f4d2a6b79b"
+    # the cells of a 2x2x2 sweep of 60 s missions
+    cells = {SimConfig(L=L, n_asv=n_asv, n_auv=n_auv, duration=60.0).config_hash()
+             for L in (60.0, 140.0) for n_asv in (1, 3) for n_auv in (4, 6)}
+    assert cells == {"1136c40e898d", "330408614de2", "af3ae89b8dc1", "c53b93a369ae",
+                     "dae13bb4aaf9", "dbc58fb8f1cf", "e4f71f8a67d3", "f5e6b078819c"}
+
+
+def test_deleted_fields_keep_their_hash_entries():
+    # noise.r_max and timing.f_t are no fields any more; their former default
+    # text is hashed in its sorted place, so no hash moved when they went
+    items = hash_items(SimConfig())
+    assert [k for k, _ in items] == [
+        "L", "n_auv", "n_asv", "alpha0", "duration", "f_t", "r_hf", "delta_b",
+        "asv_jitter_std", "depth", "track_spacing", "bias", "sigma", "sigma_z", "gamma",
+        "guidance_on_truth", "usbl_enabled", "conflict_source", "contention",
+        "noise.c", "noise.r_max", "noise.sigma_phi", "noise.sigma_r", "noise.sigma_theta",
+        "timing.b_fix", "timing.f_t", "timing.guard_factor_dl", "timing.guard_factor_ul",
+        "timing.max_fix_age_s", "timing.min_slot_factor_dl", "timing.min_slot_factor_ul",
+        "timing.n_hdr", "timing.overhead", "timing.r_dl", "timing.r_mf", "timing.t_p",
+        "guidance.capture_radius", "guidance.cruise_speed", "guidance.max_yaw_rate"]
+    assert {("noise.r_max", "50.0"), ("timing.f_t", "30")} <= set(items)
 
 
 def test_config_hash_ignores_seed():

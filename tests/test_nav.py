@@ -9,10 +9,12 @@ from coopnav.nav import (KinematicInput, NavState, apply_fix, dead_reckon_step,
 
 DT = 1.0 / 30.0
 QUIET = (0.0, 0.0)     # no IMU noise this step
+CFG = SimConfig()
 
 
-def state(x=0.0, y=0.0, z=0.0, dt=DT, **kw):
-    return NavState.at(x, y, z, dt, **kw)
+def state(x=0.0, y=0.0, z=0.0, dt=DT, bias=CFG.bias, gamma=CFG.gamma):
+    """A nav state at (x, y, z), with the run config's bias and gain unless given."""
+    return NavState.at(x, y, z, dt, bias=bias, gamma=gamma)
 
 
 def heading(speed, psi):

@@ -28,8 +28,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from coopnav import protocol  # noqa: E402
-from coopnav.acoustic import (LossModelCoefficients, UsblNoiseConfig,  # noqa: E402
-                              attempt_fix)
+from coopnav.acoustic import UsblNoiseConfig, attempt_fix  # noqa: E402
 from coopnav.conflict import (Coloring, audibility_masks,  # noqa: E402
                               build_conflict_graph, greedy_color)
 from coopnav.engine import (RNG_BLOCK, NoiseStream, Recolorer, SimConfig,  # noqa: E402
@@ -89,13 +88,13 @@ def next_group_start(k_start: int, t_ul: float, f_t: float) -> int:
     return k_start + ticks_ceil(t_ul, f_t)
 
 
-def former_layout(k, L, round_start, cfg, tau, c):
+def former_layout(k, L, round_start, cfg, tau, c, f_t):
     """Group starts and round end as laid out one slot after another."""
     t_ul = uplink_slot_duration(L, tau, cfg, c)
     starts, tick = [], round_start
     for _ in range(max(k, 1)):
         starts.append(tick)
-        tick = next_group_start(tick, t_ul, cfg.f_t)
+        tick = next_group_start(tick, t_ul, f_t)
     return starts, tick
 
 
@@ -103,15 +102,15 @@ def former_layout(k, L, round_start, cfg, tau, c):
 @given(L=st.sampled_from([40.0, 60.0, 70.0, 140.0]), k=st.integers(1, 6),
        round_start=st.integers(0, 10_000), f_t=st.sampled_from([10, 30, 50]))
 def test_slot_starts_from_constants_equal_the_former_layout(L, k, round_start, f_t):
-    cfg = TimingConfig(f_t=f_t)
-    noise = UsblNoiseConfig(r_max=50.0)
+    cfg, noise, r_hf = TimingConfig(), UsblNoiseConfig(), 50.0
     # every AUV far out of range: each slot shows as its group's pings only
     pos = [VehicleTruth(1000.0 * (i + 1), 0.0, 10.0, 0.0) for i in range(k)]
-    sched = TdmaScheduler(cfg, noise, LossModelCoefficients(), L, [[(None, None)]] * k)
+    sched = TdmaScheduler(SimConfig(L=L, f_t=f_t, r_hf=r_hf, noise=noise, timing=cfg),
+                          [[(None, None)]] * k)
     coloring = Coloring(list(range(k)), k)
     graph = from_edges(k)
     sched.start_round(graph, coloring, round_start)
-    starts, end = former_layout(k, L, round_start, cfg, noise.r_max / noise.c, noise.c)
+    starts, end = former_layout(k, L, round_start, cfg, r_hf / noise.c, noise.c, f_t)
     assert sched.round_end == end
     anchors = anchor_points(np.zeros((1, 2)))
     tick = round_start
@@ -231,29 +230,33 @@ def test_fleet_queue_releases_as_per_auv_queues(ops):
         assert fleet.head_tick() == (min(heads) if heads else None)
 
 
-def loss_probability(r, coeffs):
+# the loss model's coefficients as its former config class held them
+A, B, C0, D, R_CLIP, P_COL, P_CAP = -6.070, 2.12e-3, 5.987, 2.25e-3, 800.0, 0.05, 0.999
+
+
+def loss_probability(r):
     """Range-dependent fix loss probability, clamped into [0, 1]."""
-    rt = min(r, coeffs.r_clip)
-    raw = coeffs.a * math.exp(coeffs.b * rt) + coeffs.c0 * math.exp(coeffs.d * rt)
+    rt = min(r, R_CLIP)
+    raw = A * math.exp(B * rt) + C0 * math.exp(D * rt)
     return min(max(raw, 0.0), 1.0)
 
 
-def total_loss_probability(r, n_auv, coeffs):
+def total_loss_probability(r, n_auv):
     """Loss probability including the contention term for a fleet of n_auv."""
-    return min(loss_probability(r, coeffs) + (n_auv - 1) * coeffs.p_col, coeffs.p_cap)
+    return min(loss_probability(r) + (n_auv - 1) * P_COL, P_CAP)
 
 
 @settings(max_examples=300, deadline=None)
 @given(dx=st.floats(-40, 40), dy=st.floats(-40, 40), dz=st.floats(0, 30),
        n_auv=st.integers(1, 25))
 def test_inlined_loss_test_is_total_loss_probability(dx, dy, dz, n_auv):
-    noise, coeffs = UsblNoiseConfig(r_max=100.0), LossModelCoefficients()
+    noise = UsblNoiseConfig()
     asv, auv = (3.0, -2.0, 0.0), (3.0 + dx, -2.0 + dy, dz)
     r = math.sqrt(dx * dx + dy * dy + dz * dz)
-    p = total_loss_probability(r, n_auv, coeffs)
+    p = total_loss_probability(r, n_auv)
     zeros = repeat((0.0, 0.0, 0.0))
-    kept = lean_attempt_fix(asv, auv, r, n_auv, noise, coeffs, zeros, repeat(p))
-    lost = lean_attempt_fix(asv, auv, r, n_auv, noise, coeffs, zeros,
+    kept = lean_attempt_fix(asv, auv, r, n_auv, noise, zeros, repeat(p))
+    lost = lean_attempt_fix(asv, auv, r, n_auv, noise, zeros,
                             repeat(math.nextafter(p, -math.inf)))
     assert kept is not None and lost is None
 
@@ -327,7 +330,7 @@ def test_lean_truth_and_dead_reckoning_equal_the_former_step(
     former_step(old, speed, yaw_cmd, cfg, dt, 10.0, old_p, bias, ex, ey)
 
     new = VehicleTruth(x, y, 10.0, yaw)
-    nav = NavState.at(x + 1.0, y - 1.0, 10.0, dt, bias=bias)
+    nav = NavState.at(x + 1.0, y - 1.0, 10.0, dt, bias=bias, gamma=0.9)
     sq = math.sqrt(dt)
     c, s = advance_truth(new, speed, yaw_cmd, cfg.max_yaw_rate * dt, dt)
     dead_reckon_step(nav, KinematicInput(speed, c, s), (ex * sq, ey * sq))
@@ -432,28 +435,23 @@ def test_block_built_anchors_equal_the_per_tick_sums(base, jitter):
     assert repr([[tuple(a) for a in row] for row in got]) == repr(want)
 
 
-def lean_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, coeffs, noise_tuples, loss_rng):
-    """``attempt_fix`` as the scheduler calls it: past its range test, with
-    the offset, the contention term and ``sigma_r ** 2`` computed for it."""
-    if r > noise.r_max:
-        return None
+def lean_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, noise_tuples, loss_rng):
+    """``attempt_fix`` as the scheduler calls it past its range test, with
+    the offset and ``sigma_r ** 2`` computed for it."""
     dx, dy, dz = (auv_pos[k] - asv_pos[k] for k in range(3))
-    return attempt_fix(asv_pos, dx, dy, dz, r, (n_auv - 1) * coeffs.p_col,
-                       noise.sigma_r ** 2, noise.sigma_theta, coeffs, noise_tuples, loss_rng)
+    return attempt_fix(asv_pos, dx, dy, dz, r, n_auv, noise.sigma_r ** 2,
+                       noise.sigma_theta, noise_tuples, loss_rng)
 
 
-def former_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, coeffs, noise_tuples,
-                       loss_rng):
-    """``attempt_fix`` as it was: the range test, the offset and the
-    constants inside, and the fix as (x, y, z, variance)."""
-    if r > noise.r_max:
-        return None
-    rc, pc = coeffs.r_clip, coeffs.p_cap
-    rt = rc if rc < r else r
-    p = coeffs.a * math.exp(coeffs.b * rt) + coeffs.c0 * math.exp(coeffs.d * rt)
+def former_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, noise_tuples, loss_rng):
+    """``attempt_fix`` as it was, past its range test: the offset, the
+    contention term and the constants inside, and the fix as (x, y, z,
+    variance)."""
+    rt = R_CLIP if R_CLIP < r else r
+    p = A * math.exp(B * rt) + C0 * math.exp(D * rt)
     p = 0.0 if 0.0 > p else p
-    p = (1.0 if 1.0 < p else p) + (n_auv - 1) * coeffs.p_col
-    p = pc if pc < p else p
+    p = (1.0 if 1.0 < p else p) + (n_auv - 1) * P_COL
+    p = P_CAP if P_CAP < p else p
     if next(loss_rng) < p:
         return None
     ax, ay, az = asv_pos[0], asv_pos[1], asv_pos[2]
@@ -491,22 +489,16 @@ RANGE = st.one_of(EDGE, st.floats(0.0, 900.0), st.floats(-1e-300, 1e-300))
 @settings(max_examples=500, deadline=None)
 @given(r=RANGE, dz=ANY_FLOAT, n=st.tuples(ANY_FLOAT, EDGE, EDGE),
        n_auv=st.integers(1, 30), u=st.one_of(EDGE, st.floats(0.0, 1.0)),
-       r_clip=st.one_of(EDGE, st.floats(0.0, 900.0)),
-       p_cap=st.one_of(EDGE, st.floats(0.0, 1.0)),
        asv=st.sampled_from([(1.0, -2.0, 0.0), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)]))
-@example(r=-0.0, dz=-0.0, n=(-0.0, 0.0, 0.0), n_auv=1, u=1.0, r_clip=800.0,
-         p_cap=0.999, asv=(-0.0, -0.0, -0.0))
-@example(r=10.0, dz=20.0, n=(-11.0, 0.0, 0.0), n_auv=1, u=1.0, r_clip=800.0,
-         p_cap=0.999, asv=(1.0, -2.0, 0.0))
-@example(r=math.nan, dz=1.0, n=(0.0, 0.0, 0.0), n_auv=1, u=0.5, r_clip=800.0,
-         p_cap=0.999, asv=(1.0, -2.0, 0.0))
-def test_lean_attempt_fix_equals_the_former_one(r, dz, n, n_auv, u, r_clip, p_cap, asv):
+@example(r=-0.0, dz=-0.0, n=(-0.0, 0.0, 0.0), n_auv=1, u=1.0, asv=(-0.0, -0.0, -0.0))
+@example(r=10.0, dz=20.0, n=(-11.0, 0.0, 0.0), n_auv=1, u=1.0, asv=(1.0, -2.0, 0.0))
+@example(r=math.nan, dz=1.0, n=(0.0, 0.0, 0.0), n_auv=1, u=0.5, asv=(1.0, -2.0, 0.0))
+def test_lean_attempt_fix_equals_the_former_one(r, dz, n, n_auv, u, asv):
     # r is the caller's range, not recomputed, so the clamps meet any float;
     # signed-zero anchors let the sign of a zero range show in the position
-    noise = UsblNoiseConfig(r_max=math.inf)
-    coeffs = LossModelCoefficients(r_clip=r_clip, p_cap=p_cap)
+    noise = UsblNoiseConfig()
     ax, ay, az = asv
-    args = (asv, (ax + 3.0, ay + 4.0, dz), r, n_auv, noise, coeffs)
+    args = (asv, (ax + 3.0, ay + 4.0, dz), r, n_auv, noise)
     assert (outcome(lean_attempt_fix, *args, repeat(n), repeat(u)) ==
             outcome(former_attempt_fix, *args, repeat(n), repeat(u)))
 
@@ -570,8 +562,7 @@ def test_improper_coloring_raises_at_start_round(data, n):
     want = former_slot_check(graph, coloring)
 
     def scheduler():
-        return TdmaScheduler(TimingConfig(), UsblNoiseConfig(), LossModelCoefficients(),
-                             60.0, [[(None, None)]] * n)
+        return TdmaScheduler(SimConfig(), [[(None, None)]] * n)
 
     # a new coloring, checked on its first graph
     new = scheduler()

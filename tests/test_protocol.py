@@ -5,10 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from coopnav.acoustic import LossModelCoefficients, UsblNoiseConfig, attempt_fix
+from coopnav.acoustic import UsblNoiseConfig, attempt_fix
 from coopnav.conflict import (Coloring, audibility_masks, build_conflict_graph,
                               greedy_color)
-from coopnav.engine import NoiseStream, derive_rng, uniform_stream
+from coopnav.engine import NoiseStream, SimConfig, derive_rng, uniform_stream
 from coopnav.mission import VehicleTruth
 from coopnav.protocol import (BCAST, DELIVER, EXPIRED, FIX, FUSE, OUT_OF_MF_RANGE, PING,
                               FixQueue, TdmaScheduler, TimingConfig, anchor_points,
@@ -17,6 +17,7 @@ from graphs import from_edges
 
 CFG = TimingConfig()
 C = 1500.0   # m/s
+F_T = 30     # Hz
 
 
 def test_ticks_ceil():
@@ -28,10 +29,10 @@ def test_ticks_ceil():
     assert ticks_ceil(0.23333333333333334, 30) == 7
 
 
-def scheduler(L=60.0, timing=CFG, c=C):
-    """A one-AUV, one-ASV scheduler with HF range 50 m."""
-    return TdmaScheduler(timing, UsblNoiseConfig(c=c, r_max=50.0),
-                         LossModelCoefficients(), L, make_paths(1, 1))
+def scheduler(L=60.0, timing=CFG, c=C, f_t=F_T, r_hf=50.0):
+    """A one-AUV, one-ASV scheduler, with HF range 50 m by default."""
+    cfg = SimConfig(L=L, f_t=f_t, r_hf=r_hf, noise=UsblNoiseConfig(c=c), timing=timing)
+    return TdmaScheduler(cfg, make_paths(1, 1))
 
 
 # At the defaults both slots sit on their floors of 2.5 and 10 crossing
@@ -53,17 +54,15 @@ def test_slot_durations_respect_minimums():
         tc = L / C
         for b_fix in (16, 64):
             sched = scheduler(L, TimingConfig(b_fix=b_fix))
-            assert sched.slot_ticks >= ticks_ceil(2.5 * tc, CFG.f_t)
-            assert sched.mf_slot_ticks >= ticks_ceil(10.0 * tc, CFG.f_t)
+            assert sched.slot_ticks >= ticks_ceil(2.5 * tc, F_T)
+            assert sched.mf_slot_ticks >= ticks_ceil(10.0 * tc, F_T)
 
 
 def test_uplink_slot_duration():
-    # ping + worst one-way time r_max / c + guard, floored at 2.5 crossing
+    # ping + worst one-way time r_hf / c + guard, floored at 2.5 crossing
     # times: 0.1 s (floor), 0.2333 s (floor) and 0.23 s (guard) in ticks
-    for L, r_max, want in ((60.0, 50.0, 3), (140.0, 50.0, 7), (60.0, 300.0, 7)):
-        sched = TdmaScheduler(CFG, UsblNoiseConfig(c=C, r_max=r_max),
-                              LossModelCoefficients(), L, make_paths(1, 1))
-        assert sched.slot_ticks == want
+    for L, r_hf, want in ((60.0, 50.0, 3), (140.0, 50.0, 7), (60.0, 300.0, 7)):
+        assert scheduler(L, r_hf=r_hf).slot_ticks == want
 
 
 def test_next_group_start_exact_products():
@@ -118,7 +117,7 @@ def test_a_broadcast_beyond_mf_range_is_dropped():
 def test_e2e_latency():
     # a fix's latency runs from its ping tick to its delivery tick
     for f_t in (10, 30):
-        sched = scheduler(timing=TimingConfig(f_t=f_t))
+        sched = scheduler(f_t=f_t)
         entries = [entry for _, entry in static_run(sched, (20.0, 0.0, 10.0))]
         assert entries
         assert [lat for _, _, lat in sched.events.records(DELIVER)] == [
@@ -173,8 +172,7 @@ def vehicles(pos):
 def one_round(pos, asv, graph, coloring, ticks=None):
     """Step a scheduler at L=60 every tick over its first round, or ``ticks``
     ticks; returns it and its rendered events."""
-    sched = TdmaScheduler(TimingConfig(), UsblNoiseConfig(r_max=50.0),
-                          LossModelCoefficients(), 60.0, make_paths(len(pos), len(asv)))
+    sched = TdmaScheduler(SimConfig(L=60.0, r_hf=50.0), make_paths(len(pos), len(asv)))
     sched.start_round(graph, coloring, 0)
     anchors, auvs = anchor_points(asv), vehicles(pos)
     for k in range(sched.round_end if ticks is None else ticks):
@@ -249,7 +247,7 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
     coloring = greedy_color(g)
     sched, events = one_round(pos, asv, g, coloring)
 
-    noise, coeffs, paths = UsblNoiseConfig(r_max=50.0), LossModelCoefficients(), make_paths(3, 2)
+    noise, paths = UsblNoiseConfig(), make_paths(3, 2)
     ref = []
     for grp, members in enumerate(coloring.groups()):
         tick = grp * sched.slot_ticks
@@ -259,11 +257,11 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
             for j, a in enumerate(anchor_points(asv)):
                 dx, dy, dz = (p - q for p, q in zip(pos[i], a))
                 r = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if r > noise.r_max:
+                if r > 50.0:
                     continue
                 usbl, loss = paths[i][j]
-                fx = attempt_fix(a, dx, dy, dz, r, 2 * coeffs.p_col, noise.sigma_r ** 2,
-                                 noise.sigma_theta, coeffs, usbl, loss)
+                fx = attempt_fix(a, dx, dy, dz, r, 3, noise.sigma_r ** 2,
+                                 noise.sigma_theta, usbl, loss)
                 if fx is not None:
                     x, y, z, var = fx
                     ref.append(f"FIX{{tick={tick}, auv={i}, asv={j}, "
@@ -292,8 +290,7 @@ def drive_scheduler(trace, asv, skip_idle):
         return g, greedy_color(g)
 
     n_auv = len(trace[0])
-    sched = TdmaScheduler(TimingConfig(), UsblNoiseConfig(r_max=50.0),
-                          LossModelCoefficients(), 70.0, make_paths(n_auv, len(asv), seed=3))
+    sched = TdmaScheduler(SimConfig(L=70.0, r_hf=50.0), make_paths(n_auv, len(asv), seed=3))
     sched.start_round(*recolor(trace[0]), 0)
     anchors = anchor_points(asv)
     deliveries, steps = [], 0

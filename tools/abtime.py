@@ -16,8 +16,9 @@ win share over the untied pairs (a tie counts for neither side).  Host
 speed drifts within a benchmark run (perfbench/README.md); two runs timed
 back to back see nearly the same host, so the pair ratio cancels the drift.
 
-Every pair's event log, trace log and numeric report must be equal, as
-``tools/diffcheck.py``'s ``fingerprint`` hashes them outside the timed call:
+Every pair's config hash, event log, trace log and numeric report must be
+equal, as ``tools/diffcheck.py``'s ``fingerprint`` hashes them outside the
+timed call:
 the script exits 1 on the first mismatch, 0 otherwise.
 """
 

@@ -6,9 +6,9 @@
 PARENT_SRC and CHANGE_SRC are ``src/`` directories of two checkouts.  Each
 tree runs the same ``--n`` random ``SimConfig`` missions in a subprocess of
 its own that imports coopnav from that tree alone.  Per mission the check
-compares the sha1 of the event log, of the trace log and of the full-``repr``
-numeric report (as ``tests/test_run_digests.py`` computes them), or the type
-and text of the exception the mission raised.  It also compares the exit
+compares the config hash, the sha1 of the event log, of the trace log and of
+the full-``repr`` numeric report (as ``tests/test_run_digests.py`` computes
+them), or the type and text of the exception the mission raised.  It also compares the exit
 code and stdout of ``coopnav check-coverage`` on an INI holding the
 mission's L, n_asv, r_hf, delta_b and alpha0.  Each tree also runs the same
 few random sweep INIs through ``coopnav sweep``, and the check compares the
@@ -59,13 +59,14 @@ SWEEP_OUTPUTS = ("runs.csv", "aggregate.csv", "heatmap.txt")
 
 
 def fingerprint(rep) -> str:
-    """A mission report's event-log, trace-log and numeric-report sha1s."""
+    """A mission report's config hash and its event-log, trace-log and
+    numeric-report sha1s."""
     def sha1(lines) -> str:
         return hashlib.sha1(("\n".join(lines) + "\n").encode()).hexdigest()
 
     numeric = [(name, [dataclasses.asdict(a) for a in rep.per_auv]
                 if name == "per_auv" else getattr(rep, name)) for name in REPORT_FIELDS]
-    return " ".join((sha1(rep.event_log), sha1(rep.trace_log),
+    return " ".join((rep.config_hash, sha1(rep.event_log), sha1(rep.trace_log),
                      hashlib.sha1(repr(numeric).encode()).hexdigest()))
 
 
