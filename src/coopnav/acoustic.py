@@ -44,15 +44,15 @@ def attempt_fix(asv, dx: float, dy: float, dz: float, r: float, n_cont: int, var
     of the fix, or None when it was lost.
 
     The caller hands over what its range test computed: the AUV's offset
-    (dx, dy, dz) from the ``asv`` position and the slant range ``r``.  It
-    also passes ``n_cont``, the number of contending vehicles, and from the
-    noise config ``var_r = sigma_r ** 2`` and ``sigma_theta``.  Loss is a
-    modeled outcome, not an error: the fix is lost when the next
-    ``loss_rng`` draw u < P_loss_total(r), the range-dependent double
-    exponential clamped into [0, 1], plus ``(n_cont - 1) * P_COL``, capped
-    at ``P_CAP``.  A kept fix decomposes the offset into (range, azimuth,
+    (dx, dy, dz) from the ``asv`` position (x, y), at z = 0 as every ASV
+    is, and the slant range ``r``.  It also passes ``n_cont``, the number
+    of contending vehicles, and from the noise config ``var_r = sigma_r **
+    2`` and ``sigma_theta``.  Loss is a modeled outcome, not an error: the
+    fix is lost when the next ``loss_rng`` draw u < P_loss_total(r), the
+    range-dependent double exponential clamped into [0, 1], plus
+    ``(n_cont - 1) * P_COL``, capped at ``P_CAP``.  A kept fix decomposes the offset into (range, azimuth,
     elevation), adds the next ``noise_tuples`` triple of pre-scaled
-    perturbations, and reconstructs ``asv + r*(cos(phi)cos(theta),
+    perturbations, and reconstructs ``(x, y, 0) + r*(cos(phi)cos(theta),
     cos(phi)sin(theta), sin(phi))``; its variance is ``var_r + (r *
     sigma_theta) ** 2``.
     """
@@ -74,8 +74,9 @@ def attempt_fix(asv, dx: float, dy: float, dz: float, r: float, n_cont: int, var
     t_m = theta + n_theta
     p_m = phi + n_phi
     cp = cos(p_m)
-    ax, ay, az = asv
-    return (ax + r_m * cp * cos(t_m), ay + r_m * cp * sin(t_m), az + r_m * sin(p_m),
+    ax, ay = asv
+    # the ASV's z = 0: 0.0 + maps a height of -0.0 to 0.0
+    return (ax + r_m * cp * cos(t_m), ay + r_m * cp * sin(t_m), 0.0 + r_m * sin(p_m),
             var_r + (r * sigma_theta) ** 2)
 
 
@@ -84,11 +85,11 @@ def fuse_fixes(fixes: list[tuple[float, float, float, float]]) -> tuple[float, f
     fixes into the fused (x, y, z).
 
     With equal variances this is the arithmetic mean, of variance sigma^2/K.
+    Every variance is > 0: ``SimConfig.validate`` rejects a noise config
+    whose fixes could have variance 0.
     """
     wsum = x = y = z = 0.0
     for px, py, pz, v in fixes:
-        if v <= 0:
-            raise ValueError("fix variance must be > 0")
         wsum += 1.0 / v
         x += px / v
         y += py / v

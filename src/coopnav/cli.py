@@ -90,6 +90,8 @@ def _read_ini(path: str | Path) -> tuple[configparser.ConfigParser, str]:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if parser.defaults():   # configparser folds these keys into every section
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
     return parser, text
 
 
@@ -389,15 +391,9 @@ def positive_int(raw: str) -> int:
     return n
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="coopnav",
-                description="cooperative acoustic localization simulator")
+    p = argparse.ArgumentParser(prog="coopnav",
+                                description="cooperative acoustic localization simulator")
     p.add_argument("--log-level", default="warning",
                    choices=["debug", "info", "warning", "error"])
     sub = p.add_subparsers(dest="command", required=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass
@@ -17,6 +18,7 @@ class Coloring:
     color: list[int]
     k: int
 
+    @cached_property
     def groups(self) -> list[list[int]]:
         """Vertex indices per color class, ascending within each group."""
         out = [[] for _ in range(self.k)]
@@ -28,9 +30,9 @@ class Coloring:
 def audibility_masks(auv_positions, anchors, r_hf: float) -> list[int]:
     """Per-AUV bitmask of the ASVs within r_hf (horizontal) of it.
 
-    Bit j of entry i is set when ASV j hears AUV i.  ``anchors`` are ASV
-    positions whose first two coordinates are x and y.  The range is
-    sqrt(dx*dx + dy*dy), what numpy's norm computes for a 2-vector.
+    Bit j of entry i is set when ASV j hears AUV i.  ``anchors`` are the
+    ASVs' (x, y) positions.  The range is sqrt(dx*dx + dy*dy), what numpy's
+    norm computes for a 2-vector.
     """
     masks = []
     for p in auv_positions:

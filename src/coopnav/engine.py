@@ -231,10 +231,9 @@ def jittered_anchors(base_asv, jitter) -> list:
 
     ``jitter`` is a (ticks, n_asv, 2) array.  numpy's float64 ``+`` gives
     the IEEE sum of each pair, so every coordinate is the scalar ``bx +
-    jx``; the z column is 0.0.
+    jx``.
     """
-    xy = jitter + base_asv
-    return np.concatenate((xy, np.zeros(xy.shape[:-1] + (1,))), axis=-1).tolist()
+    return (jitter + base_asv).tolist()
 
 
 def _percentile(sorted_vals: list[float], q: float) -> float:
@@ -294,17 +293,8 @@ def run(config: SimConfig) -> MissionReport:
     auvs = list(zip(range(n), truths, navs, kin, imu_noise, depth_noise, waypoints))
     metered = list(zip(range(n), truths, navs, segments))
 
-    proto = TdmaScheduler(config, paths)
-    last_fix_xy = [(t.x, t.y) for t in truths]
     anchors = anchor_points(base_asv)
-    recolorer = Recolorer(config.r_hf)
-
-    def recolor():
-        if config.conflict_source == "truth":
-            return recolorer([(t.x, t.y) for t in truths], anchors)
-        return recolorer(last_fix_xy, anchors)
-
-    proto.start_round(*recolor(), tick=0)
+    proto = TdmaScheduler(config, paths, Recolorer(config.r_hf), truths, anchors)
 
     cte_sum = [0.0] * n
     err_sum = [0.0] * n
@@ -343,16 +333,14 @@ def run(config: SimConfig) -> MissionReport:
             depth_update(nav, depth, next(dz))
 
         if active:
-            for _, i, _, fix, _ in proto.step(k, truths, anchors, recolor):
+            for _, i, _, fix, _ in proto.step(k, anchors):
                 p = navs[i].p_fused
-                fx, fy = fix[0], fix[1]
-                innov = math.hypot(fx - p[0], fy - p[1])
+                innov = math.hypot(fix[0] - p[0], fix[1] - p[1])
                 if innov > max_innovation:
                     max_innovation = innov
                 # predict once, and only in place of a skipped fused step
                 apply_fix(navs[i], fix, kin[i], i in due)
                 due.discard(i)
-                last_fix_xy[i] = (fx, fy)
 
         for i, t, nav, segs in metered:
             x, y = t.x, t.y

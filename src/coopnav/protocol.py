@@ -150,22 +150,25 @@ class FixQueue:
         return out
 
 
-def anchor_points(asv_xy) -> list[tuple[float, float, float]]:
-    """ASV positions of an (n_asv, 2) array as plain (x, y, 0) tuples."""
-    return [(x, y, 0.0) for x, y in asv_xy.tolist()]
+def anchor_points(asv_xy) -> list[tuple[float, float]]:
+    """ASV positions of an (n_asv, 2) array as plain (x, y) tuples."""
+    return [(x, y) for x, y in asv_xy.tolist()]
 
 
 class TdmaScheduler:
     """Incremental protocol engine driven one tick at a time.
 
-    Owns the round schedule, the downlink fix buffer, the MF channel state
-    and the fleet's causal delivery queue.  The host simulation supplies
-    its vehicles' true positions and a recoloring callback fired at each
-    round boundary.  ``config`` is the run's ``SimConfig``, taken as its
-    ``validate`` left it: the scheduler reads its ``L``, ``f_t``, ``r_hf``
-    (the HF audibility cutoff), ``contention``, ``timing`` and ``noise``.
-    ``paths[i][j]`` is the (noise tuples, loss stream) pair of the path from
-    AUV i to ASV j.
+    Owns the round lifecycle, the downlink fix buffer, the MF channel state
+    and the fleet's causal delivery queue.  ``config`` is the run's
+    ``SimConfig``, taken as its ``validate`` left it: the scheduler reads its
+    ``L``, ``f_t``, ``r_hf`` (the HF audibility cutoff), ``contention``,
+    ``conflict_source``, ``timing`` and ``noise``.  ``paths[i][j]`` is the
+    (noise tuples, loss stream) pair of the path from AUV i to ASV j;
+    ``vehicles[i]``, which the host moves, is AUV i's true position as its
+    ``x``, ``y`` and ``z``.  A round's (graph, coloring) pair is
+    ``recolorer(positions, anchors)`` of the AUVs' (x, y) and the ASVs':
+    round 0 at tick 0 from the vehicles and ``anchors``, each later round at
+    the previous one's end (see ``step``).
 
     Slot lengths, the one-fix payload and its airtime depend only on the
     configuration, so they are computed once: group g of a round starting
@@ -180,7 +183,7 @@ class TdmaScheduler:
     them; stepping every tick gives the same result.
     """
 
-    def __init__(self, config, paths):
+    def __init__(self, config, paths, recolorer, vehicles, anchors):
         self.timing = timing = config.timing
         self.noise = noise = config.noise
         self.f_t = f_t = config.f_t
@@ -204,12 +207,11 @@ class TdmaScheduler:
             f_t)
 
         self.var_r = noise.sigma_r ** 2
-        # (graph, coloring, groups) per checked pair, keyed by the pair's ids;
-        # holding both objects keeps their ids from being reused
-        self.checked: dict[tuple[int, int], tuple] = {}
-        self.groups: list[list[int]] = []
-        self.round_start = 0
-        self.round_end: int | None = None    # == next round's first slot start
+        self.recolorer = recolorer
+        self.vehicles = vehicles
+        self.last_fix = [(t.x, t.y) for t in vehicles]
+        self.on_fixes = config.conflict_source == "last_fix"
+        self.graph = self.coloring = None   # the current round's pair
         self.buffer: dict[int, tuple] = {}   # auv -> (fused (x, y, z), ping tick)
         self.last_served = [-1] * n_auv
         self.mf_busy_until = 0
@@ -218,26 +220,23 @@ class TdmaScheduler:
         self.heard = [0] * n_auv   # per AUV, pings some ASV heard: not in the events
         self.events = EventLog()
         self.next_tick = 0
+        self.start_round(*recolorer(self.last_fix, anchors), 0)
 
     def start_round(self, graph: list[set[int]], coloring: Coloring, tick: int):
         """Lay out a round of ``coloring``'s groups from ``tick`` on.
 
-        The groups of a (graph, coloring) pair are computed, and asserted to
-        put no two AUVs adjacent in ``graph`` in one slot, the first time the
-        pair starts a round only: a pair's groups never change.
+        Whenever the (graph, coloring) pair is not the previous round's, its
+        groups are asserted to put no two AUVs adjacent in ``graph`` in one
+        slot; a pair's groups never change.
         """
-        key = (id(graph), id(coloring))
-        checked = self.checked.get(key)
-        if checked is None:
-            groups = coloring.groups()
-            for g, members in enumerate(groups):
+        if graph is not self.graph or coloring is not self.coloring:
+            for g, members in enumerate(coloring.groups):
                 for a_i, a in enumerate(members):
                     clash = graph[a].intersection(members[a_i + 1:])
                     if clash:
                         raise AssertionError(f"conflicting AUVs {a} and {min(clash)} "
                                              f"share uplink slot {g}")
-            checked = self.checked[key] = (graph, coloring, groups)
-        self.groups = checked[2]
+            self.graph, self.coloring = graph, coloring
         self.round_start = tick
         self.round_end = tick + max(coloring.k, 1) * self.slot_ticks
         self.next_tick = min(self.next_tick, tick)
@@ -246,26 +245,26 @@ class TdmaScheduler:
         """AUVs with a delivery due at this tick (known before the tick runs)."""
         return self.queue.due(tick)
 
-    def step(self, tick: int, vehicles, anchors, recolor):
+    def step(self, tick: int, anchors):
         """Run all protocol events of one tick; returns the queue entries delivered.
 
-        ``vehicles[i]`` is AUV i's true position as its ``x``, ``y`` and
-        ``z``, and ``anchors[j]`` ASV j's as (x, y, z), as ``anchor_points``
-        gives them.  ``recolor()`` must return a (graph, coloring) pair for
-        the current positions; it is invoked once per round boundary.
+        ``anchors[j]`` is ASV j's (x, y) this tick, as ``anchor_points``
+        gives them; every ASV sits at z = 0.  At a round end the next round
+        is colored first, and here ``conflict_source`` is decided: from the
+        vehicles' true x, y or from the last fix delivered to each AUV (its
+        start position until it has one).
 
         In a group's slot every member pings, and every ASV within ``r_hf``
         of it attempts a fix; an ASV beyond it neither hears the ping nor
         draws.  The fixes of one ping are fused, and each fused fix replaces
         the AUV's buffered one.
         """
-        if self.round_end is None:
-            raise RuntimeError("start_round() must be called before step()")
         if tick == self.round_end:
-            graph, coloring = recolor()
-            self.start_round(graph, coloring, tick)
+            positions = (self.last_fix if self.on_fixes
+                         else [(t.x, t.y) for t in self.vehicles])
+            self.start_round(*self.recolorer(positions, anchors), tick)
         g, off = divmod(tick - self.round_start, self.slot_ticks)
-        groups = self.groups
+        groups = self.coloring.groups
         if off == 0 and 0 <= g < len(groups):
             members = groups[g]
             n_cont = self.n_auv if self.contention == "fleet" else len(members)
@@ -277,20 +276,19 @@ class TdmaScheduler:
             for i in members:
                 kinds.append(PING)
                 ping_rec += (tick, i, g)
-                t, paths = vehicles[i], self.paths[i]
+                t, paths = self.vehicles[i], self.paths[i]
                 px, py, pz = t.x, t.y, t.z
                 heard = False
                 fixes = []
                 for j, a in enumerate(anchors):
                     dx = px - a[0]
                     dy = py - a[1]
-                    dz = pz - a[2]
-                    r = math.sqrt(dx * dx + dy * dy + dz * dz)
+                    r = math.sqrt(dx * dx + dy * dy + pz * pz)
                     if r > r_hf:
                         continue
                     heard = True
                     noise_tuples, loss_rng = paths[j]
-                    fx = attempt_fix(a, dx, dy, dz, r, n_cont, var_r, sigma_theta,
+                    fx = attempt_fix(a, dx, dy, pz, r, n_cont, var_r, sigma_theta,
                                      noise_tuples, loss_rng)
                     if fx is not None:
                         kinds.append(FIX)
@@ -308,10 +306,11 @@ class TdmaScheduler:
                     self.events.add(SUPERSEDED, tick, i)
                 buffer[i] = (fix, tick)
         if self.buffer and tick >= self.mf_busy_until:
-            self._mf_step(tick, vehicles, anchors)
+            self._mf_step(tick, anchors)
         delivered = self.queue.pop_due(tick)
-        for kd, i, _, _, ping_tick in delivered:
+        for kd, i, _, fix, ping_tick in delivered:
             self.events.add(DELIVER, tick, i, (kd - ping_tick) / self.f_t)
+            self.last_fix[i] = fix
         self.next_tick = self._next_event(tick)
         return delivered
 
@@ -328,7 +327,7 @@ class TdmaScheduler:
             nxt = head
         return nxt if nxt > tick else tick + 1
 
-    def _mf_step(self, tick: int, vehicles, anchors):
+    def _mf_step(self, tick: int, anchors):
         buffer = self.buffer
         oldest = tick - self.max_age_ticks   # a fix pinged before it is expired
         target = -1   # the AUV served least recently, the lowest id on a tie
@@ -346,7 +345,7 @@ class TdmaScheduler:
         self.last_served[target] = tick
         self.events.add(BCAST, tick, asv_j, self.fix_payload)
         self.mf_busy_until = tick + self.mf_slot_ticks
-        t, a = vehicles[target], anchors[asv_j]
+        t, a = self.vehicles[target], anchors[asv_j]
         d = math.hypot(t.x - a[0], t.y - a[1])
         if d > self.timing.r_mf:
             self.events.add(OUT_OF_MF_RANGE, tick, target)

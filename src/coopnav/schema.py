@@ -54,19 +54,22 @@ def check(cfg, prefix: str = "") -> None:
                 raise ValueError(f"{label} must be finite (got {x})")
 
 
-def hash_items(cfg) -> list[tuple[str, str]]:
+def hash_items(cfg, prefix: str = "") -> list[tuple[str, str]]:
     """(name, text) of the hashed scalar fields in declaration order (a
-    string as it is, the rest as repr), then the repr of each nested
-    config's fields sorted by name.  A nested config's class attribute
-    ``retired`` holds the (name, text) pairs of fields it no longer has,
-    sorted in with the rest, so that deleting a field moves no hash."""
+    string as it is, the rest as repr, with a float field's value or tuple
+    entries as floats, so that 20 and 20.0 hash alike), then the items of
+    each nested config, named ``name.field`` and sorted.  A nested config's
+    class attribute ``retired`` holds the (name, text) pairs of fields it no
+    longer has, sorted in with the rest, so that deleting a field moves no
+    hash."""
     top, nested = [], []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
         if is_dataclass(v):
-            items = [(g.name, repr(getattr(v, g.name))) for g in fields(v)]
-            nested += sorted((f"{f.name}.{name}", text)
-                             for name, text in items + list(getattr(v, "retired", ())))
+            nested += sorted(hash_items(v, f"{f.name}.") + [
+                (f"{f.name}.{name}", text) for name, text in getattr(v, "retired", ())])
         elif f.metadata["hashed"]:
-            top.append((f.name, v if isinstance(v, str) else repr(v)))
+            if v is not None and "float" in str(f.type):
+                v = tuple(map(float, v)) if isinstance(v, tuple) else float(v)
+            top.append((prefix + f.name, v if isinstance(v, str) else repr(v)))
     return top + nested

@@ -14,12 +14,13 @@ from coopnav.protocol import PING, TdmaScheduler
 NO_LOSS = repeat(1.0)   # a loss draw of 1.0 is never below the capped loss probability
 
 
-def fix(asv, auv, noise, noise_tuples, n_auv=1, loss_rng=NO_LOSS):
-    """attempt_fix over an in-range path, handed the geometry and constants
-    as the scheduler hands them over: (x, y, z, variance) or None."""
-    dx, dy, dz = (b - a for a, b in zip(asv, auv))
-    return attempt_fix(asv, dx, dy, dz, math.dist(asv, auv), n_auv, noise.sigma_r ** 2,
-                       noise.sigma_theta, noise_tuples, loss_rng)
+def fix(auv, noise, noise_tuples, n_auv=1, loss_rng=NO_LOSS, asv=(0.0, 0.0)):
+    """attempt_fix over an in-range path from the ASV at ``asv`` (x, y) and
+    z = 0 to the AUV at ``auv``, handed the geometry and constants as the
+    scheduler hands them over: (x, y, z, variance) or None."""
+    dx, dy, dz = auv[0] - asv[0], auv[1] - asv[1], auv[2]
+    return attempt_fix(asv, dx, dy, dz, math.dist((*asv, 0.0), auv), n_auv,
+                       noise.sigma_r ** 2, noise.sigma_theta, noise_tuples, loss_rng)
 
 
 def usbl_stream(noise, seed):
@@ -38,7 +39,7 @@ def loss_p(r, n_auv=1):
     lo, hi = -1, struct.unpack("<q", struct.pack("<d", 1.0))[0]   # 0.0 is bits 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fix((0.0, 0.0, 0.0), (r, 0.0, 0.0), noise, zeros, n_auv,
+        if fix((r, 0.0, 0.0), noise, zeros, n_auv,
                repeat(as_float(mid))) is None:
             lo = mid
         else:
@@ -75,10 +76,10 @@ def test_total_loss_probability():
 
 def test_measure_fix_noiseless_roundtrip():
     noise = UsblNoiseConfig(sigma_r=0.0, sigma_theta=0.0, sigma_phi=0.0)
-    cases = [((0, 0, 0), (100, 0, 10)), ((5, -3, 0), (-40, 60, 25)),
-             ((0, 0, 0), (0, 0, 30)), ((1, 2, 0), (1, 2, 0))]
+    cases = [((0, 0), (100, 0, 10)), ((5, -3), (-40, 60, 25)),
+             ((0, 0), (0, 0, 30)), ((1, 2), (1, 2, 0))]
     for asv, auv in cases:
-        fx = fix(asv, auv, noise, usbl_stream(noise, 0))
+        fx = fix(auv, noise, usbl_stream(noise, 0), asv=asv)
         assert np.allclose(fx[:3], auv, atol=1e-9)
 
 
@@ -86,7 +87,7 @@ def test_measure_fix_cross_range_noise_scale():
     # azimuth noise of 0.5 deg at ~100 m gives ~0.87 m cross-range scatter
     noise = UsblNoiseConfig(sigma_r=0.0, sigma_theta=0.00873, sigma_phi=0.0)
     stream = usbl_stream(noise, 1)
-    ys = [fix((0, 0, 0), (100, 0, -10), noise, stream)[1]
+    ys = [fix((100, 0, -10), noise, stream)[1]
           for _ in range(10_000)]
     assert np.std(ys) == pytest.approx(0.877, rel=0.10)
 
@@ -94,7 +95,7 @@ def test_measure_fix_cross_range_noise_scale():
 def test_measure_fix_along_range_noise_scale():
     noise = UsblNoiseConfig(sigma_r=0.1, sigma_theta=0.0, sigma_phi=0.0)
     stream = usbl_stream(noise, 2)
-    xs = [fix((0, 0, 0), (50, 0, -10), noise, stream)[0]
+    xs = [fix((50, 0, -10), noise, stream)[0]
           for _ in range(10_000)]
     # range error projects onto the unit line-of-sight vector
     assert np.std(xs) == pytest.approx(0.1 * 50 / math.hypot(50, 10), rel=0.10)
@@ -105,11 +106,11 @@ def test_attempt_fix_range_cutoff():
     # ping is unheard and nothing is drawn
     never = iter(lambda: pytest.fail("an out-of-range attempt drew"), None)
     paths = [[(never, never)], [(repeat((0.0, 0.0, 0.0)), repeat(0.99))]]
-    sched = TdmaScheduler(SimConfig(L=60.0, r_hf=50.0), paths)
-    graph, coloring = [set(), set()], Coloring([0, 0], 1)
-    sched.start_round(graph, coloring, 0)
     auvs = [VehicleTruth(60.0, 0.0, 0.0, 0.0), VehicleTruth(30.0, 0.0, 40.0, 0.0)]
-    sched.step(0, auvs, [(0.0, 0.0, 0.0)], lambda: (graph, coloring))
+    sched = TdmaScheduler(SimConfig(L=60.0, r_hf=50.0), paths,
+                          lambda positions, anchors: ([set(), set()], Coloring([0, 0], 1)),
+                          auvs, [(0.0, 0.0)])
+    sched.step(0, [(0.0, 0.0)])
     assert [i for _, i, _ in sched.events.records(PING)] == [0, 1] and sched.heard == [0, 1]
     # AUV 1, exactly r_hf away, is attempted and its fix kept
     assert [e for e in sched.events if e.startswith("FIX")] == [
@@ -121,14 +122,14 @@ def test_attempt_fix_short_range_always_delivers():
     stream = usbl_stream(noise, 4)
     loss = uniform_stream(np.random.default_rng(14))
     for _ in range(200):
-        assert fix((0, 0, 0), (10, 0, 0), noise, stream, 1, loss) is not None
+        assert fix((10, 0, 0), noise, stream, 1, loss) is not None
 
 
 def test_attempt_fix_empirical_loss_rate():
     # r = 50 m with four vehicles: loss probability 0.15
     noise = UsblNoiseConfig()
     stream, loss = usbl_stream(noise, 5), uniform_stream(np.random.default_rng(15))
-    lost = sum(fix((0, 0, 0), (50, 0, 0), noise, stream, 4, loss) is None
+    lost = sum(fix((50, 0, 0), noise, stream, 4, loss) is None
                for _ in range(10_000))
     assert lost / 10_000 == pytest.approx(0.15, abs=0.01)
 
@@ -147,11 +148,6 @@ def test_fuse_equal_variance_mean():
 
 def test_fuse_weighted():
     assert fuse_fixes([fix_at(0.0, 1.0), fix_at(3.0, 0.5)]) == pytest.approx((2.0, 0.0, 0.0))
-
-
-def test_fuse_validation():
-    with pytest.raises(ValueError):
-        fuse_fixes([fix_at(0.0, 1.0), fix_at(1.0, 0.0)])
 
 
 def test_fused_position_is_the_inverse_variance_mean():

@@ -66,6 +66,23 @@ def test_unknown_section_is_an_error(tmp_path):
         load_sim_config(write(tmp_path, "[telepathy]\nrange = 1\n"))
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\ndurationn = 5\n",
+                                  "[DEFAULT]\nduration = 5\n\n[nav]\ngamma = 0.8\n"],
+                         ids=["unknown_key", "run_key_beside_a_section"])
+def test_a_default_section_is_an_unknown_section(tmp_path, capsys, text):
+    # configparser would fold its keys into every section
+    assert main(["validate-config", "--config", write(tmp_path, text)]) == 1
+    assert "cfg.ini: unknown section [DEFAULT]" in capsys.readouterr().err
+
+
+def test_a_default_section_is_an_unknown_section_in_a_sweep(tmp_path, capsys):
+    cfg = write(tmp_path, "[DEFAULT]\nseeds = 3\n" + SWEEP, "sweep.ini")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert "sweep.ini: unknown section [DEFAULT]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_value_names_field(tmp_path):
     with pytest.raises(ConfigError, match="n_asv"):
         load_sim_config(write(tmp_path, "[sim]\nn_asv = 0\n"))

@@ -100,7 +100,7 @@ def test_coloring_properties_random_geometric():
         # within the greedy bound
         assert c.k <= max_degree(g) + 1
         # color classes pairwise non-adjacent
-        for group in c.groups():
+        for group in c.groups:
             for a_i, a in enumerate(group):
                 for b in group[a_i + 1:]:
                     assert not has_edge(g, a, b)

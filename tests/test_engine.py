@@ -156,6 +156,20 @@ def test_default_config_hash_is_pinned():
                      "dae13bb4aaf9", "dbc58fb8f1cf", "e4f71f8a67d3", "f5e6b078819c"}
 
 
+def test_an_int_hashes_as_the_float_of_its_value():
+    # a config built in Python hashes as its INI, which gives floats, does
+    assert SimConfig(L=60).config_hash() == "e2fd90d2b6ae"
+    assert (SimConfig(duration=20, seed=3).config_hash()
+            == SimConfig(duration=20.0, seed=3).config_hash() == "5a2e12d6ab7a")
+    assert SimConfig(timing=TimingConfig(r_dl=2000)).config_hash() == "e2fd90d2b6ae"
+    for field, whole in (("bias", (0, 1)), ("track_spacing", 5)):
+        floats = tuple(map(float, whole)) if isinstance(whole, tuple) else float(whole)
+        assert (SimConfig(**{field: whole}).config_hash()
+                == SimConfig(**{field: floats}).config_hash())
+    # a float's sign still counts
+    assert SimConfig(alpha0=-0.0).config_hash() != SimConfig().config_hash()
+
+
 def test_deleted_fields_keep_their_hash_entries():
     # noise.r_max and timing.f_t are no fields any more; their former default
     # text is hashed in its sorted place, so no hash moved when they went

@@ -10,8 +10,8 @@ block-built jittered anchors against per-tick sums, the lean truth and
 dead-reckoning step and the precomputed segment distance against their
 former forms, the comparison clamps against the builtins they replace,
 ``attempt_fix`` on its caller's geometry and the lean ``audibility_masks``
-against their former forms, slot safety checked once per (graph, coloring)
-against the former per-ping check, and the exact worst-point coverage
+against their former forms, slot safety checked whenever a round's (graph,
+coloring) pair changes against the former per-ping check, and the exact worst-point coverage
 distance against a fine grid.  The config hash, derived from the field
 declarations, changes with every field but the seed and trace."""
 
@@ -105,19 +105,20 @@ def test_slot_starts_from_constants_equal_the_former_layout(L, k, round_start, f
     cfg, noise, r_hf = TimingConfig(), UsblNoiseConfig(), 50.0
     # every AUV far out of range: each slot shows as its group's pings only
     pos = [VehicleTruth(1000.0 * (i + 1), 0.0, 10.0, 0.0) for i in range(k)]
-    sched = TdmaScheduler(SimConfig(L=L, f_t=f_t, r_hf=r_hf, noise=noise, timing=cfg),
-                          [[(None, None)]] * k)
     coloring = Coloring(list(range(k)), k)
     graph = from_edges(k)
+    anchors = anchor_points(np.zeros((1, 2)))
+    sched = TdmaScheduler(SimConfig(L=L, f_t=f_t, r_hf=r_hf, noise=noise, timing=cfg),
+                          [[(None, None)]] * k, lambda positions, anchors: (graph, coloring),
+                          pos, anchors)
     sched.start_round(graph, coloring, round_start)
     starts, end = former_layout(k, L, round_start, cfg, r_hf / noise.c, noise.c, f_t)
     assert sched.round_end == end
-    anchors = anchor_points(np.zeros((1, 2)))
     tick = round_start
     with mock.patch.object(protocol, "attempt_fix",
                            lambda *a: pytest.fail("no fix may be attempted out of range")):
         while tick < end:
-            sched.step(tick, pos, anchors, lambda: (graph, coloring))
+            sched.step(tick, anchors)
             tick = sched.next_tick
     assert tick == end
     assert list(sched.events) == [f"PING{{tick={s}, auv={g}, group={g}}}"
@@ -251,7 +252,7 @@ def total_loss_probability(r, n_auv):
        n_auv=st.integers(1, 25))
 def test_inlined_loss_test_is_total_loss_probability(dx, dy, dz, n_auv):
     noise = UsblNoiseConfig()
-    asv, auv = (3.0, -2.0, 0.0), (3.0 + dx, -2.0 + dy, dz)
+    asv, auv = (3.0, -2.0), (3.0 + dx, -2.0 + dy, dz)
     r = math.sqrt(dx * dx + dy * dy + dz * dz)
     p = total_loss_probability(r, n_auv)
     zeros = repeat((0.0, 0.0, 0.0))
@@ -430,23 +431,24 @@ def test_block_built_anchors_equal_the_per_tick_sums(base, jitter):
     jitter = [row[:len(base)] for row in jitter]
     with np.errstate(over="ignore", invalid="ignore"):
         got = jittered_anchors(np.array(base), np.array(jitter))
-    want = [[(bx + jx, by + jy, 0.0) for (bx, by), (jx, jy) in zip(base, row)]
+    want = [[(bx + jx, by + jy) for (bx, by), (jx, jy) in zip(base, row)]
             for row in jitter]
     assert repr([[tuple(a) for a in row] for row in got]) == repr(want)
 
 
 def lean_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, noise_tuples, loss_rng):
     """``attempt_fix`` as the scheduler calls it past its range test, with
-    the offset and ``sigma_r ** 2`` computed for it."""
-    dx, dy, dz = (auv_pos[k] - asv_pos[k] for k in range(3))
+    the offset from the ASV at (x, y, 0) and ``sigma_r ** 2`` computed for
+    it."""
+    dx, dy, dz = auv_pos[0] - asv_pos[0], auv_pos[1] - asv_pos[1], auv_pos[2]
     return attempt_fix(asv_pos, dx, dy, dz, r, n_auv, noise.sigma_r ** 2,
                        noise.sigma_theta, noise_tuples, loss_rng)
 
 
 def former_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, noise_tuples, loss_rng):
-    """``attempt_fix`` as it was, past its range test: the offset, the
-    contention term and the constants inside, and the fix as (x, y, z,
-    variance)."""
+    """``attempt_fix`` as it was, past its range test: the ASV as (x, y, z)
+    with z = 0, the offset, the contention term and the constants inside,
+    and the fix as (x, y, z, variance)."""
     rt = R_CLIP if R_CLIP < r else r
     p = A * math.exp(B * rt) + C0 * math.exp(D * rt)
     p = 0.0 if 0.0 > p else p
@@ -454,7 +456,7 @@ def former_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, noise_tuples, loss_rng
     p = P_CAP if P_CAP < p else p
     if next(loss_rng) < p:
         return None
-    ax, ay, az = asv_pos[0], asv_pos[1], asv_pos[2]
+    ax, ay, az = asv_pos[0], asv_pos[1], 0.0
     dx = auv_pos[0] - ax
     dy = auv_pos[1] - ay
     dz = auv_pos[2] - az
@@ -489,15 +491,16 @@ RANGE = st.one_of(EDGE, st.floats(0.0, 900.0), st.floats(-1e-300, 1e-300))
 @settings(max_examples=500, deadline=None)
 @given(r=RANGE, dz=ANY_FLOAT, n=st.tuples(ANY_FLOAT, EDGE, EDGE),
        n_auv=st.integers(1, 30), u=st.one_of(EDGE, st.floats(0.0, 1.0)),
-       asv=st.sampled_from([(1.0, -2.0, 0.0), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)]))
-@example(r=-0.0, dz=-0.0, n=(-0.0, 0.0, 0.0), n_auv=1, u=1.0, asv=(-0.0, -0.0, -0.0))
-@example(r=10.0, dz=20.0, n=(-11.0, 0.0, 0.0), n_auv=1, u=1.0, asv=(1.0, -2.0, 0.0))
-@example(r=math.nan, dz=1.0, n=(0.0, 0.0, 0.0), n_auv=1, u=0.5, asv=(1.0, -2.0, 0.0))
+       asv=st.sampled_from([(1.0, -2.0), (0.0, 0.0), (-0.0, -0.0)]))
+@example(r=-0.0, dz=-0.0, n=(-0.0, 0.0, 0.0), n_auv=1, u=1.0, asv=(-0.0, -0.0))
+@example(r=10.0, dz=20.0, n=(-11.0, 0.0, 0.0), n_auv=1, u=1.0, asv=(1.0, -2.0))
+@example(r=math.nan, dz=1.0, n=(0.0, 0.0, 0.0), n_auv=1, u=0.5, asv=(1.0, -2.0))
 def test_lean_attempt_fix_equals_the_former_one(r, dz, n, n_auv, u, asv):
     # r is the caller's range, not recomputed, so the clamps meet any float;
-    # signed-zero anchors let the sign of a zero range show in the position
+    # signed-zero anchors and a -0.0 depth let the sign of a zero show in
+    # the position
     noise = UsblNoiseConfig()
-    ax, ay, az = asv
+    ax, ay = asv
     args = (asv, (ax + 3.0, ay + 4.0, dz), r, n_auv, noise)
     assert (outcome(lean_attempt_fix, *args, repeat(n), repeat(u)) ==
             outcome(former_attempt_fix, *args, repeat(n), repeat(u)))
@@ -529,7 +532,7 @@ XY = st.one_of(st.sampled_from([0.0, -0.0, 30.0, -30.0, 1e-310, math.nan, math.i
 @example(auvs=[(0.0, 30.0), (-30.0, 0.0)], asvs=[(0.0, 0.0)], r_hf=30.0, form="tuples")
 def test_lean_audibility_masks_equal_the_former_ones(auvs, asvs, r_hf, form):
     # the host passes float tuples; tests pass numpy rows and int pairs too
-    anchors = [(x, y, 0.0) for x, y in asvs]
+    anchors = asvs
     if form == "numpy":
         auvs = np.nan_to_num(np.array(auvs, dtype=float).reshape(-1, 2), posinf=1e3)
         anchors = np.nan_to_num(np.array(asvs), posinf=-1e3)
@@ -542,7 +545,7 @@ def test_lean_audibility_masks_equal_the_former_ones(auvs, asvs, r_hf, form):
 def former_slot_check(graph, coloring):
     """The message of the per-ping slot check for the first clashing group,
     pinging the groups in order, or None for a proper coloring."""
-    for g, members in enumerate(coloring.groups()):
+    for g, members in enumerate(coloring.groups):
         for a_i, a in enumerate(members):
             later = [b for b in members[a_i + 1:] if (a, b) in edges(graph)]
             if later:
@@ -561,19 +564,20 @@ def test_improper_coloring_raises_at_start_round(data, n):
     graph = from_edges(n, drawn)
     want = former_slot_check(graph, coloring)
 
-    def scheduler():
-        return TdmaScheduler(SimConfig(), [[(None, None)]] * n)
+    def scheduler(first_graph, first_coloring):
+        """A scheduler whose round 0 has the given, proper pair."""
+        return TdmaScheduler(SimConfig(), [[(None, None)]] * n,
+                             lambda positions, anchors: (first_graph, first_coloring),
+                             [VehicleTruth(0.0, 0.0, 10.0, 0.0)] * n, [(0.0, 0.0)])
 
-    # a new coloring, checked on its first graph
-    new = scheduler()
-    # a coloring proper for an earlier graph, reused with a new one
-    reused = scheduler()
-    reused.start_round(from_edges(n), coloring, 0)
-    # a new coloring for a graph already checked with another one
-    recolored = scheduler()
-    recolored.start_round(graph, greedy_color(graph), 0)
+    # a new graph and coloring after another pair
+    new = scheduler(from_edges(n), Coloring(list(range(n)), n))
+    # a coloring proper for the previous round's graph, reused with a new one
+    reused = scheduler(from_edges(n), coloring)
+    # a new coloring for the previous round's graph
+    recolored = scheduler(graph, greedy_color(graph))
     for sched in (new, reused, recolored):
-        tick = sched.round_end or 0
+        tick = sched.round_end
         if want is None:
             sched.start_round(graph, coloring, tick)
             sched.start_round(graph, coloring, sched.round_end)   # the same pair again

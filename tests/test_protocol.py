@@ -29,10 +29,17 @@ def test_ticks_ceil():
     assert ticks_ceil(0.23333333333333334, 30) == 7
 
 
+def fixed(graph, coloring):
+    """A recolorer that gives one (graph, coloring) pair for every round."""
+    return lambda positions, anchors: (graph, coloring)
+
+
 def scheduler(L=60.0, timing=CFG, c=C, f_t=F_T, r_hf=50.0):
-    """A one-AUV, one-ASV scheduler, with HF range 50 m by default."""
+    """A one-AUV, one-ASV scheduler, with HF range 50 m by default: the ASV
+    at the origin, the AUV below it at 10 m depth."""
     cfg = SimConfig(L=L, f_t=f_t, r_hf=r_hf, noise=UsblNoiseConfig(c=c), timing=timing)
-    return TdmaScheduler(cfg, make_paths(1, 1))
+    return TdmaScheduler(cfg, make_paths(1, 1), fixed([set()], Coloring([0], 1)),
+                         vehicles([(0.0, 0.0, 10.0)]), anchor_points(np.zeros((1, 2))))
 
 
 # At the defaults both slots sit on their floors of 2.5 and 10 crossing
@@ -86,11 +93,10 @@ def static_run(sched, pos, ticks=300):
     """Step a one-AUV scheduler with the AUV held at ``pos`` and the ASV at
     the origin; returns each delivered queue entry with its ticks in flight
     since the latest broadcast."""
-    graph, coloring = [set()], Coloring([0], 1)
-    sched.start_round(graph, coloring, 0)
-    auv, anchors = vehicles([pos]), anchor_points(np.zeros((1, 2)))
+    sched.vehicles[:] = vehicles([pos])
+    anchors = anchor_points(np.zeros((1, 2)))
     return [(entry[0] - sched.last_served[0], entry) for k in range(ticks)
-            for entry in sched.step(k, auv, anchors, lambda: (graph, coloring))]
+            for entry in sched.step(k, anchors)]
 
 
 MF_EDGE = TimingConfig(r_mf=30.0)
@@ -172,11 +178,11 @@ def vehicles(pos):
 def one_round(pos, asv, graph, coloring, ticks=None):
     """Step a scheduler at L=60 every tick over its first round, or ``ticks``
     ticks; returns it and its rendered events."""
-    sched = TdmaScheduler(SimConfig(L=60.0, r_hf=50.0), make_paths(len(pos), len(asv)))
-    sched.start_round(graph, coloring, 0)
-    anchors, auvs = anchor_points(asv), vehicles(pos)
+    anchors = anchor_points(asv)
+    sched = TdmaScheduler(SimConfig(L=60.0, r_hf=50.0), make_paths(len(pos), len(asv)),
+                          fixed(graph, coloring), vehicles(pos), anchors)
     for k in range(sched.round_end if ticks is None else ticks):
-        sched.step(k, auvs, anchors, recolor=lambda: (graph, coloring))
+        sched.step(k, anchors)
     return sched, list(sched.events)
 
 
@@ -249,13 +255,13 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
 
     noise, paths = UsblNoiseConfig(), make_paths(3, 2)
     ref = []
-    for grp, members in enumerate(coloring.groups()):
+    for grp, members in enumerate(coloring.groups):
         tick = grp * sched.slot_ticks
         for i in members:
             ref.append(f"PING{{tick={tick}, auv={i}, group={grp}}}")
             fixes = []
             for j, a in enumerate(anchor_points(asv)):
-                dx, dy, dz = (p - q for p, q in zip(pos[i], a))
+                dx, dy, dz = pos[i][0] - a[0], pos[i][1] - a[1], pos[i][2]
                 r = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if r > 50.0:
                     continue
@@ -285,22 +291,22 @@ def test_slots_and_flights_follow_the_configured_sound_speed():
 
 def drive_scheduler(trace, asv, skip_idle):
     """Step a scheduler over per-tick AUV positions; optionally skip idle ticks."""
-    def recolor(pos):
-        g = build_conflict_graph(audibility_masks(pos, asv, 50.0))
+    def recolor(positions, anchors):   # a fresh build every round
+        g = build_conflict_graph(audibility_masks(positions, anchors, 50.0))
         return g, greedy_color(g)
 
-    n_auv = len(trace[0])
-    sched = TdmaScheduler(SimConfig(L=70.0, r_hf=50.0), make_paths(n_auv, len(asv), seed=3))
-    sched.start_round(*recolor(trace[0]), 0)
-    anchors = anchor_points(asv)
+    n_auv, auvs, anchors = len(trace[0]), vehicles(trace[0]), anchor_points(asv)
+    sched = TdmaScheduler(SimConfig(L=70.0, r_hf=50.0), make_paths(n_auv, len(asv), seed=3),
+                          recolor, auvs, anchors)
     deliveries, steps = [], 0
     for k, pos in enumerate(trace):
+        auvs[:] = vehicles(pos)
         idle = k < sched.next_tick
         if skip_idle and idle:
             continue
         n_events = len(sched.events)
         due = sched.due_auvs(k)
-        out = sched.step(k, vehicles(pos), anchors, lambda: recolor(pos))
+        out = sched.step(k, anchors)
         steps += 1
         if idle:
             assert not due and not out and len(sched.events) == n_events
