@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from pathlib import Path
 
-from .engine import MissionReport, SimConfig, run
+from .engine import AsvFleet, MissionReport, SimConfig, run
 from .formation import worst_point
 
 log = logging.getLogger("coopnav")
@@ -367,7 +367,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_check_coverage(args) -> int:
     cfg = load_sim_config(args.config)
-    worst, (wx, wy) = worst_point(cfg.formation(), cfg.L)
+    worst, (wx, wy) = worst_point(AsvFleet(cfg).ring, cfg.L)
     if worst <= cfg.r_hf:
         print(f"full coverage: yes (worst point {worst:.2f} m <= {cfg.r_hf:g} m)")
     else:

@@ -26,7 +26,7 @@ from .mission import (GuidanceConfig, VehicleTruth, advance_truth, guidance_step
                       plan_lawnmower, point_segment_distance, segment)
 from .nav import KinematicInput, NavState, apply_fix, dead_reckon_step, depth_update
 from .protocol import (DELIVER, EXPIRED, OUT_OF_MF_RANGE, PING, SUPERSEDED,
-                       EventLog, TdmaScheduler, TimingConfig, anchor_points)
+                       EventLog, TdmaScheduler, TimingConfig)
 from .schema import auto_or_float, check, from_degrees, hash_items, param
 
 
@@ -63,8 +63,6 @@ class SimConfig:
     def validate(self):
         """The declared bounds of every field, then the rules across fields."""
         check(self)
-        if self.f_t % 1:
-            raise ValueError(f"f_t must be an integer (got {self.f_t})")
         for name, allowed in (("conflict_source", ("truth", "last_fix")),
                               ("contention", ("fleet", "group"))):
             if getattr(self, name) not in allowed:
@@ -78,10 +76,6 @@ class SimConfig:
         if self.noise.sigma_r ** 2 + (abs(self.depth) * self.noise.sigma_theta) ** 2 == 0:
             raise ValueError("sigma_r and sigma_theta give fixes of variance 0 "
                              f"at depth {self.depth}")
-
-    def formation(self) -> np.ndarray:
-        """The ``(n_asv, 2)`` ASV ring of radius ``r_hf + delta_b`` at ``alpha0``."""
-        return asv_positions(self.n_asv, self.r_hf + self.delta_b, self.alpha0)
 
     def config_hash(self) -> str:
         blob = "\n".join(f"{k}={v}" for k, v in hash_items(self))
@@ -225,15 +219,31 @@ class Recolorer:
         return pair
 
 
-def jittered_anchors(base_asv, jitter) -> list:
-    """Per-tick ASV anchors of a block of jitter: row k is
-    ``anchor_points(base_asv + jitter[k])``, as nested lists.
+class AsvFleet:
+    """Where the ASVs are: ``ring``, the (n_asv, 2) ring of radius ``r_hf +
+    delta_b`` at ``alpha0``; ``stations``, it as (x, y) lists; ``at(tick)``,
+    the stations plus, with jitter, the tick's ``asv_jitter`` draw of
+    ``normal(0.0, std, (n_asv, 2))``.  Jitter is drawn ``RNG_BLOCK`` ticks at
+    a time up to the tick asked for, and added by numpy's IEEE ``+``, so each
+    coordinate is the per-tick scalar ``x + jx``.  The scheduler colors
+    round 0 from the stations, every later round from its start tick's."""
 
-    ``jitter`` is a (ticks, n_asv, 2) array.  numpy's float64 ``+`` gives
-    the IEEE sum of each pair, so every coordinate is the scalar ``bx +
-    jx``.
-    """
-    return (jitter + base_asv).tolist()
+    def __init__(self, config: SimConfig):
+        self.ring = asv_positions(config.n_asv, config.r_hf + config.delta_b, config.alpha0)
+        self.stations = self.ring.tolist()
+        self.std = config.asv_jitter_std
+        self.gen = derive_rng(config.seed, "asv_jitter") if self.std > 0 else None
+        self.blocks, self.rows = 0, None   # blocks drawn; the last one's anchors per tick
+
+    def at(self, tick: int) -> list:
+        if self.gen is None:
+            return self.stations
+        block, row = divmod(tick, RNG_BLOCK)
+        while self.blocks <= block:
+            self.rows = (self.gen.normal(0.0, self.std, size=(RNG_BLOCK,) + self.ring.shape)
+                         + self.ring).tolist()
+            self.blocks += 1
+        return self.rows[row]
 
 
 def _percentile(sorted_vals: list[float], q: float) -> float:
@@ -255,9 +265,7 @@ def run(config: SimConfig) -> MissionReport:
     on_truth = config.guidance_on_truth
     usbl_enabled = config.usbl_enabled
     trace = config.trace
-
     waypoints = plan_lawnmower(config.L, n, config.track_spacing)
-    base_asv = config.formation()
 
     seed = config.seed
     sq_dt = math.sqrt(dt)
@@ -270,7 +278,6 @@ def run(config: SimConfig) -> MissionReport:
     paths = [[(NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), usbl_scales),
                uniform_stream(derive_rng(seed, f"loss/{i}/{j}"))) for j in range(m)]
              for i in range(n)]
-    jitter_rng = derive_rng(seed, "asv_jitter") if config.asv_jitter_std > 0 else None
 
     truths, navs, kin, segments = [], [], [], []
     for i in range(n):
@@ -293,8 +300,7 @@ def run(config: SimConfig) -> MissionReport:
     auvs = list(zip(range(n), truths, navs, kin, imu_noise, depth_noise, waypoints))
     metered = list(zip(range(n), truths, navs, segments))
 
-    anchors = anchor_points(base_asv)
-    proto = TdmaScheduler(config, paths, Recolorer(config.r_hf), truths, anchors)
+    proto = TdmaScheduler(config, paths, Recolorer(config.r_hf), truths, AsvFleet(config))
 
     cte_sum = [0.0] * n
     err_sum = [0.0] * n
@@ -303,7 +309,6 @@ def run(config: SimConfig) -> MissionReport:
     max_innovation = 0.0
     excursions = 0
     trace_rows = array("d")
-    jittered = None   # RNG_BLOCK ticks of jittered anchors, one row per tick
 
     total_ticks = round(config.duration * f_t)
     ticks_run = 0
@@ -311,14 +316,6 @@ def run(config: SimConfig) -> MissionReport:
     for k in range(total_ticks):
         # the protocol has nothing to do before its next event tick
         active = usbl_enabled and k >= proto.next_tick
-        if jitter_rng is not None:
-            row = k % RNG_BLOCK
-            if row == 0:
-                jittered = jittered_anchors(base_asv, jitter_rng.normal(
-                    0.0, config.asv_jitter_std, size=(RNG_BLOCK,) + base_asv.shape))
-            if active:
-                anchors = jittered[row]
-
         due = proto.due_auvs(k) if active else ()
         for i, t, nav, ki, imu, dz, wps in auvs:
             est_xy = (t.x, t.y) if on_truth else nav.p_fused
@@ -333,7 +330,7 @@ def run(config: SimConfig) -> MissionReport:
             depth_update(nav, depth, next(dz))
 
         if active:
-            for _, i, _, fix, _ in proto.step(k, anchors):
+            for _, i, _, fix, _ in proto.step(k):
                 p = navs[i].p_fused
                 innov = math.hypot(fix[0] - p[0], fix[1] - p[1])
                 if innov > max_innovation:

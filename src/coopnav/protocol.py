@@ -150,11 +150,6 @@ class FixQueue:
         return out
 
 
-def anchor_points(asv_xy) -> list[tuple[float, float]]:
-    """ASV positions of an (n_asv, 2) array as plain (x, y) tuples."""
-    return [(x, y) for x, y in asv_xy.tolist()]
-
-
 class TdmaScheduler:
     """Incremental protocol engine driven one tick at a time.
 
@@ -165,10 +160,11 @@ class TdmaScheduler:
     ``conflict_source``, ``timing`` and ``noise``.  ``paths[i][j]`` is the
     (noise tuples, loss stream) pair of the path from AUV i to ASV j;
     ``vehicles[i]``, which the host moves, is AUV i's true position as its
-    ``x``, ``y`` and ``z``.  A round's (graph, coloring) pair is
-    ``recolorer(positions, anchors)`` of the AUVs' (x, y) and the ASVs':
-    round 0 at tick 0 from the vehicles and ``anchors``, each later round at
-    the previous one's end (see ``step``).
+    ``x``, ``y`` and ``z``; ``asvs``, an ``AsvFleet``, is where the ASVs
+    are.  A round's (graph, coloring) pair is ``recolorer(positions,
+    anchors)`` of the AUVs' (x, y) and the ASVs': round 0 at tick 0 from the
+    vehicles and ``asvs.stations``, each later round at the previous one's
+    end from that tick's anchors (see ``step``).
 
     Slot lengths, the one-fix payload and its airtime depend only on the
     configuration, so they are computed once: group g of a round starting
@@ -183,7 +179,7 @@ class TdmaScheduler:
     them; stepping every tick gives the same result.
     """
 
-    def __init__(self, config, paths, recolorer, vehicles, anchors):
+    def __init__(self, config, paths, recolorer, vehicles, asvs):
         self.timing = timing = config.timing
         self.noise = noise = config.noise
         self.f_t = f_t = config.f_t
@@ -209,6 +205,7 @@ class TdmaScheduler:
         self.var_r = noise.sigma_r ** 2
         self.recolorer = recolorer
         self.vehicles = vehicles
+        self.asvs = asvs
         self.last_fix = [(t.x, t.y) for t in vehicles]
         self.on_fixes = config.conflict_source == "last_fix"
         self.graph = self.coloring = None   # the current round's pair
@@ -220,7 +217,7 @@ class TdmaScheduler:
         self.heard = [0] * n_auv   # per AUV, pings some ASV heard: not in the events
         self.events = EventLog()
         self.next_tick = 0
-        self.start_round(*recolorer(self.last_fix, anchors), 0)
+        self.start_round(*recolorer(self.last_fix, asvs.stations), 0)
 
     def start_round(self, graph: list[set[int]], coloring: Coloring, tick: int):
         """Lay out a round of ``coloring``'s groups from ``tick`` on.
@@ -245,11 +242,11 @@ class TdmaScheduler:
         """AUVs with a delivery due at this tick (known before the tick runs)."""
         return self.queue.due(tick)
 
-    def step(self, tick: int, anchors):
+    def step(self, tick: int):
         """Run all protocol events of one tick; returns the queue entries delivered.
 
-        ``anchors[j]`` is ASV j's (x, y) this tick, as ``anchor_points``
-        gives them; every ASV sits at z = 0.  At a round end the next round
+        The tick's anchors, ``asvs.at(tick)``, are read once: ASV j is at
+        (x, y) ``anchors[j]`` and z = 0.  At a round end the next round
         is colored first, and here ``conflict_source`` is decided: from the
         vehicles' true x, y or from the last fix delivered to each AUV (its
         start position until it has one).
@@ -259,6 +256,7 @@ class TdmaScheduler:
         draws.  The fixes of one ping are fused, and each fused fix replaces
         the AUV's buffered one.
         """
+        anchors = self.asvs.at(tick)
         if tick == self.round_end:
             positions = (self.last_fix if self.on_fixes
                          else [(t.x, t.y) for t in self.vehicles])

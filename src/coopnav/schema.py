@@ -9,6 +9,7 @@ that tie fields together stay in ``SimConfig.validate``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, field, fields, is_dataclass
 
 
@@ -34,10 +35,10 @@ def auto_or_float(raw: str) -> float | None:
 
 def check(cfg, prefix: str = "") -> None:
     """Raise ValueError naming the first field of ``cfg`` or of a config
-    nested in it (and the field's INI key) outside its bound or not finite;
-    each entry of a tuple field is tested under its own key.  A bound is
-    tested as ``not (v > low)`` or ``not (v >= low)``, so NaN fails it;
-    None passes."""
+    nested in it (and the field's INI key) that is an int field's
+    non-integer, outside its bound or not finite; each entry of a tuple
+    field is tested under its own key.  A bound is tested as ``not (v >
+    low)`` or ``not (v >= low)``, so NaN fails it; None passes."""
     for f in fields(cfg):
         v, m = getattr(cfg, f.name), f.metadata
         if is_dataclass(v):
@@ -46,6 +47,8 @@ def check(cfg, prefix: str = "") -> None:
             continue
         for key, x in zip(m["keys"] or (f.name,), v if isinstance(v, tuple) else (v,)):
             label = prefix + f.name + (f" ([{m['section']}] {key})" if key != f.name else "")
+            if f.type == "int" and not isinstance(x, numbers.Integral):
+                raise ValueError(f"{label} must be an integer (got {x!r})")
             if m["bound"]:
                 op, low = m["bound"]
                 if not (x > low if op == ">" else x >= low):
@@ -56,12 +59,12 @@ def check(cfg, prefix: str = "") -> None:
 
 def hash_items(cfg, prefix: str = "") -> list[tuple[str, str]]:
     """(name, text) of the hashed scalar fields in declaration order (a
-    string as it is, the rest as repr, with a float field's value or tuple
-    entries as floats, so that 20 and 20.0 hash alike), then the items of
-    each nested config, named ``name.field`` and sorted.  A nested config's
-    class attribute ``retired`` holds the (name, text) pairs of fields it no
-    longer has, sorted in with the rest, so that deleting a field moves no
-    hash."""
+    string as it is, the rest as the repr of the value converted to its
+    field's type, int, float or floats: 20, 20.0 and ``np.int64(20)`` hash
+    alike), then the items of each nested config, named ``name.field`` and
+    sorted.  A nested config's class attribute ``retired`` holds the (name,
+    text) pairs of fields it no longer has, sorted in with the rest, so that
+    deleting a field moves no hash."""
     top, nested = [], []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
@@ -71,5 +74,7 @@ def hash_items(cfg, prefix: str = "") -> list[tuple[str, str]]:
         elif f.metadata["hashed"]:
             if v is not None and "float" in str(f.type):
                 v = tuple(map(float, v)) if isinstance(v, tuple) else float(v)
+            elif f.type == "int":
+                v = int(v)
             top.append((prefix + f.name, v if isinstance(v, str) else repr(v)))
     return top + nested

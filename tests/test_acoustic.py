@@ -7,7 +7,7 @@ import pytest
 
 from coopnav.acoustic import P_CAP, UsblNoiseConfig, attempt_fix, fuse_fixes
 from coopnav.conflict import Coloring
-from coopnav.engine import NoiseStream, SimConfig, uniform_stream
+from coopnav.engine import AsvFleet, NoiseStream, SimConfig, uniform_stream
 from coopnav.mission import VehicleTruth
 from coopnav.protocol import PING, TdmaScheduler
 
@@ -107,10 +107,11 @@ def test_attempt_fix_range_cutoff():
     never = iter(lambda: pytest.fail("an out-of-range attempt drew"), None)
     paths = [[(never, never)], [(repeat((0.0, 0.0, 0.0)), repeat(0.99))]]
     auvs = [VehicleTruth(60.0, 0.0, 0.0, 0.0), VehicleTruth(30.0, 0.0, 40.0, 0.0)]
-    sched = TdmaScheduler(SimConfig(L=60.0, r_hf=50.0), paths,
+    cfg = SimConfig(L=60.0, r_hf=50.0)   # one ASV, at the origin
+    sched = TdmaScheduler(cfg, paths,
                           lambda positions, anchors: ([set(), set()], Coloring([0, 0], 1)),
-                          auvs, [(0.0, 0.0)])
-    sched.step(0, [(0.0, 0.0)])
+                          auvs, AsvFleet(cfg))
+    sched.step(0)
     assert [i for _, i, _ in sched.events.records(PING)] == [0, 1] and sched.heard == [0, 1]
     # AUV 1, exactly r_hf away, is attempted and its fix kept
     assert [e for e in sched.events if e.startswith("FIX")] == [

@@ -1,4 +1,5 @@
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from coopnav import engine, nav
 from coopnav.acoustic import UsblNoiseConfig
-from coopnav.engine import RNG_BLOCK, NoiseStream, SimConfig, derive_rng, run, uniform_stream
+from coopnav.engine import (RNG_BLOCK, AsvFleet, NoiseStream, SimConfig, derive_rng, run,
+                            uniform_stream)
+from coopnav.formation import asv_positions
 from coopnav.mission import GuidanceConfig
 from coopnav.protocol import BCAST, DELIVER, PING, TimingConfig
 from coopnav.schema import hash_items
@@ -170,6 +173,49 @@ def test_an_int_hashes_as_the_float_of_its_value():
     assert SimConfig(alpha0=-0.0).config_hash() != SimConfig().config_hash()
 
 
+def int_fields():
+    """(nested config or None, field name, INI key) of every int-typed
+    field, from the field declarations."""
+    cfg, out = SimConfig(), []
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        for owner, g in ([(f.name, g) for g in dataclasses.fields(v)]
+                         if dataclasses.is_dataclass(v) else [(None, f)]):
+            if g.type == "int":
+                out.append((owner, g.name, (g.metadata["keys"] or (g.name,))[0]))
+    return out
+
+
+INT_FIELDS = int_fields()
+
+
+def test_int_fields_are_the_declared_ints():
+    assert [name for _, name, _ in INT_FIELDS] == ["n_auv", "n_asv", "f_t", "seed",
+                                                   "n_hdr", "b_fix"]
+
+
+@pytest.mark.parametrize("owner, name, key", INT_FIELDS, ids=[n for _, n, _ in INT_FIELDS])
+def test_an_int_field_takes_integers_only(owner, name, key):
+    # a float is rejected naming the key, an integral one too; numpy's
+    # integers are integers, and hash as the int of their value does
+    cfg = SimConfig()
+    obj = getattr(cfg, owner) if owner else cfg
+    default = getattr(obj, name)
+    for value in (float(default), default + 0.5):
+        setattr(obj, name, value)
+        with pytest.raises(ValueError, match=rf"\b{key}\b.* must be an integer"):
+            cfg.validate()
+    setattr(obj, name, np.int64(default))
+    cfg.validate()
+    assert hash_items(cfg) == hash_items(SimConfig())
+
+
+def test_an_integral_float_hashes_as_its_int():
+    assert (SimConfig(f_t=30.0, duration=5.0).config_hash()
+            == SimConfig(f_t=30, duration=5.0).config_hash() == "de0d2d16a008")
+    assert SimConfig(n_auv=np.int64(4)).config_hash() == "e2fd90d2b6ae"
+
+
 def test_deleted_fields_keep_their_hash_entries():
     # noise.r_max and timing.f_t are no fields any more; their former default
     # text is hashed in its sorted place, so no hash moved when they went
@@ -289,8 +335,17 @@ def test_buffered_streams_equal_scalar_draws():
     assert gen_n.bit_generator.state != before[0]
 
 
-def test_asv_jitter_block_equals_per_tick_draws():
-    block = derive_rng(6, "asv_jitter").normal(0.0, 0.5, size=(RNG_BLOCK, 3, 2))
-    ref = derive_rng(6, "asv_jitter")
-    for row in block:
-        assert np.array_equal(row, ref.normal(0.0, 0.5, size=(3, 2)))
+def test_asv_fleet_serves_each_ticks_own_jitter_draw():
+    # sparse ticks across five blocks: each tick's anchors are the stations
+    # plus that tick's scalar draw, every tick drawing, read or not
+    cfg = SimConfig(n_asv=3, asv_jitter_std=0.5, seed=6)
+    fleet, ref = AsvFleet(cfg), derive_rng(6, "asv_jitter")
+    assert fleet.stations == asv_positions(3, 50.0, 0.0).tolist()
+    read = {0, 5, 127, 128, 600}
+    for k in range(max(read) + 1):
+        draw = ref.normal(0.0, 0.5, size=(3, 2)).tolist()
+        if k in read:
+            assert fleet.at(k) == [[x + jx, y + jy] for (x, y), (jx, jy)
+                                   in zip(fleet.stations, draw)]
+    still = AsvFleet(SimConfig(n_asv=3, seed=6))
+    assert still.at(0) is still.at(600) is still.stations == fleet.stations

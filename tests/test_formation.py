@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from coopnav.engine import SimConfig
+from coopnav.engine import AsvFleet, SimConfig
 from coopnav.formation import asv_positions, worst_point
 
 
 def layout_of(n, r_hf=50.0, alpha0=0.0, L=60.0, delta_b=0.0):
     """The ring as ``run`` and ``check-coverage`` build it."""
-    return SimConfig(n_asv=n, L=L, r_hf=r_hf, delta_b=delta_b, alpha0=alpha0).formation()
+    return AsvFleet(SimConfig(n_asv=n, L=L, r_hf=r_hf, delta_b=delta_b, alpha0=alpha0)).ring
 
 
 def test_single_asv_degenerates_to_origin():

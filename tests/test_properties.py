@@ -6,8 +6,8 @@ from constants against laying a round out slot by slot, a coloring reused
 or memoised by mask pattern against a fresh build, the fleet-wide delivery
 heap against per-AUV queues, the inlined loss test against
 ``total_loss_probability``, pre-scaled noise tuples against scalar draws,
-block-built jittered anchors against per-tick sums, the lean truth and
-dead-reckoning step and the precomputed segment distance against their
+``AsvFleet``'s block-built jittered anchors against per-tick sums, the lean
+truth and dead-reckoning step and the precomputed segment distance against their
 former forms, the comparison clamps against the builtins they replace,
 ``attempt_fix`` on its caller's geometry and the lean ``audibility_masks``
 against their former forms, slot safety checked whenever a round's (graph,
@@ -27,20 +27,20 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from coopnav import protocol  # noqa: E402
+from coopnav import engine, protocol  # noqa: E402
 from coopnav.acoustic import UsblNoiseConfig, attempt_fix  # noqa: E402
 from coopnav.conflict import (Coloring, audibility_masks,  # noqa: E402
                               build_conflict_graph, greedy_color)
-from coopnav.engine import (RNG_BLOCK, NoiseStream, Recolorer, SimConfig,  # noqa: E402
-                           jittered_anchors)
+from coopnav.engine import (RNG_BLOCK, AsvFleet, NoiseStream, Recolorer,  # noqa: E402
+                           SimConfig)
 from coopnav.formation import worst_point  # noqa: E402
 from coopnav.mission import (GuidanceConfig, VehicleTruth, advance_truth,  # noqa: E402
                              point_segment_distance, segment)
 from coopnav.nav import KinematicInput, NavState, dead_reckon_step  # noqa: E402
 from coopnav.protocol import (BCAST, DELIVER, EXPIRED, FIX, FUSE,  # noqa: E402
                               OUT_OF_MF_RANGE, PING, SUPERSEDED, EventLog,
-                              FixQueue, TdmaScheduler, TimingConfig,
-                              anchor_points, ticks_ceil)
+                              FixQueue, TdmaScheduler, TimingConfig, ticks_ceil)
+from fleets import StillAsvs  # noqa: E402
 from graphs import edges, from_edges  # noqa: E402
 
 # the event text as the scheduler formatted it at each event
@@ -107,10 +107,9 @@ def test_slot_starts_from_constants_equal_the_former_layout(L, k, round_start, f
     pos = [VehicleTruth(1000.0 * (i + 1), 0.0, 10.0, 0.0) for i in range(k)]
     coloring = Coloring(list(range(k)), k)
     graph = from_edges(k)
-    anchors = anchor_points(np.zeros((1, 2)))
-    sched = TdmaScheduler(SimConfig(L=L, f_t=f_t, r_hf=r_hf, noise=noise, timing=cfg),
-                          [[(None, None)]] * k, lambda positions, anchors: (graph, coloring),
-                          pos, anchors)
+    sim = SimConfig(L=L, f_t=f_t, r_hf=r_hf, noise=noise, timing=cfg)   # one ASV, at the origin
+    sched = TdmaScheduler(sim, [[(None, None)]] * k,
+                          lambda positions, anchors: (graph, coloring), pos, AsvFleet(sim))
     sched.start_round(graph, coloring, round_start)
     starts, end = former_layout(k, L, round_start, cfg, r_hf / noise.c, noise.c, f_t)
     assert sched.round_end == end
@@ -118,7 +117,7 @@ def test_slot_starts_from_constants_equal_the_former_layout(L, k, round_start, f
     with mock.patch.object(protocol, "attempt_fix",
                            lambda *a: pytest.fail("no fix may be attempted out of range")):
         while tick < end:
-            sched.step(tick, anchors)
+            sched.step(tick)
             tick = sched.next_tick
     assert tick == end
     assert list(sched.events) == [f"PING{{tick={s}, auv={g}, group={g}}}"
@@ -134,7 +133,7 @@ def orbit_positions(tick, phases, radii):
 
 def check_recolor_over_orbit(phases, radii, asv, rounds):
     recolorer = Recolorer(30.0)
-    anchors = anchor_points(asv)
+    anchors = asv.tolist()
     pairs = []
     for rnd in range(rounds):
         pos = orbit_positions(3 * rnd, phases, radii)
@@ -174,12 +173,11 @@ def test_memoised_coloring_matches_a_fresh_build_when_patterns_recur(fleets, vis
     # a few fleet placements visited in any order: mask patterns come back,
     # also after other patterns came between
     recolorer = Recolorer(30.0)
-    anchors = anchor_points(np.array(asv))
     first = {}
     for v in visits:
         pos = fleets[v % len(fleets)]
-        pair = recolorer(pos, anchors)
-        masks = audibility_masks(pos, anchors, 30.0)
+        pair = recolorer(pos, asv)
+        masks = audibility_masks(pos, asv, 30.0)
         fresh = build_conflict_graph(masks)
         graph, coloring = pair
         assert graph == fresh
@@ -422,18 +420,42 @@ def test_comparison_clamps_are_the_builtins(a, b):
 PAIR = st.tuples(ANY_FLOAT, ANY_FLOAT)
 
 
+class RowGenerator:
+    """A generator whose ``normal`` serves given (ticks, n_asv, 2) rows a
+    block at a time, zeros past their end."""
+
+    def __init__(self, rows, std):
+        self.rows, self.std, self.start = np.array(rows), std, 0
+
+    def normal(self, loc, scale, size):
+        assert (loc, scale) == (0.0, self.std) and size[1:] == self.rows.shape[1:]
+        block = np.zeros(size)
+        served = self.rows[self.start:self.start + size[0]]
+        block[:len(served)] = served
+        self.start += size[0]
+        return block
+
+
 @settings(max_examples=300, deadline=None)
 @given(base=st.lists(PAIR, min_size=1, max_size=5),
-       jitter=st.lists(st.lists(PAIR, min_size=5, max_size=5), min_size=1, max_size=6))
-@example(base=[(-0.0, 0.0), (0.0, -0.0)], jitter=[[(-0.0, -0.0)] * 5, [(0.0, 0.0)] * 5])
-def test_block_built_anchors_equal_the_per_tick_sums(base, jitter):
-    # one row of jitter per tick; signed zeros, infinities and NaN show in the repr
+       jitter=st.lists(st.lists(PAIR, min_size=5, max_size=5), min_size=1, max_size=6),
+       block=st.sampled_from([1, 2, 4, RNG_BLOCK]))
+@example(base=[(-0.0, 0.0), (0.0, -0.0)], jitter=[[(-0.0, -0.0)] * 5, [(0.0, 0.0)] * 5],
+         block=RNG_BLOCK)
+def test_block_built_anchors_equal_the_per_tick_sums(base, jitter, block):
+    # one row of jitter per tick, served in blocks of ``block`` ticks;
+    # signed zeros, infinities and NaN show in the repr
     jitter = [row[:len(base)] for row in jitter]
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = jittered_anchors(np.array(base), np.array(jitter))
+    rows = RowGenerator(jitter, 0.5)
+    with mock.patch.object(engine, "asv_positions", lambda n, radius, alpha0: np.array(base)), \
+            mock.patch.object(engine, "derive_rng", lambda seed, label: rows), \
+            mock.patch.object(engine, "RNG_BLOCK", block), \
+            np.errstate(over="ignore", invalid="ignore"):
+        fleet = AsvFleet(SimConfig(n_asv=len(base), asv_jitter_std=0.5))
+        got = [[tuple(a) for a in fleet.at(k)] for k in range(len(jitter))]
     want = [[(bx + jx, by + jy) for (bx, by), (jx, jy) in zip(base, row)]
             for row in jitter]
-    assert repr([[tuple(a) for a in row] for row in got]) == repr(want)
+    assert repr(got) == repr(want)
 
 
 def lean_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, noise_tuples, loss_rng):
@@ -568,7 +590,7 @@ def test_improper_coloring_raises_at_start_round(data, n):
         """A scheduler whose round 0 has the given, proper pair."""
         return TdmaScheduler(SimConfig(), [[(None, None)]] * n,
                              lambda positions, anchors: (first_graph, first_coloring),
-                             [VehicleTruth(0.0, 0.0, 10.0, 0.0)] * n, [(0.0, 0.0)])
+                             [VehicleTruth(0.0, 0.0, 10.0, 0.0)] * n, StillAsvs([(0.0, 0.0)]))
 
     # a new graph and coloring after another pair
     new = scheduler(from_edges(n), Coloring(list(range(n)), n))

@@ -8,11 +8,12 @@ import pytest
 from coopnav.acoustic import UsblNoiseConfig, attempt_fix
 from coopnav.conflict import (Coloring, audibility_masks, build_conflict_graph,
                               greedy_color)
-from coopnav.engine import NoiseStream, SimConfig, derive_rng, uniform_stream
+from coopnav.engine import AsvFleet, NoiseStream, SimConfig, derive_rng, run, uniform_stream
 from coopnav.mission import VehicleTruth
 from coopnav.protocol import (BCAST, DELIVER, EXPIRED, FIX, FUSE, OUT_OF_MF_RANGE, PING,
-                              FixQueue, TdmaScheduler, TimingConfig, anchor_points,
+                              SUPERSEDED, FixQueue, TdmaScheduler, TimingConfig,
                               ticks_ceil)
+from fleets import StillAsvs
 from graphs import from_edges
 
 CFG = TimingConfig()
@@ -39,7 +40,7 @@ def scheduler(L=60.0, timing=CFG, c=C, f_t=F_T, r_hf=50.0):
     at the origin, the AUV below it at 10 m depth."""
     cfg = SimConfig(L=L, f_t=f_t, r_hf=r_hf, noise=UsblNoiseConfig(c=c), timing=timing)
     return TdmaScheduler(cfg, make_paths(1, 1), fixed([set()], Coloring([0], 1)),
-                         vehicles([(0.0, 0.0, 10.0)]), anchor_points(np.zeros((1, 2))))
+                         vehicles([(0.0, 0.0, 10.0)]), AsvFleet(cfg))
 
 
 # At the defaults both slots sit on their floors of 2.5 and 10 crossing
@@ -94,9 +95,8 @@ def static_run(sched, pos, ticks=300):
     the origin; returns each delivered queue entry with its ticks in flight
     since the latest broadcast."""
     sched.vehicles[:] = vehicles([pos])
-    anchors = anchor_points(np.zeros((1, 2)))
     return [(entry[0] - sched.last_served[0], entry) for k in range(ticks)
-            for entry in sched.step(k, anchors)]
+            for entry in sched.step(k)]
 
 
 MF_EDGE = TimingConfig(r_mf=30.0)
@@ -178,11 +178,10 @@ def vehicles(pos):
 def one_round(pos, asv, graph, coloring, ticks=None):
     """Step a scheduler at L=60 every tick over its first round, or ``ticks``
     ticks; returns it and its rendered events."""
-    anchors = anchor_points(asv)
     sched = TdmaScheduler(SimConfig(L=60.0, r_hf=50.0), make_paths(len(pos), len(asv)),
-                          fixed(graph, coloring), vehicles(pos), anchors)
+                          fixed(graph, coloring), vehicles(pos), StillAsvs(asv))
     for k in range(sched.round_end if ticks is None else ticks):
-        sched.step(k, anchors)
+        sched.step(k)
     return sched, list(sched.events)
 
 
@@ -260,7 +259,7 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
         for i in members:
             ref.append(f"PING{{tick={tick}, auv={i}, group={grp}}}")
             fixes = []
-            for j, a in enumerate(anchor_points(asv)):
+            for j, a in enumerate(asv.tolist()):
                 dx, dy, dz = pos[i][0] - a[0], pos[i][1] - a[1], pos[i][2]
                 r = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if r > 50.0:
@@ -295,9 +294,9 @@ def drive_scheduler(trace, asv, skip_idle):
         g = build_conflict_graph(audibility_masks(positions, anchors, 50.0))
         return g, greedy_color(g)
 
-    n_auv, auvs, anchors = len(trace[0]), vehicles(trace[0]), anchor_points(asv)
+    n_auv, auvs = len(trace[0]), vehicles(trace[0])
     sched = TdmaScheduler(SimConfig(L=70.0, r_hf=50.0), make_paths(n_auv, len(asv), seed=3),
-                          recolor, auvs, anchors)
+                          recolor, auvs, StillAsvs(asv))
     deliveries, steps = [], 0
     for k, pos in enumerate(trace):
         auvs[:] = vehicles(pos)
@@ -306,7 +305,7 @@ def drive_scheduler(trace, asv, skip_idle):
             continue
         n_events = len(sched.events)
         due = sched.due_auvs(k)
-        out = sched.step(k, anchors)
+        out = sched.step(k)
         steps += 1
         if idle:
             assert not due and not out and len(sched.events) == n_events
@@ -341,3 +340,68 @@ def test_scheduler_skipping_idle_ticks_matches_every_tick():
     pings = Counter(i for _, i, _ in full.events.records(PING))
     assert any(h < pings[i] for i, h in enumerate(full.heard))
     assert full_del and fast_steps < full_steps
+
+
+def whole_ticks(seconds, f_t):
+    """README's ``ceil``: seconds rounded up to ticks, with a 1e-9 allowance."""
+    return max(0, math.ceil(seconds * f_t - 1e-9))
+
+
+@pytest.mark.parametrize("min_slot_factor_dl, f_t, c", [
+    (10.0, 30, 1500.0), (20.0, 30, 1500.0), (10.0, 50, 1500.0), (10.0, 10, 1500.0),
+    (10.0, 30, 750.0), (4.0, 50, 750.0),
+], ids=["defaults", "mf_floor", "f_t50", "f_t10", "c750", "mf_floor4_f_t50_c750"])
+def test_event_ticks_follow_the_readme_timing_formulas(min_slot_factor_dl, f_t, c):
+    # one AUV, one ASV at the origin, no IMU or depth noise, near-exact
+    # fixes, steering on truth.  Which pings give a fix is the loss draw's
+    # call, read from the FIX records; everything else is README's
+    # "Protocol timing" and downlink rules, written out here
+    timing = TimingConfig(min_slot_factor_dl=min_slot_factor_dl)
+    rep = run(SimConfig(L=20.0, n_auv=1, n_asv=1, duration=20.0, f_t=f_t, seed=4,
+                        sigma=0.0, sigma_z=0.0, guidance_on_truth=True, trace=True,
+                        timing=timing, noise=UsblNoiseConfig(
+                            sigma_r=1e-9, sigma_theta=0.0, sigma_phi=0.0, c=c)))
+    t_c = 20.0 / c
+    slot = max(1, whole_ticks(max(timing.t_p + 50.0 / c + timing.guard_factor_ul * t_c,
+                                  timing.min_slot_factor_ul * t_c), f_t))
+    t_tx = (timing.n_hdr + timing.b_fix) * 8 * timing.overhead / timing.r_dl
+    mf_slot = whole_ticks(max(t_tx + timing.guard_factor_dl * t_c,
+                              min_slot_factor_dl * t_c), f_t)
+    max_age = whole_ticks(timing.max_fix_age_s, f_t)
+    rows = list(zip(*[iter(rep.trace)] * 12))   # one row per tick of the one AUV
+    assert [row[0] for row in rows] == list(range(rep.ticks))
+
+    # one AUV is one ping group: a round is one slot, and every round pings
+    pings = [(k, 0, 0) for k in range(0, rep.ticks, slot)]
+    assert list(rep.events.records(PING)) == pings
+    fixed = [k for k, _, _, *_ in rep.events.records(FIX)]
+    assert fixed and set(fixed) <= {k for k, _, _ in pings}
+
+    # the newest fix waits in the buffer, superseding an unsent one, until
+    # the MF channel is free; a fix older than max_fix_age expires unsent
+    buffered, free = None, 0
+    bcasts, delivers, superseded, expired = [], [], [], []
+    for k in range(rep.ticks):
+        if k in fixed:
+            if buffered is not None:
+                superseded.append((k, 0))
+            buffered = k
+        if buffered is None or k < free:
+            continue
+        if buffered < k - max_age:
+            expired.append((k, 0))
+        else:
+            bcasts.append((k, 0, timing.n_hdr + timing.b_fix))
+            free = k + mf_slot
+            x, y = rows[k][2], rows[k][3]   # the AUV's truth, at the broadcast
+            d = math.hypot(x, y)
+            assert d <= timing.r_mf
+            kd = k + whole_ticks(t_tx + d / c, f_t)
+            if kd < rep.ticks:
+                delivers.append((kd, 0, (kd - buffered) / f_t))
+        buffered = None
+    assert list(rep.events.records(BCAST)) == bcasts
+    assert list(rep.events.records(DELIVER)) == delivers
+    assert list(rep.events.records(SUPERSEDED)) == superseded
+    assert list(rep.events.records(EXPIRED)) == expired
+    assert len(delivers) > 10
