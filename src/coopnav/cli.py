@@ -84,7 +84,10 @@ def _read_ini(path: str | Path) -> tuple[configparser.ConfigParser, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{path}: no such config file")
-    text = p.read_text()
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config file: {exc}") from exc
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text, source=str(path))

@@ -26,7 +26,7 @@ from .mission import (GuidanceConfig, VehicleTruth, advance_truth, guidance_step
                       plan_lawnmower, point_segment_distance, segment)
 from .nav import KinematicInput, NavState, apply_fix, dead_reckon_step, depth_update
 from .protocol import (DELIVER, EXPIRED, OUT_OF_MF_RANGE, PING, SUPERSEDED,
-                       EventLog, TdmaScheduler, TimingConfig)
+                       EventLog, TdmaScheduler, TimingConfig, run_ticks)
 from .schema import auto_or_float, check, from_degrees, hash_items, param
 
 
@@ -76,6 +76,7 @@ class SimConfig:
         if self.noise.sigma_r ** 2 + (abs(self.depth) * self.noise.sigma_theta) ** 2 == 0:
             raise ValueError("sigma_r and sigma_theta give fixes of variance 0 "
                              f"at depth {self.depth}")
+        run_ticks(self)   # raises if a finite duration overflows its tick count
 
     def config_hash(self) -> str:
         blob = "\n".join(f"{k}={v}" for k, v in hash_items(self))
@@ -310,7 +311,7 @@ def run(config: SimConfig) -> MissionReport:
     excursions = 0
     trace_rows = array("d")
 
-    total_ticks = round(config.duration * f_t)
+    total_ticks = run_ticks(config).mission
     ticks_run = 0
     finished = 0    # AUVs past their last waypoint
     for k in range(total_ticks):
@@ -383,6 +384,7 @@ def run(config: SimConfig) -> MissionReport:
                                      navs[i].p_imu[1] - truths[i].y),
             max_fused_err=max_fused_err[i],
         ))
+    proto.events.pack()   # every figure above is taken: keep the records as doubles
     return MissionReport(
         config_hash=config.config_hash(),
         seed=seed,

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .acoustic import attempt_fix, fuse_fixes
 from .conflict import Coloring
@@ -55,6 +57,44 @@ def ticks_ceil(seconds: float, f_t: float) -> int:
     return max(0, math.ceil(seconds * f_t - _TICK_EPS))
 
 
+class RunTicks(NamedTuple):
+    """A run's durations in ticks, and the one-fix airtime in s."""
+    mission: int
+    slot: int      # uplink slot
+    mf_slot: int
+    max_age: int   # a buffered fix older than this expires
+    t_tx: float
+
+
+def run_ticks(config) -> RunTicks:
+    """The tick counts of the run's ``SimConfig``, from the README's
+    "Protocol timing" formulas; the mission lasts ``round(duration * f_t)``
+    ticks.  Raises ValueError naming the first quantity, the longest
+    delivery ``t_tx + r_mf / c`` included, whose tick count is not finite."""
+    timing, c, f_t = config.timing, config.noise.c, config.f_t
+    tc = config.L / c   # crossing time of the survey area
+    t_tx = (timing.n_hdr + timing.b_fix) * 8.0 * timing.overhead / timing.r_dl
+    seconds = {
+        "mission": config.duration,
+        "uplink slot": max(timing.t_p + config.r_hf / c + timing.guard_factor_ul * tc,
+                           timing.min_slot_factor_ul * tc),
+        "MF slot": max(t_tx + timing.guard_factor_dl * tc, timing.min_slot_factor_dl * tc),
+        "fix age": timing.max_fix_age_s,
+        "longest delivery": t_tx + timing.r_mf / c,
+    }
+    for name, s in seconds.items():
+        if not math.isfinite(s * f_t):
+            raise ValueError(f"the {name} of {s} s has no finite tick count "
+                             f"at tick_rate {f_t}")
+    return RunTicks(
+        round(config.duration * f_t),
+        # at least one tick, so that successive groups never share a tick
+        max(1, ticks_ceil(seconds["uplink slot"], f_t)),
+        ticks_ceil(seconds["MF slot"], f_t),
+        ticks_ceil(timing.max_fix_age_s, f_t),
+        t_tx)
+
+
 # Event kinds.  A record is its kind plus the ints and floats its template
 # formats, in order.
 PING, FIX, FUSE, BCAST, DELIVER, SUPERSEDED, EXPIRED, OUT_OF_MF_RANGE = range(8)
@@ -77,15 +117,16 @@ class EventLog:
     kind's flat list ``stores[kind]``; ``records(kind)`` yields that kind's
     field tuples in order, ``len`` counts the events and iterating renders
     them.  ``%d`` and ``%.6f`` give what the f-string ``{v}`` and
-    ``{v:.6f}`` give, byte for byte.  Values are not converted into an
-    ``array``: its per-value conversion costs more than formatting a PING.
+    ``{v:.6f}`` give, byte for byte.  A live log appends to lists, since
+    extending an ``array`` costs several times a list ``+=`` per record;
+    ``pack`` stores a finished log's values as doubles.
     """
 
     __slots__ = ("kinds", "stores")
 
     def __init__(self):
         self.kinds = bytearray()
-        self.stores: list[list[int | float]] = [[] for _ in EVENT_FORMATS]
+        self.stores: list[list[int | float] | array] = [[] for _ in EVENT_FORMATS]
 
     def add(self, kind: int, *fields):
         self.kinds.append(kind)
@@ -97,6 +138,16 @@ class EventLog:
     def records(self, kind: int):
         """The field tuples of ``kind``'s events, in the order they happened."""
         return zip(*[iter(self.stores[kind])] * EVENT_FORMATS[kind][1])
+
+    def pack(self):
+        """Store each kind's values as an ``array('d')``, at 8 bytes a value,
+        for a log that takes no more events.  Kinds are converted one at a
+        time, so only one kind's list and array coexist.  Ticks and ids
+        become integral doubles, which compare equal to the ints and which
+        ``%d`` renders as it rendered them."""
+        stores = self.stores
+        for kind, values in enumerate(stores):
+            stores[kind] = array("d", values)
 
     def __iter__(self):
         cursors = [self.records(kind) for kind in range(len(EVENT_FORMATS))]
@@ -167,10 +218,10 @@ class TdmaScheduler:
     end from that tick's anchors (see ``step``).
 
     Slot lengths, the one-fix payload and its airtime depend only on the
-    configuration, so they are computed once: group g of a round starting
-    at tick s pings at ``s + g * slot_ticks``.  The README's "Protocol
-    timing" paragraph gives these formulas and those of delivery ticks and
-    latency.
+    configuration, so they are computed once, by ``run_ticks``: group g of
+    a round starting at tick s pings at ``s + g * slot_ticks``.  The
+    README's "Protocol timing" paragraph gives these formulas and those of
+    delivery ticks and latency.
 
     ``next_tick`` is the earliest tick at which ``step()`` can emit an event
     or deliver a fix: the round end, the next group start, the MF channel
@@ -182,25 +233,16 @@ class TdmaScheduler:
     def __init__(self, config, paths, recolorer, vehicles, asvs):
         self.timing = timing = config.timing
         self.noise = noise = config.noise
-        self.f_t = f_t = config.f_t
+        self.f_t = config.f_t
         self.r_hf = config.r_hf
         self.contention = config.contention
         self.paths = paths
         self.n_auv = n_auv = len(paths)
         self.n_asv = len(paths[0])
-        self.max_age_ticks = ticks_ceil(timing.max_fix_age_s, f_t)
-        c = noise.c
-        tc = config.L / c   # crossing time of the survey area
-        # ticks from one group's slot start to the next's; at least one, so
-        # that successive groups never share a tick
-        self.slot_ticks = max(1, ticks_ceil(
-            max(timing.t_p + self.r_hf / c + timing.guard_factor_ul * tc,
-                timing.min_slot_factor_ul * tc), f_t))
+        ticks = run_ticks(config)
+        self.slot_ticks, self.mf_slot_ticks = ticks.slot, ticks.mf_slot
+        self.max_age_ticks, self.t_tx = ticks.max_age, ticks.t_tx
         self.fix_payload = timing.n_hdr + timing.b_fix   # header and one fix record
-        self.t_tx = self.fix_payload * 8.0 * timing.overhead / timing.r_dl
-        self.mf_slot_ticks = ticks_ceil(
-            max(self.t_tx + timing.guard_factor_dl * tc, timing.min_slot_factor_dl * tc),
-            f_t)
 
         self.var_r = noise.sigma_r ** 2
         self.recolorer = recolorer

@@ -108,6 +108,14 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
 
 
+def test_an_undecodable_config_file_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "cfg.ini"
+    p.write_bytes(b"[sim]\nduration = 5\n# \xff\n")
+    assert main(["validate-config", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "cfg.ini: cannot read the config file" in err and "Traceback" not in err, err
+
+
 def test_validate_config_command(tmp_path, capsys):
     cfg = write(tmp_path, BASE)
     assert main(["validate-config", "--config", cfg]) == 0
@@ -217,6 +225,23 @@ def test_inf_is_rejected_naming_the_key(tmp_path, capsys, section, key, value):
     assert re.search(rf"\b{key}\b", out.err.split("cfg.ini", 1)[1]), out.err
 
 
+@pytest.mark.parametrize("text, quantity", [
+    ("[sim]\nduration = 1e308\n", "mission"),
+    ("[protocol]\nping_duration = 1e308\n", "uplink slot"),
+    ("[protocol]\nmax_fix_age = 1e308\n", "fix age"),
+    ("[protocol]\nr_dl = 1e-320\n", "MF slot"),
+    ("[acoustic]\nsound_speed = 1e-307\n", "uplink slot"),
+    ("[protocol]\nr_mf = 1e308\n[acoustic]\nsound_speed = 1\n", "longest delivery"),
+], ids=["duration", "ping_duration", "max_fix_age", "r_dl", "sound_speed", "r_mf"])
+def test_a_finite_value_whose_ticks_overflow_is_rejected(tmp_path, capsys, text, quantity):
+    # each value is finite and in its bound, but its tick count is not finite
+    cfg = write(tmp_path, text)
+    assert main(["validate-config", "--config", cfg]) == 1
+    out = capsys.readouterr()
+    assert "OK" not in out.out
+    assert f"the {quantity} of " in out.err and "no finite tick count" in out.err, out.err
+
+
 def test_bounded_keys_include_every_bound_and_both_bias_entries():
     assert {("nav", "bias_x"), ("nav", "bias_y"), ("formation", "r_hf"),
             ("protocol", "r_dl"), ("nav", "sigma_z"), ("sim", "duration")} <= set(BOUNDED)
@@ -305,7 +330,9 @@ def test_sweep_single_cell(tmp_path, capsys):
     ("L = 60", "L = 60, -60", "L=-60, n_asv=1, n_auv=3", "L ([sim] l) must be > 0"),
     ("duration = 8", "duration = 8\n[mission]\ntrack_spacing = 15",
      "L=60, n_asv=1, n_auv=5", "exceeds the strip height"),
-], ids=["base", "axis", "across_fields"])
+    ("duration = 8", "duration = 8\n[protocol]\nping_duration = 1e308",
+     "L=60, n_asv=1, n_auv=3", "uplink slot of 1e+308 s has no finite tick count"),
+], ids=["base", "axis", "across_fields", "tick_overflow"])
 def test_sweep_rejects_an_invalid_cell_before_running(tmp_path, capsys, old, new, cell, error):
     # n_auv = 3, 5 gives strips 20 and 12 m high
     cfg = write(tmp_path, SWEEP.replace("n_auv = 3", "n_auv = 3, 5").replace(old, new),

@@ -1,5 +1,6 @@
 
 import math
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -9,10 +10,10 @@ from coopnav.acoustic import UsblNoiseConfig, attempt_fix
 from coopnav.conflict import (Coloring, audibility_masks, build_conflict_graph,
                               greedy_color)
 from coopnav.engine import AsvFleet, NoiseStream, SimConfig, derive_rng, run, uniform_stream
-from coopnav.mission import VehicleTruth
-from coopnav.protocol import (BCAST, DELIVER, EXPIRED, FIX, FUSE, OUT_OF_MF_RANGE, PING,
-                              SUPERSEDED, FixQueue, TdmaScheduler, TimingConfig,
-                              ticks_ceil)
+from coopnav.mission import GuidanceConfig, VehicleTruth, plan_lawnmower
+from coopnav.protocol import (BCAST, DELIVER, EVENT_FORMATS, EXPIRED, FIX, FUSE,
+                              OUT_OF_MF_RANGE, PING, SUPERSEDED, FixQueue, TdmaScheduler,
+                              TimingConfig, ticks_ceil)
 from fleets import StillAsvs
 from graphs import from_edges
 
@@ -314,21 +315,28 @@ def drive_scheduler(trace, asv, skip_idle):
     return sched, deliveries, steps
 
 
-def test_scheduler_skipping_idle_ticks_matches_every_tick():
-    # two AUVs orbit each of two anchors 160 m apart, drifting in and out of
-    # HF range: the other anchor's broadcasts are beyond MF range, and four
-    # AUVs sharing one MF channel let buffered fixes expire.  At L=70 uplink
-    # slots last 4 ticks and MF slots 14, so the channel frees between slots
-    asv = np.array([[-80.0, 0.0], [80.0, 0.0]])
+# two AUVs orbit each of two anchors 160 m apart, drifting in and out of HF
+# range: the other anchor's broadcasts are beyond MF range, and four AUVs
+# sharing one MF channel let buffered fixes expire.  At L=70 uplink slots
+# last 4 ticks and MF slots 14, so the channel frees between slots
+ORBIT_ASVS = np.array([[-80.0, 0.0], [80.0, 0.0]])
+
+
+def orbit_trace(n_ticks):
     trace = []
-    for k in range(1500):
+    for k in range(n_ticks):
         pos = []
         for i in range(4):
             r = 35.0 + 25.0 * np.sin(0.004 * k + i)
             a = 0.01 * k + 1.7 * i
-            ax, ay = asv[i % 2]
+            ax, ay = ORBIT_ASVS[i % 2]
             pos.append((float(ax + r * np.cos(a)), float(ay + r * np.sin(a)), 10.0))
         trace.append(pos)
+    return trace
+
+
+def test_scheduler_skipping_idle_ticks_matches_every_tick():
+    trace, asv = orbit_trace(1500), ORBIT_ASVS
     full, full_del, full_steps = drive_scheduler(trace, asv, skip_idle=False)
     fast, fast_del, fast_steps = drive_scheduler(trace, asv, skip_idle=True)
     # equal records: every latency at full precision, every drop and ping
@@ -342,45 +350,59 @@ def test_scheduler_skipping_idle_ticks_matches_every_tick():
     assert full_del and fast_steps < full_steps
 
 
+def test_a_packed_log_reads_as_it_did():
+    sched, _, _ = drive_scheduler(orbit_trace(1500), ORBIT_ASVS, skip_idle=True)
+    log = sched.events
+    rendered = list(log)
+    records = [list(log.records(kind)) for kind in range(len(EVENT_FORMATS))]
+    assert all(records)   # every kind of event, to be packed
+    log.pack()
+    assert all(isinstance(s, array) and s.typecode == "d" for s in log.stores)
+    assert list(log) == rendered
+    # ticks and ids come back as integral floats, equal to the ints
+    assert [list(log.records(kind)) for kind in range(len(EVENT_FORMATS))] == records
+
+
 def whole_ticks(seconds, f_t):
     """README's ``ceil``: seconds rounded up to ticks, with a 1e-9 allowance."""
     return max(0, math.ceil(seconds * f_t - 1e-9))
 
 
-@pytest.mark.parametrize("min_slot_factor_dl, f_t, c", [
-    (10.0, 30, 1500.0), (20.0, 30, 1500.0), (10.0, 50, 1500.0), (10.0, 10, 1500.0),
-    (10.0, 30, 750.0), (4.0, 50, 750.0),
-], ids=["defaults", "mf_floor", "f_t50", "f_t10", "c750", "mf_floor4_f_t50_c750"])
-def test_event_ticks_follow_the_readme_timing_formulas(min_slot_factor_dl, f_t, c):
-    # one AUV, one ASV at the origin, no IMU or depth noise, near-exact
-    # fixes, steering on truth.  Which pings give a fix is the loss draw's
-    # call, read from the FIX records; everything else is README's
-    # "Protocol timing" and downlink rules, written out here
-    timing = TimingConfig(min_slot_factor_dl=min_slot_factor_dl)
-    rep = run(SimConfig(L=20.0, n_auv=1, n_asv=1, duration=20.0, f_t=f_t, seed=4,
-                        sigma=0.0, sigma_z=0.0, guidance_on_truth=True, trace=True,
-                        timing=timing, noise=UsblNoiseConfig(
-                            sigma_r=1e-9, sigma_theta=0.0, sigma_phi=0.0, c=c)))
+def one_auv_run(timing, f_t, c, sigma_r, seed):
+    """The deterministic case: one AUV, one ASV at the origin, no IMU or
+    depth noise, fixes with range noise ``sigma_r`` only, steering on truth,
+    20 s at L=20 with a trace."""
+    return run(SimConfig(L=20.0, n_auv=1, n_asv=1, duration=20.0, f_t=f_t, seed=seed,
+                         sigma=0.0, sigma_z=0.0, guidance_on_truth=True, trace=True,
+                         timing=timing, noise=UsblNoiseConfig(
+                             sigma_r=sigma_r, sigma_theta=0.0, sigma_phi=0.0, c=c)))
+
+
+def readme_protocol(rep, timing, f_t, c):
+    """The records of a ``one_auv_run`` from README's "Protocol timing" and
+    downlink rules, written out here: its PING records, which pings gave a
+    fix, the BCAST, SUPERSEDED and EXPIRED records, and each delivery as
+    (delivery tick, ping tick).  Which pings give a fix is the loss draw's
+    call, read from the FIX records; the AUV's distance to the ASV at a
+    broadcast is read from its trace row."""
     t_c = 20.0 / c
     slot = max(1, whole_ticks(max(timing.t_p + 50.0 / c + timing.guard_factor_ul * t_c,
                                   timing.min_slot_factor_ul * t_c), f_t))
     t_tx = (timing.n_hdr + timing.b_fix) * 8 * timing.overhead / timing.r_dl
     mf_slot = whole_ticks(max(t_tx + timing.guard_factor_dl * t_c,
-                              min_slot_factor_dl * t_c), f_t)
+                              timing.min_slot_factor_dl * t_c), f_t)
     max_age = whole_ticks(timing.max_fix_age_s, f_t)
     rows = list(zip(*[iter(rep.trace)] * 12))   # one row per tick of the one AUV
     assert [row[0] for row in rows] == list(range(rep.ticks))
 
     # one AUV is one ping group: a round is one slot, and every round pings
     pings = [(k, 0, 0) for k in range(0, rep.ticks, slot)]
-    assert list(rep.events.records(PING)) == pings
     fixed = [k for k, _, _, *_ in rep.events.records(FIX)]
-    assert fixed and set(fixed) <= {k for k, _, _ in pings}
 
     # the newest fix waits in the buffer, superseding an unsent one, until
     # the MF channel is free; a fix older than max_fix_age expires unsent
     buffered, free = None, 0
-    bcasts, delivers, superseded, expired = [], [], [], []
+    bcasts, deliveries, superseded, expired = [], [], [], []
     for k in range(rep.ticks):
         if k in fixed:
             if buffered is not None:
@@ -398,10 +420,63 @@ def test_event_ticks_follow_the_readme_timing_formulas(min_slot_factor_dl, f_t, 
             assert d <= timing.r_mf
             kd = k + whole_ticks(t_tx + d / c, f_t)
             if kd < rep.ticks:
-                delivers.append((kd, 0, (kd - buffered) / f_t))
+                deliveries.append((kd, buffered))
         buffered = None
+    return pings, fixed, bcasts, deliveries, superseded, expired
+
+
+@pytest.mark.parametrize("min_slot_factor_dl, f_t, c", [
+    (10.0, 30, 1500.0), (20.0, 30, 1500.0), (10.0, 50, 1500.0), (10.0, 10, 1500.0),
+    (10.0, 30, 750.0), (4.0, 50, 750.0),
+], ids=["defaults", "mf_floor", "f_t50", "f_t10", "c750", "mf_floor4_f_t50_c750"])
+def test_event_ticks_follow_the_readme_timing_formulas(min_slot_factor_dl, f_t, c):
+    timing = TimingConfig(min_slot_factor_dl=min_slot_factor_dl)
+    rep = one_auv_run(timing, f_t, c, sigma_r=1e-9, seed=4)
+    pings, fixed, bcasts, deliveries, superseded, expired = readme_protocol(rep, timing, f_t, c)
+    assert list(rep.events.records(PING)) == pings
+    assert fixed and set(fixed) <= {k for k, _, _ in pings}
+    delivers = [(kd, 0, (kd - ping) / f_t) for kd, ping in deliveries]
     assert list(rep.events.records(BCAST)) == bcasts
     assert list(rep.events.records(DELIVER)) == delivers
     assert list(rep.events.records(SUPERSEDED)) == superseded
     assert list(rep.events.records(EXPIRED)) == expired
     assert len(delivers) > 10
+
+
+@pytest.mark.parametrize("min_slot_factor_dl, f_t, c", [
+    (10.0, 30, 1500.0), (20.0, 30, 1500.0), (4.0, 50, 750.0),
+], ids=["defaults", "mf_floor", "mf_floor4_f_t50_c750"])
+def test_fused_error_follows_the_hand_propagated_budget(min_slot_factor_dl, f_t, c):
+    # The whole 20 s run is the plan's first leg, 20 m long, which the AUV
+    # leaves only within the 2 m capture radius of its end, after 27.7 s.
+    # On it the heading psi is constant, the truth moves v*dt along it per
+    # tick, and the fused error e = p_fused - truth grows by R(psi)*b*dt per
+    # tick.  At a delivery the fused step is replaced by one noise-free
+    # predict, the same R(psi)*(v + b)*dt, and then moves gamma of the way
+    # to the fix: the truth at the ping tick, to the 1e-12 m range noise.
+    timing = TimingConfig(min_slot_factor_dl=min_slot_factor_dl)
+    rep = one_auv_run(timing, f_t, c, sigma_r=1e-12, seed=4)
+    *_, deliveries, _, _ = readme_protocol(rep, timing, f_t, c)
+    ping_of = dict(deliveries)
+    cfg = SimConfig()
+    (x0, y0), (x1, y1) = plan_lawnmower(20.0, 1)[0][:2]
+    psi = math.atan2(y1 - y0, x1 - x0)
+    cos_psi, sin_psi = math.cos(psi), math.sin(psi)
+    dt, v, (bx, by), gamma = 1.0 / f_t, GuidanceConfig().cruise_speed, cfg.bias, cfg.gamma
+    truth = [(x0 + (k + 1) * v * dt * cos_psi, y0 + (k + 1) * v * dt * sin_psi)
+             for k in range(rep.ticks)]
+    drift = ((cos_psi * bx - sin_psi * by) * dt, (sin_psi * bx + cos_psi * by) * dt)
+
+    ex = ey = err_sum = 0.0
+    for k, row in enumerate(zip(*[iter(rep.trace)] * 12)):
+        ex, ey = ex + drift[0], ey + drift[1]
+        tx, ty = truth[k]
+        if k in ping_of:
+            fx, fy = truth[ping_of[k]]
+            ex = (1.0 - gamma) * ex + gamma * (fx - tx)
+            ey = (1.0 - gamma) * ey + gamma * (fy - ty)
+        assert row[2:4] == pytest.approx((tx, ty), abs=1e-9), k
+        assert (row[8] - row[2], row[9] - row[3]) == pytest.approx((ex, ey), abs=1e-9), k
+        err_sum += math.hypot(ex, ey)
+    assert len(ping_of) > 10
+    assert rep.per_auv[0].mean_est_err == pytest.approx(err_sum / rep.ticks, abs=1e-9)

@@ -14,6 +14,7 @@ change that alters the simulation on purpose re-records them and says why.
 import dataclasses
 import hashlib
 import statistics
+from array import array
 
 import pytest
 
@@ -127,9 +128,11 @@ def test_run_digest_pinned(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_reads_the_records(case):
     # each kind's records render to that kind's lines of the log, in order,
-    # and the report's fix and drop figures are what the records hold
+    # and the report's fix and drop figures are what the records hold; a
+    # finished report keeps each kind's values as doubles
     rep = run(SimConfig(**CASES[case]))
     events, log = rep.events, rep.event_log
+    assert all(isinstance(s, array) and s.typecode == "d" for s in events.stores)
     assert len(events) == len(log)
     for kind, (template, _) in enumerate(EVENT_FORMATS):
         assert [template % r for r in events.records(kind)] == [

@@ -12,7 +12,10 @@ one job of one round; its ratio is the change's time over the parent's.
 A sweep INI with ``[sim] trace = true`` times traced runs.  The script
 prints each tree's median mission time with its quartiles, the
 quartiles of the pair ratios, the pairs the change won and tied, and its
-win share over the untied pairs (a tie counts for neither side).  Host
+win share over the untied pairs (a tie counts for neither side).  It then
+prints the bytes that one finished report of the first job keeps allocated
+in each tree, measured by ``tracemalloc`` around one more, untimed,
+``run()`` per tree: an in-process A/B of report memory.  Host
 speed drifts within a benchmark run (perfbench/README.md); two runs timed
 back to back see nearly the same host, so the pair ratio cancels the drift.
 
@@ -25,10 +28,12 @@ the script exits 1 on the first mismatch, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from diffcheck import fingerprint
@@ -50,6 +55,19 @@ def timed(cli, cfg) -> tuple[float, str]:
     t0 = time.perf_counter()
     rep = cli.run(cfg)
     return time.perf_counter() - t0, fingerprint(rep)
+
+
+def retained_bytes(cli, cfg) -> int:
+    """Bytes allocated by one ``run()`` that its report still holds."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = cli.run(cfg)   # held until the memory is read
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -92,6 +110,9 @@ def main(argv=None) -> int:
     print(f"change/parent ratio: median {med:.3f} [{q1:.3f}, {q3:.3f}]; "
           f"change won {wins} and tied {ties} of {len(ratios)} pairs; "
           f"won {share} of the {decided} untied")
+    for label, cli, cfgs in zip(("parent", "change"), trees, jobs):
+        kb = retained_bytes(cli, cfgs[0]) / 1024
+        print(f"{label}: one finished report of job 0 retains {kb:.0f} KB (tracemalloc)")
     return 0
 
 
