@@ -76,7 +76,7 @@ class SimConfig:
         if self.noise.sigma_r ** 2 + (abs(self.depth) * self.noise.sigma_theta) ** 2 == 0:
             raise ValueError("sigma_r and sigma_theta give fixes of variance 0 "
                              f"at depth {self.depth}")
-        run_ticks(self)   # raises if a finite duration overflows its tick count
+        run_ticks(self)   # raises if a finite value overflows its tick count
 
     def config_hash(self) -> str:
         blob = "\n".join(f"{k}={v}" for k, v in hash_items(self))
@@ -311,7 +311,7 @@ def run(config: SimConfig) -> MissionReport:
     excursions = 0
     trace_rows = array("d")
 
-    total_ticks = run_ticks(config).mission
+    total_ticks = round(config.duration * f_t)
     ticks_run = 0
     finished = 0    # AUVs past their last waypoint
     for k in range(total_ticks):

@@ -58,8 +58,7 @@ def ticks_ceil(seconds: float, f_t: float) -> int:
 
 
 class RunTicks(NamedTuple):
-    """A run's durations in ticks, and the one-fix airtime in s."""
-    mission: int
+    """A run's protocol durations in ticks, and the one-fix airtime in s."""
     slot: int      # uplink slot
     mf_slot: int
     max_age: int   # a buffered fix older than this expires
@@ -67,10 +66,10 @@ class RunTicks(NamedTuple):
 
 
 def run_ticks(config) -> RunTicks:
-    """The tick counts of the run's ``SimConfig``, from the README's
-    "Protocol timing" formulas; the mission lasts ``round(duration * f_t)``
-    ticks.  Raises ValueError naming the first quantity, the longest
-    delivery ``t_tx + r_mf / c`` included, whose tick count is not finite."""
+    """The protocol's tick counts for the run's ``SimConfig``, from the
+    README's "Protocol timing" formulas.  Raises ValueError naming the first
+    quantity, the mission's ``duration`` and the longest delivery ``t_tx +
+    r_mf / c`` included, whose tick count is not finite."""
     timing, c, f_t = config.timing, config.noise.c, config.f_t
     tc = config.L / c   # crossing time of the survey area
     t_tx = (timing.n_hdr + timing.b_fix) * 8.0 * timing.overhead / timing.r_dl
@@ -87,7 +86,6 @@ def run_ticks(config) -> RunTicks:
             raise ValueError(f"the {name} of {s} s has no finite tick count "
                              f"at tick_rate {f_t}")
     return RunTicks(
-        round(config.duration * f_t),
         # at least one tick, so that successive groups never share a tick
         max(1, ticks_ceil(seconds["uplink slot"], f_t)),
         ticks_ceil(seconds["MF slot"], f_t),

@@ -36,9 +36,10 @@ def auto_or_float(raw: str) -> float | None:
 def check(cfg, prefix: str = "") -> None:
     """Raise ValueError naming the first field of ``cfg`` or of a config
     nested in it (and the field's INI key) that is an int field's
-    non-integer, outside its bound or not finite; each entry of a tuple
-    field is tested under its own key.  A bound is tested as ``not (v >
-    low)`` or ``not (v >= low)``, so NaN fails it; None passes."""
+    non-integer, outside its bound or not finite (an int beyond the float
+    range is not); each entry of a tuple field is tested under its own
+    key.  A bound is tested as ``not (v > low)`` or ``not (v >= low)``, so
+    NaN fails it; None passes."""
     for f in fields(cfg):
         v, m = getattr(cfg, f.name), f.metadata
         if is_dataclass(v):
@@ -53,8 +54,15 @@ def check(cfg, prefix: str = "") -> None:
                 op, low = m["bound"]
                 if not (x > low if op == ">" else x >= low):
                     raise ValueError(f"{label} must be {op} {low} (got {x})")
-            if m["finite"] and not math.isfinite(x):
+            if m["finite"] and not _finite(x):
                 raise ValueError(f"{label} must be finite (got {x})")
+
+
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:   # an int beyond the float range
+        return False
 
 
 def hash_items(cfg, prefix: str = "") -> list[tuple[str, str]]:

@@ -214,10 +214,11 @@ def test_nan_is_rejected_naming_the_key(tmp_path, capsys, section, key):
     assert re.search(rf"\b{key}\b", out.err.split("cfg.ini", 1)[1]), out.err
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("value", ["inf", "-inf", pytest.param(str(10 ** 400), id="400_digits")])
 @pytest.mark.parametrize("section, key", BOUNDED, ids=[f"{s}.{k}" for s, k in BOUNDED])
 def test_inf_is_rejected_naming_the_key(tmp_path, capsys, section, key, value):
-    # a bound alone would let inf through, and the run would then fail
+    # a bound alone would let inf through, and the run would then fail; 400
+    # digits are inf to a float key and, to an int key, beyond the float range
     cfg = write(tmp_path, f"[{section}]\n{key} = {value}\n")
     assert main(["validate-config", "--config", cfg]) == 1
     out = capsys.readouterr()
@@ -232,7 +233,9 @@ def test_inf_is_rejected_naming_the_key(tmp_path, capsys, section, key, value):
     ("[protocol]\nr_dl = 1e-320\n", "MF slot"),
     ("[acoustic]\nsound_speed = 1e-307\n", "uplink slot"),
     ("[protocol]\nr_mf = 1e308\n[acoustic]\nsound_speed = 1\n", "longest delivery"),
-], ids=["duration", "ping_duration", "max_fix_age", "r_dl", "sound_speed", "r_mf"])
+    (f"[sim]\ntick_rate = {10 ** 306}\n", "mission"),
+], ids=["duration", "ping_duration", "max_fix_age", "r_dl", "sound_speed", "r_mf",
+        "tick_rate"])
 def test_a_finite_value_whose_ticks_overflow_is_rejected(tmp_path, capsys, text, quantity):
     # each value is finite and in its bound, but its tick count is not finite
     cfg = write(tmp_path, text)
