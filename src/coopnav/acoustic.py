@@ -5,13 +5,15 @@ to an AUV, perturbing range and angles with Gaussian noise, and
 reconstructing the world-frame position.  Fix loss combines a
 range-dependent double-exponential with a collision term per additional
 contending vehicle; its coefficients are the module constants below, not
-config.  Simultaneous fixes of one AUV from several ASVs are merged with an
-inverse-variance weighted (minimum-variance linear unbiased) estimator.
+config.  Simultaneous fixes of one AUV from several ASVs are merged into one
+(x, y) position with an inverse-variance weighted (minimum-variance linear
+unbiased) estimator.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import asin, atan2, cos, exp, sin
 
@@ -28,6 +30,17 @@ class UsblNoiseConfig:
     # the deleted HF cutoff field (SimConfig.r_hf is the cutoff), hashed as it was
     retired = (("r_max", "50.0"),)
 
+    def fix_variance(self, r: float) -> float:
+        """A fix's variance at slant range ``r`` as ``attempt_fix`` computes it,
+        inf where it overflows; no range the run computes, the root of a
+        finite sum of squares, exceeds the root of the largest float."""
+        try:
+            return self.sigma_r ** 2 + (min(r, _MAX_RANGE) * self.sigma_theta) ** 2
+        except OverflowError:
+            return math.inf
+
+
+_MAX_RANGE = math.sqrt(sys.float_info.max)
 
 # the loss model: a range term LOSS_A*exp(LOSS_B*r) + LOSS_C*exp(LOSS_D*r)
 # at r clipped to R_CLIP, plus P_COL per extra contending vehicle, capped at P_CAP
@@ -80,18 +93,17 @@ def attempt_fix(asv, dx: float, dy: float, dz: float, r: float, n_cont: int, var
             var_r + (r * sigma_theta) ** 2)
 
 
-def fuse_fixes(fixes: list[tuple[float, float, float, float]]) -> tuple[float, float, float]:
+def fuse_fixes(fixes: list[tuple[float, float, float, float]]) -> tuple[float, float]:
     """Inverse-variance weighted merge of one ping's (x, y, z, variance)
-    fixes into the fused (x, y, z).
+    fixes into the fused (x, y).
 
     With equal variances this is the arithmetic mean, of variance sigma^2/K.
-    Every variance is > 0: ``SimConfig.validate`` rejects a noise config
-    whose fixes could have variance 0.
+    Every variance is > 0 and finite: ``SimConfig.validate`` rejects a noise
+    config whose fixes could have variance 0 or an overflowing one.
     """
-    wsum = x = y = z = 0.0
-    for px, py, pz, v in fixes:
+    wsum = x = y = 0.0
+    for px, py, _, v in fixes:
         wsum += 1.0 / v
         x += px / v
         y += py / v
-        z += pz / v
-    return x / wsum, y / wsum, z / wsum
+    return x / wsum, y / wsum

@@ -22,26 +22,19 @@ import math
 import re
 import statistics
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
 
 from .engine import AsvFleet, MissionReport, SimConfig, run
 from .formation import worst_point
+from .schema import check, ini_table, param
 
 log = logging.getLogger("coopnav")
 
 
 class ConfigError(Exception):
     pass
-
-
-def _to_bool(raw: str) -> bool:
-    """true/yes/on/1 or false/no/off/0, in any case."""
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _key_error(path, text: str, section: str, key: str, message: str) -> ConfigError:
@@ -54,30 +47,6 @@ def _key_error(path, text: str, section: str, key: str, message: str) -> ConfigE
             line = idx
             break
     return ConfigError(f"{path}:{line}: {message}")
-
-
-_CONVERTERS = {bool: _to_bool, int: int, float: float, str: str}
-
-
-def _ini_table(cfg, path=()) -> dict:
-    """(section, key) -> (attribute path, tuple index or None, converter) of
-    every field of ``cfg`` and its nested configs that declares INI keys."""
-    table = {}
-    for f in fields(cfg):
-        value, m = getattr(cfg, f.name), f.metadata
-        if is_dataclass(value):
-            table.update(_ini_table(value, path + (f.name,)))
-        elif m.get("section"):
-            keys = m["keys"] or (f.name,)
-            for i, key in enumerate(keys):
-                index = i if len(keys) > 1 else None
-                conv = m["conv"] or _CONVERTERS[type(value if index is None else value[i])]
-                table[(m["section"], key)] = (path + (f.name,), index, conv)
-    return table
-
-
-_INI = _ini_table(SimConfig())
-_RUN_SECTIONS = {section for section, _ in _INI}
 
 
 def _read_ini(path: str | Path) -> tuple[configparser.ConfigParser, str]:
@@ -98,21 +67,27 @@ def _read_ini(path: str | Path) -> tuple[configparser.ConfigParser, str]:
     return parser, text
 
 
-def _apply_run_sections(parser, text, path, cfg: SimConfig) -> SimConfig:
+def _convert(conv, raw: str, path, text: str, section: str, key: str):
+    try:
+        return conv(raw)
+    except ValueError as exc:
+        raise _key_error(path, text, section, key, f"bad value for '{key}': {exc}") from exc
+
+
+def _apply_sections(parser, text, path, table: dict, cfg):
+    """Set each key of the file on ``cfg`` as ``table`` (``schema.ini_table``)
+    says; a section or key that the table lacks is an error."""
+    sections = {section for section, _ in table}
     for section in parser.sections():
-        if section not in _RUN_SECTIONS:
+        if section not in sections:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            spec = _INI.get((section, key))
+            spec = table.get((section, key))
             if spec is None:
                 raise _key_error(path, text, section, key,
                                  f"unknown key '{key}' in section [{section}]")
             (*owners, name), index, conv = spec
-            try:
-                value = conv(raw)
-            except ValueError as exc:
-                raise _key_error(path, text, section, key,
-                                 f"bad value for '{key}': {exc}") from exc
+            value = _convert(conv, raw, path, text, section, key)
             obj = reduce(getattr, owners, cfg)
             if index is not None:   # bias_x and bias_y fill one tuple
                 value = tuple(value if i == index else v
@@ -121,10 +96,13 @@ def _apply_run_sections(parser, text, path, cfg: SimConfig) -> SimConfig:
     return cfg
 
 
+_INI = ini_table(SimConfig())
+
+
 def load_sim_config(path: str | Path) -> SimConfig:
     """Parse and validate a run config file; raises ConfigError on any issue."""
     parser, text = _read_ini(path)
-    cfg = _apply_run_sections(parser, text, path, SimConfig())
+    cfg = _apply_sections(parser, text, path, _INI, SimConfig())
     try:
         cfg.validate()
     except ValueError as exc:
@@ -133,14 +111,14 @@ def load_sim_config(path: str | Path) -> SimConfig:
 
 
 # [sweep] key -> the SimConfig field its list varies, outermost axis first
-AXES = {"l": "L", "n_asv": "n_asv", "n_auv": "n_auv", "alpha0_deg": "alpha0"}
+AXES = {key: _INI["sim", key][0][0] for key in ("l", "n_asv", "n_auv", "alpha0_deg")}
 
 
 @dataclass
 class SweepSpec:
-    axes: dict[str, list]   # SimConfig field -> its values, one per AXES entry
-    seeds: int = 1
-    base_seed: int = 0
+    axes: dict[str, list] = field(default_factory=dict)   # SimConfig field -> its values
+    seeds: int = param(1, "sweep", ge=1)
+    base_seed: int = param(0, "sweep", ge=0)
     base: SimConfig = field(default_factory=SimConfig)
 
     def validate(self):
@@ -148,17 +126,17 @@ class SweepSpec:
         cell: ``base`` with the cell's axis values, so that no job fails
         validation in a run.  A cell's seeds count up from ``base_seed``, so
         its job with that seed stands for all of them."""
-        if self.seeds < 1:
-            raise ConfigError(f"seeds must be >= 1 (got {self.seeds})")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be >= 0 (got {self.base_seed})")
+        try:
+            check(replace(self, base=None))   # the counts; the base is checked per cell
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for _, cfg in replace(self, seeds=1).jobs():
             try:
                 cfg.validate()
             except ValueError as exc:
-                raise ConfigError(
-                    f"sweep cell L={cfg.L:g}, n_asv={cfg.n_asv}, n_auv={cfg.n_auv}, "
-                    f"alpha0_deg={math.degrees(cfg.alpha0):g}: {exc}") from exc
+                _, _, *cell = _cell_columns(cfg, "").items()   # after the hash and seed
+                raise ConfigError("sweep cell " + ", ".join(f"{k}={v}" for k, v in cell)
+                                  + f": {exc}") from exc
 
     def jobs(self) -> list[tuple[int, SimConfig]]:
         """Cross-product job list, seeds innermost; the formation angle axis
@@ -179,25 +157,17 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     parser, text = _read_ini(path)
     if not parser.has_section("sweep"):
         raise ConfigError(f"{path}: missing required section [sweep]")
-    lists, counts = {}, {}
-    for key, raw in parser.items("sweep"):
-        if key not in AXES and key not in ("seeds", "base_seed"):
-            raise _key_error(path, text, "sweep", key, f"unknown key '{key}' in section [sweep]")
-        try:
-            if key in AXES:
-                lists[key] = [_INI[("sim", key)][2](v) for v in raw.split(",")]
-            else:
-                counts[key] = int(raw)
-        except ValueError as exc:
-            raise _key_error(path, text, "sweep", key, f"bad value for '{key}': {exc}") from exc
+    lists = {}
+    for key in AXES:
+        if (raw := parser["sweep"].pop(key, None)) is not None:
+            lists[key] = [_convert(_INI["sim", key][2], v, path, text, "sweep", key)
+                          for v in raw.split(",")]
     for key in parser["sim"] if parser.has_section("sim") else ():
         if key == "seed" or key in lists:
             raise _key_error(path, text, "sim", key,
                              f"'{key}' in section [sim] is set per job by [sweep]")
-    parser.remove_section("sweep")
-    base = _apply_run_sections(parser, text, path, SimConfig())
-    spec = SweepSpec({name: lists.get(key, [getattr(base, name)]) for key, name in AXES.items()},
-                     base=base, **counts)
+    spec = _apply_sections(parser, text, path, ini_table(SweepSpec()), SweepSpec())
+    spec.axes = {name: lists.get(key, [getattr(spec.base, name)]) for key, name in AXES.items()}
     spec.validate()
     return spec
 
@@ -251,14 +221,12 @@ def _error_row(cfg: SimConfig, exc: BaseException) -> dict:
             "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _sweep_job(payload: tuple[int, SimConfig]) -> tuple[int, dict]:
-    idx, cfg = payload
+def _sweep_job(payload: tuple[int, SimConfig]) -> dict:
+    _, cfg = payload
     try:
-        rep = run(cfg)
-        row = report_row(cfg, rep)
+        return report_row(cfg, run(cfg))
     except Exception as exc:   # a failed run must not sink the sweep
-        row = _error_row(cfg, exc)
-    return idx, row
+        return _error_row(cfg, exc)
 
 
 def summary_text(cfg: SimConfig, rep: MissionReport) -> str:
@@ -318,15 +286,14 @@ def cmd_sweep(args) -> int:
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_job, j) for j in jobs]
-        results = []
-        for (idx, cfg), future in zip(jobs, futures):
+        rows = []
+        for (_, cfg), future in zip(jobs, futures):
             try:
-                results.append(future.result())
+                rows.append(future.result())
             except concurrent.futures.BrokenExecutor as exc:   # a worker died first
-                results.append((idx, _error_row(cfg, exc)))
+                rows.append(_error_row(cfg, exc))
     else:
-        results = [_sweep_job(j) for j in jobs]
-    rows = [r for _, r in results]
+        rows = [_sweep_job(j) for j in jobs]
     _write_csv(out / "runs.csv", _CSV_COLUMNS, rows, "coopnav sweep runs schema v1")
 
     # aggregate over seeds and angles per (L, n_asv, n_auv); the means are

@@ -53,29 +53,25 @@ class SimConfig:
                                       finite=True)
     sigma: float = param(0.027, "nav", ge=0)
     sigma_z: float = param(0.05, "nav", ge=0)
-    gamma: float = param(0.90, "nav", gt=0)                # and <= 1
+    gamma: float = param(0.90, "nav", gt=0, le=1)          # fix correction gain
     guidance_on_truth: bool = param(False, "sim")   # steer on truth instead of the estimate
     usbl_enabled: bool = param(True, "sim")
-    conflict_source: str = param("truth", "sim")    # or "last_fix"
-    contention: str = param("fleet", "sim")         # or "group"
+    conflict_source: str = param("truth", "sim", choices=("truth", "last_fix"))
+    contention: str = param("fleet", "sim", choices=("fleet", "group"))
     trace: bool = param(False, "sim", hashed=False)
 
     def validate(self):
-        """The declared bounds of every field, then the rules across fields."""
+        """The declared rules of every field, then the rules across fields."""
         check(self)
-        for name, allowed in (("conflict_source", ("truth", "last_fix")),
-                              ("contention", ("fleet", "group"))):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed} (got {getattr(self, name)!r})")
-        if self.gamma > 1.0:
-            raise ValueError(f"gamma must be in (0, 1] (got {self.gamma})")
         if self.track_spacing is not None and self.track_spacing > self.L / self.n_auv + 1e-9:
             raise ValueError(f"track_spacing {self.track_spacing} exceeds the strip height L / n_auv")
-        # a fix's variance is sigma_r**2 + (r * sigma_theta)**2, and its slant
-        # range r from an anchor at z = 0 is at least |depth|
-        if self.noise.sigma_r ** 2 + (abs(self.depth) * self.noise.sigma_theta) ** 2 == 0:
+        # a fix's slant range from an anchor at z = 0 is at least |depth| and at most r_hf
+        if self.noise.fix_variance(abs(self.depth)) == 0:
             raise ValueError("sigma_r and sigma_theta give fixes of variance 0 "
                              f"at depth {self.depth}")
+        if self.noise.fix_variance(self.r_hf) == math.inf:
+            raise ValueError("sigma_r and sigma_theta ([acoustic] sigma_theta_deg) give "
+                             "fixes of non-finite variance within r_hf")
         run_ticks(self)   # raises if a finite value overflows its tick count
 
     def config_hash(self) -> str:
@@ -247,13 +243,6 @@ class AsvFleet:
         return self.rows[row]
 
 
-def _percentile(sorted_vals: list[float], q: float) -> float:
-    if not sorted_vals:
-        return 0.0
-    idx = max(0, math.ceil(q * len(sorted_vals)) - 1)
-    return sorted_vals[idx]
-
-
 def run(config: SimConfig) -> MissionReport:
     """Execute one seeded mission and return its report."""
     config.validate()
@@ -394,7 +383,7 @@ def run(config: SimConfig) -> MissionReport:
         total_applied=total_applied,
         applied_rate_hz=total_applied / duration_s if duration_s else 0.0,
         latency_mean_s=sum(lat_sorted) / len(lat_sorted) if lat_sorted else 0.0,
-        latency_p95_s=_percentile(lat_sorted, 0.95),
+        latency_p95_s=lat_sorted[math.ceil(0.95 * len(lat_sorted)) - 1] if lat_sorted else 0.0,
         dropped={"superseded": drops(SUPERSEDED), "expired": drops(EXPIRED),
                  "out_of_mf_range": drops(OUT_OF_MF_RANGE)},
         max_innovation=max_innovation,

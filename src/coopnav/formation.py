@@ -33,7 +33,8 @@ def worst_point(asv: np.ndarray, L: float) -> tuple[float, tuple[float, float]]:
     boundary, or a circumcentre of three ASVs inside the square (the
     largest-empty-circle result; Toussaint 1983, Preparata & Shamos 6.4).
     Evaluating every such candidate gives the maximum exactly; the square is
-    fully covered iff it is <= r_hf.
+    fully covered iff it is <= r_hf.  A distance whose square overflows is
+    inf, as it is to the run's range test.
     """
     a = asv.tolist()
     h = L / 2.0
@@ -42,7 +43,10 @@ def worst_point(asv: np.ndarray, L: float) -> tuple[float, tuple[float, float]]:
         for j in range(i + 1, len(a)):
             # bisector of ASVs i and j: nx*x + ny*y = c
             nx, ny = a[j][0] - ax, a[j][1] - ay
-            c = (a[j][0] ** 2 + a[j][1] ** 2 - ax * ax - ay * ay) / 2.0
+            try:
+                c = (a[j][0] ** 2 + a[j][1] ** 2 - ax * ax - ay * ay) / 2.0
+            except OverflowError:   # an anchor beyond 1e154 m: no crossing candidate
+                c = math.nan
             for side in (h, -h):
                 if ny != 0:
                     cands.append((side, (c - nx * side) / ny))
@@ -59,7 +63,8 @@ def worst_point(asv: np.ndarray, L: float) -> tuple[float, tuple[float, float]]:
     # a crossing or circumcentre off the square is no candidate; one on its
     # boundary may sit a rounding error outside it, which the clip absorbs
     pts = np.clip(pts[(np.abs(pts) <= h * (1 + 1e-12)).all(axis=1)], -h, h)
-    d = np.linalg.norm(pts[:, None, :] - asv[None, :, :], axis=2).min(axis=1)
+    with np.errstate(over="ignore"):   # an overflowing distance is inf, as to the run
+        d = np.linalg.norm(pts[:, None, :] - asv[None, :, :], axis=2).min(axis=1)
     w = int(np.argmax(d))
     return float(d[w]), (float(pts[w, 0]), float(pts[w, 1]))
 

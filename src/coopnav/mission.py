@@ -45,17 +45,13 @@ def plan_lawnmower(L: float, n_auv: int,
     h = L / n_auv
     spacing = h / 3.0 if track_spacing is None else track_spacing   # 5 m at L=60, 4 AUVs
     half = L / 2.0
+    n_tracks = int(math.floor(h / spacing + 1e-9)) + 1
     all_wps = []
     for i in range(n_auv):
-        y0 = -half + i * h
-        n_tracks = int(math.floor(h / spacing + 1e-9)) + 1
-        ys = [y0 + j * spacing for j in range(n_tracks)]
         wps = []
-        for j, y in enumerate(ys):
-            if j % 2 == 0:
-                wps.extend([(half, y), (-half, y)])
-            else:
-                wps.extend([(-half, y), (half, y)])
+        for j in range(n_tracks):
+            y = -half + i * h + j * spacing
+            wps += [(half, y), (-half, y)] if j % 2 == 0 else [(-half, y), (half, y)]
         all_wps.append(wps)
     return all_wps
 

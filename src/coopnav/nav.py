@@ -5,7 +5,7 @@ kinematics and is never corrected, while ``p_fused`` follows the same
 propagation between fixes and absorbs 90% of the innovation whenever an
 acoustic fix is applied.  Depth is not integrated at all: a pressure-sensor
 reading replaces the vertical component of both estimates every tick, and
-only the trace reads it; guidance, fixes and metrics use x and y alone.
+only the trace reads it; guidance, metrics and the (x, y) fixes use x and y.
 """
 
 from __future__ import annotations
@@ -77,13 +77,13 @@ def depth_update(state: NavState, z_true: float, noise: float) -> float:
     return z
 
 
-def apply_fix(state: NavState, fix: tuple[float, float, float],
+def apply_fix(state: NavState, fix: tuple[float, float],
               inp: KinematicInput, predict: bool) -> NavState:
     """Predict-correct update of the fused estimate at a fix delivery.
 
     Predict, if ``predict``: one biased (noise-free) kinematic step from the
     fused position, in place of this tick's fused dead-reckoning step.
-    Correct: move gamma of the way to the fused (x, y, z) fix.  Only the
+    Correct: move gamma of the way to the fused (x, y) fix.  Only the
     fused horizontal components change; p_imu never ingests fixes.
     """
     g = state.gamma

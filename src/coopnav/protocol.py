@@ -249,7 +249,7 @@ class TdmaScheduler:
         self.last_fix = [(t.x, t.y) for t in vehicles]
         self.on_fixes = config.conflict_source == "last_fix"
         self.graph = self.coloring = None   # the current round's pair
-        self.buffer: dict[int, tuple] = {}   # auv -> (fused (x, y, z), ping tick)
+        self.buffer: dict[int, tuple] = {}   # auv -> (fused (x, y), ping tick)
         self.last_served = [-1] * n_auv
         self.mf_busy_until = 0
         self.bcast_count = 0

@@ -1,28 +1,32 @@
-"""Config fields declared once: INI keys, converter, bound and hash entry.
+"""Config fields declared once: what a key is and which values it accepts.
 
-Config dataclasses declare their fields with ``param``.  The CLI derives its
-INI table from the fields' sections, keys and converters, ``check`` tests
-their bounds and ``hash_items`` lists what enters the config hash.  Rules
-that tie fields together stay in ``SimConfig.validate``.
+Run and sweep configs declare their fields with ``param``: INI section and
+key, converter (the declared type's unless one is named), bounds, choices
+and hash entry.  ``ini_table``, ``check`` and ``hash_items`` derive the INI
+table, the value checks and the hash items from them.  Rules that tie
+fields together stay in ``SimConfig.validate``.
 """
 
 from __future__ import annotations
 
+import configparser
 import math
 import numbers
+import operator
+import sys
 from dataclasses import MISSING, field, fields, is_dataclass
 
 
-def param(default=MISSING, section=None, *keys, conv=None, gt=None, ge=None,
-          finite=False, hashed=True):
+def param(default=MISSING, section=None, *keys, conv=None, gt=None, ge=None, le=None,
+          choices=(), finite=False, hashed=True):
     """A field set by INI ``[section] key`` (its name unless ``keys`` are given;
-    two keys fill a tuple's two entries), converted by ``conv`` where the default's
-    type does not say how, bounded by ``> gt`` or ``>= ge``, finite if ``finite``
-    or bounded."""
-    bound = (">", gt) if gt is not None else (">=", ge) if ge is not None else None
+    two keys fill a tuple's two entries), converted by ``conv`` where the declared
+    type does not say how, bounded by ``> gt`` or ``>= ge`` and by ``<= le``,
+    one of ``choices`` if any are given, finite if ``finite`` or bounded."""
+    bounds = tuple((op, v) for op, v in ((">", gt), (">=", ge), ("<=", le)) if v is not None)
     return field(default=default, metadata={
-        "section": section, "keys": keys, "conv": conv, "bound": bound,
-        "finite": finite or bound is not None, "hashed": hashed})
+        "section": section, "keys": keys, "conv": conv, "bounds": bounds, "choices": choices,
+        "finite": finite or bool(bounds), "hashed": hashed})
 
 
 def from_degrees(raw: str) -> float:
@@ -33,13 +37,44 @@ def auto_or_float(raw: str) -> float | None:
     return None if raw.strip().lower() == "auto" else float(raw)   # None: the default
 
 
+def _to_bool(raw: str) -> bool:
+    """true/yes/on/1 or false/no/off/0, in any case."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+def _kind(f) -> type:
+    """A field's declared type, or its entries': float (``float | None`` too), int, bool or str."""
+    t = str(f.type)
+    return float if "float" in t else {"int": int, "bool": bool, "str": str}[t]
+
+
+def ini_table(cfg, path=()) -> dict:
+    """(section, key) -> (attribute path, tuple index or None, converter) of
+    every field of ``cfg`` and of the configs nested in it that declares INI
+    keys; the converter is the declaration's ``conv`` or its type's."""
+    table = {}
+    for f in fields(cfg):
+        value, m = getattr(cfg, f.name), f.metadata
+        if is_dataclass(value):
+            table.update(ini_table(value, path + (f.name,)))
+        elif m:
+            keys, kind = m["keys"] or (f.name,), _kind(f)
+            conv = m["conv"] or (_to_bool if kind is bool else kind)
+            for i, key in enumerate(keys):
+                table[(m["section"], key)] = (path + (f.name,), i if len(keys) > 1 else None, conv)
+    return table
+
+
 def check(cfg, prefix: str = "") -> None:
     """Raise ValueError naming the first field of ``cfg`` or of a config
     nested in it (and the field's INI key) that is an int field's
-    non-integer, outside its bound or not finite (an int beyond the float
-    range is not); each entry of a tuple field is tested under its own
-    key.  A bound is tested as ``not (v > low)`` or ``not (v >= low)``, so
-    NaN fails it; None passes."""
+    non-integer, outside its bounds, not finite (an int beyond the float
+    range is not) or not one of its choices; each entry of a tuple field is
+    tested under its own key.  A bound is tested as ``not (v > low)``, ``not
+    (v >= low)`` or ``not (v <= high)``, so NaN fails it; None passes."""
     for f in fields(cfg):
         v, m = getattr(cfg, f.name), f.metadata
         if is_dataclass(v):
@@ -48,31 +83,27 @@ def check(cfg, prefix: str = "") -> None:
             continue
         for key, x in zip(m["keys"] or (f.name,), v if isinstance(v, tuple) else (v,)):
             label = prefix + f.name + (f" ([{m['section']}] {key})" if key != f.name else "")
-            if f.type == "int" and not isinstance(x, numbers.Integral):
+            if _kind(f) is int and not isinstance(x, numbers.Integral):
                 raise ValueError(f"{label} must be an integer (got {x!r})")
-            if m["bound"]:
-                op, low = m["bound"]
-                if not (x > low if op == ">" else x >= low):
-                    raise ValueError(f"{label} must be {op} {low} (got {x})")
-            if m["finite"] and not _finite(x):
+            for op, limit in m["bounds"]:
+                if not _TESTS[op](x, limit):
+                    raise ValueError(f"{label} must be {op} {limit} (got {x})")
+            if m["finite"] and not abs(x) <= sys.float_info.max:   # NaN, inf or a huge int
                 raise ValueError(f"{label} must be finite (got {x})")
+            if m["choices"] and x not in m["choices"]:
+                raise ValueError(f"{label} must be one of {m['choices']} (got {x!r})")
 
 
-def _finite(x) -> bool:
-    try:
-        return math.isfinite(x)
-    except OverflowError:   # an int beyond the float range
-        return False
+_TESTS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def hash_items(cfg, prefix: str = "") -> list[tuple[str, str]]:
     """(name, text) of the hashed scalar fields in declaration order (a
-    string as it is, the rest as the repr of the value converted to its
-    field's type, int, float or floats: 20, 20.0 and ``np.int64(20)`` hash
-    alike), then the items of each nested config, named ``name.field`` and
-    sorted.  A nested config's class attribute ``retired`` holds the (name,
-    text) pairs of fields it no longer has, sorted in with the rest, so that
-    deleting a field moves no hash."""
+    string or bool as it is, a number as the repr of it converted to its
+    declared type: 20, 20.0 and ``np.int64(20)`` hash alike), then the
+    items of each nested config, named ``name.field`` and sorted with the
+    (name, text) pairs in its class attribute ``retired``: the fields it no
+    longer has, so that deleting a field moves no hash."""
     top, nested = [], []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
@@ -80,9 +111,8 @@ def hash_items(cfg, prefix: str = "") -> list[tuple[str, str]]:
             nested += sorted(hash_items(v, f"{f.name}.") + [
                 (f"{f.name}.{name}", text) for name, text in getattr(v, "retired", ())])
         elif f.metadata["hashed"]:
-            if v is not None and "float" in str(f.type):
-                v = tuple(map(float, v)) if isinstance(v, tuple) else float(v)
-            elif f.type == "int":
-                v = int(v)
+            kind = _kind(f)
+            if v is not None and kind in (float, int):
+                v = tuple(map(kind, v)) if isinstance(v, tuple) else kind(v)
             top.append((prefix + f.name, v if isinstance(v, str) else repr(v)))
     return top + nested

@@ -4,15 +4,17 @@ import csv
 import math
 import os
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from coopnav import cli
-from coopnav.cli import (ConfigError, load_sim_config, load_sweep_spec, main,
+from coopnav.cli import (ConfigError, SweepSpec, load_sim_config, load_sweep_spec, main,
                          report_row)
 from coopnav.engine import SimConfig, run
+from coopnav.schema import ini_table
 
 BASE = """
 [sim]
@@ -188,21 +190,22 @@ RUN_CONFIG_KEYS = {
 def test_ini_table_derived_from_the_fields_is_the_run_config():
     assert len(RUN_CONFIG_KEYS) == 40
     derived = {k: ".".join(path) + ("" if i is None else f"[{i}]")
-               for k, (path, i, _) in cli._INI.items()}
+               for k, (path, i, _) in ini_table(SimConfig()).items()}
     assert derived == RUN_CONFIG_KEYS
 
 
-def _bounded_ini_keys():
-    """(section, key) of every run-config key whose field must be finite,
-    as every field with a bound must."""
+def _declared_keys():
+    """(field, its declaration, INI section, key) of every run-config key."""
     cfg = SimConfig()
-    return [(m["section"], key)
+    return [(f, m, m["section"], key)
             for obj in (cfg, cfg.noise, cfg.timing, cfg.guidance) for f in fields(obj)
-            if (m := f.metadata) and m["section"] and m["finite"]
-            for key in m["keys"] or (f.name,)]
+            if (m := f.metadata) for key in m["keys"] or (f.name,)]
 
 
-BOUNDED = _bounded_ini_keys()
+# every run-config key whose field must be finite, as every field with a bound must
+BOUNDED = [(section, key) for _, m, section, key in _declared_keys() if m["finite"]]
+CHOICES = [(section, key, m["choices"]) for _, m, section, key in _declared_keys()
+           if m["choices"]]
 
 
 @pytest.mark.parametrize("section, key", BOUNDED, ids=[f"{s}.{k}" for s, k in BOUNDED])
@@ -245,6 +248,78 @@ def test_a_finite_value_whose_ticks_overflow_is_rejected(tmp_path, capsys, text,
     assert f"the {quantity} of " in out.err and "no finite tick count" in out.err, out.err
 
 
+def _within_bounds(m, value) -> bool:
+    return all(value > v if op == ">" else value >= v if op == ">=" else value <= v
+               for op, v in m["bounds"])
+
+
+# every bounded float key at +-1e200 where its bounds allow the value
+HUGE = [(section, key, value) for f, m, section, key in _declared_keys()
+        if m["finite"] and "float" in str(f.type)
+        for value in (1e200, -1e200) if _within_bounds(m, value)]
+
+
+@pytest.mark.parametrize("section, key, value", HUGE,
+                         ids=[f"{s}.{k}={v:g}" for s, k, v in HUGE])
+def test_no_accepted_value_exits_2(tmp_path, capsys, section, key, value):
+    # a value validate-config accepts is one check-coverage and run take
+    # without a runtime failure or a word on stderr
+    sections = {"sim": {"n_asv": "3", "duration": "2"}}
+    sections.setdefault(section, {})[key] = repr(value)
+    cfg = write(tmp_path, "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                                  for s, kv in sections.items()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["validate-config", "--config", cfg])
+        err = capsys.readouterr().err
+        assert code in (0, 1) and "runtime failure" not in err, err
+        if code == 0:
+            assert main(["check-coverage", "--config", cfg]) == 0
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            assert capsys.readouterr().err == ""
+    assert not [str(w.message) for w in caught]
+
+
+def test_huge_values_cover_the_overflowing_keys():
+    assert {("acoustic", "sigma_r", 1e200), ("acoustic", "sigma_theta_deg", 1e200),
+            ("mission", "depth", -1e200), ("formation", "r_hf", 1e200),
+            ("formation", "delta_b", 1e200), ("sim", "l", 1e200)} <= set(HUGE)
+    assert not [k for _, k, _ in HUGE if k == "gamma"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[acoustic]\nsigma_r = 1e200\n", "sigma_r and sigma_theta"),
+    ("[acoustic]\nsigma_theta_deg = 1e200\n", "sigma_theta_deg"),
+], ids=["sigma_r", "sigma_theta_deg"])
+def test_a_sigma_whose_fixes_have_non_finite_variance_is_rejected(tmp_path, capsys, text,
+                                                                  message):
+    assert main(["validate-config", "--config", write(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite variance" in err and message in err, err
+
+
+@pytest.mark.parametrize("section, key, choices", CHOICES, ids=[k for _, k, _ in CHOICES])
+def test_a_field_with_choices_takes_only_those(tmp_path, capsys, section, key, choices):
+    cfg = write(tmp_path, f"[{section}]\n{key} = psychic\n")
+    assert main(["validate-config", "--config", cfg]) == 1
+    assert f"{key} must be one of {choices} (got 'psychic')" in capsys.readouterr().err
+    for choice in choices:
+        cfg = write(tmp_path, f"[{section}]\n{key} = {choice}\n")
+        assert main(["validate-config", "--config", cfg]) == 0
+
+
+def test_choices_are_declared_for_both_mode_keys():
+    assert {k for _, k, _ in CHOICES} == {"conflict_source", "contention"}
+
+
+def test_gamma_is_at_most_one(tmp_path, capsys):
+    assert main(["validate-config", "--config", write(tmp_path, "[nav]\ngamma = 1.0\n")]) == 0
+    above = math.nextafter(1.0, 2.0)
+    assert main(["validate-config", "--config",
+                 write(tmp_path, f"[nav]\ngamma = {above!r}\n")]) == 1
+    assert f"gamma must be <= 1 (got {above!r})" in capsys.readouterr().err
+
+
 def test_bounded_keys_include_every_bound_and_both_bias_entries():
     assert {("nav", "bias_x"), ("nav", "bias_y"), ("formation", "r_hf"),
             ("protocol", "r_dl"), ("nav", "sigma_z"), ("sim", "duration")} <= set(BOUNDED)
@@ -262,7 +337,7 @@ def test_readme_run_config_block_is_the_schema(tmp_path):
     block = readme.split("### Run config", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.read_string(block)
-    assert {(s, k) for s in parser.sections() for k in parser[s]} == set(cli._INI)
+    assert {(s, k) for s in parser.sections() for k in parser[s]} == set(ini_table(SimConfig()))
     assert load_sim_config(write(tmp_path, block)).config_hash() == SimConfig().config_hash()
 
 
@@ -293,6 +368,19 @@ def test_check_coverage_uncovered_edge_midpoint(tmp_path, capsys):
     assert main(["check-coverage", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "full coverage: no (point (0.00, 40.00) is 64.03 m > 50 m from every ASV)" in out
+
+
+@pytest.mark.parametrize("text, limit", [("[formation]\nr_hf = 1e200\n", "1e+200"),
+                                         ("[formation]\ndelta_b = 1e200\n", "50")],
+                         ids=["r_hf", "delta_b"])
+def test_check_coverage_of_a_ring_whose_squares_overflow(tmp_path, capsys, text, limit):
+    # no slant range the run computes is that long, so the config is valid;
+    # a distance whose square overflows is out of range, as it is to the run
+    cfg = write(tmp_path, "[sim]\nn_asv = 3\n" + text)
+    assert main(["validate-config", "--config", cfg]) == 0
+    assert main(["check-coverage", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert f"full coverage: no (point (30.00, 30.00) is inf m > {limit} m from every ASV)" in out
 
 
 def test_check_coverage_prints_one_line(tmp_path, capsys):
@@ -559,6 +647,26 @@ def test_a_negative_seed_is_rejected(tmp_path, capsys):
     assert "seed must be >= 0 (got -1)" in capsys.readouterr().err
     assert main(["validate-config", "--config", write(tmp_path, BASE.replace(
         "seed = 3", "seed = 0"))]) == 0
+
+
+# each [sweep] count and the value next to its lower bound
+COUNTS = [(f.name, f.metadata["bounds"]) for f in fields(SweepSpec) if f.metadata]
+
+
+@pytest.mark.parametrize("key, bounds", COUNTS, ids=[k for k, _ in COUNTS])
+def test_a_sweep_count_rejects_the_neighbour_of_its_bound(tmp_path, capsys, key, bounds):
+    [(op, low)] = bounds
+    below = low - 1
+    assert op == ">="
+    cfg = write(tmp_path, SWEEP.replace("seeds = 1", f"{key} = {below}"), "sweep.ini")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert f"{key} must be >= {low} (got {below})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_sweep_counts_are_seeds_and_base_seed():
+    assert COUNTS == [("seeds", ((">=", 1),)), ("base_seed", ((">=", 0),))]
 
 
 def test_sweep_rejects_a_negative_base_seed(tmp_path, capsys):

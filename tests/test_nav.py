@@ -73,7 +73,7 @@ def test_depth_noise_statistics():
 
 
 def fused(x, y):
-    return (x, y, 10.0)
+    return (x, y)
 
 
 def test_apply_fix_correction():

@@ -13,8 +13,15 @@ code and stdout of ``coopnav check-coverage`` on an INI holding the
 mission's L, n_asv, r_hf, delta_b and alpha0.  Each tree also runs the same
 few random sweep INIs through ``coopnav sweep``, and the check compares the
 exit code and the sha1 of ``runs.csv``, ``aggregate.csv`` and
-``heatmap.txt``.  It prints each mismatch and a summary, and exits 0 when
-every mission and sweep is identical, else 1.
+``heatmap.txt``.  Config verdicts are compared too: per mission, each of a
+few INIs holds that formation plus one invalid value (NaN, a value just
+outside its lower bound, an undeclared choice, ``gamma`` above 1 or a
+non-integer value of an int key), and two sweep INIs hold ``seeds = 0`` or
+``base_seed = -1``; the check compares the exit code and stderr of
+``coopnav validate-config`` (``coopnav sweep`` for a sweep INI), with the
+temporary directory's path left out.  It prints each mismatch and a
+summary, and exits 0 when every mission, sweep and verdict is identical,
+else 1.
 
 The random missions cover the survey scale L, n_auv, n_asv, tick rates
 f_t in {7, 10, 30, 50}, zero IMU and depth noise, a signed-zero bias, zero
@@ -56,6 +63,29 @@ REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
                  "dropped", "max_innovation", "excursion_ticks")
 SWEEPS = 4   # random sweeps per check
 SWEEP_OUTPUTS = ("runs.csv", "aggregate.csv", "heatmap.txt")
+
+# (section, key, a value just below its lower bound, or None where the key
+# is only finite) of every bounded run-config key
+BOUNDED = [
+    ("sim", "l", "0"), ("sim", "n_auv", "0"), ("sim", "n_asv", "0"),
+    ("sim", "alpha0_deg", None), ("sim", "duration", "-1e-9"), ("sim", "tick_rate", "0"),
+    ("sim", "seed", "-1"), ("formation", "r_hf", "0"), ("formation", "delta_b", "-0.5"),
+    ("formation", "asv_jitter_std", "-5e-324"), ("acoustic", "sigma_r", "-0.1"),
+    ("acoustic", "sigma_theta_deg", "-1"), ("acoustic", "sigma_phi_deg", "-0.0001"),
+    ("acoustic", "sound_speed", "0"), ("protocol", "ping_duration", "-0.01"),
+    ("protocol", "guard_factor_ul", "0"), ("protocol", "min_slot_factor_ul", "-2.5"),
+    ("protocol", "guard_factor_dl", "0"), ("protocol", "min_slot_factor_dl", "0"),
+    ("protocol", "r_dl", "-2000"), ("protocol", "overhead", "0"),
+    ("protocol", "header_bytes", "0"), ("protocol", "fix_bytes", "-16"),
+    ("protocol", "r_mf", "0"), ("protocol", "max_fix_age", "0"), ("nav", "bias_x", None),
+    ("nav", "bias_y", None), ("nav", "sigma", "-0.027"), ("nav", "sigma_z", "-1e-300"),
+    ("nav", "gamma", "0"), ("mission", "depth", None), ("mission", "cruise_speed", "0"),
+    ("mission", "capture_radius", "-2"), ("mission", "max_yaw_rate", "0"),
+    ("mission", "track_spacing", "0"),
+]
+INT_KEYS = [("sim", "n_auv"), ("sim", "n_asv"), ("sim", "tick_rate"), ("sim", "seed"),
+            ("protocol", "header_bytes"), ("protocol", "fix_bytes")]
+CHOICE_KEYS = [("sim", "conflict_source"), ("sim", "contention")]
 
 
 def fingerprint(rep) -> str:
@@ -126,10 +156,44 @@ def random_sweep(rng: random.Random) -> str:
     return "[sweep]\n" + "\n".join(lines) + f"\n\n[sim]\nduration = {duration}\n"
 
 
+def formation_ini(spec: dict) -> dict:
+    """The INI sections of a mission's formation, as check-coverage reads it."""
+    return {"sim": {"l": repr(spec["L"]), "n_asv": str(spec["n_asv"]),
+                    "alpha0_deg": repr(math.degrees(spec["alpha0"]))},
+            "formation": {"r_hf": repr(spec["r_hf"]), "delta_b": repr(spec["delta_b"])}}
+
+
+def render(sections: dict) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def invalid_configs(rng: random.Random, spec: dict) -> list[tuple[str, str]]:
+    """(what, INI text) pairs: the mission's formation with one invalid
+    value each, then two sweep INIs with an invalid seed count or base seed."""
+    cases = [("nan", *rng.choice(BOUNDED)[:2], "nan"),
+             ("bound", *rng.choice([b for b in BOUNDED if b[2] is not None])),
+             ("choice", *rng.choice(CHOICE_KEYS), rng.choice(["psychic", "Truth", "", "group,"])),
+             ("gamma", "nav", "gamma", rng.choice(["1.0000000000000002", "1.5", "inf"])),
+             ("int", *rng.choice(INT_KEYS), rng.choice(["2.5", "3.0", "1e3", "0x10"]))]
+    out = []
+    for what, section, key, value in cases:
+        sections = formation_ini(spec)
+        sections.setdefault(section, {})[key] = value
+        out.append((f"{what} {section}.{key} = {value}", render(sections)))
+    for line in ("seeds = 0", "base_seed = -1"):
+        text = random_sweep(rng)
+        key = line.split()[0]
+        text = "\n".join(line if row.startswith(key + " ") else row
+                         for row in text.split("\n"))
+        out.append((f"sweep {line}", text))
+    return out
+
+
 def worker(src: str) -> None:
-    """Run the JSON missions and sweeps on stdin with coopnav from ``src``;
-    print one [mission result, check-coverage result] pair per mission and
-    one result per sweep as JSON."""
+    """Run the JSON missions, sweeps and invalid configs on stdin with
+    coopnav from ``src``; print one [mission result, check-coverage result,
+    config verdicts...] list per mission and one result per sweep as JSON."""
     sys.path.insert(0, src)
     import coopnav
     from coopnav import cli
@@ -151,6 +215,18 @@ def worker(src: str) -> None:
             code = cli.main(["check-coverage", "--config", str(ini)])
         return " | ".join([f"exit {code}"] + text.getvalue().splitlines())
 
+    def verdict(what: str, text: str, tmp: Path) -> str:
+        """The exit code and stderr of validate-config, or of sweep for a
+        sweep INI, on ``text``, with ``tmp`` written as TMP."""
+        ini = tmp / "verdict.ini"
+        ini.write_text(text)
+        args = (["sweep", "--out", str(tmp / "verdict")] if what.startswith("sweep")
+                else ["validate-config"])
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(args + ["--config", str(ini)])
+        return f"exit {code} | " + err.getvalue().replace(str(tmp), "TMP").strip()
+
     def sweep(text: str, tmp: Path) -> str:
         """The sweep's exit code and the sha1 of each of its outputs."""
         ini, out = tmp / "sweep.ini", tmp / "sweep"
@@ -167,8 +243,10 @@ def worker(src: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         covered = [coverage(spec, Path(tmp) / "formation.ini") for spec in specs]
         swept = [sweep(text, Path(tmp)) for text in todo["sweeps"]]
+        verdicts = [[verdict(what, text, Path(tmp)) for what, text in configs]
+                    for configs in todo["invalid"]]
     out = []
-    for spec, checked in zip(specs, covered):
+    for spec, checked, judged in zip(specs, covered, verdicts):
         spec = dict(spec, bias=tuple(spec["bias"]),
                     noise=UsblNoiseConfig(**spec["noise"]),
                     timing=TimingConfig(**spec["timing"]),
@@ -176,9 +254,9 @@ def worker(src: str) -> None:
         try:
             rep = run(SimConfig(**spec))
         except Exception as exc:   # a mission's failure is a result to compare
-            out.append([f"raised {type(exc).__name__}: {exc}", checked])
+            out.append([f"raised {type(exc).__name__}: {exc}", checked, *judged])
             continue
-        out.append([fingerprint(rep), checked])
+        out.append([fingerprint(rep), checked, *judged])
     json.dump({"missions": out, "sweeps": swept}, sys.stdout)
 
 
@@ -206,16 +284,21 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     specs = [random_spec(rng) for _ in range(args.n)]
     todo = {"missions": specs, "sweeps": [random_sweep(rng) for _ in range(SWEEPS)]}
+    todo["invalid"] = [invalid_configs(rng, spec) for spec in specs]
     with ThreadPoolExecutor(2) as pool:
         parent, change = pool.map(lambda src: run_tree(src, todo),
                                   (args.parent_src, args.change_src))
-    same = 0
-    for n, (spec, a, b) in enumerate(zip(specs, parent["missions"], change["missions"])):
-        same += a == b
-        for what, x, y in zip(("", " check-coverage"), a, b):
+    same = judged = 0
+    for n, (spec, configs, a, b) in enumerate(zip(specs, todo["invalid"], parent["missions"],
+                                                  change["missions"])):
+        same += a[:2] == b[:2]
+        judged += a[2:] == b[2:]
+        shown = json.dumps(spec)
+        labels = [("", shown), (" check-coverage", shown)] + [
+            (" config verdict", what) for what, _ in configs]
+        for (what, input_), x, y in zip(labels, a, b):
             if x != y:
-                print(f"mission {n}{what} differs: {json.dumps(spec)}\n"
-                      f"  parent: {x}\n  change: {y}")
+                print(f"mission {n}{what} differs: {input_}\n  parent: {x}\n  change: {y}")
     swept = 0
     for n, (text, x, y) in enumerate(zip(todo["sweeps"], parent["sweeps"], change["sweeps"])):
         swept += x == y
@@ -223,8 +306,9 @@ def main(argv=None) -> int:
             print(f"sweep {n} differs:\n{text}  parent: {x}\n  change: {y}")
     raised = sum(r[0].startswith("raised") for r in parent["missions"])
     print(f"{same}/{len(specs)} missions identical ({raised} raised on the parent tree), "
-          f"{swept}/{SWEEPS} sweeps identical")
-    return 0 if same == len(specs) and swept == SWEEPS else 1
+          f"{swept}/{SWEEPS} sweeps identical, config verdicts identical for "
+          f"{judged}/{len(specs)} missions")
+    return 0 if same == judged == len(specs) and swept == SWEEPS else 1
 
 
 if __name__ == "__main__":
