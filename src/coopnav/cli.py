@@ -57,7 +57,7 @@ def _read_ini(path: str | Path) -> tuple[configparser.ConfigParser, str]:
         text = p.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read the config file: {exc}") from exc
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -96,18 +96,23 @@ def _apply_sections(parser, text, path, table: dict, cfg):
     return cfg
 
 
+def _validated(cfg, path):
+    """``cfg`` once its ``validate`` passes; its ValueError becomes a
+    ConfigError naming the file."""
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return cfg
+
+
 _INI = ini_table(SimConfig())
 
 
 def load_sim_config(path: str | Path) -> SimConfig:
     """Parse and validate a run config file; raises ConfigError on any issue."""
     parser, text = _read_ini(path)
-    cfg = _apply_sections(parser, text, path, _INI, SimConfig())
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return cfg
+    return _validated(_apply_sections(parser, text, path, _INI, SimConfig()), path)
 
 
 # [sweep] key -> the SimConfig field its list varies, outermost axis first
@@ -126,17 +131,14 @@ class SweepSpec:
         cell: ``base`` with the cell's axis values, so that no job fails
         validation in a run.  A cell's seeds count up from ``base_seed``, so
         its job with that seed stands for all of them."""
-        try:
-            check(replace(self, base=None))   # the counts; the base is checked per cell
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        check(replace(self, base=None))   # the counts; the base is checked per cell
         for _, cfg in replace(self, seeds=1).jobs():
             try:
                 cfg.validate()
             except ValueError as exc:
                 _, _, *cell = _cell_columns(cfg, "").items()   # after the hash and seed
-                raise ConfigError("sweep cell " + ", ".join(f"{k}={v}" for k, v in cell)
-                                  + f": {exc}") from exc
+                raise ValueError("sweep cell " + ", ".join(f"{k}={v}" for k, v in cell)
+                                 + f": {exc}") from exc
 
     def jobs(self) -> list[tuple[int, SimConfig]]:
         """Cross-product job list, seeds innermost; the formation angle axis
@@ -150,10 +152,11 @@ class SweepSpec:
         return list(enumerate(configs))
 
 
-def load_sweep_spec(path: str | Path) -> SweepSpec:
+def load_sweep_spec(path: str | Path, seeds: int | None = None) -> SweepSpec:
     """Parse and validate a sweep config: each ``[sweep]`` axis is a comma list
     converted as its ``[sim]`` key, an absent axis is the run sections' value,
-    and a ``[sim]`` key that the sweep sets per job is an error."""
+    and a ``[sim]`` key that the sweep sets per job is an error.  ``seeds``,
+    if given, replaces the file's seed count before validation."""
     parser, text = _read_ini(path)
     if not parser.has_section("sweep"):
         raise ConfigError(f"{path}: missing required section [sweep]")
@@ -168,8 +171,9 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
                              f"'{key}' in section [sim] is set per job by [sweep]")
     spec = _apply_sections(parser, text, path, ini_table(SweepSpec()), SweepSpec())
     spec.axes = {name: lists.get(key, [getattr(spec.base, name)]) for key, name in AXES.items()}
-    spec.validate()
-    return spec
+    if seeds is not None:
+        spec.seeds = seeds
+    return _validated(spec, path)
 
 
 _CSV_COLUMNS = [
@@ -273,10 +277,7 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict], schema: str):
 
 
 def cmd_sweep(args) -> int:
-    spec = load_sweep_spec(args.config)
-    if args.seeds is not None:
-        spec.seeds = args.seeds
-        spec.validate()
+    spec = load_sweep_spec(args.config, args.seeds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     jobs = spec.jobs()

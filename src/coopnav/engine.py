@@ -222,8 +222,8 @@ class AsvFleet:
     the stations plus, with jitter, the tick's ``asv_jitter`` draw of
     ``normal(0.0, std, (n_asv, 2))``.  Jitter is drawn ``RNG_BLOCK`` ticks at
     a time up to the tick asked for, and added by numpy's IEEE ``+``, so each
-    coordinate is the per-tick scalar ``x + jx``.  The scheduler colors
-    round 0 from the stations, every later round from its start tick's."""
+    coordinate is the per-tick scalar ``x + jx``.  The scheduler reads the
+    ASVs only through ``at``."""
 
     def __init__(self, config: SimConfig):
         self.ring = asv_positions(config.n_asv, config.r_hf + config.delta_b, config.alpha0)

@@ -211,9 +211,9 @@ class TdmaScheduler:
     ``vehicles[i]``, which the host moves, is AUV i's true position as its
     ``x``, ``y`` and ``z``; ``asvs``, an ``AsvFleet``, is where the ASVs
     are.  A round's (graph, coloring) pair is ``recolorer(positions,
-    anchors)`` of the AUVs' (x, y) and the ASVs': round 0 at tick 0 from the
-    vehicles and ``asvs.stations``, each later round at the previous one's
-    end from that tick's anchors (see ``step``).
+    anchors)`` of the AUVs' (x, y) and the ASVs' at the round's start tick:
+    round 0 starts at tick 0, each later round at the previous one's end
+    (see ``step``).
 
     Slot lengths, the one-fix payload and its airtime depend only on the
     configuration, so they are computed once, by ``run_ticks``: group g of
@@ -256,8 +256,7 @@ class TdmaScheduler:
         self.queue = FixQueue(n_auv)
         self.heard = [0] * n_auv   # per AUV, pings some ASV heard: not in the events
         self.events = EventLog()
-        self.next_tick = 0
-        self.start_round(*recolorer(self.last_fix, asvs.stations), 0)
+        self.next_tick = self.round_end = 0   # step(0) starts round 0
 
     def start_round(self, graph: list[set[int]], coloring: Coloring, tick: int):
         """Lay out a round of ``coloring``'s groups from ``tick`` on.
@@ -276,7 +275,6 @@ class TdmaScheduler:
             self.graph, self.coloring = graph, coloring
         self.round_start = tick
         self.round_end = tick + max(coloring.k, 1) * self.slot_ticks
-        self.next_tick = min(self.next_tick, tick)
 
     def due_auvs(self, tick: int) -> set[int]:
         """AUVs with a delivery due at this tick (known before the tick runs)."""
@@ -286,10 +284,10 @@ class TdmaScheduler:
         """Run all protocol events of one tick; returns the queue entries delivered.
 
         The tick's anchors, ``asvs.at(tick)``, are read once: ASV j is at
-        (x, y) ``anchors[j]`` and z = 0.  At a round end the next round
-        is colored first, and here ``conflict_source`` is decided: from the
-        vehicles' true x, y or from the last fix delivered to each AUV (its
-        start position until it has one).
+        (x, y) ``anchors[j]`` and z = 0.  At a round end (tick 0 for round
+        0) the next round is colored first, and here ``conflict_source`` is
+        decided: from the vehicles' true x, y or from the last fix delivered
+        to each AUV (its start position until it has one).
 
         In a group's slot every member pings, and every ASV within ``r_hf``
         of it attempts a fix; an ASV beyond it neither hears the ping nor

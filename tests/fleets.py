@@ -2,11 +2,11 @@
 
 
 class StillAsvs:
-    """ASVs held at the given (x, y): ``stations`` as float lists, and every
-    tick's anchors the stations, as an ``AsvFleet`` without jitter gives."""
+    """ASVs held at the given (x, y): every tick's anchors are the same
+    float lists, as an ``AsvFleet`` without jitter gives."""
 
     def __init__(self, xy):
-        self.stations = [[float(x), float(y)] for x, y in xy]
+        self._anchors = [[float(x), float(y)] for x, y in xy]
 
     def at(self, tick):
-        return self.stations
+        return self._anchors

@@ -431,7 +431,7 @@ def test_sweep_rejects_an_invalid_cell_before_running(tmp_path, capsys, old, new
     out = tmp_path / "sw"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"sweep cell {cell}" in err and error in err, err
+    assert f"config error: {cfg}: sweep cell {cell}" in err and error in err, err
     assert not (out / "runs.csv").exists()
 
 
@@ -661,7 +661,8 @@ def test_a_sweep_count_rejects_the_neighbour_of_its_bound(tmp_path, capsys, key,
     cfg = write(tmp_path, SWEEP.replace("seeds = 1", f"{key} = {below}"), "sweep.ini")
     out = tmp_path / "sw"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
-    assert f"{key} must be >= {low} (got {below})" in capsys.readouterr().err
+    assert f"config error: {cfg}: {key} must be >= {low} (got {below})" in (
+        capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -675,6 +676,40 @@ def test_sweep_rejects_a_negative_base_seed(tmp_path, capsys):
     out = tmp_path / "sw"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
     assert "base_seed must be >= 0 (got -3)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seeds_option_replaces_the_file_count_before_validation(tmp_path, capsys):
+    out = tmp_path / "sw"
+    cfg = write(tmp_path, SWEEP, "sweep.ini")
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "0"]) == 1
+    assert "seeds must be >= 1 (got 0)" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = write(tmp_path, SWEEP.replace("seeds = 1", "seeds = 0"), "sweep.ini")
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "2"]) == 0
+    assert [row["seed"] for row in csv_rows(out / "runs.csv")] == ["0", "1"]
+
+
+# a % in a value is the value's own character, not configparser's interpolation
+PERCENT = [("conflict_source = 50%", "conflict_source must be one of"),
+           ("tick_rate = 30\nduration = %(tick_rate)s", "bad value for 'duration'")]
+
+
+@pytest.mark.parametrize("line, error", PERCENT, ids=["choice", "reference"])
+def test_config_values_are_literal(tmp_path, capsys, line, error):
+    cfg = write(tmp_path, "[sim]\n" + line + "\n")
+    assert main(["validate-config", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert error in err and "runtime failure" not in err, err
+
+
+@pytest.mark.parametrize("line, error", PERCENT, ids=["choice", "reference"])
+def test_sweep_config_values_are_literal(tmp_path, capsys, line, error):
+    cfg = write(tmp_path, SWEEP.replace("duration = 8", line), "sweep.ini")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert error in err and "runtime failure" not in err, err
     assert not out.exists()
 
 

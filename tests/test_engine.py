@@ -259,6 +259,16 @@ def test_coverage_is_the_share_of_pings_heard(monkeypatch):
     assert all(m.coverage == 0.0 for m in rep.per_auv)
 
 
+def test_no_conflict_graph_without_the_acoustic_layer(monkeypatch):
+    # with usbl_enabled = false no round starts, so no round is colored
+    def build(masks):
+        raise AssertionError("a conflict graph was built")
+
+    monkeypatch.setattr(engine, "build_conflict_graph", build)
+    rep = run(short_cfg(duration=5.0, usbl_enabled=False))
+    assert rep.ticks == 150 and len(rep.events) == 0
+
+
 def test_fused_estimate_steps_once_per_tick(monkeypatch):
     # each tick the fused estimate takes one kinematic step: the noisy
     # dead-reckoning step, or a fix's noise-free predict in its place.  A fix

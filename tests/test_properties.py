@@ -588,9 +588,11 @@ def test_improper_coloring_raises_at_start_round(data, n):
 
     def scheduler(first_graph, first_coloring):
         """A scheduler whose round 0 has the given, proper pair."""
-        return TdmaScheduler(SimConfig(), [[(None, None)]] * n,
-                             lambda positions, anchors: (first_graph, first_coloring),
-                             [VehicleTruth(0.0, 0.0, 10.0, 0.0)] * n, StillAsvs([(0.0, 0.0)]))
+        sched = TdmaScheduler(SimConfig(), [[(None, None)]] * n,
+                              lambda positions, anchors: pytest.fail("no round is colored"),
+                              [VehicleTruth(0.0, 0.0, 10.0, 0.0)] * n, StillAsvs([(0.0, 0.0)]))
+        sched.start_round(first_graph, first_coloring, 0)
+        return sched
 
     # a new graph and coloring after another pair
     new = scheduler(from_edges(n), Coloring(list(range(n)), n))

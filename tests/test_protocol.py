@@ -9,7 +9,8 @@ import pytest
 from coopnav.acoustic import UsblNoiseConfig, attempt_fix
 from coopnav.conflict import (Coloring, audibility_masks, build_conflict_graph,
                               greedy_color)
-from coopnav.engine import AsvFleet, NoiseStream, SimConfig, derive_rng, run, uniform_stream
+from coopnav.engine import (AsvFleet, NoiseStream, Recolorer, SimConfig, derive_rng, run,
+                            uniform_stream)
 from coopnav.mission import GuidanceConfig, VehicleTruth, plan_lawnmower
 from coopnav.protocol import (BCAST, DELIVER, EVENT_FORMATS, EXPIRED, FIX, FUSE,
                               OUT_OF_MF_RANGE, PING, SUPERSEDED, FixQueue, TdmaScheduler,
@@ -177,11 +178,13 @@ def vehicles(pos):
 
 
 def one_round(pos, asv, graph, coloring, ticks=None):
-    """Step a scheduler at L=60 every tick over its first round, or ``ticks``
-    ticks; returns it and its rendered events."""
+    """Step a scheduler at L=60 every tick over its first round, which
+    ``step(0)`` starts, or ``ticks`` ticks; returns it and its rendered
+    events."""
     sched = TdmaScheduler(SimConfig(L=60.0, r_hf=50.0), make_paths(len(pos), len(asv)),
                           fixed(graph, coloring), vehicles(pos), StillAsvs(asv))
-    for k in range(sched.round_end if ticks is None else ticks):
+    sched.step(0)
+    for k in range(1, sched.round_end if ticks is None else ticks):
         sched.step(k)
     return sched, list(sched.events)
 
@@ -279,6 +282,45 @@ def test_scheduler_uplink_matches_reference_fix_attempts():
     assert uplink == ref
     assert any(e.startswith("FIX") and "asv=1" in e for e in ref)
     assert math.dist(pos[2], (30.0, 0.0, 0.0)) > 50.0    # one path out of range
+
+
+class MovedAsvs:
+    """ASVs whose ``stations`` are not where they are: every tick's anchors
+    are ``anchors``."""
+
+    def __init__(self, stations, anchors):
+        self.stations, self._anchors = stations, anchors
+
+    def at(self, tick):
+        return self._anchors
+
+
+# two AUVs 60 m apart and two ASVs each in HF range of one AUV only: no
+# conflict, so round 0 is one group, both pinging at tick 0
+APART_POS = [(-30.0, 0.0, 10.0), (30.0, 0.0, 10.0)]
+APART_ASV = [[-60.0, 0.0], [60.0, 0.0]]
+
+
+def round_zero_pings(sched):
+    sched.step(0)
+    return sched.coloring.k, list(sched.events.records(PING))
+
+
+def test_round_zero_is_colored_from_the_anchors_at_tick_zero():
+    # both stations are in range of both AUVs, which would make them conflict
+    sched = TdmaScheduler(SimConfig(L=60.0, r_hf=50.0), make_paths(2, 2), Recolorer(50.0),
+                          vehicles(APART_POS),
+                          MovedAsvs([[-5.0, 0.0], [5.0, 0.0]], APART_ASV))
+    assert round_zero_pings(sched) == (1, [(0, 0, 0), (0, 1, 0)])
+
+
+def test_round_zero_is_colored_from_the_positions_at_tick_zero():
+    # built with both AUVs in range of ASV 0 only, moved apart before step(0)
+    auvs = vehicles([(-50.0, 0.0, 10.0), (-40.0, 0.0, 10.0)])
+    sched = TdmaScheduler(SimConfig(L=60.0, r_hf=50.0), make_paths(2, 2), Recolorer(50.0),
+                          auvs, StillAsvs(APART_ASV))
+    auvs[:] = vehicles(APART_POS)
+    assert round_zero_pings(sched) == (1, [(0, 0, 0), (0, 1, 0)])
 
 
 def test_slots_and_flights_follow_the_configured_sound_speed():

@@ -15,11 +15,14 @@ few random sweep INIs through ``coopnav sweep``, and the check compares the
 exit code and the sha1 of ``runs.csv``, ``aggregate.csv`` and
 ``heatmap.txt``.  Config verdicts are compared too: per mission, each of a
 few INIs holds that formation plus one invalid value (NaN, a value just
-outside its lower bound, an undeclared choice, ``gamma`` above 1 or a
-non-integer value of an int key), and two sweep INIs hold ``seeds = 0`` or
-``base_seed = -1``; the check compares the exit code and stderr of
-``coopnav validate-config`` (``coopnav sweep`` for a sweep INI), with the
-temporary directory's path left out.  It prints each mismatch and a
+below a lower bound or above an upper bound, an undeclared choice or a
+non-integer value of an int key), and one sweep INI per ``[sweep]`` count
+holds a value below its bound; the check compares the exit code and stderr
+of ``coopnav validate-config`` (``coopnav sweep`` for a sweep INI), with
+the temporary directory's path left out.  The invalid values are drawn
+from PARENT_SRC's own declarations (``cli.SweepSpec`` and the
+``SimConfig`` it holds), each one confirmed invalid by its key's converter
+and declared bounds, finiteness or choices.  It prints each mismatch and a
 summary, and exits 0 when every mission, sweep and verdict is identical,
 else 1.
 
@@ -49,6 +52,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import random
 import shutil
 import subprocess
@@ -56,6 +60,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 # the report fields test_run_digests.py hashes at full repr precision
 REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
@@ -64,28 +69,87 @@ REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
 SWEEPS = 4   # random sweeps per check
 SWEEP_OUTPUTS = ("runs.csv", "aggregate.csv", "heatmap.txt")
 
-# (section, key, a value just below its lower bound, or None where the key
-# is only finite) of every bounded run-config key
-BOUNDED = [
-    ("sim", "l", "0"), ("sim", "n_auv", "0"), ("sim", "n_asv", "0"),
-    ("sim", "alpha0_deg", None), ("sim", "duration", "-1e-9"), ("sim", "tick_rate", "0"),
-    ("sim", "seed", "-1"), ("formation", "r_hf", "0"), ("formation", "delta_b", "-0.5"),
-    ("formation", "asv_jitter_std", "-5e-324"), ("acoustic", "sigma_r", "-0.1"),
-    ("acoustic", "sigma_theta_deg", "-1"), ("acoustic", "sigma_phi_deg", "-0.0001"),
-    ("acoustic", "sound_speed", "0"), ("protocol", "ping_duration", "-0.01"),
-    ("protocol", "guard_factor_ul", "0"), ("protocol", "min_slot_factor_ul", "-2.5"),
-    ("protocol", "guard_factor_dl", "0"), ("protocol", "min_slot_factor_dl", "0"),
-    ("protocol", "r_dl", "-2000"), ("protocol", "overhead", "0"),
-    ("protocol", "header_bytes", "0"), ("protocol", "fix_bytes", "-16"),
-    ("protocol", "r_mf", "0"), ("protocol", "max_fix_age", "0"), ("nav", "bias_x", None),
-    ("nav", "bias_y", None), ("nav", "sigma", "-0.027"), ("nav", "sigma_z", "-1e-300"),
-    ("nav", "gamma", "0"), ("mission", "depth", None), ("mission", "cruise_speed", "0"),
-    ("mission", "capture_radius", "-2"), ("mission", "max_yaw_rate", "0"),
-    ("mission", "track_spacing", "0"),
-]
-INT_KEYS = [("sim", "n_auv"), ("sim", "n_asv"), ("sim", "tick_rate"), ("sim", "seed"),
-            ("protocol", "header_bytes"), ("protocol", "fix_bytes")]
-CHOICE_KEYS = [("sim", "conflict_source"), ("sim", "contention")]
+OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+class Key(NamedTuple):
+    """An INI key as its field declares it."""
+    section: str
+    name: str
+    conv: Callable[[str], object]
+    bounds: tuple   # (op, limit) pairs
+    choices: tuple
+    finite: bool
+
+
+def declared_keys(src: str) -> list[Key]:
+    """Every INI key of a sweep file as the coopnav in ``src`` declares it:
+    the run config's keys (``SweepSpec.base``, a ``SimConfig``) and the
+    ``[sweep]`` counts, with the converters of ``schema.ini_table``."""
+    sys.path.insert(0, src)
+    from coopnav import cli, schema
+
+    spec = cli.SweepSpec()
+    table, keys = schema.ini_table(spec), []
+
+    def walk(cfg):
+        for f in dataclasses.fields(cfg):
+            value, m = getattr(cfg, f.name), f.metadata
+            if dataclasses.is_dataclass(value):
+                walk(value)
+            elif m:
+                keys.extend(Key(m["section"], key, table[m["section"], key][2], m["bounds"],
+                                m["choices"], m["finite"]) for key in m["keys"] or (f.name,))
+    walk(spec)
+    return keys
+
+
+def rejects(key: Key, raw: str) -> bool:
+    """Whether ``raw`` fails the key's converter or, converted, its declared
+    bounds, finiteness or choices."""
+    try:
+        value = key.conv(raw)
+    except ValueError:
+        return True
+    if key.choices:
+        return value not in key.choices
+    return (any(not OPS[op](value, limit) for op, limit in key.bounds)
+            or key.finite and not abs(value) <= sys.float_info.max)
+
+
+def beyond(key: Key, side: int) -> list[str]:
+    """Raw values just below (``side`` -1) each lower bound of the key or
+    above (+1) each upper bound, written on the key's INI scale; its
+    converter then decides whether they fall outside (a degree one ulp
+    below 0 converts to -0.0, which is inside ``>= 0``)."""
+    out = []
+    for op, limit in key.bounds:
+        if (op == "<=") != (side > 0):
+            continue
+        if key.conv is int:
+            values = [limit + side, limit + 2 * side]
+        else:
+            values = [math.nextafter(limit, side * math.inf), limit + side * 1e-9,
+                      limit + side, side * math.inf]
+        out += map(repr, values + [limit] * (op == ">"))
+    return out
+
+
+def invalid_values(keys: list[Key]) -> dict[str, list[tuple[Key, str]]]:
+    """Per kind of invalid config, the (key, raw value) pairs to draw from,
+    each rejected by ``rejects``; ``sweep`` holds the ``[sweep]`` counts."""
+    run = [k for k in keys if k.section != "sweep"]
+    pools = {
+        "nan": [(k, "nan") for k in run if k.finite],
+        "below": [(k, raw) for k in run for raw in beyond(k, -1)],
+        "above": [(k, raw) for k in run for raw in beyond(k, 1)],
+        "choice": [(k, raw) for k in run if k.choices
+                   for raw in ("psychic", "Truth", "", "group,")],
+        "int": [(k, raw) for k in run if k.conv is int for raw in ("2.5", "3.0", "1e3", "0x10")],
+        "sweep": [(k, raw) for k in keys if k.section == "sweep" for raw in beyond(k, -1)],
+    }
+    return {what: [(k, raw) for k, raw in pool if rejects(k, raw)]
+            for what, pool in pools.items()}
 
 
 def fingerprint(rep) -> str:
@@ -168,25 +232,22 @@ def render(sections: dict) -> str:
                    for name, keys in sections.items())
 
 
-def invalid_configs(rng: random.Random, spec: dict) -> list[tuple[str, str]]:
+def invalid_configs(rng: random.Random, spec: dict, values: dict) -> list[tuple[str, str]]:
     """(what, INI text) pairs: the mission's formation with one invalid
-    value each, then two sweep INIs with an invalid seed count or base seed."""
-    cases = [("nan", *rng.choice(BOUNDED)[:2], "nan"),
-             ("bound", *rng.choice([b for b in BOUNDED if b[2] is not None])),
-             ("choice", *rng.choice(CHOICE_KEYS), rng.choice(["psychic", "Truth", "", "group,"])),
-             ("gamma", "nav", "gamma", rng.choice(["1.0000000000000002", "1.5", "inf"])),
-             ("int", *rng.choice(INT_KEYS), rng.choice(["2.5", "3.0", "1e3", "0x10"]))]
+    value of each kind in ``values`` (``invalid_values``) but the sweep's,
+    then per ``[sweep]`` count a random sweep INI with an invalid one."""
     out = []
-    for what, section, key, value in cases:
+    for what, pool in values.items():
+        if what == "sweep" or not pool:
+            continue
+        key, raw = rng.choice(pool)
         sections = formation_ini(spec)
-        sections.setdefault(section, {})[key] = value
-        out.append((f"{what} {section}.{key} = {value}", render(sections)))
-    for line in ("seeds = 0", "base_seed = -1"):
-        text = random_sweep(rng)
-        key = line.split()[0]
-        text = "\n".join(line if row.startswith(key + " ") else row
-                         for row in text.split("\n"))
-        out.append((f"sweep {line}", text))
+        sections.setdefault(key.section, {})[key.name] = raw
+        out.append((f"{what} {key.section}.{key.name} = {raw}", render(sections)))
+    for name in dict.fromkeys(k.name for k, _ in values["sweep"]):
+        line = f"{name} = " + rng.choice([raw for k, raw in values["sweep"] if k.name == name])
+        rows = [row for row in random_sweep(rng).split("\n") if not row.startswith(name + " ")]
+        out.append((f"sweep {line}", "\n".join([rows[0], line] + rows[1:])))
     return out
 
 
@@ -284,7 +345,8 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     specs = [random_spec(rng) for _ in range(args.n)]
     todo = {"missions": specs, "sweeps": [random_sweep(rng) for _ in range(SWEEPS)]}
-    todo["invalid"] = [invalid_configs(rng, spec) for spec in specs]
+    values = invalid_values(declared_keys(args.parent_src))
+    todo["invalid"] = [invalid_configs(rng, spec, values) for spec in specs]
     with ThreadPoolExecutor(2) as pool:
         parent, change = pool.map(lambda src: run_tree(src, todo),
                                   (args.parent_src, args.change_src))
