@@ -252,6 +252,11 @@ def summary_text(cfg: SimConfig, rep: MissionReport) -> str:
     return "\n".join(lines)
 
 
+def _write_lines(path: Path, lines: list[str]):
+    """Each line newline-terminated: no lines make an empty file."""
+    path.write_text("".join(line + "\n" for line in lines))
+
+
 def cmd_run(args) -> int:
     cfg = load_sim_config(args.config)
     if args.trace:
@@ -261,9 +266,9 @@ def cmd_run(args) -> int:
     rep = run(cfg)
     text = summary_text(cfg, rep)
     (out / "report.txt").write_text(text + "\n")
-    (out / "events.log").write_text("\n".join(rep.event_log) + "\n")
+    _write_lines(out / "events.log", rep.event_log)
     if cfg.trace:
-        (out / "trace.log").write_text("\n".join(rep.trace_log) + "\n")
+        _write_lines(out / "trace.log", rep.trace_log)
     print(text)
     return 0
 
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="run a configuration sweep")
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", default="out")
-    ps.add_argument("--seeds", type=int, default=None,
+    ps.add_argument("--seeds", type=positive_int, default=None,
                     help="override the seed count of the sweep spec")
     ps.add_argument("--parallel", type=positive_int, default=1,
                     help="worker processes, at most one per run")

@@ -373,7 +373,7 @@ def run(config: SimConfig) -> MissionReport:
                                      navs[i].p_imu[1] - truths[i].y),
             max_fused_err=max_fused_err[i],
         ))
-    proto.events.pack()   # every figure above is taken: keep the records as doubles
+    proto.events.pack()   # every figure above is taken: keep the records as typed columns
     return MissionReport(
         config_hash=config.config_hash(),
         seed=seed,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
@@ -106,6 +107,17 @@ EVENT_FORMATS = (   # (template, field count), indexed by kind
     ("DROP{tick=%d, auv=%d, reason=expired}", 2),
     ("DROP{tick=%d, auv=%d, reason=out_of_mf_range}", 2),
 )
+_FIELD_SPEC = re.compile(r"%(d|\.6f)")   # a template's field types, in order
+
+
+def _uint_column(values: list[int]) -> array | list[int]:
+    """Non-negative ints in the narrowest unsigned ``array`` that holds the
+    largest exactly; the list itself when the widest cannot."""
+    top = max(values, default=0)
+    for code in "BHIQ":
+        if top < 1 << 8 * array(code).itemsize:
+            return array(code, values)
+    return values
 
 
 class EventLog:
@@ -117,14 +129,15 @@ class EventLog:
     them.  ``%d`` and ``%.6f`` give what the f-string ``{v}`` and
     ``{v:.6f}`` give, byte for byte.  A live log appends to lists, since
     extending an ``array`` costs several times a list ``+=`` per record;
-    ``pack`` stores a finished log's values as doubles.
+    ``pack`` stores a finished log's values as typed columns.
     """
 
     __slots__ = ("kinds", "stores")
 
     def __init__(self):
         self.kinds = bytearray()
-        self.stores: list[list[int | float] | array] = [[] for _ in EVENT_FORMATS]
+        self.stores: list[list[int | float] | tuple[array | list[int], ...]] = [
+            [] for _ in EVENT_FORMATS]
 
     def add(self, kind: int, *fields):
         self.kinds.append(kind)
@@ -134,18 +147,29 @@ class EventLog:
         return len(self.kinds)
 
     def records(self, kind: int):
-        """The field tuples of ``kind``'s events, in the order they happened."""
-        return zip(*[iter(self.stores[kind])] * EVENT_FORMATS[kind][1])
+        """The field tuples of ``kind``'s events, in the order they happened:
+        a packed kind's columns zipped, a live kind's flat list cut up."""
+        store = self.stores[kind]
+        if type(store) is tuple:
+            return zip(*store)
+        return zip(*[iter(store)] * EVENT_FORMATS[kind][1])
 
     def pack(self):
-        """Store each kind's values as an ``array('d')``, at 8 bytes a value,
-        for a log that takes no more events.  Kinds are converted one at a
-        time, so only one kind's list and array coexist.  Ticks and ids
-        become integral doubles, which compare equal to the ints and which
-        ``%d`` renders as it rendered them."""
+        """Store each kind as one column per field, once the log takes no
+        more events.  The kind's template types each field: a ``%.6f``
+        column becomes an ``array('d')``, and a ``%d`` one (a tick, id,
+        count or byte size, never negative) the narrowest unsigned
+        ``array`` that holds its largest value exactly, or stays a list of
+        ints beyond the widest.  So ``records`` yields the tuples, types
+        included, that it yielded before, every int exact.  Kinds are
+        converted one at a time, so only one kind's list and columns
+        coexist."""
         stores = self.stores
-        for kind, values in enumerate(stores):
-            stores[kind] = array("d", values)
+        for kind, (template, n) in enumerate(EVENT_FORMATS):
+            values = stores[kind]
+            stores[kind] = tuple(
+                array("d", values[f::n]) if spec == ".6f" else _uint_column(values[f::n])
+                for f, spec in enumerate(_FIELD_SPEC.findall(template)))
 
     def __iter__(self):
         cursors = [self.records(kind) for kind in range(len(EVENT_FORMATS))]

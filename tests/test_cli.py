@@ -100,6 +100,31 @@ def test_run_command_writes_outputs(tmp_path, capsys):
     assert "Fixes" in text and "Cov(%)" in text and "CTE(m)" in text
 
 
+@pytest.mark.parametrize("duration", [0, 1])
+def test_run_logs_end_each_line(tmp_path, duration):
+    # a zero-tick run writes empty logs, not one blank line each
+    cfg = write(tmp_path, BASE.replace("duration = 10", f"duration = {duration}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--trace"]) == 0
+    sim = load_sim_config(cfg)
+    sim.trace = True
+    rep = run(sim)
+    for name, lines in (("events.log", rep.event_log), ("trace.log", rep.trace_log)):
+        assert bool(lines) == bool(duration)
+        assert (out / name).read_text() == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("header", [2**53 + 1, 2**64 + 1])
+def test_a_broadcast_carries_the_exact_payload(tmp_path, header):
+    # ints beyond a double's 53-bit mantissa reach the log exactly
+    cfg = write(tmp_path, BASE + f"\n[protocol]\nheader_bytes = {header}\nfix_bytes = 16\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    bcasts = [line for line in (out / "events.log").read_text().splitlines()
+              if line.startswith("BCAST")]
+    assert bcasts and all(line.endswith(f", bytes={header + 16}}}") for line in bcasts), bcasts
+
+
 def test_run_command_bad_config_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, "[sim]\nn_asv = 0\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -682,8 +707,10 @@ def test_sweep_rejects_a_negative_base_seed(tmp_path, capsys):
 def test_seeds_option_replaces_the_file_count_before_validation(tmp_path, capsys):
     out = tmp_path / "sw"
     cfg = write(tmp_path, SWEEP, "sweep.ini")
+    # a count below 1 is the option's usage error, not the file's config error
     assert main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "0"]) == 1
-    assert "seeds must be >= 1 (got 0)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --seeds: must be >= 1 (got 0)" in err and "config error" not in err, err
     assert not out.exists()
     cfg = write(tmp_path, SWEEP.replace("seeds = 1", "seeds = 0"), "sweep.ini")
     assert main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "2"]) == 0

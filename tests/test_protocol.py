@@ -1,5 +1,6 @@
 
 import math
+import re
 from array import array
 from collections import Counter
 
@@ -13,8 +14,8 @@ from coopnav.engine import (AsvFleet, NoiseStream, Recolorer, SimConfig, derive_
                             uniform_stream)
 from coopnav.mission import GuidanceConfig, VehicleTruth, plan_lawnmower
 from coopnav.protocol import (BCAST, DELIVER, EVENT_FORMATS, EXPIRED, FIX, FUSE,
-                              OUT_OF_MF_RANGE, PING, SUPERSEDED, FixQueue, TdmaScheduler,
-                              TimingConfig, ticks_ceil)
+                              OUT_OF_MF_RANGE, PING, SUPERSEDED, EventLog, FixQueue,
+                              TdmaScheduler, TimingConfig, ticks_ceil)
 from fleets import StillAsvs
 from graphs import from_edges
 
@@ -399,10 +400,36 @@ def test_a_packed_log_reads_as_it_did():
     records = [list(log.records(kind)) for kind in range(len(EVENT_FORMATS))]
     assert all(records)   # every kind of event, to be packed
     log.pack()
-    assert all(isinstance(s, array) and s.typecode == "d" for s in log.stores)
+    # one column per field: doubles for a %.6f field, unsigned ints for a %d one
+    for (template, n), columns, recs in zip(EVENT_FORMATS, log.stores, records):
+        specs = re.findall(r"%(d|\.6f)", template)
+        assert len(specs) == len(columns) == n
+        assert all(isinstance(col, array) and len(col) == len(recs) and
+                   col.typecode in ("d" if spec == ".6f" else "BHIQ")
+                   for col, spec in zip(columns, specs))
     assert list(log) == rendered
-    # ticks and ids come back as integral floats, equal to the ints
-    assert [list(log.records(kind)) for kind in range(len(EVENT_FORMATS))] == records
+    # ticks and ids come back as ints, each record equal and of the same types
+    packed = [list(log.records(kind)) for kind in range(len(EVENT_FORMATS))]
+    assert packed == records
+    assert [[tuple(map(type, r)) for r in rs] for rs in packed] == [
+        [tuple(map(type, r)) for r in rs] for rs in records]
+
+
+@pytest.mark.parametrize("top, code", [
+    (255, "B"), (256, "H"), (2**32 - 1, "I"), (2**32, "Q"), (2**53 + 1, "Q"),
+    (2**64 - 1, "Q"), (2**64 + 1, None)])
+def test_a_packed_int_column_is_the_narrowest_that_holds_it_exactly(top, code):
+    log = EventLog()
+    log.add(BCAST, 0, 1, 24)
+    log.add(DELIVER, 2, 1, 0.25)
+    log.add(BCAST, 3, 0, top)
+    live = [list(log.records(kind)) for kind in (BCAST, DELIVER)], list(log)
+    log.pack()
+    sizes = log.stores[BCAST][2]   # a list of ints when no typecode holds the largest
+    assert (sizes.typecode if isinstance(sizes, array) else None) == code
+    assert ([list(log.records(kind)) for kind in (BCAST, DELIVER)], list(log)) == live
+    assert [type(v) for r in log.records(BCAST) for v in r] == [int] * 6
+    assert list(log)[2] == f"BCAST{{tick=3, asv=0, bytes={top}}}"
 
 
 def whole_ticks(seconds, f_t):

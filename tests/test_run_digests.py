@@ -13,6 +13,7 @@ change that alters the simulation on purpose re-records them and says why.
 
 import dataclasses
 import hashlib
+import re
 import statistics
 from array import array
 
@@ -129,10 +130,16 @@ def test_run_digest_pinned(case):
 def test_report_reads_the_records(case):
     # each kind's records render to that kind's lines of the log, in order,
     # and the report's fix and drop figures are what the records hold; a
-    # finished report keeps each kind's values as doubles
+    # finished report keeps one column per field, doubles for a %.6f field
+    # and unsigned ints for a %d one
     rep = run(SimConfig(**CASES[case]))
     events, log = rep.events, rep.event_log
-    assert all(isinstance(s, array) and s.typecode == "d" for s in events.stores)
+    for kind, ((template, _), columns) in enumerate(zip(EVENT_FORMATS, events.stores)):
+        specs = re.findall(r"%(d|\.6f)", template)
+        assert len(columns) == len(specs)
+        assert all(isinstance(col, array) and len(col) == events.kinds.count(kind) and
+                   col.typecode in ("d" if spec == ".6f" else "BHIQ")
+                   for col, spec in zip(columns, specs))
     assert len(events) == len(log)
     for kind, (template, _) in enumerate(EVENT_FORMATS):
         assert [template % r for r in events.records(kind)] == [

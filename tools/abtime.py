@@ -14,8 +14,10 @@ prints each tree's median mission time with its quartiles, the
 quartiles of the pair ratios, the pairs the change won and tied, and its
 win share over the untied pairs (a tie counts for neither side).  It then
 prints the bytes that one finished report of the first job keeps allocated
-in each tree, measured by ``tracemalloc`` around one more, untimed,
-``run()`` per tree: an in-process A/B of report memory.  Host
+in each tree, and those that the finished reports of all the jobs keep
+together, measured by ``tracemalloc`` around more, untimed, ``run()`` calls
+per tree: an in-process A/B of report memory.  The sum sizes a workload
+whose jobs differ, as a sweep's cells do.  Host
 speed drifts within a benchmark run (perfbench/README.md); two runs timed
 back to back see nearly the same host, so the pair ratio cancels the drift.
 
@@ -57,13 +59,14 @@ def timed(cli, cfg) -> tuple[float, str]:
     return time.perf_counter() - t0, fingerprint(rep)
 
 
-def retained_bytes(cli, cfg) -> int:
-    """Bytes allocated by one ``run()`` that its report still holds."""
+def retained_bytes(cli, cfgs) -> int:
+    """Bytes allocated by a ``run()`` of each config that their reports
+    still hold, all reports kept."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rep = cli.run(cfg)   # held until the memory is read
+        reps = [cli.run(cfg) for cfg in cfgs]   # held until the memory is read
         gc.collect()
         return tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -111,8 +114,9 @@ def main(argv=None) -> int:
           f"change won {wins} and tied {ties} of {len(ratios)} pairs; "
           f"won {share} of the {decided} untied")
     for label, cli, cfgs in zip(("parent", "change"), trees, jobs):
-        kb = retained_bytes(cli, cfgs[0]) / 1024
-        print(f"{label}: one finished report of job 0 retains {kb:.0f} KB (tracemalloc)")
+        one, every = (retained_bytes(cli, some) / 1024 for some in (cfgs[:1], cfgs))
+        print(f"{label}: one finished report of job 0 retains {one:.0f} KB, "
+              f"those of all {len(cfgs)} jobs {every:.0f} KB (tracemalloc)")
     return 0
 
 
