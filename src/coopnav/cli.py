@@ -3,7 +3,8 @@
 Config files are INI-style text with one section per subsystem; unknown
 sections or keys are hard errors so that a typo cannot silently fall back
 to a default in the middle of a thousand-run sweep.  Sweep outputs are a
-long-form CSV (one row per config and seed), an aggregated CSV (mean and
+long-form CSV (one row per config and seed), a per-AUV CSV (one row per
+run and AUV), an aggregated CSV (mean and
 std over seeds and formation angles), and a text heatmap of mean
 cross-track error, all invariant to the parallelism degree.
 
@@ -22,12 +23,14 @@ import math
 import re
 import statistics
 import sys
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from pathlib import Path
 
-from .engine import AsvFleet, MissionReport, SimConfig, run
+from .engine import AsvFleet, AuvMetrics, MissionReport, SimConfig, run
 from .formation import worst_point
+from .protocol import DELIVER, PING
 from .schema import check, ini_table, param
 
 log = logging.getLogger("coopnav")
@@ -220,17 +223,37 @@ def report_row(cfg: SimConfig, rep: MissionReport) -> dict:
     }
 
 
+_AUV_COLUMNS = [*_CSV_COLUMNS[:6], *(f.name for f in fields(AuvMetrics)),
+                "pings", "max_latency_s", "max_innovation"]
+
+
+def auv_rows(cfg: SimConfig, rep: MissionReport) -> list[dict]:
+    """One row per AUV: the run's cell columns, its ``AuvMetrics``, its
+    pings, its largest fix latency and its largest fix innovation.  The csv
+    module writes a float as its ``repr``, so ``float()`` of a cell is the
+    report's value exactly."""
+    cell = _cell_columns(cfg, rep.config_hash)
+    pings = Counter(auv for _, auv, _ in rep.events.records(PING))
+    latency = [0.0] * len(rep.per_auv)
+    for _, auv, lat in rep.events.records(DELIVER):
+        latency[auv] = max(latency[auv], lat)
+    return [{**cell, **vars(a), "pings": pings[a.auv_id], "max_latency_s": latency[a.auv_id],
+             "max_innovation": rep.auv_max_innovation[a.auv_id]} for a in rep.per_auv]
+
+
 def _error_row(cfg: SimConfig, exc: BaseException) -> dict:
     return {**dict.fromkeys(_CSV_COLUMNS, ""), **_cell_columns(cfg, cfg.config_hash()),
             "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _sweep_job(payload: tuple[int, SimConfig]) -> dict:
+def _sweep_job(payload: tuple[int, SimConfig]) -> tuple[dict, list[dict]]:
+    """A job's runs.csv row and auvs.csv rows; a failed run has no AUV rows."""
     _, cfg = payload
     try:
-        return report_row(cfg, run(cfg))
+        rep = run(cfg)
+        return report_row(cfg, rep), auv_rows(cfg, rep)
     except Exception as exc:   # a failed run must not sink the sweep
-        return _error_row(cfg, exc)
+        return _error_row(cfg, exc), []
 
 
 def summary_text(cfg: SimConfig, rep: MissionReport) -> str:
@@ -292,15 +315,18 @@ def cmd_sweep(args) -> int:
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_job, j) for j in jobs]
-        rows = []
+        results = []
         for (_, cfg), future in zip(jobs, futures):
             try:
-                rows.append(future.result())
+                results.append(future.result())
             except concurrent.futures.BrokenExecutor as exc:   # a worker died first
-                rows.append(_error_row(cfg, exc))
+                results.append((_error_row(cfg, exc), []))
     else:
-        rows = [_sweep_job(j) for j in jobs]
+        results = [_sweep_job(j) for j in jobs]
+    rows = [row for row, _ in results]
     _write_csv(out / "runs.csv", _CSV_COLUMNS, rows, "coopnav sweep runs schema v1")
+    _write_csv(out / "auvs.csv", _AUV_COLUMNS, [a for _, auvs in results for a in auvs],
+               "coopnav sweep auvs schema v1")
 
     # aggregate over seeds and angles per (L, n_asv, n_auv); the means are
     # taken over the rounded values that runs.csv holds

@@ -108,6 +108,7 @@ class MissionReport:
     dropped: dict[str, int]
     max_innovation: float
     excursion_ticks: int
+    auv_max_innovation: list[float]   # the largest fix innovation of each AUV
     events: EventLog = field(repr=False)
     trace: array = field(repr=False)   # TRACE_FORMAT's 12 numbers per (tick, AUV) row
 
@@ -243,6 +244,15 @@ class AsvFleet:
         return self.rows[row]
 
 
+def _mean(xs: list[float]) -> float:
+    """The mean of ``xs`` summed left to right, the same bits on every
+    interpreter: from Python 3.12 on, ``sum()`` of floats is compensated."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total / len(xs)
+
+
 def run(config: SimConfig) -> MissionReport:
     """Execute one seeded mission and return its report."""
     config.validate()
@@ -296,7 +306,7 @@ def run(config: SimConfig) -> MissionReport:
     err_sum = [0.0] * n
     dist = [0.0] * n
     max_fused_err = [0.0] * n
-    max_innovation = 0.0
+    max_innovation = [0.0] * n
     excursions = 0
     trace_rows = array("d")
 
@@ -323,8 +333,8 @@ def run(config: SimConfig) -> MissionReport:
             for _, i, _, fix, _ in proto.step(k):
                 p = navs[i].p_fused
                 innov = math.hypot(fix[0] - p[0], fix[1] - p[1])
-                if innov > max_innovation:
-                    max_innovation = innov
+                if innov > max_innovation[i]:
+                    max_innovation[i] = innov
                 # predict once, and only in place of a skipped fused step
                 apply_fix(navs[i], fix, kin[i], i in due)
                 due.discard(i)
@@ -367,7 +377,7 @@ def run(config: SimConfig) -> MissionReport:
             coverage=proto.heard[i] / pinged.count(i) if i in pinged else 0.0,
             distance=dist[i],
             allocation=len(fix_ticks) / total_applied if total_applied else 0.0,
-            mean_inter_fix_s=sum(gaps) / len(gaps) if gaps else 0.0,
+            mean_inter_fix_s=_mean(gaps) if gaps else 0.0,
             max_inter_fix_s=max(gaps) if gaps else 0.0,
             final_imu_err=math.hypot(navs[i].p_imu[0] - truths[i].x,
                                      navs[i].p_imu[1] - truths[i].y),
@@ -382,12 +392,13 @@ def run(config: SimConfig) -> MissionReport:
         per_auv=per_auv,
         total_applied=total_applied,
         applied_rate_hz=total_applied / duration_s if duration_s else 0.0,
-        latency_mean_s=sum(lat_sorted) / len(lat_sorted) if lat_sorted else 0.0,
+        latency_mean_s=_mean(lat_sorted) if lat_sorted else 0.0,
         latency_p95_s=lat_sorted[math.ceil(0.95 * len(lat_sorted)) - 1] if lat_sorted else 0.0,
         dropped={"superseded": drops(SUPERSEDED), "expired": drops(EXPIRED),
                  "out_of_mf_range": drops(OUT_OF_MF_RANGE)},
-        max_innovation=max_innovation,
+        max_innovation=max(max_innovation),
         excursion_ticks=excursions,
+        auv_max_innovation=max_innovation,
         events=proto.events,
         trace=trace_rows,
     )

@@ -5,9 +5,12 @@ asserting, so a full run reads as a checklist:
 
     pytest tests/test_acceptance.py -v -s
 
-Scenario fixtures run the full 300 s missions once per module and are shared
-across criteria.  Two checks are known to fail by construction and are kept
-honest rather than weakened; their docstrings carry the analysis:
+The scenario criteria read rows, not reports: the module runs the 300 s
+missions of the three sweep INIs beside this file once, through
+``coopnav sweep``, and each criterion reads ``runs.csv`` for run-level
+figures and ``auvs.csv`` for per-AUV ones.  Two checks are known to fail by
+construction and are kept honest rather than weakened; their docstrings
+carry the analysis:
 
   * criterion 6b's absolute cross-track band at the largest survey scale,
   * criterion 11's full-coverage guarantee for 2- and 3-anchor rings.
@@ -16,27 +19,38 @@ Criterion 11's subject, the closed-form minimum ring radius, lives here with
 its own checks: no production code computes it.
 """
 
+import csv
+import itertools
 import math
 import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import coopnav
+from coopnav import cli
 from coopnav.conflict import audibility_masks, build_conflict_graph, greedy_color
 from coopnav.engine import NoiseStream, SimConfig, run
 from coopnav.formation import asv_positions, worst_point
 from coopnav.nav import KinematicInput, NavState, dead_reckon_step
-from coopnav.protocol import DELIVER, PING
 from coopnav.acoustic import fuse_fixes
 from graphs import edges
 
 SEEDS = list(range(5))
 DT = 1.0 / 30.0
+HERE = Path(__file__).parent
+
+# sweep cells (L, n_asv, n_auv, alpha0_deg) of the scenarios
+BASELINE = (60.0, 1, 4, 0)
+FAILURE = (140.0, 1, 3, 0)
+RECOVERY = (140.0, 3, 3, 0)
+ANGLE0, ANGLE30 = (140.0, 2, 3, 0), (140.0, 2, 3, 30)
+GRID = list(itertools.product((60.0, 140.0), (1, 3), (3, 6)))   # (L, n_asv, n_auv)
 
 
 def _report(num, passed, detail):
@@ -48,61 +62,48 @@ def _mean(xs):
     return statistics.mean(xs)
 
 
-# ---------------------------------------------------------------- fixtures
+# ---------------------------------------------------------------- the sweeps
 
-@pytest.fixture(scope="module")
-def baseline_runs():
-    return [run(SimConfig(L=60.0, n_auv=4, n_asv=1, duration=300.0, seed=s))
-            for s in SEEDS]
-
-
-@pytest.fixture(scope="module")
-def failure_runs():
-    return [run(SimConfig(L=140.0, n_auv=3, n_asv=1, duration=300.0, seed=s))
-            for s in SEEDS]
+def _read(path: Path) -> list[SimpleNamespace]:
+    """The rows of a sweep CSV: a cell of digits is an int, ``config_hash``
+    and ``error`` stay text, and every other cell is a float."""
+    with path.open(newline="") as fh:
+        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+        return [SimpleNamespace(**{k: v if k in ("config_hash", "error")
+                                   else int(v) if v.isdigit() else float(v)
+                                   for k, v in row.items()}) for row in rows]
 
 
 @pytest.fixture(scope="module")
-def recovery_runs():
-    return [run(SimConfig(L=140.0, n_auv=3, n_asv=3, duration=300.0, seed=s))
-            for s in SEEDS]
-
-
-@pytest.fixture(scope="module")
-def angle_runs():
-    seeds = range(10)
-    at0 = [run(SimConfig(L=140.0, n_auv=3, n_asv=2, alpha0=0.0,
-                         duration=300.0, seed=s)) for s in seeds]
-    at30 = [run(SimConfig(L=140.0, n_auv=3, n_asv=2, alpha0=math.radians(30.0),
-                          duration=300.0, seed=s)) for s in seeds]
-    return at0, at30
-
-
-@pytest.fixture(scope="module")
-def sweep_cells(failure_runs, recovery_runs):
-    # the failure and recovery scenarios are two of the cells, with the same seeds
-    reused = {(140.0, 1, 3): failure_runs, (140.0, 3, 3): recovery_runs}
-    cells = {}
-    for L in (60.0, 140.0):
-        for n_asv in (1, 3):
-            for n_auv in (3, 6):
-                key = (L, n_asv, n_auv)
-                cells[key] = reused.get(key) or [
-                    run(SimConfig(L=L, n_auv=n_auv, n_asv=n_asv, duration=300.0, seed=s))
-                    for s in SEEDS]
-    return cells
+def cells(tmp_path_factory) -> dict[tuple, list[SimpleNamespace]]:
+    """The runs of the acceptance sweeps by cell (L, n_asv, n_auv,
+    alpha0_deg), in seed order: each its ``runs.csv`` row, with its
+    ``auvs.csv`` rows in AUV order as ``auvs``."""
+    out = {}
+    for name in ("grid", "baseline", "angle"):
+        d = tmp_path_factory.mktemp(name)
+        # exit 0: no run failed, so no mission's slot-safety assert fired
+        assert cli.main(["sweep", "--config", str(HERE / f"acceptance_{name}.ini"),
+                         "--out", str(d), "--parallel", "2"]) == 0
+        auvs = {}
+        for a in _read(d / "auvs.csv"):
+            auvs.setdefault((a.config_hash, a.seed), []).append(a)
+        for r in _read(d / "runs.csv"):
+            r.auvs = auvs[r.config_hash, r.seed]
+            out.setdefault((float(r.L), r.n_asv, r.n_auv, r.alpha0_deg), []).append(r)
+    return out
 
 
 # ---------------------------------------------------------------- criteria
 
-def test_criterion_1_baseline_fairness(baseline_runs):
+def test_criterion_1_baseline_fairness(cells):
     """Near-uniform servicing, full coverage, and sub-metre tracking at the
     nominal scale."""
+    runs = cells[BASELINE]
     n_auv = 4
-    allocs = [_mean([r.per_auv[i].allocation for r in baseline_runs])
-              for i in range(n_auv)]
-    covs = [min(r.per_auv[i].coverage for r in baseline_runs) for i in range(n_auv)]
-    ctes = [_mean([r.per_auv[i].mean_cte for r in baseline_runs]) for i in range(n_auv)]
+    allocs = [_mean([r.auvs[i].allocation for r in runs]) for i in range(n_auv)]
+    covs = [min(r.auvs[i].coverage for r in runs) for i in range(n_auv)]
+    ctes = [_mean([r.auvs[i].mean_cte for r in runs]) for i in range(n_auv)]
     ok = (all(0.20 <= a <= 0.30 for a in allocs)
           and all(c == 1.0 for c in covs)
           and all(c < 1.0 for c in ctes))
@@ -111,45 +112,44 @@ def test_criterion_1_baseline_fairness(baseline_runs):
             f"max_cte={max(ctes):.3f} m")
 
 
-def test_property_distance_tracks_cruise_budget(baseline_runs):
+def test_property_distance_tracks_cruise_budget(cells):
     """The unicycle never slows for turns, so distance over a fixed-duration
     mission stays within [0.9, 1.0] of cruise_speed * T."""
-    for r in baseline_runs:
-        for a in r.per_auv:
+    for r in cells[BASELINE]:
+        for a in r.auvs:
             assert 0.9 * 0.65 * r.duration_s <= a.distance <= 0.65 * r.duration_s + 1e-6
 
 
-def test_property_estimator_separation(baseline_runs):
+def test_property_estimator_separation(cells):
     """Raw dead reckoning diverges while the fused estimate stays within a
     few innovations of the truth.  Over the serpentine survey the body-frame
     bias partially cancels across reversed legs, so the 300 s raw error
     settles near one leg's worth of drift (~7-8 m), an order of magnitude
     above the fused bound."""
-    for r in baseline_runs:
-        for a in r.per_auv:
+    for r in cells[BASELINE]:
+        max_innovation = max(a.max_innovation for a in r.auvs)
+        for a in r.auvs:
             assert a.final_imu_err > 4.0
             assert a.final_imu_err > 3.0 * a.max_fused_err
-            assert a.max_fused_err < 5.0 * r.max_innovation
+            assert a.max_fused_err < 5.0 * max_innovation
 
 
-def test_criterion_2_latency_bound(baseline_runs, failure_runs, recovery_runs,
-                                   angle_runs, sweep_cells):
+def test_criterion_2_latency_bound(cells):
     """Mean end-to-end latency of delivered fixes stays below 0.57 s in every
     scenario configuration with survey sides up to 140 m."""
-    groups = {"baseline": baseline_runs, "failure": failure_runs,
-              "recovery": recovery_runs, "angle0": angle_runs[0],
-              "angle30": angle_runs[1]}
-    for key, reps in sweep_cells.items():
-        groups[f"cell{key}"] = reps
+    groups = {"baseline": cells[BASELINE], "failure": cells[FAILURE],
+              "recovery": cells[RECOVERY], "angle0": cells[ANGLE0],
+              "angle30": cells[ANGLE30]}
+    for key in GRID:
+        groups[f"cell{key}"] = cells[(*key, 0)]
     means = {}
-    worst_fix = 0.0
-    for name, reps in groups.items():
-        lat = [r.latency_mean_s for r in reps if r.total_applied > 0]
+    for name, runs in groups.items():
+        lat = [r.latency_mean_s for r in runs if r.total_fixes > 0]
         if lat:
             means[name] = _mean(lat)
-        worst_fix = max([worst_fix] + [r.latency_p95_s for r in reps])
-        for r in reps:
-            worst_fix = max([worst_fix] + [lat for _, _, lat in r.events.records(DELIVER)])
+    # each AUV's largest latency; a run's p95 is one of its latencies, so no larger
+    worst_fix = max(a.max_latency_s for runs in groups.values() for r in runs
+                    for a in r.auvs)
     worst = max(means, key=means.get)
     # the freshness window (9 ticks) plus the worst delivery offset (8 ticks)
     # bounds every single fix, not just the mean
@@ -158,16 +158,16 @@ def test_criterion_2_latency_bound(baseline_runs, failure_runs, recovery_runs,
                    f"worst single fix {worst_fix:.3f} s, {len(means)} configs checked")
 
 
-def test_criterion_3_coverage_failure(failure_runs):
+def test_criterion_3_coverage_failure(cells):
     """A single anchor cannot service the outer strip at L=140: its vehicle
     is starved of coverage, fixes, and accuracy."""
-    outer_cov = _mean([r.per_auv[0].coverage for r in failure_runs])
-    outer_cte = _mean([r.per_auv[0].mean_cte for r in failure_runs])
-    outer_fix = _mean([r.per_auv[0].fix_count for r in failure_runs])
-    inner_cte = _mean([(r.per_auv[1].mean_cte + r.per_auv[2].mean_cte) / 2
-                       for r in failure_runs])
-    inner_fix_1 = _mean([r.per_auv[1].fix_count for r in failure_runs])
-    inner_fix_2 = _mean([r.per_auv[2].fix_count for r in failure_runs])
+    runs = cells[FAILURE]
+    outer_cov = _mean([r.auvs[0].coverage for r in runs])
+    outer_cte = _mean([r.auvs[0].mean_cte for r in runs])
+    outer_fix = _mean([r.auvs[0].fix_count for r in runs])
+    inner_cte = _mean([(r.auvs[1].mean_cte + r.auvs[2].mean_cte) / 2 for r in runs])
+    inner_fix_1 = _mean([r.auvs[1].fix_count for r in runs])
+    inner_fix_2 = _mean([r.auvs[2].fix_count for r in runs])
     ok = (outer_cov < 0.20
           and outer_cte > 3.0 * inner_cte
           and outer_fix < 0.25 * inner_fix_1
@@ -177,14 +177,14 @@ def test_criterion_3_coverage_failure(failure_runs):
             f"vs inner cte={inner_cte:.2f} m fixes={inner_fix_1:.0f}/{inner_fix_2:.0f}")
 
 
-def test_criterion_4_recovery(failure_runs, recovery_runs):
+def test_criterion_4_recovery(cells):
     """Three anchors on the ring restore coverage and accuracy for every
     vehicle, improving at least threefold on the starved vehicle."""
     n_auv = 3
-    covs = [_mean([r.per_auv[i].coverage for r in recovery_runs]) for i in range(n_auv)]
-    ctes = [_mean([r.per_auv[i].mean_cte for r in recovery_runs]) for i in range(n_auv)]
-    worst_failed = max(_mean([r.per_auv[i].mean_cte for r in failure_runs])
-                       for i in range(n_auv))
+    recovered, failed = cells[RECOVERY], cells[FAILURE]
+    covs = [_mean([r.auvs[i].coverage for r in recovered]) for i in range(n_auv)]
+    ctes = [_mean([r.auvs[i].mean_cte for r in recovered]) for i in range(n_auv)]
+    worst_failed = max(_mean([r.auvs[i].mean_cte for r in failed]) for i in range(n_auv))
     ok = (all(c >= 0.70 for c in covs)
           and all(c < 1.5 for c in ctes)
           and all(worst_failed / c >= 3.0 for c in ctes))
@@ -193,27 +193,31 @@ def test_criterion_4_recovery(failure_runs, recovery_runs):
             f"improvement >= {worst_failed / max(ctes):.1f}x")
 
 
-def test_criterion_5_angle_sensitivity(angle_runs):
+def test_criterion_5_angle_sensitivity(cells):
     """Rotating a two-anchor formation by 30 degrees rescues the starved
     outer vehicle: its mean cross-track error drops at least threefold."""
-    at0, at30 = angle_runs
-    cte0 = _mean([r.per_auv[0].mean_cte for r in at0])
-    cte30 = _mean([r.per_auv[0].mean_cte for r in at30])
+    cte0 = _mean([r.auvs[0].mean_cte for r in cells[ANGLE0]])
+    cte30 = _mean([r.auvs[0].mean_cte for r in cells[ANGLE30]])
     ratio = cte0 / cte30
     _report(5, ratio >= 3.0,
             f"outer cte {cte0:.2f} m @0deg -> {cte30:.2f} m @30deg "
-            f"({ratio:.2f}x, 10 seeds)")
+            f"({ratio:.2f}x, {len(cells[ANGLE0])} seeds)")
 
 
-def test_criterion_6a_small_scale_saturated(sweep_cells):
-    cells = {k: _mean([_mean([a.mean_cte for a in r.per_auv]) for r in reps])
-             for k, reps in sweep_cells.items() if k[0] == 60.0}
-    ok = all(v < 1.0 for v in cells.values())
+def _grid_cte(cells, L: float) -> dict[tuple, float]:
+    """Mean CTE over the AUVs and seeds of each grid cell at ``L``."""
+    return {k: _mean([_mean([a.mean_cte for a in r.auvs]) for r in cells[(*k, 0)]])
+            for k in GRID if k[0] == L}
+
+
+def test_criterion_6a_small_scale_saturated(cells):
+    means = _grid_cte(cells, 60.0)
+    ok = all(v < 1.0 for v in means.values())
     _report("6a", ok, "L=60 cell mean CTE: " +
-            ", ".join(f"{k[1]}asv/{k[2]}auv={v:.2f}" for k, v in sorted(cells.items())))
+            ", ".join(f"{k[1]}asv/{k[2]}auv={v:.2f}" for k, v in sorted(means.items())))
 
 
-def test_criterion_6b_large_scale_contrast(sweep_cells):
+def test_criterion_6b_large_scale_contrast(cells):
     """KNOWN FAIL (first clause): single-anchor cells at L=140 land near 2 m,
     not above 3 m.  The starved vehicles' drift is bounded by the survey
     pattern itself: a body-frame velocity bias rotated through the serpentine
@@ -222,8 +226,7 @@ def test_criterion_6b_large_scale_contrast(sweep_cells):
     while the well-served vehicles sit near the fix-noise floor.  The 3x
     multi-anchor reduction (second clause) does hold.
     """
-    means = {k: _mean([_mean([a.mean_cte for a in r.per_auv]) for r in reps])
-             for k, reps in sweep_cells.items() if k[0] == 140.0}
+    means = _grid_cte(cells, 140.0)
     single = {k: v for k, v in means.items() if k[1] == 1}
     detail = []
     ok = True
@@ -234,9 +237,8 @@ def test_criterion_6b_large_scale_contrast(sweep_cells):
     _report("6b", ok, "; ".join(detail))
 
 
-def test_criterion_6c_fix_rate_monotone(sweep_cells):
-    rates = {k: _mean([r.applied_rate_hz / k[2] for r in reps])
-             for k, reps in sweep_cells.items()}
+def test_criterion_6c_fix_rate_monotone(cells):
+    rates = {k: _mean([r.per_auv_fix_rate_hz for r in cells[(*k, 0)]]) for k in GRID}
     ok = all(rates[(L, a, 3)] >= rates[(L, a, 6)] - 1e-9
              for L in (60.0, 140.0) for a in (1, 3))
     _report("6c", ok, "per-AUV fix rate: " +
@@ -293,11 +295,12 @@ def test_criterion_8_fusion_scaling():
                    f"(1/sqrt(K) within 10%)")
 
 
-def test_criterion_9_scheduler_safety(baseline_runs, failure_runs):
+def test_criterion_9_scheduler_safety(cells):
     """Every coloring over 1000 random geometric instances is proper and
     within the greedy bound; slot safety inside full runs is asserted by the
-    scheduler on every (graph, coloring) pair a round starts with (the
-    scenario fixtures would have raised otherwise)."""
+    scheduler on every (graph, coloring) pair a round starts with (a run
+    that raised would be an error row, and the acceptance sweeps have
+    none)."""
     rng = np.random.default_rng(99)
     checked = 0
     for _ in range(1000):
@@ -311,7 +314,7 @@ def test_criterion_9_scheduler_safety(baseline_runs, failure_runs):
         assert all(c.color[i] != c.color[j] for i, j in edges(g))
         assert c.k <= max((len(a) for a in g), default=0) + 1
         checked += 1
-    n_pings = sum(r.events.kinds.count(PING) for r in baseline_runs + failure_runs)
+    n_pings = sum(a.pings for r in cells[BASELINE] + cells[FAILURE] for a in r.auvs)
     _report(9, checked == 1000,
             f"{checked} random instances proper and within degree+1 bound; "
             f"{n_pings} in-run pings in slot-checked rounds")
@@ -339,7 +342,7 @@ def test_criterion_10_determinism(tmp_path):
              str(sweep), "--out", str(out), "--parallel", str(par)],
             capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
-        outs.append((out / "runs.csv").read_bytes())
+        outs.append([(out / f).read_bytes() for f in ("runs.csv", "auvs.csv")])
     sweeps_equal = outs[0] == outs[1]
     _report(10, logs_equal and sweeps_equal,
             f"event logs identical={logs_equal}, "

@@ -17,7 +17,10 @@ prints the bytes that one finished report of the first job keeps allocated
 in each tree, and those that the finished reports of all the jobs keep
 together, measured by ``tracemalloc`` around more, untimed, ``run()`` calls
 per tree: an in-process A/B of report memory.  The sum sizes a workload
-whose jobs differ, as a sweep's cells do.  Host
+whose jobs differ, as a sweep's cells do.  The last line is the verdict:
+"gain shown" only when the change won at least 9 in 10 of the untied
+pairs and its median mission time is below the parent's by more than the
+parent's interquartile range, else "no gain shown".  Host
 speed drifts within a benchmark run (perfbench/README.md); two runs timed
 back to back see nearly the same host, so the pair ratio cancels the drift.
 
@@ -102,9 +105,9 @@ def main(argv=None) -> int:
             times[0].append(out[0][0])
             times[1].append(out[1][0])
             ratios.append(out[1][0] / out[0][0])
-    for label, ts in zip(("parent", "change"), times):
-        q1, med, q3 = quartiles(ts)
-        print(f"{label}: median {med:.4f} s [{q1:.4f}, {q3:.4f}] over {len(ts)} runs")
+    stats = [quartiles(ts) for ts in times]
+    for label, (q1, med, q3) in zip(("parent", "change"), stats):
+        print(f"{label}: median {med:.4f} s [{q1:.4f}, {q3:.4f}] over {len(ratios)} runs")
     q1, med, q3 = quartiles(ratios)
     wins = sum(r < 1.0 for r in ratios)
     ties = sum(r == 1.0 for r in ratios)
@@ -117,6 +120,9 @@ def main(argv=None) -> int:
         one, every = (retained_bytes(cli, some) / 1024 for some in (cfgs[:1], cfgs))
         print(f"{label}: one finished report of job 0 retains {one:.0f} KB, "
               f"those of all {len(cfgs)} jobs {every:.0f} KB (tracemalloc)")
+    (p1, parent_med, p3), (_, change_med, _) = stats
+    shown = decided and wins >= 0.9 * decided and parent_med - change_med > p3 - p1
+    print("verdict: " + ("gain shown" if shown else "no gain shown"))
     return 0
 
 
