@@ -155,11 +155,10 @@ class SweepSpec:
         return list(enumerate(configs))
 
 
-def load_sweep_spec(path: str | Path, seeds: int | None = None) -> SweepSpec:
+def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Parse and validate a sweep config: each ``[sweep]`` axis is a comma list
     converted as its ``[sim]`` key, an absent axis is the run sections' value,
-    and a ``[sim]`` key that the sweep sets per job is an error.  ``seeds``,
-    if given, replaces the file's seed count before validation."""
+    and a ``[sim]`` key that the sweep sets per job is an error."""
     parser, text = _read_ini(path)
     if not parser.has_section("sweep"):
         raise ConfigError(f"{path}: missing required section [sweep]")
@@ -174,8 +173,6 @@ def load_sweep_spec(path: str | Path, seeds: int | None = None) -> SweepSpec:
                              f"'{key}' in section [sim] is set per job by [sweep]")
     spec = _apply_sections(parser, text, path, ini_table(SweepSpec()), SweepSpec())
     spec.axes = {name: lists.get(key, [getattr(spec.base, name)]) for key, name in AXES.items()}
-    if seeds is not None:
-        spec.seeds = seeds
     return _validated(spec, path)
 
 
@@ -282,8 +279,6 @@ def _write_lines(path: Path, lines: list[str]):
 
 def cmd_run(args) -> int:
     cfg = load_sim_config(args.config)
-    if args.trace:
-        cfg.trace = True
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rep = run(cfg)
@@ -305,7 +300,7 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict], schema: str):
 
 
 def cmd_sweep(args) -> int:
-    spec = load_sweep_spec(args.config, args.seeds)
+    spec = load_sweep_spec(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     jobs = spec.jobs()
@@ -403,15 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("run", help="run one seeded mission")
     pr.add_argument("--config", required=True)
     pr.add_argument("--out", default="out")
-    pr.add_argument("--trace", action="store_true",
-                    help="write per-tick state traces")
     pr.set_defaults(func=cmd_run)
 
     ps = sub.add_parser("sweep", help="run a configuration sweep")
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", default="out")
-    ps.add_argument("--seeds", type=positive_int, default=None,
-                    help="override the seed count of the sweep spec")
     ps.add_argument("--parallel", type=positive_int, default=1,
                     help="worker processes, at most one per run")
     ps.set_defaults(func=cmd_sweep)

@@ -45,8 +45,8 @@ class KinematicInput:
 
 
 def dead_reckon_step(state: NavState, inp: KinematicInput, noise,
-                     advance_fused: bool = True) -> NavState:
-    """One horizontal dead-reckoning step.
+                     advance_fused: bool = True) -> None:
+    """One horizontal dead-reckoning step of ``state``, in place.
 
     p += R(psi) * ((speed, 0)*dt + bias*dt + eta*sqrt(dt)), eta ~ N(0, sigma^2 I),
     with ``noise`` the pre-scaled pair eta*sqrt(dt).  Always applied to
@@ -65,21 +65,19 @@ def dead_reckon_step(state: NavState, inp: KinematicInput, noise,
         p = state.p_fused
         p[0] += wx
         p[1] += wy
-    return state
 
 
-def depth_update(state: NavState, z_true: float, noise: float) -> float:
-    """Replace the depth of both estimates with a pressure reading, ``z_true``
-    plus the pre-scaled sensor noise."""
+def depth_update(state: NavState, z_true: float, noise: float) -> None:
+    """Replace the depth of both estimates in ``state`` with a pressure
+    reading, ``z_true`` plus the pre-scaled sensor noise."""
     z = z_true + noise
     state.p_imu[2] = z
     state.p_fused[2] = z
-    return z
 
 
 def apply_fix(state: NavState, fix: tuple[float, float],
-              inp: KinematicInput, predict: bool) -> NavState:
-    """Predict-correct update of the fused estimate at a fix delivery.
+              inp: KinematicInput, predict: bool) -> None:
+    """Predict-correct update, in place, of the fused estimate at a fix delivery.
 
     Predict, if ``predict``: one biased (noise-free) kinematic step from the
     fused position, in place of this tick's fused dead-reckoning step.
@@ -97,4 +95,3 @@ def apply_fix(state: NavState, fix: tuple[float, float],
         py = py + s * bx + c * by
     state.p_fused[0] = px + g * (fix[0] - px)
     state.p_fused[1] = py + g * (fix[1] - py)
-    return state

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import configparser
 import csv
@@ -96,6 +97,7 @@ def test_run_command_writes_outputs(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "report.txt").is_file()
     assert (out / "events.log").is_file()
+    assert not (out / "trace.log").exists()   # the config leaves the trace off
     text = capsys.readouterr().out
     assert "Fixes" in text and "Cov(%)" in text and "CTE(m)" in text
 
@@ -103,12 +105,10 @@ def test_run_command_writes_outputs(tmp_path, capsys):
 @pytest.mark.parametrize("duration", [0, 1])
 def test_run_logs_end_each_line(tmp_path, duration):
     # a zero-tick run writes empty logs, not one blank line each
-    cfg = write(tmp_path, BASE.replace("duration = 10", f"duration = {duration}"))
+    cfg = write(tmp_path, BASE.replace("duration = 10", f"duration = {duration}\ntrace = true"))
     out = tmp_path / "out"
-    assert main(["run", "--config", cfg, "--out", str(out), "--trace"]) == 0
-    sim = load_sim_config(cfg)
-    sim.trace = True
-    rep = run(sim)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    rep = run(load_sim_config(cfg))
     for name, lines in (("events.log", rep.event_log), ("trace.log", rep.trace_log)):
         assert bool(lines) == bool(duration)
         assert (out / name).read_text() == "".join(line + "\n" for line in lines)
@@ -486,6 +486,7 @@ seeds = 2
     jobs = spec.jobs()
     # single-ASV: 1 angle x 2 seeds; two-ASV: 3 angles x 2 seeds
     assert len(jobs) == 2 + 6
+    assert [cfg.seed for _, cfg in jobs] == [0, 1] * 4   # the file's count, from base_seed
 
 
 FOUR_RUNS = """
@@ -704,17 +705,14 @@ def test_sweep_rejects_a_negative_base_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_seeds_option_replaces_the_file_count_before_validation(tmp_path, capsys):
-    out = tmp_path / "sw"
-    cfg = write(tmp_path, SWEEP, "sweep.ini")
-    # a count below 1 is the option's usage error, not the file's config error
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "0"]) == 1
-    err = capsys.readouterr().err
-    assert "argument --seeds: must be >= 1 (got 0)" in err and "config error" not in err, err
-    assert not out.exists()
-    cfg = write(tmp_path, SWEEP.replace("seeds = 1", "seeds = 0"), "sweep.ini")
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "2"]) == 0
-    assert [row["seed"] for row in csv_rows(out / "runs.csv")] == ["0", "1"]
+def test_no_option_sets_a_config_key():
+    # each run and sweep setting has one source: its key in the config file
+    keys = {key for _, key in ini_table(SweepSpec())}
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, command in sub.choices.items():
+        dests = {a.dest for a in parser._actions + command._actions}
+        assert not dests & keys, name
 
 
 # a % in a value is the value's own character, not configparser's interpolation

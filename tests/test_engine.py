@@ -279,14 +279,13 @@ def test_fused_estimate_steps_once_per_tick(monkeypatch):
     def dead_reckon(state, inp, noise, advance_fused=True):
         ticks.append([int(advance_fused), 0, 0])
         state.tick = ticks[-1]
-        return nav.dead_reckon_step(state, inp, noise, advance_fused)
+        nav.dead_reckon_step(state, inp, noise, advance_fused)
 
     def fix(state, f, inp, predict):
         x, y, g = state.p_fused[0], state.p_fused[1], state.gamma
         nav.apply_fix(state, f, inp, predict)
         state.tick[1] += state.p_fused[:2] != [x + g * (f[0] - x), y + g * (f[1] - y)]
         state.tick[2] += 1
-        return state
 
     monkeypatch.setattr(engine, "dead_reckon_step", dead_reckon)
     monkeypatch.setattr(engine, "apply_fix", fix)

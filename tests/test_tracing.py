@@ -41,13 +41,13 @@ def test_a_traced_sweep_calls_every_wrapped_name(tmp_path, ini):
     if not parser.has_section("sim"):
         parser.add_section("sim")
     parser["sim"]["duration"] = DURATION
+    parser["sweep"]["seeds"] = "1"
     short = tmp_path / ini.name
     with short.open("w") as fh:
         parser.write(fh)
 
     def sweep(out):
-        return cli.main(["sweep", "--config", str(short), "--out", str(tmp_path / out),
-                         "--seeds", "1"])
+        return cli.main(["sweep", "--config", str(short), "--out", str(tmp_path / out)])
 
     tracer = tracing.Tracer()
     with tracing.patched(tracer.replacements(cli.run)):
@@ -57,6 +57,6 @@ def test_a_traced_sweep_calls_every_wrapped_name(tmp_path, ini):
     assert not uncalled
     # and tracing changes no output
     assert sweep("plain") == 0
-    for name in ("runs.csv", "aggregate.csv", "heatmap.txt"):
+    for name in ("runs.csv", "auvs.csv", "aggregate.csv", "heatmap.txt"):
         traced, plain = (tmp_path / out / name for out in ("traced", "plain"))
         assert traced.read_bytes() == plain.read_bytes()

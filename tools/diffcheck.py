@@ -12,8 +12,8 @@ them), or the type and text of the exception the mission raised.  It also compar
 code and stdout of ``coopnav check-coverage`` on an INI holding the
 mission's L, n_asv, r_hf, delta_b and alpha0.  Each tree also runs the same
 few random sweep INIs through ``coopnav sweep``, and the check compares the
-exit code and the sha1 of ``runs.csv``, ``aggregate.csv`` and
-``heatmap.txt``.  Config verdicts are compared too: per mission, each of a
+exit code and the sha1 of ``runs.csv``, ``auvs.csv``, ``aggregate.csv``
+and ``heatmap.txt``.  Config verdicts are compared too: per mission, each of a
 few INIs holds that formation plus one invalid value (NaN, a value just
 below a lower bound or above an upper bound, an undeclared choice or a
 non-integer value of an int key), and one sweep INI per ``[sweep]`` count
@@ -67,7 +67,7 @@ REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
                  "applied_rate_hz", "latency_mean_s", "latency_p95_s",
                  "dropped", "max_innovation", "excursion_ticks")
 SWEEPS = 4   # random sweeps per check
-SWEEP_OUTPUTS = ("runs.csv", "aggregate.csv", "heatmap.txt")
+SWEEP_OUTPUTS = ("runs.csv", "auvs.csv", "aggregate.csv", "heatmap.txt")
 
 OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
