@@ -188,9 +188,9 @@ _CSV_COLUMNS = [
 
 def _cell_columns(cfg: SimConfig, config_hash: str) -> dict:
     """The columns that name a run: its config hash, seed and sweep cell."""
-    return {"config_hash": config_hash, "seed": cfg.seed, "L": f"{cfg.L:g}",
+    return {"config_hash": config_hash, "seed": cfg.seed, "L": f"{cfg.L:.15g}",
             "n_asv": cfg.n_asv, "n_auv": cfg.n_auv,
-            "alpha0_deg": f"{math.degrees(cfg.alpha0):g}"}
+            "alpha0_deg": f"{math.degrees(cfg.alpha0):.15g}"}
 
 
 def report_row(cfg: SimConfig, rep: MissionReport) -> dict:
@@ -337,7 +337,7 @@ def cmd_sweep(args) -> int:
         ctes = [float(r["mean_cte_m"]) for r in rs]
         rates = [float(r["per_auv_fix_rate_hz"]) for r in rs]
         agg[L, n_asv, n_auv] = {
-            "L": f"{L:g}", "n_asv": n_asv, "n_auv": n_auv, "n_runs": len(rs),
+            "L": f"{L:.15g}", "n_asv": n_asv, "n_auv": n_auv, "n_runs": len(rs),
             "cte_mean_m": f"{statistics.mean(ctes):.6f}",
             "cte_std_m": f"{statistics.pstdev(ctes):.6f}",
             "fix_rate_mean_hz": f"{statistics.mean(rates):.6f}",
@@ -354,7 +354,7 @@ def cmd_sweep(args) -> int:
     for L, n_asv in itertools.product(Ls, n_asvs):
         cells = [f"{float(agg[L, n_asv, n_auv]['cte_mean_m']):>6.2f}"
                  if (L, n_asv, n_auv) in agg else "     -" for n_auv in n_auvs]
-        heat.append(f"{L:>5g},{n_asv:>5d}     | " + " | ".join(cells))
+        heat.append(f"{L:>5.15g},{n_asv:>5d}     | " + " | ".join(cells))
     (out / "heatmap.txt").write_text("\n".join(heat) + "\n")
 
     failed = sum(1 for r in rows if r["error"])

@@ -310,7 +310,7 @@ def run(config: SimConfig) -> MissionReport:
     excursions = 0
     trace_rows = array("d")
 
-    total_ticks = round(config.duration * f_t)
+    total_ticks = run_ticks(config).mission
     ticks_run = 0
     finished = 0    # AUVs past their last waypoint
     for k in range(total_ticks):

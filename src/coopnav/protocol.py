@@ -64,6 +64,7 @@ class RunTicks(NamedTuple):
     mf_slot: int
     max_age: int   # a buffered fix older than this expires
     t_tx: float
+    mission: int   # the run's ticks: duration * f_t, rounded half to even
 
 
 def run_ticks(config) -> RunTicks:
@@ -91,7 +92,7 @@ def run_ticks(config) -> RunTicks:
         max(1, ticks_ceil(seconds["uplink slot"], f_t)),
         ticks_ceil(seconds["MF slot"], f_t),
         ticks_ceil(timing.max_fix_age_s, f_t),
-        t_tx)
+        t_tx, round(config.duration * f_t))
 
 
 # Event kinds.  A record is its kind plus the ints and floats its template

@@ -2,8 +2,8 @@
 
 Run and sweep configs declare their fields with ``param``: INI section and
 key, converter (the declared type's unless one is named), bounds, choices
-and hash entry.  ``ini_table``, ``check`` and ``hash_items`` derive the INI
-table, the value checks and the hash items from them.  Rules that tie
+and hash entry.  ``ini_table``, ``check`` and ``hash_items`` walk them with
+``declared``, and ``fault`` is the one rule for a value.  Rules that tie
 fields together stay in ``SimConfig.validate``.
 """
 
@@ -15,6 +15,7 @@ import numbers
 import operator
 import sys
 from dataclasses import MISSING, field, fields, is_dataclass
+from functools import reduce
 
 
 def param(default=MISSING, section=None, *keys, conv=None, gt=None, ge=None, le=None,
@@ -51,68 +52,82 @@ def _kind(f) -> type:
     return float if "float" in t else {"int": int, "bool": bool, "str": str}[t]
 
 
-def ini_table(cfg, path=()) -> dict:
-    """(section, key) -> (attribute path, tuple index or None, converter) of
-    every field of ``cfg`` and of the configs nested in it that declares INI
-    keys; the converter is the declaration's ``conv`` or its type's."""
-    table = {}
+def declared(cfg, path=()):
+    """(attribute path, field, value) of every ``param``-declared field of
+    ``cfg`` and of the configs nested in it, in declaration order."""
     for f in fields(cfg):
-        value, m = getattr(cfg, f.name), f.metadata
-        if is_dataclass(value):
-            table.update(ini_table(value, path + (f.name,)))
-        elif m:
-            keys, kind = m["keys"] or (f.name,), _kind(f)
-            conv = m["conv"] or (_to_bool if kind is bool else kind)
-            for i, key in enumerate(keys):
-                table[(m["section"], key)] = (path + (f.name,), i if len(keys) > 1 else None, conv)
+        if is_dataclass(value := getattr(cfg, f.name)):
+            yield from declared(value, path + (f.name,))
+        elif f.metadata:
+            yield path + (f.name,), f, value
+
+
+def ini_table(cfg) -> dict:
+    """(section, key) -> (attribute path, tuple index or None, converter) of
+    every declared field; the converter is the declaration's ``conv`` or its type's."""
+    table = {}
+    for path, f, _ in declared(cfg):
+        m, kind = f.metadata, _kind(f)
+        keys, conv = m["keys"] or (f.name,), m["conv"] or (_to_bool if kind is bool else kind)
+        for i, key in enumerate(keys):
+            table[m["section"], key] = (path, i if len(keys) > 1 else None, conv)
     return table
 
 
-def check(cfg, prefix: str = "") -> None:
-    """Raise ValueError naming the first field of ``cfg`` or of a config
-    nested in it (and the field's INI key) that is an int field's
-    non-integer, outside its bounds, not finite (an int beyond the float
-    range is not) or not one of its choices; each entry of a tuple field is
-    tested under its own key.  A bound is tested as ``not (v > low)``, ``not
-    (v >= low)`` or ``not (v <= high)``, so NaN fails it; None passes."""
-    for f in fields(cfg):
-        v, m = getattr(cfg, f.name), f.metadata
-        if is_dataclass(v):
-            check(v, f"{prefix}{f.name}.")
-        if v is None or not m:
-            continue
-        for key, x in zip(m["keys"] or (f.name,), v if isinstance(v, tuple) else (v,)):
-            label = prefix + f.name + (f" ([{m['section']}] {key})" if key != f.name else "")
-            if _kind(f) is int and not isinstance(x, numbers.Integral):
-                raise ValueError(f"{label} must be an integer (got {x!r})")
-            for op, limit in m["bounds"]:
-                if not _TESTS[op](x, limit):
-                    raise ValueError(f"{label} must be {op} {limit} (got {x})")
-            if m["finite"] and not abs(x) <= sys.float_info.max:   # NaN, inf or a huge int
-                raise ValueError(f"{label} must be finite (got {x})")
-            if m["choices"] and x not in m["choices"]:
-                raise ValueError(f"{label} must be one of {m['choices']} (got {x!r})")
+def fault(f, x) -> str | None:
+    """Why ``x``, a value of the declared field ``f`` (an entry, for a tuple
+    field), is invalid, or None: not of its type (an int field takes any
+    integral number, a float field any real one, only a ``| None`` field
+    None), outside a bound (NaN is), not finite (nor is an int beyond the
+    float range) or not one of its choices."""
+    m, kind = f.metadata, _kind(f)
+    if x is None and "None" in str(f.type):
+        return None
+    if not isinstance(x, {int: numbers.Integral, float: numbers.Real}.get(kind, kind)):
+        return f"must be {'an integer' if kind is int else 'a ' + kind.__name__} (got {x!r})"
+    for op, limit in m["bounds"]:
+        if not _TESTS[op](x, limit):
+            return f"must be {op} {limit} (got {x})"
+    # NaN, inf or a huge int; float() keeps a numpy float32 from overflowing here
+    if m["finite"] and not abs(x if isinstance(x, int) else float(x)) <= sys.float_info.max:
+        return f"must be finite (got {x})"
+    if m["choices"] and x not in m["choices"]:
+        return f"must be one of {m['choices']} (got {x!r})"
 
 
 _TESTS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
-def hash_items(cfg, prefix: str = "") -> list[tuple[str, str]]:
-    """(name, text) of the hashed scalar fields in declaration order (a
+def check(cfg) -> None:
+    """Raise ValueError naming the first declared field of ``cfg`` or of a
+    config nested in it, and the field's INI key, whose value ``fault``
+    rejects; a tuple field holds one entry per key, judged under it."""
+    for path, f, v in declared(cfg):
+        m, keys = f.metadata, f.metadata["keys"] or (f.name,)
+        entries = v if len(keys) > 1 else (v,)
+        if not (isinstance(entries, tuple) and len(entries) == len(keys)):
+            raise ValueError(f"{'.'.join(path)} must be a tuple ({', '.join(keys)}) (got {v!r})")
+        for key, x in zip(keys, entries):
+            if why := fault(f, x):
+                label = f" ([{m['section']}] {key})" if key != f.name else ""
+                raise ValueError(f"{'.'.join(path)}{label} {why}")
+
+
+def hash_items(cfg) -> list[tuple[str, str]]:
+    """(name, text) of the hashed fields of ``cfg`` in declaration order (a
     string or bool as it is, a number as the repr of it converted to its
     declared type: 20, 20.0 and ``np.int64(20)`` hash alike), then the
     items of each nested config, named ``name.field`` and sorted with the
     (name, text) pairs in its class attribute ``retired``: the fields it no
     longer has, so that deleting a field moves no hash."""
-    top, nested = [], []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if is_dataclass(v):
-            nested += sorted(hash_items(v, f"{f.name}.") + [
-                (f"{f.name}.{name}", text) for name, text in getattr(v, "retired", ())])
-        elif f.metadata["hashed"]:
-            kind = _kind(f)
-            if v is not None and kind in (float, int):
+    owners: dict[tuple, list] = {}   # a config's attribute path -> its items
+    for path, f, v in declared(cfg):
+        if f.metadata["hashed"]:
+            if v is not None and (kind := _kind(f)) in (float, int):
                 v = tuple(map(kind, v)) if isinstance(v, tuple) else kind(v)
-            top.append((prefix + f.name, v if isinstance(v, str) else repr(v)))
-    return top + nested
+            owners.setdefault(path[:-1], []).append(
+                (".".join(path), v if isinstance(v, str) else repr(v)))
+    top = owners.pop((), [])
+    return top + [item for owner, items in owners.items() for item in sorted(items + [
+        (".".join(owner + (name,)), text)
+        for name, text in getattr(reduce(getattr, owner, cfg), "retired", ())])]

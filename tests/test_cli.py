@@ -6,7 +6,6 @@ import math
 import os
 import re
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,7 @@ from coopnav import cli
 from coopnav.cli import (ConfigError, SweepSpec, load_sim_config, load_sweep_spec, main,
                          report_row)
 from coopnav.engine import SimConfig, run
-from coopnav.schema import ini_table
+from coopnav.schema import declared, fault, ini_table
 
 BASE = """
 [sim]
@@ -219,18 +218,13 @@ def test_ini_table_derived_from_the_fields_is_the_run_config():
     assert derived == RUN_CONFIG_KEYS
 
 
-def _declared_keys():
-    """(field, its declaration, INI section, key) of every run-config key."""
-    cfg = SimConfig()
-    return [(f, m, m["section"], key)
-            for obj in (cfg, cfg.noise, cfg.timing, cfg.guidance) for f in fields(obj)
-            if (m := f.metadata) for key in m["keys"] or (f.name,)]
-
-
+# (field, INI section, key) of every run-config key
+KEYS = [(f, f.metadata["section"], key) for _, f, _ in declared(SimConfig())
+        for key in f.metadata["keys"] or (f.name,)]
 # every run-config key whose field must be finite, as every field with a bound must
-BOUNDED = [(section, key) for _, m, section, key in _declared_keys() if m["finite"]]
-CHOICES = [(section, key, m["choices"]) for _, m, section, key in _declared_keys()
-           if m["choices"]]
+BOUNDED = [(section, key) for f, section, key in KEYS if f.metadata["finite"]]
+CHOICES = [(section, key, f.metadata["choices"]) for f, section, key in KEYS
+           if f.metadata["choices"]]
 
 
 @pytest.mark.parametrize("section, key", BOUNDED, ids=[f"{s}.{k}" for s, k in BOUNDED])
@@ -273,15 +267,10 @@ def test_a_finite_value_whose_ticks_overflow_is_rejected(tmp_path, capsys, text,
     assert f"the {quantity} of " in out.err and "no finite tick count" in out.err, out.err
 
 
-def _within_bounds(m, value) -> bool:
-    return all(value > v if op == ">" else value >= v if op == ">=" else value <= v
-               for op, v in m["bounds"])
-
-
-# every bounded float key at +-1e200 where its bounds allow the value
-HUGE = [(section, key, value) for f, m, section, key in _declared_keys()
-        if m["finite"] and "float" in str(f.type)
-        for value in (1e200, -1e200) if _within_bounds(m, value)]
+# every bounded float key at +-1e200 where its declaration allows the value
+HUGE = [(section, key, value) for f, section, key in KEYS
+        if f.metadata["finite"] and "float" in str(f.type)
+        for value in (1e200, -1e200) if fault(f, value) is None]
 
 
 @pytest.mark.parametrize("section, key, value", HUGE,
@@ -567,6 +556,21 @@ def test_sweep_summary_text(tmp_path, monkeypatch, capsys):
     assert (out / "heatmap.txt").read_text() == SUMMARY_HEATMAP
 
 
+def test_distinct_sweep_cells_print_distinctly(tmp_path):
+    # six significant digits would print both survey sides as 60
+    cfg = write(tmp_path, "[sweep]\nl = 60, 60.0000001\nn_asv = 1\nn_auv = 2\n\n"
+                          "[sim]\nduration = 2\n", "sweep.ini")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("runs.csv", "auvs.csv", "aggregate.csv"):
+        with (out / name).open() as fh:
+            next(fh)   # the schema comment
+            assert [row["L"] for row in csv.DictReader(fh)] == sorted(
+                ["60", "60.0000001"] * (2 if name == "auvs.csv" else 1)), name
+    rows = (out / "heatmap.txt").read_text().splitlines()[2:]
+    assert [row.split("|")[0] for row in rows] == ["   60,    1     ", "60.0000001,    1     "]
+
+
 def test_sweep_axes_default_to_the_run_sections(tmp_path):
     spec = load_sweep_spec(write(tmp_path, """
 [sweep]
@@ -676,7 +680,7 @@ def test_a_negative_seed_is_rejected(tmp_path, capsys):
 
 
 # each [sweep] count and the value next to its lower bound
-COUNTS = [(f.name, f.metadata["bounds"]) for f in fields(SweepSpec) if f.metadata]
+COUNTS = [(f.name, f.metadata["bounds"]) for _, f, _ in declared(SweepSpec(base=None))]
 
 
 @pytest.mark.parametrize("key, bounds", COUNTS, ids=[k for k, _ in COUNTS])

@@ -1,6 +1,7 @@
 
-import dataclasses
+import re
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from coopnav.engine import (RNG_BLOCK, AsvFleet, NoiseStream, SimConfig, derive_
 from coopnav.formation import asv_positions
 from coopnav.mission import GuidanceConfig
 from coopnav.protocol import BCAST, DELIVER, PING, TimingConfig
-from coopnav.schema import hash_items
+from coopnav.schema import declared, hash_items
 
 
 def short_cfg(**kw):
@@ -173,41 +174,52 @@ def test_an_int_hashes_as_the_float_of_its_value():
     assert SimConfig(alpha0=-0.0).config_hash() != SimConfig().config_hash()
 
 
-def int_fields():
-    """(nested config or None, field name, INI key) of every int-typed
-    field, from the field declarations."""
-    cfg, out = SimConfig(), []
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        for owner, g in ([(f.name, g) for g in dataclasses.fields(v)]
-                         if dataclasses.is_dataclass(v) else [(None, f)]):
-            if g.type == "int":
-                out.append((owner, g.name, (g.metadata["keys"] or (g.name,))[0]))
-    return out
+# (attribute path, field, default) of every declared run-config field
+FIELDS = list(declared(SimConfig()))
+INT_FIELDS = [(path, f, v) for path, f, v in FIELDS if f.type == "int"]
 
 
-INT_FIELDS = int_fields()
+def keys(f):
+    return f.metadata["keys"] or (f.name,)
+
+
+def set_field(cfg, path, value):
+    setattr(reduce(getattr, path[:-1], cfg), path[-1], value)
 
 
 def test_int_fields_are_the_declared_ints():
-    assert [name for _, name, _ in INT_FIELDS] == ["n_auv", "n_asv", "f_t", "seed",
-                                                   "n_hdr", "b_fix"]
+    assert [f.name for _, f, _ in INT_FIELDS] == ["n_auv", "n_asv", "f_t", "seed",
+                                                  "n_hdr", "b_fix"]
 
 
-@pytest.mark.parametrize("owner, name, key", INT_FIELDS, ids=[n for _, n, _ in INT_FIELDS])
-def test_an_int_field_takes_integers_only(owner, name, key):
+@pytest.mark.parametrize("path, f, default", INT_FIELDS, ids=[f.name for _, f, _ in INT_FIELDS])
+def test_an_int_field_takes_integers_only(path, f, default):
     # a float is rejected naming the key, an integral one too; numpy's
     # integers are integers, and hash as the int of their value does
     cfg = SimConfig()
-    obj = getattr(cfg, owner) if owner else cfg
-    default = getattr(obj, name)
     for value in (float(default), default + 0.5):
-        setattr(obj, name, value)
-        with pytest.raises(ValueError, match=rf"\b{key}\b.* must be an integer"):
+        set_field(cfg, path, value)
+        with pytest.raises(ValueError, match=rf"\b{keys(f)[0]}\b.* must be an integer"):
             cfg.validate()
-    setattr(obj, name, np.int64(default))
+    set_field(cfg, path, np.int64(default))
     cfg.validate()
     assert hash_items(cfg) == hash_items(SimConfig())
+
+
+@pytest.mark.parametrize("path, f, default", FIELDS, ids=[".".join(p) for p, _, _ in FIELDS])
+def test_a_field_takes_its_declared_type_only(path, f, default):
+    # None, which only the track spacing's float | None admits, and a value
+    # of another type are rejected naming the field's keys: a str, or a float
+    # in a str field
+    for value in (None, 1.5 if f.type == "str" else str(default)):
+        cfg = SimConfig()
+        set_field(cfg, path, value)
+        if value is None and f.type == "float | None":
+            cfg.validate()
+            continue
+        with pytest.raises(ValueError, match="must be") as err:
+            cfg.validate()
+        assert all(re.search(rf"\b{key}\b", str(err.value)) for key in keys(f)), err.value
 
 
 def test_an_integral_float_hashes_as_its_int():

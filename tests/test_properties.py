@@ -13,11 +13,14 @@ former forms, the comparison clamps against the builtins they replace,
 against their former forms, slot safety checked whenever a round's (graph,
 coloring) pair changes against the former per-ping check, and the exact worst-point coverage
 distance against a fine grid.  The config hash, derived from the field
-declarations, changes with every field but the seed and trace."""
+declarations, changes with every field but the seed and trace, and every
+run keeps the exact MF-capacity, delivery and latency bounds that README's
+"Protocol timing" formulas imply."""
 
-import dataclasses
 import heapq
 import math
+from collections import Counter
+from functools import reduce
 from itertools import repeat
 from unittest import mock
 
@@ -40,6 +43,7 @@ from coopnav.nav import KinematicInput, NavState, dead_reckon_step  # noqa: E402
 from coopnav.protocol import (BCAST, DELIVER, EXPIRED, FIX, FUSE,  # noqa: E402
                               OUT_OF_MF_RANGE, PING, SUPERSEDED, EventLog,
                               FixQueue, TdmaScheduler, TimingConfig, ticks_ceil)
+from coopnav.schema import declared  # noqa: E402
 from fleets import StillAsvs  # noqa: E402
 from graphs import edges, from_edges  # noqa: E402
 
@@ -611,16 +615,8 @@ def test_improper_coloring_raises_at_start_round(data, n):
             assert str(err.value) == want
 
 
-def config_fields():
-    """(nested config or None, field name) of every SimConfig field."""
-    cfg, out = SimConfig(), []
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if dataclasses.is_dataclass(v):
-            out += [(f.name, g.name) for g in dataclasses.fields(v)]
-        else:
-            out.append((None, f.name))
-    return out
+# the attribute path of every declared SimConfig field
+PATHS = [path for path, _, _ in declared(SimConfig())]
 
 
 def values_like(v):
@@ -638,17 +634,47 @@ def values_like(v):
 
 
 @settings(max_examples=500, deadline=None)
-@given(data=st.data(), where=st.sampled_from(config_fields()))
-def test_config_hash_changes_with_every_field_but_seed_and_trace(data, where):
-    owner, name = where
+@given(data=st.data(), path=st.sampled_from(PATHS))
+def test_config_hash_changes_with_every_field_but_seed_and_trace(data, path):
     cfg = SimConfig()
     # start from a config that differs from the default in some other field
-    other_owner, other = data.draw(st.sampled_from(config_fields()))
-    obj = getattr(cfg, other_owner) if other_owner else cfg
-    setattr(obj, other, data.draw(values_like(getattr(obj, other))))
-    obj = getattr(cfg, owner) if owner else cfg
-    old = getattr(obj, name)
+    other = data.draw(st.sampled_from(PATHS))
+    obj = reduce(getattr, other[:-1], cfg)
+    setattr(obj, other[-1], data.draw(values_like(getattr(obj, other[-1]))))
+    obj = reduce(getattr, path[:-1], cfg)
+    old = getattr(obj, path[-1])
     new = data.draw(values_like(old).filter(lambda v: repr(v) != repr(old)))
     before = cfg.config_hash()
-    setattr(obj, name, new)
-    assert (cfg.config_hash() != before) == (where not in ((None, "seed"), (None, "trace")))
+    setattr(obj, path[-1], new)
+    assert (cfg.config_hash() != before) == (path not in (("seed",), ("trace",)))
+
+
+# short valid missions over the survey scale, the team, the tick rate, the
+# formation, both contention modes and conflict sources, and the MF downlink
+MISSIONS = st.builds(
+    SimConfig, L=st.floats(15.0, 160.0), n_auv=st.integers(1, 6), n_asv=st.integers(1, 4),
+    alpha0=st.floats(0.0, math.pi), duration=st.floats(0.0, 20.0),
+    f_t=st.sampled_from([7, 10, 30, 50]), seed=st.integers(0, 2**32 - 1),
+    r_hf=st.floats(20.0, 80.0), delta_b=st.sampled_from([0.0, 3.0]),
+    asv_jitter_std=st.sampled_from([0.0, 0.5]), contention=st.sampled_from(["fleet", "group"]),
+    conflict_source=st.sampled_from(["truth", "last_fix"]),
+    timing=st.builds(TimingConfig, guard_factor_dl=st.floats(0.5, 2.0),
+                     min_slot_factor_dl=st.floats(0.1, 15.0),
+                     r_dl=st.sampled_from([2000.0, 1e5, 1e12]), n_hdr=st.integers(1, 32),
+                     b_fix=st.integers(4, 64), r_mf=st.floats(40.0, 200.0),
+                     max_fix_age_s=st.floats(0.05, 1.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=MISSIONS)
+def test_a_run_keeps_the_exact_capacity_bounds(cfg):
+    # one broadcast per MF slot at most, no AUV delivered more fixes than it
+    # fused, and no fix delivered sooner than its one-fix airtime in ticks
+    rep = engine.run(cfg)
+    ticks = protocol.run_ticks(cfg)
+    bcasts = len(list(rep.events.records(BCAST)))
+    assert bcasts <= math.ceil(rep.ticks / max(1, ticks.mf_slot))
+    fused = Counter(i for _, i, _ in rep.events.records(FUSE))
+    delivered = [(i, lat) for _, i, lat in rep.events.records(DELIVER)]
+    assert not Counter(i for i, _ in delivered) - fused
+    assert all(lat >= ticks_ceil(ticks.t_tx, cfg.f_t) / cfg.f_t for _, lat in delivered)

@@ -21,8 +21,10 @@ holds a value below its bound; the check compares the exit code and stderr
 of ``coopnav validate-config`` (``coopnav sweep`` for a sweep INI), with
 the temporary directory's path left out.  The invalid values are drawn
 from PARENT_SRC's own declarations (``cli.SweepSpec`` and the
-``SimConfig`` it holds), each one confirmed invalid by its key's converter
-and declared bounds, finiteness or choices.  It prints each mismatch and a
+``SimConfig`` it holds), read through its ``schema.declared`` walk, and
+each one is confirmed invalid by its key's converter and its
+``schema.fault`` rule; a PARENT_SRC from before that walk and rule needs
+its own copy of this script.  It prints each mismatch and a
 summary, and exits 0 when every mission, sweep and verdict is identical,
 else 1.
 
@@ -52,15 +54,15 @@ import hashlib
 import io
 import json
 import math
-import operator
 import random
 import shutil
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 # the report fields test_run_digests.py hashes at full repr precision
 REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
@@ -69,52 +71,40 @@ REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
 SWEEPS = 4   # random sweeps per check
 SWEEP_OUTPUTS = ("runs.csv", "auvs.csv", "aggregate.csv", "heatmap.txt")
 
-OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
-
 
 class Key(NamedTuple):
-    """An INI key as its field declares it."""
+    """An INI key and the declaration of its field."""
     section: str
     name: str
-    conv: Callable[[str], object]
-    bounds: tuple   # (op, limit) pairs
-    choices: tuple
-    finite: bool
+    conv: Callable[[str], object]           # schema.ini_table's converter
+    decl: Mapping                           # the field's bounds, finiteness and choices
+    fault: Callable[[object], str | None]   # schema.fault on the field
 
 
 def declared_keys(src: str) -> list[Key]:
     """Every INI key of a sweep file as the coopnav in ``src`` declares it:
     the run config's keys (``SweepSpec.base``, a ``SimConfig``) and the
-    ``[sweep]`` counts, with the converters of ``schema.ini_table``."""
+    ``[sweep]`` counts, from that tree's ``schema.declared`` walk."""
     sys.path.insert(0, src)
     from coopnav import cli, schema
 
     spec = cli.SweepSpec()
     table, keys = schema.ini_table(spec), []
-
-    def walk(cfg):
-        for f in dataclasses.fields(cfg):
-            value, m = getattr(cfg, f.name), f.metadata
-            if dataclasses.is_dataclass(value):
-                walk(value)
-            elif m:
-                keys.extend(Key(m["section"], key, table[m["section"], key][2], m["bounds"],
-                                m["choices"], m["finite"]) for key in m["keys"] or (f.name,))
-    walk(spec)
+    for _, f, _ in schema.declared(spec):
+        m = f.metadata
+        keys += [Key(m["section"], name, table[m["section"], name][2], m,
+                     partial(schema.fault, f)) for name in m["keys"] or (f.name,)]
     return keys
 
 
 def rejects(key: Key, raw: str) -> bool:
-    """Whether ``raw`` fails the key's converter or, converted, its declared
-    bounds, finiteness or choices."""
+    """Whether ``raw`` fails the key's converter or, converted, the schema's
+    rule for a value of its field."""
     try:
         value = key.conv(raw)
     except ValueError:
         return True
-    if key.choices:
-        return value not in key.choices
-    return (any(not OPS[op](value, limit) for op, limit in key.bounds)
-            or key.finite and not abs(value) <= sys.float_info.max)
+    return key.fault(value) is not None
 
 
 def beyond(key: Key, side: int) -> list[str]:
@@ -123,7 +113,7 @@ def beyond(key: Key, side: int) -> list[str]:
     converter then decides whether they fall outside (a degree one ulp
     below 0 converts to -0.0, which is inside ``>= 0``)."""
     out = []
-    for op, limit in key.bounds:
+    for op, limit in key.decl["bounds"]:
         if (op == "<=") != (side > 0):
             continue
         if key.conv is int:
@@ -140,10 +130,10 @@ def invalid_values(keys: list[Key]) -> dict[str, list[tuple[Key, str]]]:
     each rejected by ``rejects``; ``sweep`` holds the ``[sweep]`` counts."""
     run = [k for k in keys if k.section != "sweep"]
     pools = {
-        "nan": [(k, "nan") for k in run if k.finite],
+        "nan": [(k, "nan") for k in run if k.decl["finite"]],
         "below": [(k, raw) for k in run for raw in beyond(k, -1)],
         "above": [(k, raw) for k in run for raw in beyond(k, 1)],
-        "choice": [(k, raw) for k in run if k.choices
+        "choice": [(k, raw) for k in run if k.decl["choices"]
                    for raw in ("psychic", "Truth", "", "group,")],
         "int": [(k, raw) for k in run if k.conv is int for raw in ("2.5", "3.0", "1e3", "0x10")],
         "sweep": [(k, raw) for k in keys if k.section == "sweep" for raw in beyond(k, -1)],
