@@ -51,7 +51,7 @@ P_CAP = 0.999
 
 
 def attempt_fix(asv, dx: float, dy: float, dz: float, r: float, n_cont: int, var_r: float,
-                sigma_theta: float, noise_tuples,
+                sigma_theta: float, noise_triples,
                 loss_rng) -> tuple[float, float, float, float] | None:
     """One fix attempt over one in-range acoustic path: (x, y, z, variance)
     of the fix, or None when it was lost.
@@ -64,7 +64,7 @@ def attempt_fix(asv, dx: float, dy: float, dz: float, r: float, n_cont: int, var
     fix is lost when the next ``loss_rng`` draw u < P_loss_total(r), the
     range-dependent double exponential clamped into [0, 1], plus
     ``(n_cont - 1) * P_COL``, capped at ``P_CAP``.  A kept fix decomposes the offset into (range, azimuth,
-    elevation), adds the next ``noise_tuples`` triple of pre-scaled
+    elevation), adds the next ``noise_triples`` triple of pre-scaled
     perturbations, and reconstructs ``(x, y, 0) + r*(cos(phi)cos(theta),
     cos(phi)sin(theta), sin(phi))``; its variance is ``var_r + (r *
     sigma_theta) ** 2``.
@@ -81,7 +81,7 @@ def attempt_fix(asv, dx: float, dy: float, dz: float, r: float, n_cont: int, var
     s = s if s < 1.0 else 1.0
     phi = asin(s if s > -1.0 else -1.0)
 
-    n_r, n_theta, n_phi = next(noise_tuples)
+    n_r, n_theta, n_phi = next(noise_triples)
     r_m = r + n_r
     r_m = 0.0 if 0.0 > r_m else r_m
     t_m = theta + n_theta

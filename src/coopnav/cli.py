@@ -256,8 +256,8 @@ def _sweep_job(payload: tuple[int, SimConfig]) -> tuple[dict, list[dict]]:
 def summary_text(cfg: SimConfig, rep: MissionReport) -> str:
     lines = [
         f"config_hash: {rep.config_hash}   seed: {rep.seed}",
-        f"L={cfg.L:g} m  n_auv={cfg.n_auv}  n_asv={cfg.n_asv}  "
-        f"alpha0={math.degrees(cfg.alpha0):g} deg  duration={rep.duration_s:g} s",
+        f"L={cfg.L:.15g} m  n_auv={cfg.n_auv}  n_asv={cfg.n_asv}  "
+        f"alpha0={math.degrees(cfg.alpha0):.15g} deg  duration={rep.duration_s:g} s",
         f"applied fixes: {rep.total_applied}  rate: {rep.applied_rate_hz:.3f} Hz  "
         f"latency mean/p95: {rep.latency_mean_s:.3f}/{rep.latency_p95_s:.3f} s",
         "dropped: " + " ".join(f"{reason}={count}" for reason, count in rep.dropped.items()),

@@ -134,65 +134,52 @@ def derive_rng(seed: int, stream_label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-RNG_BLOCK = 128   # values per buffered block of a noise or uniform stream
+RNG_BLOCK = 128   # rows per block of a buffered random stream
 
 
-def _noise_blocks(gen, scales, gain):
-    """The blocks a ``NoiseStream`` chains: floats for a scalar scale, else
-    tuples zipped from one iterator over the block's values in draw order,
-    with a zero in the place of each scale that draws nothing."""
-    scalar = np.ndim(scales) == 0
-    scales = np.atleast_1d(np.asarray(scales, dtype=float))
-    drawn = (scales > 0).tolist()
-    positive = scales[scales > 0]
-    if not len(positive):
-        yield repeat(0.0) if scalar else repeat((0.0,) * len(scales))
-        return
-    while True:
-        # IEEE-exact elementwise * and + only: each value equals the scalar
-        # (0.0 + scale * z) * gain
-        z = gen.standard_normal((RNG_BLOCK, len(positive)))
+def block_stream(draw) -> chain:
+    """The rows of ``draw(RNG_BLOCK)``, an array drawn from one generator,
+    one per ``next()`` as a Python float (1-d) or list.  A block is drawn when
+    the last is spent, the first on the first ``next()``; numpy's block draws
+    equal as many scalar draws, so each value is bit-identical to a scalar
+    draw.  A ``chain`` over the blocks serves each row without a Python call."""
+    return chain.from_iterable(draw(RNG_BLOCK).tolist() for _ in repeat(None))
+
+
+def noise_stream(gen: np.random.Generator, scales, gain: float = 1.0) -> chain:
+    """Pre-scaled Gaussian noise from a generator, one value per ``next()``.
+
+    A scalar ``scales`` gives floats, a tuple or list of scales gives lists
+    with one entry per scale.  Each entry is ``(0.0 + scale * z) * gain``
+    with ``z`` the generator's next standard normal, which is numpy's scalar
+    ``normal(0.0, scale)`` times ``gain``; a scale that is not positive
+    draws nothing and gives 0.0, so a stream of zero scales never advances
+    its generator.
+    """
+    scalar = not isinstance(scales, (tuple, list))
+    scales = [scales] if scalar else scales
+    drawn = [s > 0 for s in scales]
+    positive = [float(s) for s in scales if s > 0]
+
+    def draw(size):
+        # IEEE-exact elementwise * and + only, as numpy's scalar normal()
+        z = gen.standard_normal((size, len(positive)))
         z *= positive
         z += 0.0
         z *= gain
-        values = z.ravel().tolist()
-        if scalar:
-            yield values
-        else:
-            it = iter(values)
-            yield zip(*[it if d else repeat(0.0) for d in drawn])
-
-
-class NoiseStream(chain):
-    """Pre-scaled Gaussian noise from a generator, one value per ``next()``.
-
-    A scalar ``scale`` gives floats, a sequence of scales gives tuples with
-    one entry per scale.  Each entry is ``(0.0 + scale * z) * gain`` with
-    ``z`` the generator's next standard normal, which is numpy's scalar
-    ``normal(0.0, scale)`` times ``gain``; a scale that is not positive
-    draws nothing and gives 0.0.  Values are computed a block of
-    ``RNG_BLOCK`` at a time, and a block of standard normals equals as many
-    scalar draws, so every value is bit-identical to drawing one at a time.
-    The first block is drawn on the first ``next()``, not when the stream is
-    built.  A ``chain`` over the blocks serves each value without a Python
-    call.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, gen: np.random.Generator, scales, gain: float = 1.0):
-        return cls.from_iterable(_noise_blocks(gen, scales, gain))
+        if not all(drawn):   # a 0.0 column in the place of each scale not drawn
+            out = np.zeros((size, len(drawn)))
+            out[:, drawn] = z
+            z = out
+        return z.ravel() if scalar else z
+    return block_stream(draw)
 
 
 def uniform_stream(gen: np.random.Generator) -> chain:
-    """A generator's ``uniform()`` on [0, 1), one value per ``next()``.
-
+    """A generator's ``uniform()`` on [0, 1), one value per ``next()``:
     ``uniform()`` is ``0.0 + 1.0 * u`` with ``u`` the next ``random()``
-    double, so values served from blocks of ``RNG_BLOCK`` ``random`` draws
-    equal scalar draws bit for bit.  As in ``NoiseStream``, the first block
-    is drawn on the first ``next()``.
-    """
-    return chain.from_iterable(gen.random(RNG_BLOCK).tolist() for _ in repeat(None))
+    double, so blocks of ``random`` draws give the same bits."""
+    return block_stream(gen.random)
 
 
 class Recolorer:
@@ -222,26 +209,27 @@ class AsvFleet:
     delta_b`` at ``alpha0``; ``stations``, it as (x, y) lists; ``at(tick)``,
     the stations plus, with jitter, the tick's ``asv_jitter`` draw of
     ``normal(0.0, std, (n_asv, 2))``.  Jitter is drawn ``RNG_BLOCK`` ticks at
-    a time up to the tick asked for, and added by numpy's IEEE ``+``, so each
-    coordinate is the per-tick scalar ``x + jx``.  The scheduler reads the
-    ASVs only through ``at``."""
+    a time up to the tick asked for, ticks being asked in increasing order,
+    and added by numpy's IEEE ``+``, so each coordinate is the per-tick
+    scalar ``x + jx``.  The scheduler reads the ASVs only through ``at``."""
 
     def __init__(self, config: SimConfig):
         self.ring = asv_positions(config.n_asv, config.r_hf + config.delta_b, config.alpha0)
         self.stations = self.ring.tolist()
-        self.std = config.asv_jitter_std
-        self.gen = derive_rng(config.seed, "asv_jitter") if self.std > 0 else None
-        self.blocks, self.rows = 0, None   # blocks drawn; the last one's anchors per tick
+        std, self.jitter = config.asv_jitter_std, None
+        if std > 0:
+            gen = derive_rng(config.seed, "asv_jitter")
+            self.jitter = block_stream(
+                lambda size: gen.normal(0.0, std, size=(size,) + self.ring.shape) + self.ring)
+        self.ticks, self.anchors = 0, None   # ticks drawn; the last one's anchors
 
     def at(self, tick: int) -> list:
-        if self.gen is None:
+        if self.jitter is None:
             return self.stations
-        block, row = divmod(tick, RNG_BLOCK)
-        while self.blocks <= block:
-            self.rows = (self.gen.normal(0.0, self.std, size=(RNG_BLOCK,) + self.ring.shape)
-                         + self.ring).tolist()
-            self.blocks += 1
-        return self.rows[row]
+        while self.ticks <= tick:
+            self.anchors = next(self.jitter)
+            self.ticks += 1
+        return self.anchors
 
 
 def _mean(xs: list[float]) -> float:
@@ -269,13 +257,13 @@ def run(config: SimConfig) -> MissionReport:
 
     seed = config.seed
     sq_dt = math.sqrt(dt)
-    imu_noise = [NoiseStream(derive_rng(seed, f"imu/{i}"), (config.sigma, config.sigma),
-                             sq_dt) for i in range(n)]
-    depth_noise = [NoiseStream(derive_rng(seed, f"depth/{i}"), config.sigma_z)
+    imu_noise = [noise_stream(derive_rng(seed, f"imu/{i}"), (config.sigma, config.sigma),
+                              sq_dt) for i in range(n)]
+    depth_noise = [noise_stream(derive_rng(seed, f"depth/{i}"), config.sigma_z)
                    for i in range(n)]
     usbl_scales = (config.noise.sigma_r, config.noise.sigma_theta, config.noise.sigma_phi)
-    # (noise tuples, loss stream) per AUV-to-ASV path
-    paths = [[(NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), usbl_scales),
+    # (noise triples, loss stream) per AUV-to-ASV path
+    paths = [[(noise_stream(derive_rng(seed, f"usbl/{i}/{j}"), usbl_scales),
                uniform_stream(derive_rng(seed, f"loss/{i}/{j}"))) for j in range(m)]
              for i in range(n)]
 

@@ -232,7 +232,7 @@ class TdmaScheduler:
     ``SimConfig``, taken as its ``validate`` left it: the scheduler reads its
     ``L``, ``f_t``, ``r_hf`` (the HF audibility cutoff), ``contention``,
     ``conflict_source``, ``timing`` and ``noise``.  ``paths[i][j]`` is the
-    (noise tuples, loss stream) pair of the path from AUV i to ASV j;
+    (noise triples, loss stream) pair of the path from AUV i to ASV j;
     ``vehicles[i]``, which the host moves, is AUV i's true position as its
     ``x``, ``y`` and ``z``; ``asvs``, an ``AsvFleet``, is where the ASVs
     are.  A round's (graph, coloring) pair is ``recolorer(positions,
@@ -348,9 +348,9 @@ class TdmaScheduler:
                     if r > r_hf:
                         continue
                     heard = True
-                    noise_tuples, loss_rng = paths[j]
+                    noise_triples, loss_rng = paths[j]
                     fx = attempt_fix(a, dx, dy, pz, r, n_cont, var_r, sigma_theta,
-                                     noise_tuples, loss_rng)
+                                     noise_triples, loss_rng)
                     if fx is not None:
                         kinds.append(FIX)
                         fix_rec += (tick, i, j)

@@ -77,13 +77,14 @@ def ini_table(cfg) -> dict:
 def fault(f, x) -> str | None:
     """Why ``x``, a value of the declared field ``f`` (an entry, for a tuple
     field), is invalid, or None: not of its type (an int field takes any
-    integral number, a float field any real one, only a ``| None`` field
-    None), outside a bound (NaN is), not finite (nor is an int beyond the
-    float range) or not one of its choices."""
+    integral number but a bool, a float field any real one but a bool, only
+    a ``| None`` field None), outside a bound (NaN is), not finite (nor is
+    an int beyond the float range) or not one of its choices."""
     m, kind = f.metadata, _kind(f)
     if x is None and "None" in str(f.type):
         return None
-    if not isinstance(x, {int: numbers.Integral, float: numbers.Real}.get(kind, kind)):
+    if (isinstance(x, bool) is not (kind is bool)
+            or not isinstance(x, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))):
         return f"must be {'an integer' if kind is int else 'a ' + kind.__name__} (got {x!r})"
     for op, limit in m["bounds"]:
         if not _TESTS[op](x, limit):

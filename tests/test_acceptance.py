@@ -35,7 +35,7 @@ import pytest
 import coopnav
 from coopnav import cli
 from coopnav.conflict import audibility_masks, build_conflict_graph, greedy_color
-from coopnav.engine import NoiseStream, SimConfig, run
+from coopnav.engine import SimConfig, noise_stream, run
 from coopnav.formation import asv_positions, worst_point
 from coopnav.nav import KinematicInput, NavState, dead_reckon_step
 from coopnav.acoustic import fuse_fixes
@@ -258,8 +258,8 @@ def test_criterion_7_drift_envelope():
     sums = {k: 0.0 for k in marks}
     n_trials = 200
     for trial in range(n_trials):
-        noise = NoiseStream(np.random.default_rng(20_000 + trial), (sigma, sigma),
-                            math.sqrt(DT))
+        noise = noise_stream(np.random.default_rng(20_000 + trial), (sigma, sigma),
+                             math.sqrt(DT))
         s = NavState.at(0.0, 0.0, 0.0, DT, bias=bias, gamma=0.9)
         inp = KinematicInput(0.0, 1.0, 0.0)     # at rest, heading 0
         for k in range(1, 9001):

@@ -7,25 +7,25 @@ import pytest
 
 from coopnav.acoustic import P_CAP, UsblNoiseConfig, attempt_fix, fuse_fixes
 from coopnav.conflict import Coloring
-from coopnav.engine import AsvFleet, NoiseStream, SimConfig, uniform_stream
+from coopnav.engine import AsvFleet, SimConfig, noise_stream, uniform_stream
 from coopnav.mission import VehicleTruth
 from coopnav.protocol import PING, TdmaScheduler
 
 NO_LOSS = repeat(1.0)   # a loss draw of 1.0 is never below the capped loss probability
 
 
-def fix(auv, noise, noise_tuples, n_auv=1, loss_rng=NO_LOSS, asv=(0.0, 0.0)):
+def fix(auv, noise, noise_triples, n_auv=1, loss_rng=NO_LOSS, asv=(0.0, 0.0)):
     """attempt_fix over an in-range path from the ASV at ``asv`` (x, y) and
     z = 0 to the AUV at ``auv``, handed the geometry and constants as the
     scheduler hands them over: (x, y, z, variance) or None."""
     dx, dy, dz = auv[0] - asv[0], auv[1] - asv[1], auv[2]
     return attempt_fix(asv, dx, dy, dz, math.dist((*asv, 0.0), auv), n_auv,
-                       noise.sigma_r ** 2, noise.sigma_theta, noise_tuples, loss_rng)
+                       noise.sigma_r ** 2, noise.sigma_theta, noise_triples, loss_rng)
 
 
 def usbl_stream(noise, seed):
-    return NoiseStream(np.random.default_rng(seed),
-                       (noise.sigma_r, noise.sigma_theta, noise.sigma_phi))
+    return noise_stream(np.random.default_rng(seed),
+                        (noise.sigma_r, noise.sigma_theta, noise.sigma_phi))
 
 
 def as_float(bits):

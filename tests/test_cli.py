@@ -101,6 +101,17 @@ def test_run_command_writes_outputs(tmp_path, capsys):
     assert "Fixes" in text and "Cov(%)" in text and "CTE(m)" in text
 
 
+def test_run_summary_prints_distinct_values_distinctly(tmp_path, capsys):
+    # six significant digits would print the survey side as 60; 30 degrees,
+    # which reads back from radians as 29.999999999999996, still prints as 30
+    cfg = write(tmp_path, "[sim]\nl = 60.0000001\nalpha0_deg = 30\nn_auv = 1\nduration = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    line = (out / "report.txt").read_text().splitlines()[1]
+    assert line.startswith("L=60.0000001 m ") and " alpha0=30 deg " in line, line
+    assert line in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("duration", [0, 1])
 def test_run_logs_end_each_line(tmp_path, duration):
     # a zero-tick run writes empty logs, not one blank line each

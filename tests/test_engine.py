@@ -8,7 +8,7 @@ import pytest
 
 from coopnav import engine, nav
 from coopnav.acoustic import UsblNoiseConfig
-from coopnav.engine import (RNG_BLOCK, AsvFleet, NoiseStream, SimConfig, derive_rng, run,
+from coopnav.engine import (RNG_BLOCK, AsvFleet, SimConfig, derive_rng, noise_stream, run,
                             uniform_stream)
 from coopnav.formation import asv_positions
 from coopnav.mission import GuidanceConfig
@@ -210,8 +210,11 @@ def test_an_int_field_takes_integers_only(path, f, default):
 def test_a_field_takes_its_declared_type_only(path, f, default):
     # None, which only the track spacing's float | None admits, and a value
     # of another type are rejected naming the field's keys: a str, or a float
-    # in a str field
-    for value in (None, 1.5 if f.type == "str" else str(default)):
+    # in a str field, and a bool in an int or float field
+    wrong = [None, 1.5 if f.type == "str" else str(default)]
+    if "int" in f.type or "float" in f.type:
+        wrong.append(True)
+    for value in wrong:
         cfg = SimConfig()
         set_field(cfg, path, value)
         if value is None and f.type == "float | None":
@@ -347,13 +350,23 @@ def test_buffered_streams_equal_scalar_draws():
     scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
     gen_n, gen_u = derive_rng(5, "usbl/0/1"), derive_rng(5, "loss/0/1")
     before = (gen_n.bit_generator.state, gen_u.bit_generator.state)
-    usbl, uniform = NoiseStream(gen_n, scales), uniform_stream(gen_u)
+    usbl, uniform = noise_stream(gen_n, scales), uniform_stream(gen_u)
     assert (gen_n.bit_generator.state, gen_u.bit_generator.state) == before
     ref_n, ref_u = derive_rng(5, "usbl/0/1"), derive_rng(5, "loss/0/1")
     for _ in range(3 * RNG_BLOCK + 5):   # three refills and part of a fourth
-        assert next(usbl) == tuple(ref_n.normal(0.0, sc) for sc in scales)
+        assert next(usbl) == [ref_n.normal(0.0, sc) for sc in scales]
         assert next(uniform) == ref_u.uniform()
     assert gen_n.bit_generator.state != before[0]
+
+
+@pytest.mark.parametrize("scales", [0.0, (0.0, 0.0)])
+def test_a_stream_of_zero_scales_never_draws(scales):
+    gen = derive_rng(5, "depth/0")
+    before = gen.bit_generator.state
+    zeros = noise_stream(gen, scales, 0.5)
+    want = 0.0 if scales == 0.0 else [0.0, 0.0]
+    assert all(next(zeros) == want for _ in range(3 * RNG_BLOCK + 5))
+    assert gen.bit_generator.state == before
 
 
 def test_asv_fleet_serves_each_ticks_own_jitter_draw():

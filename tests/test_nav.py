@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coopnav.engine import NoiseStream, SimConfig
+from coopnav.engine import SimConfig, noise_stream
 from coopnav.nav import (KinematicInput, NavState, apply_fix, dead_reckon_step,
                          depth_update)
 
@@ -61,7 +61,7 @@ def test_depth_update_exact_when_noiseless():
 
 def test_depth_noise_statistics():
     s = state()
-    noise = NoiseStream(np.random.default_rng(3), 0.05)
+    noise = noise_stream(np.random.default_rng(3), 0.05)
     zs = []
     for _ in range(10_000):
         depth_update(s, 10.0, next(noise))
@@ -137,8 +137,8 @@ def test_stationary_rms_matches_dynamics_envelope():
     bias, sigma = (0.06, 0.06), 0.027
     checkpoints = {30: [], 100: [], 300: []}
     for trial in range(200):
-        noise = NoiseStream(np.random.default_rng(1000 + trial), (sigma, sigma),
-                            math.sqrt(DT))
+        noise = noise_stream(np.random.default_rng(1000 + trial), (sigma, sigma),
+                             math.sqrt(DT))
         s = state(bias=bias)
         inp = heading(0.0, 0.0)
         for k in range(1, 9001):

@@ -5,7 +5,7 @@ event records rendered on read against formatting at the event, slot starts
 from constants against laying a round out slot by slot, a coloring reused
 or memoised by mask pattern against a fresh build, the fleet-wide delivery
 heap against per-AUV queues, the inlined loss test against
-``total_loss_probability``, pre-scaled noise tuples against scalar draws,
+``total_loss_probability``, pre-scaled noise triples against scalar draws,
 ``AsvFleet``'s block-built jittered anchors against per-tick sums, the lean
 truth and dead-reckoning step and the precomputed segment distance against their
 former forms, the comparison clamps against the builtins they replace,
@@ -34,8 +34,8 @@ from coopnav import engine, protocol  # noqa: E402
 from coopnav.acoustic import UsblNoiseConfig, attempt_fix  # noqa: E402
 from coopnav.conflict import (Coloring, audibility_masks,  # noqa: E402
                               build_conflict_graph, greedy_color)
-from coopnav.engine import (RNG_BLOCK, AsvFleet, NoiseStream, Recolorer,  # noqa: E402
-                           SimConfig)
+from coopnav.engine import (RNG_BLOCK, AsvFleet, Recolorer, SimConfig,  # noqa: E402
+                           noise_stream)
 from coopnav.formation import worst_point  # noqa: E402
 from coopnav.mission import (GuidanceConfig, VehicleTruth, advance_truth,  # noqa: E402
                              point_segment_distance, segment)
@@ -271,19 +271,19 @@ SCALE = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
 @given(seed=st.integers(0, 2**32 - 1), scales=st.lists(SCALE, min_size=1, max_size=3),
        dt=st.one_of(st.sampled_from([1 / 7, 1 / 30, 1 / 50, 1.0]), st.floats(1e-4, 2.0)),
        scalar=st.booleans(), n=st.integers(0, 3 * RNG_BLOCK + 5))
-def test_noise_stream_tuples_equal_scalar_draws(seed, scales, dt, scalar, n):
-    # each tuple is numpy's scalar normal(0.0, scale) per positive scale,
+def test_noise_stream_rows_equal_scalar_draws(seed, scales, dt, scalar, n):
+    # each row is numpy's scalar normal(0.0, scale) per positive scale,
     # times the gain; a zero scale draws nothing; blocks refill unseen
     gain = math.sqrt(dt)
     if scalar:
         scales = scales[0]
-    stream = NoiseStream(np.random.default_rng(seed), scales, gain)
+    stream = noise_stream(np.random.default_rng(seed), scales, gain)
     ref = np.random.default_rng(seed)
     for _ in range(n):
         want = [ref.normal(0.0, sc) * gain if sc > 0 else 0.0
                 for sc in np.atleast_1d(scales).tolist()]
         got = next(stream)
-        assert ([got] if scalar else list(got)) == want
+        assert ([got] if scalar else got) == want
 
 
 def former_step(truth, speed_cmd, yaw_cmd, cfg, dt, depth, p_imu, bias, ex, ey):
@@ -462,16 +462,16 @@ def test_block_built_anchors_equal_the_per_tick_sums(base, jitter, block):
     assert repr(got) == repr(want)
 
 
-def lean_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, noise_tuples, loss_rng):
+def lean_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, noise_triples, loss_rng):
     """``attempt_fix`` as the scheduler calls it past its range test, with
     the offset from the ASV at (x, y, 0) and ``sigma_r ** 2`` computed for
     it."""
     dx, dy, dz = auv_pos[0] - asv_pos[0], auv_pos[1] - asv_pos[1], auv_pos[2]
     return attempt_fix(asv_pos, dx, dy, dz, r, n_auv, noise.sigma_r ** 2,
-                       noise.sigma_theta, noise_tuples, loss_rng)
+                       noise.sigma_theta, noise_triples, loss_rng)
 
 
-def former_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, noise_tuples, loss_rng):
+def former_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, noise_triples, loss_rng):
     """``attempt_fix`` as it was, past its range test: the ASV as (x, y, z)
     with z = 0, the offset, the contention term and the constants inside,
     and the fix as (x, y, z, variance)."""
@@ -489,7 +489,7 @@ def former_attempt_fix(asv_pos, auv_pos, r, n_auv, noise, noise_tuples, loss_rng
     theta, s = (math.atan2(dy, dx), dz / r) if r > 0 else (0.0, 0.0)
     s = s if s < 1.0 else 1.0
     phi = math.asin(s if s > -1.0 else -1.0)
-    n_r, n_theta, n_phi = next(noise_tuples)
+    n_r, n_theta, n_phi = next(noise_triples)
     r_m = r + n_r
     r_m = 0.0 if 0.0 > r_m else r_m
     t_m = theta + n_theta

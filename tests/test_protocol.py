@@ -10,7 +10,7 @@ import pytest
 from coopnav.acoustic import UsblNoiseConfig, attempt_fix
 from coopnav.conflict import (Coloring, audibility_masks, build_conflict_graph,
                               greedy_color)
-from coopnav.engine import (AsvFleet, NoiseStream, Recolorer, SimConfig, derive_rng, run,
+from coopnav.engine import (AsvFleet, Recolorer, SimConfig, derive_rng, noise_stream, run,
                             uniform_stream)
 from coopnav.mission import GuidanceConfig, VehicleTruth, plan_lawnmower
 from coopnav.protocol import (BCAST, DELIVER, EVENT_FORMATS, EXPIRED, FIX, FUSE,
@@ -166,9 +166,9 @@ def test_fix_queue_releases_a_tick_by_auv_then_push_order():
 
 
 def make_paths(n_auv, n_asv, seed=0, noise=UsblNoiseConfig()):
-    """The (noise tuples, loss stream) table of every AUV-to-ASV path."""
+    """The (noise triples, loss stream) table of every AUV-to-ASV path."""
     scales = (noise.sigma_r, noise.sigma_theta, noise.sigma_phi)
-    return [[(NoiseStream(derive_rng(seed, f"usbl/{i}/{j}"), scales),
+    return [[(noise_stream(derive_rng(seed, f"usbl/{i}/{j}"), scales),
               uniform_stream(derive_rng(seed, f"loss/{i}/{j}"))) for j in range(n_asv)]
             for i in range(n_auv)]
 

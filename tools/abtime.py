@@ -18,9 +18,10 @@ in each tree, and those that the finished reports of all the jobs keep
 together, measured by ``tracemalloc`` around more, untimed, ``run()`` calls
 per tree: an in-process A/B of report memory.  The sum sizes a workload
 whose jobs differ, as a sweep's cells do.  The last line is the verdict:
-"gain shown" only when the change won at least 9 in 10 of the untied
-pairs and its median mission time is below the parent's by more than the
-parent's interquartile range, else "no gain shown".  Host
+"gain shown" only when there are at least MIN_PAIRS (10) pairs, the
+change won at least 9 in 10 of the untied pairs and its median mission
+time is below the parent's by more than the parent's interquartile range,
+else "no gain shown", with the pair count when there are too few.  Host
 speed drifts within a benchmark run (perfbench/README.md); two runs timed
 back to back see nearly the same host, so the pair ratio cancels the drift.
 
@@ -42,6 +43,8 @@ import tracemalloc
 from pathlib import Path
 
 from diffcheck import fingerprint
+
+MIN_PAIRS = 10   # fewer cannot show a 9-in-10 win share or a parent's spread
 
 
 def load_tree(src: str, name: str):
@@ -121,6 +124,9 @@ def main(argv=None) -> int:
         print(f"{label}: one finished report of job 0 retains {one:.0f} KB, "
               f"those of all {len(cfgs)} jobs {every:.0f} KB (tracemalloc)")
     (p1, parent_med, p3), (_, change_med, _) = stats
+    if len(ratios) < MIN_PAIRS:
+        print(f"verdict: no gain shown ({len(ratios)} pairs; a gain needs {MIN_PAIRS})")
+        return 0
     shown = decided and wins >= 0.9 * decided and parent_med - change_med > p3 - p1
     print("verdict: " + ("gain shown" if shown else "no gain shown"))
     return 0
