@@ -23,14 +23,12 @@ import math
 import re
 import statistics
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from pathlib import Path
 
 from .engine import AsvFleet, AuvMetrics, MissionReport, SimConfig, run
 from .formation import worst_point
-from .protocol import DELIVER, PING
 from .schema import check, ini_table, param
 
 log = logging.getLogger("coopnav")
@@ -225,17 +223,11 @@ _AUV_COLUMNS = [*_CSV_COLUMNS[:6], *(f.name for f in fields(AuvMetrics)),
 
 
 def auv_rows(cfg: SimConfig, rep: MissionReport) -> list[dict]:
-    """One row per AUV: the run's cell columns, its ``AuvMetrics``, its
-    pings, its largest fix latency and its largest fix innovation.  The csv
-    module writes a float as its ``repr``, so ``float()`` of a cell is the
-    report's value exactly."""
+    """One row per AUV: the run's cell columns, its ``AuvMetrics`` and its
+    ``auv_extra`` figures.  The csv module writes a float as its ``repr``,
+    so ``float()`` of a cell is the report's value exactly."""
     cell = _cell_columns(cfg, rep.config_hash)
-    pings = Counter(auv for _, auv, _ in rep.events.records(PING))
-    latency = [0.0] * len(rep.per_auv)
-    for _, auv, lat in rep.events.records(DELIVER):
-        latency[auv] = max(latency[auv], lat)
-    return [{**cell, **vars(a), "pings": pings[a.auv_id], "max_latency_s": latency[a.auv_id],
-             "max_innovation": rep.auv_max_innovation[a.auv_id]} for a in rep.per_auv]
+    return [{**cell, **vars(a), **extra} for a, extra in zip(rep.per_auv, rep.auv_extra)]
 
 
 def _error_row(cfg: SimConfig, exc: BaseException) -> dict:
@@ -287,6 +279,8 @@ def cmd_run(args) -> int:
     _write_lines(out / "events.log", rep.event_log)
     if cfg.trace:
         _write_lines(out / "trace.log", rep.trace_log)
+    else:   # an earlier run's trace.log must not sit beside this run's outputs
+        (out / "trace.log").unlink(missing_ok=True)
     print(text)
     return 0
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -108,7 +109,7 @@ class MissionReport:
     dropped: dict[str, int]
     max_innovation: float
     excursion_ticks: int
-    auv_max_innovation: list[float]   # the largest fix innovation of each AUV
+    auv_extra: list[dict]   # per AUV: pings, max_latency_s, max_innovation
     events: EventLog = field(repr=False)
     trace: array = field(repr=False)   # TRACE_FORMAT's 12 numbers per (tick, AUV) row
 
@@ -348,21 +349,23 @@ def run(config: SimConfig) -> MissionReport:
             break
 
     duration_s = ticks_run / f_t
-    applied = list(proto.events.records(DELIVER))   # (tick, AUV, latency) per fix applied
-    total_applied = len(applied)
-    lat_sorted = sorted(lat for _, _, lat in applied)
-    pinged = [i for _, i, _ in proto.events.records(PING)]
+    pings = Counter(i for _, i, _ in proto.events.records(PING))
+    applied = [[] for _ in range(n)]   # (tick, latency) per fix applied, per AUV
+    for tick, i, lat in proto.events.records(DELIVER):
+        applied[i].append((tick, lat))
+    lat_sorted = sorted(lat for fixes in applied for _, lat in fixes)
+    total_applied = len(lat_sorted)
     drops = proto.events.kinds.count
-    per_auv = []
-    for i in range(n):
-        fix_ticks = [tick for tick, auv, _ in applied if auv == i]
+    per_auv, auv_extra = [], []
+    for i, fixes in enumerate(applied):
+        fix_ticks = [tick for tick, _ in fixes]
         gaps = [(b - a) / f_t for a, b in zip(fix_ticks, fix_ticks[1:])]
         per_auv.append(AuvMetrics(
             auv_id=i,
             mean_cte=cte_sum[i] / ticks_run if ticks_run else 0.0,
             mean_est_err=err_sum[i] / ticks_run if ticks_run else 0.0,
             fix_count=len(fix_ticks),
-            coverage=proto.heard[i] / pinged.count(i) if i in pinged else 0.0,
+            coverage=proto.heard[i] / pings[i] if pings[i] else 0.0,
             distance=dist[i],
             allocation=len(fix_ticks) / total_applied if total_applied else 0.0,
             mean_inter_fix_s=_mean(gaps) if gaps else 0.0,
@@ -371,6 +374,9 @@ def run(config: SimConfig) -> MissionReport:
                                      navs[i].p_imu[1] - truths[i].y),
             max_fused_err=max_fused_err[i],
         ))
+        auv_extra.append({"pings": pings[i],
+                          "max_latency_s": max((lat for _, lat in fixes), default=0.0),
+                          "max_innovation": max_innovation[i]})
     proto.events.pack()   # every figure above is taken: keep the records as typed columns
     return MissionReport(
         config_hash=config.config_hash(),
@@ -386,7 +392,7 @@ def run(config: SimConfig) -> MissionReport:
                  "out_of_mf_range": drops(OUT_OF_MF_RANGE)},
         max_innovation=max(max_innovation),
         excursion_ticks=excursions,
-        auv_max_innovation=max_innovation,
+        auv_extra=auv_extra,
         events=proto.events,
         trace=trace_rows,
     )

@@ -101,6 +101,19 @@ def test_run_command_writes_outputs(tmp_path, capsys):
     assert "Fixes" in text and "Cov(%)" in text and "CTE(m)" in text
 
 
+def test_an_untraced_run_leaves_no_earlier_trace(tmp_path, capsys):
+    # a traced run, then an untraced one into the same directory: every
+    # file there is the second run's
+    out = tmp_path / "out"
+    traced = write(tmp_path, "[sim]\nduration = 2\nseed = 0\ntrace = true\n", "traced.ini")
+    assert main(["run", "--config", traced, "--out", str(out)]) == 0
+    assert (out / "trace.log").stat().st_size > 0
+    plain = write(tmp_path, "[sim]\nduration = 3\nseed = 5\n", "plain.ini")
+    assert main(["run", "--config", plain, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["events.log", "report.txt"]
+    assert "seed: 5" in (out / "report.txt").read_text()
+
+
 def test_run_summary_prints_distinct_values_distinctly(tmp_path, capsys):
     # six significant digits would print the survey side as 60; 30 degrees,
     # which reads back from radians as 29.999999999999996, still prints as 30

@@ -25,9 +25,9 @@ else "no gain shown", with the pair count when there are too few.  Host
 speed drifts within a benchmark run (perfbench/README.md); two runs timed
 back to back see nearly the same host, so the pair ratio cancels the drift.
 
-Every pair's config hash, event log, trace log and numeric report must be
-equal, as ``tools/diffcheck.py``'s ``fingerprint`` hashes them outside the
-timed call:
+Every pair's config hash, event log, trace log, numeric report and AUV rows
+must be equal, as ``tools/diffcheck.py``'s ``fingerprint`` hashes them
+outside the timed call:
 the script exits 1 on the first mismatch, 0 otherwise.
 """
 
@@ -62,7 +62,7 @@ def load_tree(src: str, name: str):
 def timed(cli, cfg) -> tuple[float, str]:
     t0 = time.perf_counter()
     rep = cli.run(cfg)
-    return time.perf_counter() - t0, fingerprint(rep)
+    return time.perf_counter() - t0, fingerprint(cli, cfg, rep)
 
 
 def retained_bytes(cli, cfgs) -> int:

@@ -6,9 +6,10 @@
 PARENT_SRC and CHANGE_SRC are ``src/`` directories of two checkouts.  Each
 tree runs the same ``--n`` random ``SimConfig`` missions in a subprocess of
 its own that imports coopnav from that tree alone.  Per mission the check
-compares the config hash, the sha1 of the event log, of the trace log and of
-the full-``repr`` numeric report (as ``tests/test_run_digests.py`` computes
-them), or the type and text of the exception the mission raised.  It also compares the exit
+compares the config hash, the sha1 of the event log, of the trace log, of
+the full-``repr`` numeric report and of the mission's ``auvs.csv`` rows
+(``cli.auv_rows``), as ``tests/test_run_digests.py`` computes them, or the
+type and text of the exception the mission raised.  It also compares the exit
 code and stdout of ``coopnav check-coverage`` on an INI holding the
 mission's L, n_asv, r_hf, delta_b and alpha0.  Each tree also runs the same
 few random sweep INIs through ``coopnav sweep``, and the check compares the
@@ -23,10 +24,10 @@ the temporary directory's path left out.  The invalid values are drawn
 from PARENT_SRC's own declarations (``cli.SweepSpec`` and the
 ``SimConfig`` it holds), read through its ``schema.declared`` walk, and
 each one is confirmed invalid by its key's converter and its
-``schema.fault`` rule; a PARENT_SRC from before that walk and rule needs
-its own copy of this script.  It prints each mismatch and a
-summary, and exits 0 when every mission, sweep and verdict is identical,
-else 1.
+``schema.fault`` rule; a PARENT_SRC from before that walk and rule, or
+without ``cli.auv_rows(cfg, rep)``, needs its own copy of this script.  It
+prints each mismatch and a summary, and exits 0 when every mission, sweep
+and verdict is identical, else 1.
 
 The random missions cover the survey scale L, n_auv, n_asv, tick rates
 f_t in {7, 10, 30, 50}, zero IMU and depth noise, a signed-zero bias, zero
@@ -142,16 +143,19 @@ def invalid_values(keys: list[Key]) -> dict[str, list[tuple[Key, str]]]:
             for what, pool in pools.items()}
 
 
-def fingerprint(rep) -> str:
-    """A mission report's config hash and its event-log, trace-log and
-    numeric-report sha1s."""
+def fingerprint(cli, cfg, rep) -> str:
+    """A mission report's config hash and the sha1s of its event log, trace
+    log, numeric report and ``cli.auv_rows(cfg, rep)``, each row's cells in
+    name order."""
     def sha1(lines) -> str:
         return hashlib.sha1(("\n".join(lines) + "\n").encode()).hexdigest()
 
     numeric = [(name, [dataclasses.asdict(a) for a in rep.per_auv]
                 if name == "per_auv" else getattr(rep, name)) for name in REPORT_FIELDS]
+    rows = [sorted(row.items()) for row in cli.auv_rows(cfg, rep)]
     return " ".join((rep.config_hash, sha1(rep.event_log), sha1(rep.trace_log),
-                     hashlib.sha1(repr(numeric).encode()).hexdigest()))
+                     hashlib.sha1(repr(numeric).encode()).hexdigest(),
+                     hashlib.sha1(repr(rows).encode()).hexdigest()))
 
 
 def random_spec(rng: random.Random) -> dict:
@@ -258,10 +262,7 @@ def worker(src: str) -> None:
 
     def coverage(spec: dict, ini: Path) -> str:
         """check-coverage's exit code and stdout lines on the spec's formation."""
-        ini.write_text(f"[sim]\nl = {spec['L']!r}\nn_asv = {spec['n_asv']}\n"
-                       f"alpha0_deg = {math.degrees(spec['alpha0'])!r}\n"
-                       f"[formation]\nr_hf = {spec['r_hf']!r}\n"
-                       f"delta_b = {spec['delta_b']!r}\n")
+        ini.write_text(render(formation_ini(spec)))
         with contextlib.redirect_stdout(io.StringIO()) as text:
             code = cli.main(["check-coverage", "--config", str(ini)])
         return " | ".join([f"exit {code}"] + text.getvalue().splitlines())
@@ -302,12 +303,13 @@ def worker(src: str) -> None:
                     noise=UsblNoiseConfig(**spec["noise"]),
                     timing=TimingConfig(**spec["timing"]),
                     guidance=GuidanceConfig(**spec["guidance"]))
+        cfg = SimConfig(**spec)
         try:
-            rep = run(SimConfig(**spec))
+            rep = run(cfg)
         except Exception as exc:   # a mission's failure is a result to compare
             out.append([f"raised {type(exc).__name__}: {exc}", checked, *judged])
             continue
-        out.append([fingerprint(rep), checked, *judged])
+        out.append([fingerprint(cli, cfg, rep), checked, *judged])
     json.dump({"missions": out, "sweeps": swept}, sys.stdout)
 
 
