@@ -5,9 +5,11 @@ to an AUV, perturbing range and angles with Gaussian noise, and
 reconstructing the world-frame position.  Fix loss combines a
 range-dependent double-exponential with a collision term per additional
 contending vehicle; its coefficients are the module constants below, not
-config.  Simultaneous fixes of one AUV from several ASVs are merged into one
-(x, y) position with an inverse-variance weighted (minimum-variance linear
-unbiased) estimator.
+config.  The range term is negative, so clamped to 0, below r = 105.9 m:
+at any ``r_hf`` up to that, the paper's ranges included, the loss is
+exactly ``(n_cont - 1) * P_COL``.  Simultaneous fixes of one AUV from
+several ASVs are merged into one (x, y) position with an inverse-variance
+weighted (minimum-variance linear unbiased) estimator.
 """
 
 from __future__ import annotations

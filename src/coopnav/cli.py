@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from pathlib import Path
 
-from .engine import AsvFleet, AuvMetrics, MissionReport, SimConfig, run
+from .engine import AUV_EXTRA, AsvFleet, AuvMetrics, MissionReport, SimConfig, run
 from .formation import worst_point
 from .schema import check, ini_table, param
 
@@ -218,8 +218,7 @@ def report_row(cfg: SimConfig, rep: MissionReport) -> dict:
     }
 
 
-_AUV_COLUMNS = [*_CSV_COLUMNS[:6], *(f.name for f in fields(AuvMetrics)),
-                "pings", "max_latency_s", "max_innovation"]
+_AUV_COLUMNS = [*_CSV_COLUMNS[:6], *(f.name for f in fields(AuvMetrics)), *AUV_EXTRA]
 
 
 def auv_rows(cfg: SimConfig, rep: MissionReport) -> list[dict]:

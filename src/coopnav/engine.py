@@ -95,6 +95,9 @@ class AuvMetrics:
     max_fused_err: float
 
 
+AUV_EXTRA = ("pings", "max_latency_s", "max_innovation")   # per AUV, after AuvMetrics
+
+
 @dataclass
 class MissionReport:
     config_hash: str
@@ -109,7 +112,7 @@ class MissionReport:
     dropped: dict[str, int]
     max_innovation: float
     excursion_ticks: int
-    auv_extra: list[dict]   # per AUV: pings, max_latency_s, max_innovation
+    auv_extra: list[dict]   # per AUV: AUV_EXTRA's figures by name
     events: EventLog = field(repr=False)
     trace: array = field(repr=False)   # TRACE_FORMAT's 12 numbers per (tick, AUV) row
 
@@ -374,9 +377,8 @@ def run(config: SimConfig) -> MissionReport:
                                      navs[i].p_imu[1] - truths[i].y),
             max_fused_err=max_fused_err[i],
         ))
-        auv_extra.append({"pings": pings[i],
-                          "max_latency_s": max((lat for _, lat in fixes), default=0.0),
-                          "max_innovation": max_innovation[i]})
+        auv_extra.append(dict(zip(AUV_EXTRA, (
+            pings[i], max((lat for _, lat in fixes), default=0.0), max_innovation[i]))))
     proto.events.pack()   # every figure above is taken: keep the records as typed columns
     return MissionReport(
         config_hash=config.config_hash(),

@@ -95,20 +95,20 @@ def run_ticks(config) -> RunTicks:
         t_tx, round(config.duration * f_t))
 
 
-# Event kinds.  A record is its kind plus the ints and floats its template
-# formats, in order.
+# Event kinds.  A record is its kind plus the fields its template formats,
+# in order; _FIELD_SPECS reads their types ("d" or ".6f") off the template.
 PING, FIX, FUSE, BCAST, DELIVER, SUPERSEDED, EXPIRED, OUT_OF_MF_RANGE = range(8)
-EVENT_FORMATS = (   # (template, field count), indexed by kind
-    ("PING{tick=%d, auv=%d, group=%d}", 3),
-    ("FIX{tick=%d, auv=%d, asv=%d, pos=(%.6f, %.6f, %.6f), var=%.6f}", 7),
-    ("FUSE{tick=%d, auv=%d, k=%d}", 3),
-    ("BCAST{tick=%d, asv=%d, bytes=%d}", 3),
-    ("DELIVER{tick=%d, auv=%d, latency_s=%.6f}", 3),
-    ("DROP{tick=%d, auv=%d, reason=superseded}", 2),
-    ("DROP{tick=%d, auv=%d, reason=expired}", 2),
-    ("DROP{tick=%d, auv=%d, reason=out_of_mf_range}", 2),
+EVENT_FORMATS = (   # indexed by kind
+    "PING{tick=%d, auv=%d, group=%d}",
+    "FIX{tick=%d, auv=%d, asv=%d, pos=(%.6f, %.6f, %.6f), var=%.6f}",
+    "FUSE{tick=%d, auv=%d, k=%d}",
+    "BCAST{tick=%d, asv=%d, bytes=%d}",
+    "DELIVER{tick=%d, auv=%d, latency_s=%.6f}",
+    "DROP{tick=%d, auv=%d, reason=superseded}",
+    "DROP{tick=%d, auv=%d, reason=expired}",
+    "DROP{tick=%d, auv=%d, reason=out_of_mf_range}",
 )
-_FIELD_SPEC = re.compile(r"%(d|\.6f)")   # a template's field types, in order
+_FIELD_SPECS = tuple(tuple(re.findall(r"%(d|\.6f)", t)) for t in EVENT_FORMATS)
 
 
 def _uint_column(values: list[int]) -> array | list[int]:
@@ -153,7 +153,7 @@ class EventLog:
         store = self.stores[kind]
         if type(store) is tuple:
             return zip(*store)
-        return zip(*[iter(store)] * EVENT_FORMATS[kind][1])
+        return zip(*[iter(store)] * len(_FIELD_SPECS[kind]))
 
     def pack(self):
         """Store each kind as one column per field, once the log takes no
@@ -166,16 +166,16 @@ class EventLog:
         converted one at a time, so only one kind's list and columns
         coexist."""
         stores = self.stores
-        for kind, (template, n) in enumerate(EVENT_FORMATS):
-            values = stores[kind]
+        for kind, specs in enumerate(_FIELD_SPECS):
+            values, n = stores[kind], len(specs)
             stores[kind] = tuple(
                 array("d", values[f::n]) if spec == ".6f" else _uint_column(values[f::n])
-                for f, spec in enumerate(_FIELD_SPEC.findall(template)))
+                for f, spec in enumerate(specs))
 
     def __iter__(self):
         cursors = [self.records(kind) for kind in range(len(EVENT_FORMATS))]
         for kind in self.kinds:
-            yield EVENT_FORMATS[kind][0] % next(cursors[kind])
+            yield EVENT_FORMATS[kind] % next(cursors[kind])
 
 
 class FixQueue:

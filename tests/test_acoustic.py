@@ -48,8 +48,10 @@ def loss_p(r, n_auv=1):
 
 
 def test_loss_probability_values():
-    # with one vehicle: the range term alone, up to the cap
-    assert loss_p(0.0) == 0.0                 # raw -0.083 clamps
+    # with one vehicle: the range term alone, up to the cap; it is below 0,
+    # so clamped, up to about 105.91 m (raw -0.083 at 0 m, -0.049 at 50 m)
+    assert [loss_p(r) for r in (0.0, 1.0, 50.0, 105.0)] == [0.0] * 4
+    assert loss_p(106.0) > 0.0
     assert loss_p(400.0) == pytest.approx(0.552362, abs=1e-6)
     assert loss_p(900.0) == loss_p(800.0) == P_CAP == 0.999
 
@@ -62,8 +64,8 @@ def test_loss_probability_monotone_then_flat():
 
 
 def test_total_loss_probability():
-    assert loss_p(50.0, 4) == pytest.approx(0.15)
-    assert loss_p(50.0, 1) == 0.0
+    # within 105.9 m, as at every r_hf of the paper, the contention term alone
+    assert [loss_p(50.0, n) for n in (1, 2, 4, 9)] == [(n - 1) * 0.05 for n in (1, 2, 4, 9)]
     assert loss_p(800.0, 1) == 0.999
     # never below the range-only loss, never above the cap
     for r in (0, 100, 500, 800):

@@ -401,9 +401,9 @@ def test_a_packed_log_reads_as_it_did():
     assert all(records)   # every kind of event, to be packed
     log.pack()
     # one column per field: doubles for a %.6f field, unsigned ints for a %d one
-    for (template, n), columns, recs in zip(EVENT_FORMATS, log.stores, records):
+    for template, columns, recs in zip(EVENT_FORMATS, log.stores, records):
         specs = re.findall(r"%(d|\.6f)", template)
-        assert len(specs) == len(columns) == n
+        assert len(specs) == len(columns)
         assert all(isinstance(col, array) and len(col) == len(recs) and
                    col.typecode in ("d" if spec == ".6f" else "BHIQ")
                    for col, spec in zip(columns, specs))

@@ -7,18 +7,19 @@ several anchors, a plan that finishes before the timeout) and the noise
 branches (zero IMU, depth or USBL azimuth noise, a signed-zero bias, an
 odd tick rate), a fix delivered on the tick of its broadcast and two fixes
 in flight at once.  Each case pins the sha1 of the event log, of the trace
-log, of the full-``repr`` numeric report and of its ``auvs.csv`` rows, so
-any change in the bits a run produces shows here.  A change that alters
-the simulation on purpose re-records them and says why.
+log, of the full-``repr`` numeric report and of its ``auvs.csv`` rows, as
+``tools/diffcheck.py``'s ``fingerprint`` hashes them, so any change in the
+bits a run produces shows here.  A change that alters the simulation on
+purpose re-records them and says why.
 """
 
-import dataclasses
-import hashlib
+import importlib.util
 import itertools
 import math
 import re
 import statistics
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -28,10 +29,6 @@ from coopnav.engine import SimConfig, run
 from coopnav.mission import GuidanceConfig
 from coopnav.protocol import (BCAST, DELIVER, EVENT_FORMATS, EXPIRED, OUT_OF_MF_RANGE,
                               SUPERSEDED, TimingConfig)
-
-REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
-                 "applied_rate_hz", "latency_mean_s", "latency_p95_s",
-                 "dropped", "max_innovation", "excursion_ticks")
 
 CASES = {
     "defaults": dict(duration=60.0, seed=3),
@@ -133,23 +130,18 @@ PINNED = {
 }
 
 
-def digests(cfg: SimConfig) -> tuple[str, str, str, str]:
-    """The sha1s of a run of ``cfg``: its event log, trace log, numeric
-    report and ``auvs.csv`` rows, each row's cells in name order."""
-    def sha1(lines: list[str]) -> str:
-        return hashlib.sha1(("\n".join(lines) + "\n").encode()).hexdigest()
+# tools/diffcheck.py, whose fingerprint is the one recipe of a run's digests
+_spec = importlib.util.spec_from_file_location(
+    "diffcheck", Path(__file__).resolve().parents[1] / "tools" / "diffcheck.py")
+diffcheck = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(diffcheck)
 
-    rep = run(cfg)
-    numeric = []
-    for name in REPORT_FIELDS:
-        value = getattr(rep, name)
-        if name == "per_auv":
-            value = [dataclasses.asdict(a) for a in value]
-        numeric.append((name, value))
-    rows = [sorted(row.items()) for row in cli.auv_rows(cfg, rep)]
-    return (sha1(rep.event_log), sha1(rep.trace_log),
-            hashlib.sha1(repr(numeric).encode()).hexdigest(),
-            hashlib.sha1(repr(rows).encode()).hexdigest())
+
+def digests(cfg: SimConfig) -> tuple[str, ...]:
+    """The sha1s of a run of ``cfg``: its event log, trace log, numeric
+    report and ``auvs.csv`` rows, ``diffcheck.fingerprint``'s after the
+    config hash."""
+    return tuple(diffcheck.fingerprint(cli, cfg, run(cfg)).split()[1:])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -182,14 +174,14 @@ def test_report_reads_the_records(case):
     # and unsigned ints for a %d one
     rep = run(SimConfig(**CASES[case]))
     events, log = rep.events, rep.event_log
-    for kind, ((template, _), columns) in enumerate(zip(EVENT_FORMATS, events.stores)):
+    for kind, (template, columns) in enumerate(zip(EVENT_FORMATS, events.stores)):
         specs = re.findall(r"%(d|\.6f)", template)
         assert len(columns) == len(specs)
         assert all(isinstance(col, array) and len(col) == events.kinds.count(kind) and
                    col.typecode in ("d" if spec == ".6f" else "BHIQ")
                    for col, spec in zip(columns, specs))
     assert len(events) == len(log)
-    for kind, (template, _) in enumerate(EVENT_FORMATS):
+    for kind, template in enumerate(EVENT_FORMATS):
         assert [template % r for r in events.records(kind)] == [
             line for k, line in zip(events.kinds, log) if k == kind]
     delivered = list(events.records(DELIVER))

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PING = "PING{tick=%d, auv=%d, group=%d}"
 ONE_JOB = "[sweep]\nl = 60\nn_asv = 1\nn_auv = 2\nseeds = 1\n\n[sim]\nduration = 3\n"
+TWO_JOBS = "[sweep]\nl = 40\nn_asv = 2\nn_auv = 3\nseeds = 2\n\n[sim]\nduration = 2\n"
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +28,10 @@ def runs(tmp_path_factory):
     text = protocol.read_text()
     assert text.count(PING) == 1
     protocol.write_text(text.replace(PING, PING.replace("group", "grp")))
-    ini = tmp / "one_job.ini"
-    ini.write_text(ONE_JOB)
+    (tmp / "one_job.ini").write_text(ONE_JOB)
+    (tmp / "two_jobs.ini").write_text(TWO_JOBS)
     args = {"diffcheck": ["--n", "2", "--seed", "0"],
-            "abtime": ["--ini", str(ini), "--rounds", "1"]}
+            "abtime": ["--ini", "one_job.ini", "--ini", "two_jobs.ini", "--rounds", "1"]}
     procs = {(tool, side): subprocess.Popen(
                  [sys.executable, str(ROOT / "tools" / f"{tool}.py"), str(SRC), str(tree),
                   *extra],
@@ -59,12 +60,15 @@ def test_diffcheck_catches_changed_event_text(runs):
 
 
 def test_abtime_shows_no_gain_from_one_pair(runs):
+    # nor from two; each --ini gets a block of its own, in the order given
     code, out = runs["abtime", "same"]
     assert code == 0, out
-    assert out.splitlines()[-1] == "verdict: no gain shown (1 pairs; a gain needs 10)"
+    assert [line for line in out.splitlines() if line.startswith(("== ", "verdict: "))] == [
+        "== one_job.ini", "verdict: no gain shown (1 pairs; a gain needs 10)",
+        "== two_jobs.ini", "verdict: no gain shown (2 pairs; a gain needs 10)"]
 
 
 def test_abtime_catches_changed_event_text(runs):
     code, out = runs["abtime", "changed"]
     assert code == 1, out
-    assert "outputs differ" in out
+    assert "outputs differ" in out and "two_jobs.ini" not in out

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Interleaved timing of two coopnav source trees on one sweep INI.
+"""Interleaved timing of two coopnav source trees on sweep INIs.
 
-    python3 tools/abtime.py PARENT_SRC CHANGE_SRC --ini FILE [--rounds N]
+    python3 tools/abtime.py PARENT_SRC CHANGE_SRC --ini FILE [--ini FILE ...] [--rounds N]
 
 PARENT_SRC and CHANGE_SRC are ``src/`` directories of two checkouts.  Both
-trees are imported into this one process, as the packages ``coopnav_parent``
-and ``coopnav_change`` (coopnav imports its own modules relatively only).
+trees are imported into this one process once, as the packages
+``coopnav_parent`` and ``coopnav_change`` (coopnav imports its own modules
+relatively only).  Each ``--ini`` is timed in turn, in the order given,
+and gets a block of its own: a line naming the INI, then the lines below.
 Each round runs every job of the sweep INI once per tree, back to back,
 alternating which tree goes first, and times each ``run()`` call.  A pair is
 one job of one round; its ratio is the change's time over the parent's.
@@ -17,18 +19,18 @@ prints the bytes that one finished report of the first job keeps allocated
 in each tree, and those that the finished reports of all the jobs keep
 together, measured by ``tracemalloc`` around more, untimed, ``run()`` calls
 per tree: an in-process A/B of report memory.  The sum sizes a workload
-whose jobs differ, as a sweep's cells do.  The last line is the verdict:
-"gain shown" only when there are at least MIN_PAIRS (10) pairs, the
-change won at least 9 in 10 of the untied pairs and its median mission
+whose jobs differ, as a sweep's cells do.  A block's last line is its
+verdict: "gain shown" only when there are at least MIN_PAIRS (10) pairs,
+the change won at least 9 in 10 of the untied pairs and its median mission
 time is below the parent's by more than the parent's interquartile range,
 else "no gain shown", with the pair count when there are too few.  Host
 speed drifts within a benchmark run (perfbench/README.md); two runs timed
 back to back see nearly the same host, so the pair ratio cancels the drift.
 
 Every pair's config hash, event log, trace log, numeric report and AUV rows
-must be equal, as ``tools/diffcheck.py``'s ``fingerprint`` hashes them
-outside the timed call:
-the script exits 1 on the first mismatch, 0 otherwise.
+must be equal, as ``tools/diffcheck.py``'s ``fingerprint``, the one recipe
+of a run's digests, hashes them outside the timed call: the script exits 1
+on the first mismatch, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -86,25 +88,19 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("parent_src")
-    p.add_argument("change_src")
-    p.add_argument("--ini", required=True, help="sweep INI whose jobs are timed")
-    p.add_argument("--rounds", type=int, default=5, help="passes over the jobs")
-    args = p.parse_args(argv)
-    trees = (load_tree(args.parent_src, "coopnav_parent"),
-             load_tree(args.change_src, "coopnav_change"))
-    jobs = [[cfg for _, cfg in cli.load_sweep_spec(args.ini).jobs()] for cli in trees]
+def compare(trees, ini: str, rounds: int) -> bool:
+    """Print the block of ``ini``, its jobs timed on both trees; False on
+    the first pair whose outputs differ."""
+    jobs = [[cfg for _, cfg in cli.load_sweep_spec(ini).jobs()] for cli in trees]
     times: tuple[list[float], list[float]] = ([], [])
     ratios = []
-    for rnd in range(args.rounds):
+    for rnd in range(rounds):
         for n, cfgs in enumerate(zip(*jobs)):
             order = (0, 1) if (rnd + n) % 2 == 0 else (1, 0)
             out = {side: timed(trees[side], cfgs[side]) for side in order}
             if out[0][1] != out[1][1]:
                 print(f"round {rnd} job {n}: outputs differ")
-                return 1
+                return False
             times[0].append(out[0][0])
             times[1].append(out[1][0])
             ratios.append(out[1][0] / out[0][0])
@@ -126,9 +122,26 @@ def main(argv=None) -> int:
     (p1, parent_med, p3), (_, change_med, _) = stats
     if len(ratios) < MIN_PAIRS:
         print(f"verdict: no gain shown ({len(ratios)} pairs; a gain needs {MIN_PAIRS})")
-        return 0
-    shown = decided and wins >= 0.9 * decided and parent_med - change_med > p3 - p1
-    print("verdict: " + ("gain shown" if shown else "no gain shown"))
+    else:
+        shown = decided and wins >= 0.9 * decided and parent_med - change_med > p3 - p1
+        print("verdict: " + ("gain shown" if shown else "no gain shown"))
+    return True
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent_src")
+    p.add_argument("change_src")
+    p.add_argument("--ini", required=True, action="append",
+                   help="sweep INI whose jobs are timed; repeat to time several")
+    p.add_argument("--rounds", type=int, default=5, help="passes over each INI's jobs")
+    args = p.parse_args(argv)
+    trees = (load_tree(args.parent_src, "coopnav_parent"),
+             load_tree(args.change_src, "coopnav_change"))
+    for ini in args.ini:
+        print(f"== {ini}")
+        if not compare(trees, ini, args.rounds):
+            return 1
     return 0
 
 

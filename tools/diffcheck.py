@@ -8,26 +8,27 @@ tree runs the same ``--n`` random ``SimConfig`` missions in a subprocess of
 its own that imports coopnav from that tree alone.  Per mission the check
 compares the config hash, the sha1 of the event log, of the trace log, of
 the full-``repr`` numeric report and of the mission's ``auvs.csv`` rows
-(``cli.auv_rows``), as ``tests/test_run_digests.py`` computes them, or the
-type and text of the exception the mission raised.  It also compares the exit
-code and stdout of ``coopnav check-coverage`` on an INI holding the
-mission's L, n_asv, r_hf, delta_b and alpha0.  Each tree also runs the same
-few random sweep INIs through ``coopnav sweep``, and the check compares the
-exit code and the sha1 of ``runs.csv``, ``auvs.csv``, ``aggregate.csv``
-and ``heatmap.txt``.  Config verdicts are compared too: per mission, each of a
-few INIs holds that formation plus one invalid value (NaN, a value just
-below a lower bound or above an upper bound, an undeclared choice or a
-non-integer value of an int key), and one sweep INI per ``[sweep]`` count
-holds a value below its bound; the check compares the exit code and stderr
-of ``coopnav validate-config`` (``coopnav sweep`` for a sweep INI), with
-the temporary directory's path left out.  The invalid values are drawn
-from PARENT_SRC's own declarations (``cli.SweepSpec`` and the
-``SimConfig`` it holds), read through its ``schema.declared`` walk, and
-each one is confirmed invalid by its key's converter and its
-``schema.fault`` rule; a PARENT_SRC from before that walk and rule, or
-without ``cli.auv_rows(cfg, rep)``, needs its own copy of this script.  It
-prints each mismatch and a summary, and exits 0 when every mission, sweep
-and verdict is identical, else 1.
+(``cli.auv_rows``), or the type and text of the exception the mission
+raised.  ``fingerprint`` is the one recipe of these digests:
+``tests/test_run_digests.py`` pins its sha1s and ``tools/abtime.py``
+compares them.  It also compares the exit code and stdout of ``coopnav
+check-coverage`` on an INI holding the mission's L, n_asv, r_hf, delta_b
+and alpha0.  Each tree also runs the same few random sweep INIs through
+``coopnav sweep``, and the check compares the exit code and the sha1 of
+``runs.csv``, ``auvs.csv``, ``aggregate.csv`` and ``heatmap.txt``.  Config
+verdicts are compared too: per mission, each of a few INIs holds that
+formation plus one invalid value (NaN, a value just below a lower bound or
+above an upper bound, an undeclared choice or a non-integer value of an int
+key), and one sweep INI per ``[sweep]`` count holds a value below its
+bound; the check compares the exit code and stderr of ``coopnav
+validate-config`` (``coopnav sweep`` for a sweep INI), with the temporary
+directory's path left out.  The invalid values are drawn from PARENT_SRC's
+own declarations (``cli.SweepSpec`` and the ``SimConfig`` it holds), read
+through its ``schema.declared`` walk, and each one is confirmed invalid by
+its key's converter and its ``schema.fault`` rule; a PARENT_SRC from before
+that walk and rule, or without ``cli.auv_rows(cfg, rep)``, needs its own
+copy of this script.  It prints each mismatch and a summary, and exits 0
+when every mission, sweep and verdict is identical, else 1.
 
 The random missions cover the survey scale L, n_auv, n_asv, tick rates
 f_t in {7, 10, 30, 50}, zero IMU and depth noise, a signed-zero bias, zero
@@ -65,7 +66,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
-# the report fields test_run_digests.py hashes at full repr precision
+# the report fields that fingerprint hashes at full repr precision
 REPORT_FIELDS = ("seed", "ticks", "duration_s", "per_auv", "total_applied",
                  "applied_rate_hz", "latency_mean_s", "latency_p95_s",
                  "dropped", "max_innovation", "excursion_ticks")
